@@ -16,7 +16,8 @@ always present, rows in a documented order.  Identical invocations produce
 byte-identical files.
 
 Exit codes: 0 success, 1 property/verification failure, 2 usage or
-validation error (including inadmissible decay values).
+validation error (including inadmissible decay values and inputs beyond
+numeric range, see NUMERIC_RANGE_ERRORS).
 """
 
 from __future__ import annotations
@@ -27,8 +28,19 @@ import time
 
 from . import katz, ordering
 from .dpoly import INV_SQRT5
-from .graphs import FAMILIES, GraphSpec, graph_distance, require_admissible, resistance
+from .graphs import FAMILIES, GraphSpec, graph_distance, pair_columns, require_admissible, resistance
+from .linalg import SingularMatrixError
 from .verify import run_suites
+
+# Raised when an input lies beyond what the routines can compute.  Like
+# validation errors they exit 2: exit 1 means a verification failure.
+NUMERIC_RANGE_ERRORS = (
+    ArithmeticError,
+    SingularMatrixError,
+    ordering.BracketError,
+    ordering.BisectionDivergenceError,
+    katz.SeriesDivergenceError,
+)
 
 DEFAULT_SCATTER_ALPHAS = (0.2, 0.3, 0.46)
 DEFAULT_CONVERGE_SIZES = (10, 20, 40, 80, 160, 320)
@@ -64,20 +76,18 @@ def cmd_scatter(args: argparse.Namespace) -> int:
     alphas = sorted(args.alpha)
     for alpha in alphas:
         require_admissible(alpha, g)
+    i, j, distance, resist = pair_columns(g, graph_distance, resistance)
+    # the alpha-independent cells of each row, formatted once per graph
+    pair_cells = [
+        f"{a},{b},{d},{_real(r)}"
+        for a, b, d, r in zip(i.tolist(), j.tolist(), distance.tolist(), resist.tolist())
+    ]
     rows: list[list[str]] = []
     for alpha in alphas:
         kmat = katz.katz_path_matrix(g.n, alpha) if g.is_path else katz.katz_cycle_matrix(g.n, alpha)
-        for pair in g.pairs():
-            rows.append(
-                [
-                    _real(alpha),
-                    str(pair.i),
-                    str(pair.j),
-                    str(graph_distance(g, pair.i, pair.j)),
-                    _real(resistance(g, pair.i, pair.j)),
-                    _real(float(kmat[pair.i - 1, pair.j - 1])),
-                ]
-            )
+        alpha_cell = _real(alpha)
+        katz_cells = map(_real, kmat[i - 1, j - 1].tolist())
+        rows.extend([alpha_cell, cells, k] for cells, k in zip(pair_cells, katz_cells))
     _write_csv(args.out, ["alpha", "i", "j", "distance", "resistance", "katz"], rows)
     return 0
 
@@ -250,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except NUMERIC_RANGE_ERRORS + (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

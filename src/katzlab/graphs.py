@@ -177,6 +177,20 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
     return k * (g.n - k) / g.n
 
 
+def pair_columns(g: GraphSpec, *metrics) -> tuple[np.ndarray, ...]:
+    """Labels i, j of g.pairs() and each metric(g, i, j), as arrays in that order.
+
+    Every metric must depend on a pair only through its span j - i, as
+    :func:`graph_distance` and :func:`resistance` do on paths and cycles.  It
+    is called once per span (n - 1 calls rather than n(n-1)/2) and the
+    values are gathered, so each column holds exactly the scalar results.
+    """
+    i, j = np.triu_indices(g.n, k=1)
+    span_index = j - i - 1
+    columns = (np.array([metric(g, 1, 2 + s) for s in range(g.n - 1)])[span_index] for metric in metrics)
+    return (i + 1, j + 1, *columns)
+
+
 def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
     """Effective resistance via the Laplacian pseudoinverse.
 

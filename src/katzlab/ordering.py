@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dpoly import INV_SQRT5, d_sequence
-from .graphs import GraphSpec, VertexPair, graph_distance, require_admissible, resistance
+from .graphs import GraphSpec, VertexPair, graph_distance, pair_columns, require_admissible, resistance
 from .katz import katz_cycle_matrix, katz_path, katz_path_matrix
 
 KATZ = "katz"
@@ -82,34 +82,51 @@ class AgreementReport:
         return self.katz_vs_resistance and self.katz_vs_distance and self.resistance_vs_distance
 
 
-def pair_scores(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> list[float]:
-    """Scores for g.pairs() in lexicographic pair order."""
+def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
+    """Scores for g.pairs() in lexicographic pair order, as a float array."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == KATZ:
         if alpha is None:
             raise ValueError("the katz metric needs an alpha value")
         matrix = katz_path_matrix(g.n, alpha) if g.is_path else katz_cycle_matrix(g.n, alpha)
-        return [float(matrix[p.i - 1, p.j - 1]) for p in g.pairs()]
-    if metric == RESISTANCE:
-        return [resistance(g, p.i, p.j) for p in g.pairs()]
-    return [float(graph_distance(g, p.i, p.j)) for p in g.pairs()]
+        i, j = pair_columns(g)
+        return matrix[i - 1, j - 1]
+    return pair_columns(g, resistance if metric == RESISTANCE else graph_distance)[2].astype(float)
 
 
-def _preference_keys(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
+def _keys(metric: str, scores: np.ndarray) -> np.ndarray:
     """Scores mapped so that smaller always means more preferred."""
-    scores = np.array(pair_scores(g, metric, alpha))
     return -scores if metric == KATZ else scores
+
+
+def pair_scores(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> list[float]:
+    """Scores for g.pairs() in lexicographic pair order."""
+    return _scores(g, metric, alpha).tolist()
+
+
+def _best_first(metric: str, scores: np.ndarray) -> np.ndarray:
+    """Pair indices best-first; g.pairs() is lexicographic, so the stable sort
+    breaks exact score ties by (i, j)."""
+    return np.argsort(_keys(metric, scores), kind="stable")
 
 
 def rank_pairs(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> PairRanking:
     """Pairs sorted best-first; exact score ties break (i, j) lexicographically."""
     pairs = g.pairs()
-    scores = pair_scores(g, metric, alpha)
-    sign = -1.0 if metric == KATZ else 1.0
-    order = sorted(range(len(pairs)), key=lambda ix: (sign * scores[ix], pairs[ix]))
-    entries = tuple((pairs[ix], scores[ix]) for ix in order)
+    scores = _scores(g, metric, alpha)
+    values = scores.tolist()
+    entries = tuple((pairs[ix], values[ix]) for ix in _best_first(metric, scores).tolist())
     return PairRanking(g, metric, alpha if metric == KATZ else None, entries)
+
+
+def _ranked_classes(metric: str, scores: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Best-first pair order and the tie-class number at each rank (see score_classes)."""
+    order = _best_first(metric, scores)
+    ranked = scores[order]
+    prev, cur = ranked[:-1], ranked[1:]
+    boundary = np.abs(cur - prev) > tol * np.maximum(np.abs(cur), np.abs(prev))
+    return order, np.concatenate(([0], np.cumsum(boundary)))
 
 
 def score_classes(
@@ -123,66 +140,76 @@ def score_classes(
     decay sit many orders of magnitude apart yet all below any fixed
     absolute tolerance, which would merge them spuriously.
     """
-    ranking = rank_pairs(g, metric, alpha)
-    classes: list[set[VertexPair]] = []
-    last_score: Optional[float] = None
-    for pair, score in ranking.entries:
-        if last_score is None or abs(score - last_score) > tol * max(abs(score), abs(last_score)):
-            classes.append(set())
-        classes[-1].add(pair)
-        last_score = score
+    pairs = g.pairs()
+    order, ids = _ranked_classes(metric, _scores(g, metric, alpha), tol)
+    classes: list[set[VertexPair]] = [set() for _ in range(int(ids[-1]) + 1)]
+    for ix, class_id in zip(order.tolist(), ids.tolist()):
+        classes[class_id].add(pairs[ix])
     return classes
 
 
 def class_structures_match(g: GraphSpec, alpha: float, tol: float = TIE_TOL) -> bool:
     """True when all three metrics produce identical best-first tie classes."""
-    reference = score_classes(g, KATZ, alpha, tol)
-    return all(score_classes(g, metric, alpha, tol) == reference for metric in (RESISTANCE, DISTANCE))
+
+    def class_of_pair(metric: str) -> np.ndarray:
+        order, ids = _ranked_classes(metric, _scores(g, metric, alpha), tol)
+        by_pair = np.empty_like(ids)
+        by_pair[order] = ids
+        return by_pair
+
+    reference = class_of_pair(KATZ)
+    return all(np.array_equal(class_of_pair(metric), reference) for metric in (RESISTANCE, DISTANCE))
 
 
-def _first_inversion(
-    g: GraphSpec,
-    metric_a: str,
-    metric_b: str,
-    keys_a: np.ndarray,
-    keys_b: np.ndarray,
-    scores: dict[str, list[float]],
-) -> Optional[RankingInversion]:
-    strict_a = keys_a[:, None] < keys_a[None, :] - TIE_TOL
-    strict_b_reversed = keys_b[:, None] > keys_b[None, :] + TIE_TOL
-    violations = np.argwhere(strict_a & strict_b_reversed)
-    if violations.size == 0:
+def _first_inversion(keys_a: np.ndarray, keys_b: np.ndarray) -> Optional[tuple[int, int]]:
+    """First (a, b) in row-major order with a strictly before b under A and after under B.
+
+    Strictly means by more than TIE_TOL: keys_a[a] < keys_a[b] - TIE_TOL and
+    keys_b[a] > keys_b[b] + TIE_TOL.  A dominance query in O(P log P) time
+    and O(P) memory: the pairs b that a strictly precedes under A are a
+    suffix of the pairs sorted by keys_a - TIE_TOL, and a has a partner
+    there exactly when that suffix's minimum of keys_b + TIE_TOL lies
+    below keys_b[a].  Every comparison is one of the two float expressions
+    above, so the result is exactly that of a P x P scan.
+    """
+    u = keys_a - TIE_TOL
+    v = keys_b + TIE_TOL
+    by_u = np.argsort(u)
+    start = np.searchsorted(u[by_u], keys_a, side="right")
+    suffix_min = np.append(np.minimum.accumulate(v[by_u][::-1])[::-1], np.inf)
+    candidates = np.flatnonzero(suffix_min[start] < keys_b)
+    if candidates.size == 0:
         return None
-    a_ix, b_ix = (int(v) for v in violations[0])
-    pairs = g.pairs()
-    return RankingInversion(
-        metric_a,
-        metric_b,
-        pairs[a_ix],
-        pairs[b_ix],
-        (scores[metric_a][a_ix], scores[metric_a][b_ix]),
-        (scores[metric_b][a_ix], scores[metric_b][b_ix]),
-    )
+    a_ix = int(candidates[0])
+    b_ix = int(np.flatnonzero((keys_a[a_ix] < u) & (keys_b[a_ix] > v))[0])
+    return a_ix, b_ix
 
 
 def agreement(g: GraphSpec, alpha: float) -> AgreementReport:
     """Pairwise ranking agreement between the three metrics at one alpha.
 
-    Exhaustive over pairs-of-pairs; the witness is the first inversion found
-    (deterministic lexicographic scan) among the disagreeing metric pairs.
+    Exhaustive over pairs-of-pairs in O(P log P) time and O(P) memory for
+    P = n(n-1)/2 pairs; the witness is the first inversion in lexicographic
+    (pair_a, pair_b) order among the disagreeing metric pairs.
     """
     require_admissible(alpha, g)
-    scores = {m: pair_scores(g, m, alpha) for m in METRICS}
-    keys = {
-        m: (-np.array(scores[m]) if m == KATZ else np.array(scores[m])) for m in METRICS
-    }
+    scores = {m: _scores(g, m, alpha) for m in METRICS}
     flags: dict[tuple[str, str], bool] = {}
     witness: Optional[RankingInversion] = None
     for metric_a, metric_b in ((KATZ, RESISTANCE), (KATZ, DISTANCE), (RESISTANCE, DISTANCE)):
-        inv = _first_inversion(g, metric_a, metric_b, keys[metric_a], keys[metric_b], scores)
-        flags[(metric_a, metric_b)] = inv is None
-        if witness is None and inv is not None:
-            witness = inv
+        found = _first_inversion(_keys(metric_a, scores[metric_a]), _keys(metric_b, scores[metric_b]))
+        flags[(metric_a, metric_b)] = found is None
+        if witness is None and found is not None:
+            a_ix, b_ix = found
+            i, j = pair_columns(g)
+            witness = RankingInversion(
+                metric_a,
+                metric_b,
+                VertexPair(int(i[a_ix]), int(j[a_ix])),
+                VertexPair(int(i[b_ix]), int(j[b_ix])),
+                (float(scores[metric_a][a_ix]), float(scores[metric_a][b_ix])),
+                (float(scores[metric_b][a_ix]), float(scores[metric_b][b_ix])),
+            )
     return AgreementReport(
         g,
         alpha,

@@ -184,3 +184,26 @@ def test_missing_subcommand_exits_with_usage_error():
 def test_scatter_requires_known_family():
     with pytest.raises(SystemExit):
         run(["scatter", "--family", "star", "--n", "6", "--out", "x.csv"])
+
+
+def test_numeric_range_error_exits_with_usage_error(tmp_path, monkeypatch, capsys):
+    # the size limit overflows inside the limit formula; that is an input
+    # out of range (exit 2), not a verification failure (exit 1)
+    monkeypatch.chdir(tmp_path)
+    argv = ["converge", "--family", "path", "--i", "1500", "--j", "1501", "--alpha", "0.499",
+            "--n-list", "1600", "--out", "x.csv"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("error", cli.NUMERIC_RANGE_ERRORS)
+def test_every_numeric_range_error_exits_2(error, monkeypatch, capsys):
+    def fail(args):
+        raise error("out of range")
+
+    monkeypatch.setattr(cli, "cmd_converge", fail)
+    assert run(["converge", "--family", "path", "--i", "1", "--j", "2", "--alpha", "0.3", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == "error: out of range\n"

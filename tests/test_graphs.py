@@ -135,3 +135,11 @@ def test_alpha_bind_records_rho():
     bound = Alpha.bind(0.3, GraphSpec.cycle(8))
     assert bound.value == 0.3
     assert bound.rho == 2.0
+
+
+@pytest.mark.parametrize("g", [GraphSpec.path(2), GraphSpec.path(9), GraphSpec.cycle(3), GraphSpec.cycle(12)])
+def test_pair_columns_match_scalar_calls(g):
+    i, j, distance, resist = graphs.pair_columns(g, graphs.graph_distance, graphs.resistance)
+    assert list(zip(i.tolist(), j.tolist())) == [(p.i, p.j) for p in g.pairs()]
+    assert distance.tolist() == [graphs.graph_distance(g, p.i, p.j) for p in g.pairs()]
+    assert resist.tolist() == [graphs.resistance(g, p.i, p.j) for p in g.pairs()]

@@ -1,14 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from katzlab import ordering
 from katzlab.dpoly import INV_SQRT5
-from katzlab.graphs import GraphSpec, VertexPair, graph_distance
+from katzlab.graphs import GraphSpec, VertexPair, graph_distance, resistance
+from katzlab.katz import katz_cycle_matrix, katz_path_matrix
 from katzlab.ordering import (
+    TIE_TOL,
+    AgreementReport,
     BracketError,
+    RankingInversion,
     agreement,
     class_structures_match,
     cutoff_root,
@@ -229,3 +234,106 @@ def test_ranking_entries_are_complete():
     g = GraphSpec.cycle(7)
     ranking = rank_pairs(g, "resistance")
     assert sorted(entry[0] for entry in ranking.entries) == g.pairs()
+
+
+# -- reference routes ----------------------------------------------------
+# Direct definitions (per-pair loops, P x P masks), used as oracles for the
+# array routes on small graphs.
+
+
+def dense_first_inversion(keys_a, keys_b):
+    strict_a = keys_a[:, None] < keys_a[None, :] - TIE_TOL
+    strict_b_reversed = keys_b[:, None] > keys_b[None, :] + TIE_TOL
+    violations = np.argwhere(strict_a & strict_b_reversed)
+    if violations.size == 0:
+        return None
+    return tuple(int(v) for v in violations[0])
+
+
+def reference_scores(g, metric, alpha):
+    if metric == "katz":
+        matrix = katz_path_matrix(g.n, alpha) if g.is_path else katz_cycle_matrix(g.n, alpha)
+        return [float(matrix[p.i - 1, p.j - 1]) for p in g.pairs()]
+    if metric == "resistance":
+        return [resistance(g, p.i, p.j) for p in g.pairs()]
+    return [float(graph_distance(g, p.i, p.j)) for p in g.pairs()]
+
+
+def reference_agreement(g, alpha):
+    pairs = g.pairs()
+    scores = {m: reference_scores(g, m, alpha) for m in ordering.METRICS}
+    keys = {m: (-np.array(s) if m == "katz" else np.array(s)) for m, s in scores.items()}
+    flags = []
+    witness = None
+    for a, b in (("katz", "resistance"), ("katz", "distance"), ("resistance", "distance")):
+        found = dense_first_inversion(keys[a], keys[b])
+        flags.append(found is None)
+        if witness is None and found is not None:
+            x, y = found
+            witness = RankingInversion(
+                a, b, pairs[x], pairs[y], (scores[a][x], scores[a][y]), (scores[b][x], scores[b][y])
+            )
+    return AgreementReport(g, alpha, *flags, witness)
+
+
+def reference_classes(g, metric, alpha, tol=TIE_TOL):
+    pairs = g.pairs()
+    scores = reference_scores(g, metric, alpha)
+    sign = -1.0 if metric == "katz" else 1.0
+    order = sorted(range(len(pairs)), key=lambda ix: (sign * scores[ix], pairs[ix]))
+    classes = []
+    last = None
+    for ix in order:
+        score = scores[ix]
+        if last is None or abs(score - last) > tol * max(abs(score), abs(last)):
+            classes.append(set())
+        classes[-1].add(pairs[ix])
+        last = score
+    return classes
+
+
+# Keys with many exact ties and with gaps of exactly +-TIE_TOL, where the
+# strict comparisons sit on their boundary.
+TIE_LEVELS = [b + d for b in (-2.0, 0.0, 1.0) for d in (0.0, TIE_TOL, -TIE_TOL, 2 * TIE_TOL)]
+KEY_VALUES = st.one_of(st.sampled_from(TIE_LEVELS), st.floats(min_value=-4.0, max_value=4.0))
+KEY_PAIRS = st.integers(min_value=1, max_value=40).flatmap(
+    lambda p: st.tuples(st.lists(KEY_VALUES, min_size=p, max_size=p), st.lists(KEY_VALUES, min_size=p, max_size=p))
+)
+
+
+@given(KEY_PAIRS)
+def test_first_inversion_matches_dense_masks(keys):
+    keys_a, keys_b = (np.array(k) for k in keys)
+    assert ordering._first_inversion(keys_a, keys_b) == dense_first_inversion(keys_a, keys_b)
+
+
+@pytest.mark.parametrize(
+    "keys_a, keys_b, expected",
+    [
+        # a gap of exactly TIE_TOL under A is not a strict preference
+        ([0.0, TIE_TOL, 2.0], [1.0, 0.0, 0.0], (0, 2)),
+        # nor is one of exactly TIE_TOL under B
+        ([0.0, 1.0], [TIE_TOL, 0.0], None),
+        ([0.0, 1.0, 2.0], [1.0, 1.0 - TIE_TOL, 0.5], (0, 2)),
+    ],
+)
+def test_first_inversion_is_strict_at_exactly_the_tolerance(keys_a, keys_b, expected):
+    keys_a, keys_b = np.array(keys_a), np.array(keys_b)
+    assert dense_first_inversion(keys_a, keys_b) == expected
+    assert ordering._first_inversion(keys_a, keys_b) == expected
+
+
+GRID_ALPHAS = (0.02, 0.1, 0.3, 0.44, 0.46, 0.49)
+GRID_GRAPHS = [GraphSpec.path(n) for n in (2, 3, 4, 5, 8, 10, 13, 21, 30, 40)] + [
+    GraphSpec.cycle(n) for n in (3, 4, 5, 6, 9, 14, 21, 30, 39, 40)
+]
+
+
+@pytest.mark.parametrize("g", GRID_GRAPHS, ids=lambda g: f"{g.family}{g.n}")
+def test_array_routes_match_reference_on_grid(g):
+    for alpha in GRID_ALPHAS:
+        assert agreement(g, alpha) == reference_agreement(g, alpha)
+        reference = reference_classes(g, "katz", alpha)
+        assert score_classes(g, "katz", alpha) == reference
+        expected = all(reference_classes(g, m, alpha) == reference for m in ("resistance", "distance"))
+        assert class_structures_match(g, alpha) == expected
