@@ -33,31 +33,32 @@ def _require_index(n: int) -> None:
         raise ValueError(f"index must be >= 0, got {n}")
 
 
+def _d_sequence(n: int, alpha, one) -> list:
+    """[d_0, ..., d_n] by d_k = d_{k-1} - alpha^2 d_{k-2}, in the arithmetic of alpha and one."""
+    a2 = alpha * alpha
+    seq = [one]
+    prev = cur = one
+    for _ in range(n):
+        seq.append(cur)
+        prev, cur = cur, cur - a2 * prev
+    return seq
+
+
 def d_recursive(n: int, alpha: float) -> float:
-    """d_n(alpha) by the two-term recursion. O(n) time, O(1) memory.
+    """d_n(alpha) by the two-term recursion. O(n) time.
 
     Numerically benign on (0, 1/2): every intermediate stays in (0, 1] and
     both characteristic roots lie inside the unit disc, so rounding errors
     decay instead of amplifying.
     """
     _require_index(n)
-    if n < 2:
-        return 1.0
-    a2 = alpha * alpha
-    prev, cur = 1.0, 1.0
-    for _ in range(n - 1):
-        prev, cur = cur, cur - a2 * prev
-    return cur
+    return _d_sequence(n, alpha, 1.0)[n]
 
 
 def d_sequence(n: int, alpha: float) -> list[float]:
     """[d_0, d_1, ..., d_n] via the same recursion as :func:`d_recursive`."""
     _require_index(n)
-    seq = [1.0] * (n + 1)
-    a2 = alpha * alpha
-    for k in range(2, n + 1):
-        seq[k] = seq[k - 1] - a2 * seq[k - 2]
-    return seq
+    return _d_sequence(n, alpha, 1.0)
 
 
 def d_sequence_exact(n: int, alpha) -> list[Fraction]:
@@ -68,11 +69,7 @@ def d_sequence_exact(n: int, alpha) -> list[Fraction]:
     gaps shrink below double resolution.
     """
     _require_index(n)
-    a2 = Fraction(alpha) ** 2
-    seq = [Fraction(1)] * (n + 1)
-    for k in range(2, n + 1):
-        seq[k] = seq[k - 1] - a2 * seq[k - 2]
-    return seq
+    return _d_sequence(n, Fraction(alpha), Fraction(1))
 
 
 def d_closed(n: int, alpha: float) -> float:
@@ -121,18 +118,25 @@ def d_special_root5(n: int) -> float:
     return hi - lo
 
 
+def _cycle_denominator(seq, n: int, alpha):
+    """D_n = d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2} from seq = [d_0, ..., d_{n-1}, ...].
+
+    Integer constants keep the expression exact when seq and alpha are
+    Fractions; on floats they round exactly as 2.0 would.
+    """
+    return seq[n - 1] - 2 * alpha**n - 2 * alpha * alpha * seq[n - 2]
+
+
 def D_cycle_denominator(n: int, alpha: float) -> float:
     """det(I - alpha * A) for the n-cycle: d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2}.
 
-    Defined for n >= 3.  For n in {3, 4} the expression is validated against
-    the dense determinant oracle only; the closed-form Katz route never needs
-    it there.
+    Defined for n >= 3; it is the denominator of every cycle Katz entry,
+    diagonal included, at every n >= 3.
     """
     _require_index(n)
     if n < 3:
         raise ValueError(f"cycle determinant needs n >= 3, got {n}")
-    seq = d_sequence(n - 1, alpha)
-    return seq[n - 1] - 2.0 * alpha**n - 2.0 * alpha * alpha * seq[n - 2]
+    return _cycle_denominator(d_sequence(n - 1, alpha), n, alpha)
 
 
 def D_parity_form(n: int, alpha: float) -> float:

@@ -9,6 +9,7 @@ Laplacian-pseudoinverse solve for resistance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,24 +89,6 @@ class VertexPair:
         return cls(min(i, j), max(i, j))
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """A decay value validated against the spectral radius of one graph."""
-
-    value: float
-    rho: float
-
-    @classmethod
-    def bind(cls, value: float, g: GraphSpec) -> "Alpha":
-        rho = spectral_radius(g)
-        if not 0.0 < value < 1.0 / rho:
-            raise AdmissibilityError(
-                f"alpha {value} is not admissible for {g.family}({g.n}): "
-                f"requires 0 < alpha < {1.0 / rho:.6g}"
-            )
-        return cls(value, rho)
-
-
 def require_admissible(value: float, g: GraphSpec, strict: bool = False) -> float:
     """Validate 0 < value < 1/rho(A); with strict=True also require value < 1/2.
 
@@ -114,7 +97,11 @@ def require_admissible(value: float, g: GraphSpec, strict: bool = False) -> floa
     values above 1/2 that are fine for the closed forms but not for those
     bounds.
     """
-    Alpha.bind(value, g)
+    bound = 1.0 / spectral_radius(g)
+    if not 0.0 < value < bound:
+        raise AdmissibilityError(
+            f"alpha {value} is not admissible for {g.family}({g.n}): requires 0 < alpha < {bound:.6g}"
+        )
     if strict and not value < 0.5:
         raise AdmissibilityError(f"alpha {value} rejected: this code path requires alpha < 0.5")
     return float(value)
@@ -191,6 +178,19 @@ def pair_columns(g: GraphSpec, *metrics) -> tuple[np.ndarray, ...]:
     return (i + 1, j + 1, *columns)
 
 
+@functools.lru_cache(maxsize=1)
+def _laplacian_pinv(g: GraphSpec) -> np.ndarray:
+    """(L + J/n)^(-1) - J/n for the connected graph g, one dense solve per graph.
+
+    Cached for the latest graph: callers sweep every pair of one graph in a
+    row, and must not modify the returned array.
+    """
+    a = g.adjacency()
+    lap = np.diag(a.sum(axis=1)) - a
+    n = g.n
+    return linalg.invert(lap + 1.0 / n) - 1.0 / n
+
+
 def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
     """Effective resistance via the Laplacian pseudoinverse.
 
@@ -199,8 +199,5 @@ def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
     L+_ii + L+_jj - 2 L+_ij.  Dense solve, so capped at n = 512.
     """
     i, j = _checked_pair(g, i, j)
-    a = g.adjacency()
-    lap = np.diag(a.sum(axis=1)) - a
-    n = g.n
-    pinv = linalg.invert(lap + 1.0 / n) - 1.0 / n
+    pinv = _laplacian_pinv(g)
     return float(pinv[i - 1, i - 1] + pinv[j - 1, j - 1] - 2.0 * pinv[i - 1, j - 1])

@@ -7,9 +7,10 @@ module provides the exact closed forms in terms of the d-polynomials, two
 independent brute-force oracles (dense inverse and truncated walk series),
 and the n -> infinity limits of individual entries.
 
-Closed forms are trusted only where they are derived: cycle graphs with
-n <= 4, and every diagonal cycle entry, are answered by the inverse oracle
-instead (identical API, documented below).
+Each closed form is written once and evaluated in whatever arithmetic its
+inputs carry: floats for the public entries, numpy arrays for the
+matrices, Fractions for the exact routes.  The cycle forms cover every
+n >= 3, diagonal included; only the oracles touch dense linear algebra.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dpoly import d_recursive, d_sequence, d_sequence_exact, ratio_constant
-from .graphs import GraphSpec, require_admissible, spectral_radius
+from .dpoly import _cycle_denominator, d_recursive, d_sequence, d_sequence_exact, ratio_constant
+from .graphs import GraphSpec, _checked_pair, require_admissible, spectral_radius
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
@@ -29,13 +30,29 @@ class SeriesDivergenceError(RuntimeError):
     """The walk series did not meet its tolerance within the iteration cap."""
 
 
-def _checked_pair(n: int, i: int, j: int) -> tuple[int, int]:
-    for v in (i, j):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"vertex label must be an integer, got {v!r}")
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} out of range 1..{n}")
-    return (i, j) if i <= j else (j, i)
+def _path_entry(seq, n: int, i: int, j: int, alpha):
+    """Path entry (i <= j) from seq = [d_0, ..., d_n]; floats or Fractions."""
+    core = seq[i - 1] * seq[n - j] / seq[n]
+    if i == j:
+        return core - 1
+    return alpha ** (j - i) * core
+
+
+def _cycle_numerator(seq, n: int, k, alpha):
+    """alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1} for arc length k >= 1 (an int or an int array)."""
+    return alpha**k * seq[n - k - 1] + alpha ** (n - k) * seq[k - 1]
+
+
+def _cycle_entry(seq, n: int, k: int, alpha):
+    """Cycle entry at arc length k from seq = [d_0, ..., d_{n-1}]; floats or Fractions.
+
+    k = 0 is the diagonal d_{n-1}/D_n - 1: the adjugate formula, that is the
+    numerator at k = 0 with d_{-1} = 0, minus the identity.
+    """
+    denominator = _cycle_denominator(seq, n, alpha)
+    if k == 0:
+        return seq[n - 1] / denominator - 1
+    return _cycle_numerator(seq, n, k, alpha) / denominator
 
 
 def katz_path(n: int, i: int, j: int, alpha: float, strict: bool = False) -> float:
@@ -50,34 +67,23 @@ def katz_path(n: int, i: int, j: int, alpha: float, strict: bool = False) -> flo
     """
     g = GraphSpec.path(n)
     require_admissible(alpha, g, strict)
-    i, j = _checked_pair(n, i, j)
-    seq = d_sequence(n, alpha)
-    core = seq[i - 1] * seq[n - j] / seq[n]
-    if i == j:
-        return core - 1.0
-    return alpha ** (j - i) * core
+    i, j = _checked_pair(g, i, j)
+    return _path_entry(d_sequence(n, alpha), n, i, j, alpha)
 
 
 def katz_cycle(n: int, i: int, j: int, alpha: float, strict: bool = False) -> float:
-    """Katz entry on the n-vertex cycle.
+    """Closed-form Katz entry on the n-vertex cycle, for every n >= 3.
 
-    For n >= 5 and i != j: with k = min(j - i, n - (j - i)) the closed form
-    (alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1}) / D_n.  The two summands are
-    the walk families around the short and long arcs.
-
-    Cycles with n <= 4 and all diagonal entries are answered by the dense
-    inverse oracle: those cases sit outside the closed form's derivation,
-    so they are oracle-backed rather than extrapolated.
+    With k = min(j - i, n - (j - i)) the arc length and D_n the cycle
+    determinant (:func:`katzlab.dpoly.D_cycle_denominator`), the entry is
+    (alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1}) / D_n; the two summands are
+    the walk families around the short and long arcs.  The diagonal is
+    d_{n-1}/D_n - 1.
     """
     g = GraphSpec.cycle(n)
     require_admissible(alpha, g, strict)
-    i, j = _checked_pair(n, i, j)
-    if n <= 4 or i == j:
-        return float(katz_oracle_inverse(g, alpha)[i - 1, j - 1])
-    k = min(j - i, n - (j - i))
-    seq = d_sequence(n - 1, alpha)
-    numerator = alpha**k * seq[n - k - 1] + alpha ** (n - k) * seq[k - 1]
-    return numerator / (seq[n - 1] - 2.0 * alpha**n - 2.0 * alpha * alpha * seq[n - 2])
+    i, j = _checked_pair(g, i, j)
+    return _cycle_entry(d_sequence(n - 1, alpha), n, min(j - i, n - (j - i)), alpha)
 
 
 def katz_path_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
@@ -94,25 +100,21 @@ def katz_path_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
 
 
 def katz_cycle_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
-    """Off-diagonal closed-form Katz matrix for the cycle (n >= 5).
+    """Full closed-form Katz matrix for the cycle (n >= 3), diagonal included.
 
-    Diagonal entries are set to 0.0 and are NOT Katz values; they are only
-    defined through the inverse oracle (see :func:`katz_cycle`).  Callers
-    that rank or plot unordered pairs never touch the diagonal.
+    The diagonal equals :func:`katz_cycle` bit for bit.  Off it, numpy's
+    vectorised alpha**k may round a power an ulp or two away from Python's,
+    so the two routes can differ in the last bits.
     """
     g = GraphSpec.cycle(n)
     require_admissible(alpha, g, strict)
-    if n <= 4:
-        out = katz_oracle_inverse(g, alpha)
-        np.fill_diagonal(out, 0.0)
-        return out
     seq = np.array(d_sequence(n - 1, alpha))
-    denom = seq[n - 1] - 2.0 * alpha**n - 2.0 * alpha * alpha * seq[n - 2]
     idx = np.arange(1, n + 1)
     span = np.abs(np.subtract.outer(idx, idx))
     k = np.minimum(span, n - span)
-    out = (alpha**k * seq[n - k - 1] + alpha ** (n - k) * seq[k - 1]) / denom
-    np.fill_diagonal(out, 0.0)
+    # at k = 0 the numerator reads seq[-1] for d_{-1}; the diagonal is overwritten
+    out = _cycle_numerator(seq, n, k, alpha) / _cycle_denominator(seq, n, alpha)
+    np.fill_diagonal(out, _cycle_entry(seq, n, 0, alpha))
     return out
 
 
@@ -156,30 +158,24 @@ def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     order consecutive convergence gaps once they drop below double
     resolution.
     """
-    i, j = _checked_pair(n, i, j)
+    i, j = _checked_pair(GraphSpec.path(n), i, j)
     a = Fraction(alpha)
     if not 0 < a < Fraction(1, 2):
         raise ValueError(f"exact evaluation needs 0 < alpha < 1/2, got {alpha}")
-    seq = d_sequence_exact(n, a)
-    core = seq[i - 1] * seq[n - j] / seq[n]
-    return core - 1 if i == j else a ** (j - i) * core
+    return _path_entry(d_sequence_exact(n, a), n, i, j, a)
 
 
 def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
     """katz_cycle (off-diagonal, n >= 5) in exact rational arithmetic."""
     if n < 5:
         raise ValueError(f"exact cycle evaluation needs n >= 5, got {n}")
-    i, j = _checked_pair(n, i, j)
+    i, j = _checked_pair(GraphSpec.cycle(n), i, j)
     if i == j:
         raise ValueError("exact cycle evaluation covers off-diagonal pairs only")
     a = Fraction(alpha)
     if not 0 < a < Fraction(1, 2):
         raise ValueError(f"exact evaluation needs 0 < alpha < 1/2, got {alpha}")
-    k = min(j - i, n - (j - i))
-    seq = d_sequence_exact(n - 1, a)
-    numerator = a**k * seq[n - k - 1] + a ** (n - k) * seq[k - 1]
-    denominator = seq[n - 1] - 2 * a**n - 2 * a * a * seq[n - 2]
-    return numerator / denominator
+    return _cycle_entry(d_sequence_exact(n - 1, a), n, min(j - i, n - (j - i)), a)
 
 
 def katz_limit_path(i: int, j: int, alpha: float) -> float:

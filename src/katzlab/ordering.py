@@ -26,7 +26,7 @@ import numpy as np
 
 from .dpoly import INV_SQRT5, d_sequence
 from .graphs import GraphSpec, VertexPair, graph_distance, pair_columns, require_admissible, resistance
-from .katz import katz_cycle_matrix, katz_path, katz_path_matrix
+from .katz import _cycle_numerator, katz_cycle_matrix, katz_path, katz_path_matrix
 
 KATZ = "katz"
 RESISTANCE = "resistance"
@@ -349,9 +349,4 @@ def cycle_numerator_gap(n: int, k: int, alpha: float) -> float:
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"needs alpha in (0, 0.5), got {alpha}")
     seq = d_sequence(n - k - 1, alpha)
-    return (
-        alpha**k * seq[n - k - 1]
-        + alpha ** (n - k) * seq[k - 1]
-        - alpha ** (k + 1) * seq[n - k - 2]
-        - alpha ** (n - k - 1) * seq[k]
-    )
+    return _cycle_numerator(seq, n, k, alpha) - _cycle_numerator(seq, n, k + 1, alpha)

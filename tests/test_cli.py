@@ -57,6 +57,18 @@ def test_scatter_cycle_katz_constant_within_arc_class(tmp_path):
     assert len(by_distance) == 7
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_scatter_small_cycles_print_one_value_per_arc_class(tmp_path, n):
+    out = tmp_path / "scatter.csv"
+    run(["scatter", "--family", "cycle", "--n", str(n), "--out", str(out)])
+    by_class = {}
+    for line in read_lines(out)[1:]:
+        fields = line.split(",")
+        by_class.setdefault((fields[0], fields[3]), set()).add(fields[5])
+    assert all(len(values) == 1 for values in by_class.values())
+    assert len(by_class) == 3 * (n // 2)
+
+
 def test_scatter_rejects_inadmissible_alpha(tmp_path, capsys):
     out = tmp_path / "scatter.csv"
     rc = run(["scatter", "--family", "cycle", "--n", "8", "--alpha", "0.5", "--out", str(out)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from katzlab import graphs
-from katzlab.graphs import Alpha, AdmissibilityError, GraphSpec, VertexPair
+from katzlab.graphs import AdmissibilityError, GraphSpec, VertexPair
 
 
 def test_family_validation():
@@ -120,7 +120,7 @@ def test_admissibility_window():
 
 def test_admissibility_error_message_names_the_graph():
     with pytest.raises(AdmissibilityError, match=r"path\(10\)"):
-        Alpha.bind(0.6, GraphSpec.path(10))
+        graphs.require_admissible(0.6, GraphSpec.path(10))
 
 
 def test_short_paths_admit_values_above_half():
@@ -129,12 +129,6 @@ def test_short_paths_admit_values_above_half():
     assert graphs.require_admissible(0.52, g) == 0.52
     with pytest.raises(AdmissibilityError):
         graphs.require_admissible(0.52, g, strict=True)
-
-
-def test_alpha_bind_records_rho():
-    bound = Alpha.bind(0.3, GraphSpec.cycle(8))
-    assert bound.value == 0.3
-    assert bound.rho == 2.0
 
 
 @pytest.mark.parametrize("g", [GraphSpec.path(2), GraphSpec.path(9), GraphSpec.cycle(3), GraphSpec.cycle(12)])

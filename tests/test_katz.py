@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from katzlab import katz
+from katzlab import dpoly, katz
 from katzlab.graphs import AdmissibilityError, GraphSpec, spectral_radius
 
 
@@ -53,14 +53,44 @@ def test_closed_forms_match_inverse(family, n, alpha):
             )
 
 
-def test_cycle_small_and_diagonal_fall_back_to_oracle():
+def test_small_cycles_and_diagonal_match_oracle():
     for n in (3, 4):
         g = GraphSpec.cycle(n)
         oracle = katz.katz_oracle_inverse(g, 0.3)
         for p in g.pairs():
-            assert katz.katz_cycle(n, p.i, p.j, 0.3) == oracle[p.i - 1, p.j - 1]
+            assert katz.katz_cycle(n, p.i, p.j, 0.3) == pytest.approx(oracle[p.i - 1, p.j - 1], rel=1e-13)
     diag = katz.katz_cycle(7, 2, 2, 0.3)
     assert diag == pytest.approx(katz.katz_oracle_inverse(GraphSpec.cycle(7), 0.3)[1, 1], rel=1e-12)
+
+
+def test_small_cycles_by_hand():
+    # (I - alpha A)^(-1) - I worked out by hand for the triangle and the square
+    a = Fraction(1, 5)
+    c3_off = a / ((1 + a) * (1 - 2 * a))
+    c3_diag = 2 * a * a / ((1 + a) * (1 - 2 * a))
+    c4_adjacent = a / (1 - 4 * a * a)
+    c4_opposite = 2 * a * a / (1 - 4 * a * a)
+    want = {
+        (3, 1, 2): c3_off,
+        (3, 1, 1): c3_diag,
+        (4, 1, 2): c4_adjacent,
+        (4, 1, 3): c4_opposite,
+        (4, 1, 1): c4_opposite,
+    }
+    for (n, i, j), value in want.items():
+        assert katz.katz_cycle(n, i, j, 0.2) == pytest.approx(float(value), rel=1e-14, abs=0.0)
+        assert katz.katz_cycle_matrix(n, 0.2)[i - 1, j - 1] == pytest.approx(float(value), rel=1e-14, abs=0.0)
+
+
+def test_large_cycle_diagonal_is_closed_form():
+    # beyond the dense-routine cap: d_{n-1}/D_n - 1, against the same expression in Fractions
+    n, alpha = 600, 0.3
+    a = Fraction(alpha)
+    seq = dpoly.d_sequence_exact(n - 1, a)
+    want = seq[n - 1] / (seq[n - 1] - 2 * a**n - 2 * a * a * seq[n - 2]) - 1
+    got = katz.katz_cycle(n, 1, 1, alpha)
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 def test_path_matrix_matches_scalar_route():
@@ -74,10 +104,29 @@ def test_path_matrix_matches_scalar_route():
 def test_cycle_matrix_matches_scalar_route_off_diagonal():
     n, alpha = 11, 0.3
     mat = katz.katz_cycle_matrix(n, alpha)
-    assert np.all(np.diag(mat) == 0.0)
+    oracle = katz.katz_oracle_inverse(GraphSpec.cycle(n), alpha)
+    for v in range(1, n + 1):
+        assert mat[v - 1, v - 1] == katz.katz_cycle(n, v, v, alpha)
+        assert mat[v - 1, v - 1] == pytest.approx(oracle[v - 1, v - 1], rel=1e-12)
     g = GraphSpec.cycle(n)
     for p in g.pairs():
         assert mat[p.i - 1, p.j - 1] == katz.katz_cycle(n, p.i, p.j, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.2, 0.3, 0.46, 0.49])
+def test_cycle_matrix_is_the_scalar_route_on_a_grid(alpha):
+    # The matrix holds one value per arc class and its diagonal is the scalar
+    # route bit for bit.  Off the diagonal, numpy's vectorised alpha**k may
+    # round a power an ulp or two away from Python's pow.
+    for n in range(3, 41):
+        mat = katz.katz_cycle_matrix(n, alpha)
+        idx = np.arange(n)
+        first = mat[0]
+        assert np.array_equal(mat, first[(idx[None, :] - idx[:, None]) % n])
+        assert np.array_equal(first[1:], first[:0:-1])
+        scalar = [katz.katz_cycle(n, 1, 1 + k, alpha) for k in range(n)]
+        assert first[0] == scalar[0]
+        np.testing.assert_allclose(first, scalar, rtol=1e-15, atol=0.0)
 
 
 def test_series_oracle_matches_inverse():
