@@ -25,6 +25,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Iterable
+
+import numpy as np
 
 from . import katz, ordering
 from .dpoly import INV_SQRT5
@@ -64,11 +67,34 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _real_cells(values: np.ndarray) -> list[str]:
+    """[_real(x) for x in values], formatting each distinct float once.
+
+    Values are grouped by their bit pattern, so 0.0 and -0.0 (or two NaN
+    payloads) are never merged and every cell is exactly its own _real.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    cells = np.array([_real(x) for x in keys.view(np.float64).tolist()], dtype=object)
+    return cells[inverse].tolist()
+
+
+def _csv_text(rows: list[list[str]]) -> str:
+    return "".join([",".join(row) + "\n" for row in rows])
+
+
+def _write_csv(path: str, header: list[str], blocks: Iterable[str]) -> None:
+    """Write the header line, then each block of already-joined CSV lines."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(blocks)
+
+
+def _scatter_block(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray, pair_cells: list[str]) -> str:
+    """The scatter rows of one alpha as one text block."""
+    kmat = katz.katz_path_matrix(g.n, alpha) if g.is_path else katz.katz_cycle_matrix(g.n, alpha)
+    alpha_cell = _real(alpha)
+    katz_cells = _real_cells(kmat[i - 1, j - 1])
+    return "".join([f"{alpha_cell},{cells}{k}\n" for cells, k in zip(pair_cells, katz_cells)])
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
@@ -77,18 +103,14 @@ def cmd_scatter(args: argparse.Namespace) -> int:
     for alpha in alphas:
         require_admissible(alpha, g)
     i, j, distance, resist = pair_columns(g, graph_distance, resistance)
-    # the alpha-independent cells of each row, formatted once per graph
+    labels = [str(v) for v in range(g.n + 1)]
+    # the alpha-independent middle of each row, formatted once per graph
     pair_cells = [
-        f"{a},{b},{d},{_real(r)}"
-        for a, b, d, r in zip(i.tolist(), j.tolist(), distance.tolist(), resist.tolist())
+        f"{labels[a]},{labels[b]},{labels[d]},{r},"
+        for a, b, d, r in zip(i.tolist(), j.tolist(), distance.tolist(), _real_cells(resist))
     ]
-    rows: list[list[str]] = []
-    for alpha in alphas:
-        kmat = katz.katz_path_matrix(g.n, alpha) if g.is_path else katz.katz_cycle_matrix(g.n, alpha)
-        alpha_cell = _real(alpha)
-        katz_cells = map(_real, kmat[i - 1, j - 1].tolist())
-        rows.extend([alpha_cell, cells, k] for cells, k in zip(pair_cells, katz_cells))
-    _write_csv(args.out, ["alpha", "i", "j", "distance", "resistance", "katz"], rows)
+    blocks = (_scatter_block(g, alpha, i, j, pair_cells) for alpha in alphas)
+    _write_csv(args.out, ["alpha", "i", "j", "distance", "resistance", "katz"], blocks)
     return 0
 
 
@@ -142,7 +164,7 @@ def cmd_cutoff(args: argparse.Namespace) -> int:
     _write_csv(
         args.out,
         ["n", "j", "root", "root_minus_inv_sqrt5", "iterations", "residual", "status"],
-        rows,
+        [_csv_text(rows)],
     )
     monotone = all(a > b for a, b in zip(roots, roots[1:]))
     print(
@@ -183,7 +205,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
         for n, value in zip(sizes, exact)
     ]
     rows.append(["inf", _real(limit), _real(limit), _real(0.0)])
-    _write_csv(args.out, ["n", "katz_exact", "limit_value", "abs_gap"], rows)
+    _write_csv(args.out, ["n", "katz_exact", "limit_value", "abs_gap"], [_csv_text(rows)])
     return 0
 
 

@@ -47,11 +47,14 @@ def _cycle_entry(seq, n: int, k: int, alpha):
     """Cycle entry at arc length k from seq = [d_0, ..., d_{n-1}]; floats or Fractions.
 
     k = 0 is the diagonal d_{n-1}/D_n - 1: the adjugate formula, that is the
-    numerator at k = 0 with d_{-1} = 0, minus the identity.
+    numerator at k = 0 with d_{-1} = 0, minus the identity.  It is evaluated
+    as (2 alpha^n + 2 alpha^2 d_{n-2}) / D_n, the same rational value with
+    d_{n-1} - D_n taken symbolically, so small alpha loses no digits to the
+    cancellation of a ratio near 1 against the 1.
     """
     denominator = _cycle_denominator(seq, n, alpha)
     if k == 0:
-        return seq[n - 1] / denominator - 1
+        return (2 * alpha**n + 2 * alpha * alpha * seq[n - 2]) / denominator
     return _cycle_numerator(seq, n, k, alpha) / denominator
 
 
@@ -78,7 +81,7 @@ def katz_cycle(n: int, i: int, j: int, alpha: float, strict: bool = False) -> fl
     determinant (:func:`katzlab.dpoly.D_cycle_denominator`), the entry is
     (alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1}) / D_n; the two summands are
     the walk families around the short and long arcs.  The diagonal is
-    d_{n-1}/D_n - 1.
+    d_{n-1}/D_n - 1, evaluated as (2 alpha^n + 2 alpha^2 d_{n-2}) / D_n.
     """
     g = GraphSpec.cycle(n)
     require_admissible(alpha, g, strict)

@@ -10,6 +10,7 @@ identities, n <= 40 oracle comparisons).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -459,10 +460,14 @@ def suite_limit_convergence(level: str) -> SuiteResult:
     res = SuiteResult("katz entries converge to their limits", 1e-8)
     n_list = (10, 20, 40, 80, 160, 320)
     for alpha in (0.1, 0.3, 0.45):
+        # one exact d-sequence per alpha serves every size: the entry
+        # bodies read only its first n + 1 terms
+        exact_alpha = Fraction(alpha)
+        seq = dpoly.d_sequence_exact(n_list[-1], exact_alpha)
         for i, j in ((1, 2), (2, 5), (3, 3)):
             limit = katz.katz_limit_path(i, j, alpha)
             res.record(abs(katz.katz_path(320, i, j, alpha) - limit), f"path ({i},{j}) alpha={alpha}")
-            exact = [katz.katz_path_exact(n, i, j, alpha) for n in n_list]
+            exact = [katz._path_entry(seq, n, i, j, exact_alpha) for n in n_list]
             res.check(
                 all(a < b for a, b in zip(exact, exact[1:])),
                 f"path ({i},{j}) alpha={alpha}: entries not strictly climbing to the limit",
@@ -473,11 +478,13 @@ def suite_limit_convergence(level: str) -> SuiteResult:
                 abs(katz.katz_cycle(320, 1, 1 + offset, alpha) - limit),
                 f"cycle offset {offset} alpha={alpha}",
             )
-            exact = [katz.katz_cycle_exact(n, 1, 1 + offset, alpha) for n in n_list]
+            exact = [katz._cycle_entry(seq, n, offset, exact_alpha) for n in n_list]
             res.check(
                 all(a > b for a, b in zip(exact, exact[1:])),
                 f"cycle offset {offset} alpha={alpha}: entries not strictly descending to the limit",
             )
+        # about 0.8 MB of Fractions: free it before the next alpha builds its own
+        del seq
     return res
 
 

@@ -1,10 +1,15 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from katzlab import cli
+from katzlab import cli, katz
 from katzlab.dpoly import INV_SQRT5
+from katzlab.graphs import GraphSpec, graph_distance, pair_columns, resistance
 from katzlab.katz import katz_limit_path
 
 
@@ -67,6 +72,50 @@ def test_scatter_small_cycles_print_one_value_per_arc_class(tmp_path, n):
         by_class.setdefault((fields[0], fields[3]), set()).add(fields[5])
     assert all(len(values) == 1 for values in by_class.values())
     assert len(by_class) == 3 * (n // 2)
+
+
+def reference_scatter_text(family, n, alphas):
+    """The per-row route: _real on every cell, one ",".join per row."""
+    g = GraphSpec(family, n)
+    i, j, distance, resist = pair_columns(g, graph_distance, resistance)
+    lines = ["alpha,i,j,distance,resistance,katz"]
+    for alpha in sorted(alphas):
+        kmat = katz.katz_path_matrix(n, alpha) if g.is_path else katz.katz_cycle_matrix(n, alpha)
+        for a, b, d, r in zip(i.tolist(), j.tolist(), distance.tolist(), resist.tolist()):
+            cells = [cli._real(alpha), str(a), str(b), str(d), cli._real(r), cli._real(kmat[a - 1, b - 1])]
+            lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("family, n", [("path", 2), ("path", 10), ("path", 57), ("cycle", 3), ("cycle", 4),
+                                       ("cycle", 15), ("cycle", 57)])
+@pytest.mark.parametrize("alphas", [list(cli.DEFAULT_SCATTER_ALPHAS), [0.3, 0.1, 0.3]])
+def test_scatter_matches_per_row_reference(tmp_path, family, n, alphas):
+    out = tmp_path / "scatter.csv"
+    argv = ["scatter", "--family", family, "--n", str(n), "--alpha", ",".join(map(repr, alphas)), "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_bytes() == reference_scatter_text(family, n, alphas).encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan, 1.0, 0.3]
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(0, 40),
+        elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_subnormal=True)),
+    )
+)
+def test_real_cells_is_real_per_value(values):
+    assert cli._real_cells(values) == [cli._real(x) for x in values.tolist()]
+
+
+def test_real_cells_keeps_signed_zeros_and_nan_payloads_apart():
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    values = np.array([0.0, -0.0, math.nan, payload_nan, -math.nan, 0.0])
+    assert cli._real_cells(values) == [cli._real(x) for x in values.tolist()]
+    assert cli._real_cells(values)[:2] == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
 
 
 def test_scatter_rejects_inadmissible_alpha(tmp_path, capsys):

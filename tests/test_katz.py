@@ -93,6 +93,19 @@ def test_large_cycle_diagonal_is_closed_form():
     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [3, 10, 600])
+@pytest.mark.parametrize("alpha", [1e-5, 1e-3, 0.3, 0.49])
+def test_cycle_diagonal_keeps_relative_accuracy_at_small_alpha(n, alpha):
+    # d_{n-1}/D_n - 1 in Fractions; the float routes must not lose digits to
+    # a ratio near 1 minus 1 as alpha -> 0
+    a = Fraction(alpha)
+    seq = dpoly.d_sequence_exact(n - 1, a)
+    want = seq[n - 1] / (seq[n - 1] - 2 * a**n - 2 * a * a * seq[n - 2]) - 1
+    diagonal = set(np.diag(katz.katz_cycle_matrix(n, alpha)).tolist())
+    for got in diagonal | {katz.katz_cycle(n, 1, 1, alpha)}:
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**14) * want
+
+
 def test_path_matrix_matches_scalar_route():
     n, alpha = 9, 0.35
     mat = katz.katz_path_matrix(n, alpha)
