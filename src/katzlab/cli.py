@@ -215,7 +215,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  checks={r.checks:>6d}  max_err={r.max_err:.3e}")
+        margin = "-" if r.margin is None else f"{r.margin:.3e}"
+        print(
+            f"{status}  {r.name:<{width}}  checks={r.checks:>6d}  max_err={r.max_err:.3e}"
+            f"  margin={margin:<9}  {r.seconds:6.3f}s"
+        )
     elapsed = time.perf_counter() - started
     total = sum(r.checks for r in results)
     failed = [r for r in results if not r.passed]

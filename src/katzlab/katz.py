@@ -121,11 +121,28 @@ def katz_cycle_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
     return out
 
 
-def katz_oracle_inverse(g: GraphSpec, alpha: float) -> np.ndarray:
-    """Katz matrix by brute force: invert I - alpha A, subtract I."""
-    require_admissible(alpha, g)
-    eye = np.eye(g.n)
-    return linalg.invert(eye - alpha * g.adjacency()) - eye
+def _system(g: GraphSpec, alpha) -> np.ndarray:
+    """I - alpha A, or its stack (len(alpha), n, n) for a 1-D sequence of alphas.
+
+    Every alpha must be admissible for g.
+    """
+    if np.ndim(alpha) > 1:
+        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
+    for value in alpha if np.ndim(alpha) else [alpha]:
+        require_admissible(value, g)
+    system = np.asarray(alpha, dtype=float)[..., None, None] * g.adjacency()
+    return np.subtract(np.eye(g.n), system, out=system)
+
+
+def katz_oracle_inverse(g: GraphSpec, alpha) -> np.ndarray:
+    """Katz matrix by brute force: invert I - alpha A, subtract I.
+
+    For a 1-D sequence of alphas, the stack of their matrices from one
+    stacked elimination.
+    """
+    matrix = linalg.invert(_system(g, alpha))
+    matrix -= np.eye(g.n)
+    return matrix
 
 
 def katz_oracle_series(g: GraphSpec, alpha: float, tol: float = 1e-12) -> np.ndarray:
@@ -169,12 +186,11 @@ def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
 
 
 def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
-    """katz_cycle (off-diagonal, n >= 5) in exact rational arithmetic."""
-    if n < 5:
-        raise ValueError(f"exact cycle evaluation needs n >= 5, got {n}")
+    """katz_cycle in exact rational arithmetic, for every n >= 3, diagonal included.
+
+    alpha must land in (0, 1/2), as for :func:`katz_path_exact`.
+    """
     i, j = _checked_pair(GraphSpec.cycle(n), i, j)
-    if i == j:
-        raise ValueError("exact cycle evaluation covers off-diagonal pairs only")
     a = Fraction(alpha)
     if not 0 < a < Fraction(1, 2):
         raise ValueError(f"exact evaluation needs 0 < alpha < 1/2, got {alpha}")
@@ -220,13 +236,17 @@ def katz_limit_cycle(offset: int, alpha: float) -> float:
     return alpha**offset * c ** (offset - 2) * (1.0 - alpha**4 * c**4) / (1.0 - 4.0 * alpha * alpha)
 
 
-def determinant_path(n: int, alpha: float) -> float:
-    """det(I - alpha A) for the path, by elimination (oracle for d_n)."""
-    g = GraphSpec.path(n)
-    return linalg.determinant(np.eye(n) - alpha * g.adjacency())
+def determinant_path(n: int, alpha):
+    """det(I - alpha A) for the path, by elimination (oracle for d_n).
+
+    A float, or an array over a 1-D sequence of admissible alphas.
+    """
+    return linalg.determinant(_system(GraphSpec.path(n), alpha))
 
 
-def determinant_cycle(n: int, alpha: float) -> float:
-    """det(I - alpha A) for the cycle, by elimination (oracle for D_n)."""
-    g = GraphSpec.cycle(n)
-    return linalg.determinant(np.eye(n) - alpha * g.adjacency())
+def determinant_cycle(n: int, alpha):
+    """det(I - alpha A) for the cycle, by elimination (oracle for D_n).
+
+    A float, or an array over a 1-D sequence of admissible alphas.
+    """
+    return linalg.determinant(_system(GraphSpec.cycle(n), alpha))

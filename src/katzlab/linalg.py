@@ -5,9 +5,16 @@ determinant identities, and the oracles that check them must not share a
 factorization backend with anything cleverer.  Row operations are
 vectorized, but the algorithm is the textbook one.  Sizes are desk-scale;
 everything is capped at :data:`MAX_DENSE_N`.
+
+Every routine takes a stack of matrices, shape (..., n, n), and runs the
+same elimination on all members at once: each member picks its own pivot
+row and swaps its own rows, so every member gets exactly the arithmetic it
+would get alone.  A plain (n, n) matrix is the stack with no leading axes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,62 +27,98 @@ class SingularMatrixError(RuntimeError):
 
 def _checked_square(a) -> np.ndarray:
     m = np.array(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DENSE_N:
-        raise ValueError(f"dense routines are capped at n = {MAX_DENSE_N}, got {m.shape[0]}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-1] > MAX_DENSE_N:
+        raise ValueError(f"dense routines are capped at n = {MAX_DENSE_N}, got {m.shape[-1]}")
     return m
 
 
-def solve(a, b) -> np.ndarray:
-    """Solve a x = b by elimination with partial pivoting; b may be a matrix."""
-    m = _checked_square(a)
-    n = m.shape[0]
-    rhs = np.array(b, dtype=float)
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs[:, None]
-    if rhs.shape[0] != n:
-        raise ValueError(f"right-hand side has {rhs.shape[0]} rows, matrix has {n}")
+def _eliminate(m: np.ndarray, rhs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce each member of m, shape (s, n, n), to upper-triangular form in place.
 
+    rhs, shape (s, n, k), takes the same row operations.  Returns the pivots
+    and whether each column's pivot search swapped rows, both (s, n).  A
+    member whose column holds no nonzero pivot records 0.0 and skips that
+    column; the others are not affected.
+    """
+    s, n, _ = m.shape
+    members = np.arange(s)
+    pivots = np.empty((s, n))
+    swapped = np.empty((s, n), dtype=bool)
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(m[col:, col])))
-        pivot = m[pivot_row, col]
-        if pivot == 0.0:
-            raise SingularMatrixError(f"zero pivot in column {col}")
-        if pivot_row != col:
-            m[[col, pivot_row]] = m[[pivot_row, col]]
-            rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
-        factors = m[col + 1 :, col] / pivot
-        m[col + 1 :, col:] -= np.outer(factors, m[col, col:])
-        rhs[col + 1 :] -= np.outer(factors, rhs[col])
+        pivot_row = col + np.argmax(np.abs(m[:, col:, col]), axis=1)
+        swapped[:, col] = pivot_row != col
+        for arr in (m,) if rhs is None else (m, rhs):
+            top = arr[members, col]
+            arr[members, col] = arr[members, pivot_row]
+            arr[members, pivot_row] = top
+        pivot = m[:, col, col].copy()
+        pivots[:, col] = pivot
+        pivot[pivot == 0.0] = 1.0
+        factors = m[:, col + 1 :, col] / pivot[:, None]
+        m[:, col + 1 :, col:] -= factors[:, :, None] * m[:, col, None, col:]
+        if rhs is not None:
+            rhs[:, col + 1 :] -= factors[:, :, None] * rhs[:, col, None, :]
+    return pivots, swapped
 
-    x = np.empty_like(rhs)
+
+def solve(a, b) -> np.ndarray:
+    """Solve a x = b by elimination with partial pivoting.
+
+    a is (..., n, n); b is (..., n) for one right-hand side per member or
+    (..., n, k) for k of them, with the same leading axes as a.
+    """
+    m = _checked_square(a)
+    rhs = np.array(b, dtype=float)
+    vector = rhs.ndim == m.ndim - 1
+    if vector:
+        rhs = rhs[..., None]
+    if rhs.ndim != m.ndim or rhs.shape[:-2] != m.shape[:-2]:
+        raise ValueError(f"right-hand side of shape {np.shape(b)} does not fit matrices of shape {m.shape}")
+    if rhs.shape[-2] != m.shape[-1]:
+        raise ValueError(f"right-hand side has {rhs.shape[-2]} rows, matrix has {m.shape[-1]}")
+    x = _solve(m, rhs)
+    return x[..., 0] if vector else x
+
+
+def _solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x for m (..., n, n) and rhs (..., n, k), both used as work space and overwritten."""
+    lead, n = m.shape[:-2], m.shape[-1]
+    s = math.prod(lead)
+    x = rhs.reshape(s, n, rhs.shape[-1])
+    m = m.reshape(s, n, n)
+    pivots, _ = _eliminate(m, x)
+    zero_cols = np.flatnonzero((pivots == 0.0).any(axis=0))
+    if zero_cols.size:
+        raise SingularMatrixError(f"zero pivot in column {zero_cols[0]}")
+    # from the bottom row up, each row of the reduced right-hand side becomes that row of x
     for row in range(n - 1, -1, -1):
-        x[row] = (rhs[row] - m[row, row + 1 :] @ x[row + 1 :]) / m[row, row]
-    return x[:, 0] if vector else x
+        x[:, row] = (x[:, row] - (m[:, row, None, row + 1 :] @ x[:, row + 1 :])[:, 0]) / m[:, row, row, None]
+    return x.reshape(rhs.shape)
 
 
 def invert(a) -> np.ndarray:
-    """Inverse via elimination against the identity."""
+    """Inverse via elimination against the identity, member by member for a stack."""
     m = _checked_square(a)
-    return solve(m, np.eye(m.shape[0]))
+    # A C-ordered copy, not the broadcast view: the solution takes the
+    # layout of the right-hand side, and matmul only hands C-ordered member
+    # blocks to BLAS, so a view would sum the back-substitution products in
+    # another order than a lone matrix gets.
+    return _solve(m, np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy())
 
 
-def determinant(a) -> float:
-    """Determinant as the signed product of elimination pivots."""
+def determinant(a):
+    """Determinant as the signed product of elimination pivots.
+
+    A float for one matrix, an array of shape (...) for a stack (..., n, n).
+    A member with a zero pivot column has determinant 0.0.
+    """
     m = _checked_square(a)
-    n = m.shape[0]
-    det = 1.0
+    lead, n = m.shape[:-2], m.shape[-1]
+    pivots, swapped = _eliminate(m.reshape(math.prod(lead), n, n), None)
+    det = np.ones(pivots.shape[0])
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(m[col:, col])))
-        pivot = m[pivot_row, col]
-        if pivot == 0.0:
-            return 0.0
-        if pivot_row != col:
-            m[[col, pivot_row]] = m[[pivot_row, col]]
-            det = -det
-        det *= pivot
-        factors = m[col + 1 :, col] / pivot
-        m[col + 1 :, col:] -= np.outer(factors, m[col, col:])
-    return float(det)
+        det = np.where(swapped[:, col], -det, det) * pivots[:, col]
+    det[(pivots == 0.0).any(axis=1)] = 0.0
+    return float(det[0]) if m.ndim == 2 else det.reshape(lead)

@@ -9,6 +9,8 @@ identities, n <= 40 oracle comparisons).
 
 from __future__ import annotations
 
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,33 +37,65 @@ def katz_grid(g: GraphSpec) -> list[float]:
     return [k / 50 for k in range(1, 50) if k / 50 < bound]
 
 
-def mixed_err(a: float, b: float) -> float:
-    """|a - b| relative to max(1, |a|, |b|): relative above 1, absolute below."""
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def mixed_err(a, b):
+    """|a - b| relative to max(1, |a|, |b|): relative above 1, absolute below; elementwise."""
+    return np.abs(a - b) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
 
-def rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b))
+def rel_err(a, b):
+    """|a - b| relative to max(|a|, |b|); elementwise."""
+    return np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+
+
+def _loop_grid(outer, inner) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (o, i) of the loop `for o in outer: for i in inner(o)`, in loop order."""
+    pairs = [(o, i) for o in outer for i in inner(o)]
+    o, i = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return o, i
 
 
 @dataclass
 class SuiteResult:
+    """Checks of one property.
+
+    The array forms record_all and check_all equal calling record or check
+    once per element in flat (C) order, with context(index) giving the
+    element's context string; failures keep that order.
+    """
+
     name: str
     tolerance: float
     checks: int = 0
     max_err: float = 0.0
     failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
+    @property
+    def margin(self) -> float | None:
+        """max_err / tolerance, how close the property came to failing; None for exact checks."""
+        return self.max_err / self.tolerance if self.tolerance else None
+
     def record(self, err: float, context: str) -> None:
+        err = float(err)
         self.checks += 1
         if err > self.max_err:
             self.max_err = err
         if err > self.tolerance:
             self.failures.append(f"{context}: err={err:.3e}")
+
+    def record_all(self, errs, context: Callable[[int], str]) -> None:
+        errs = np.asarray(errs, dtype=float).ravel()
+        self.checks += errs.size
+        # NaN compares false, as in record
+        above = errs[errs > self.max_err]
+        if above.size:
+            self.max_err = float(above.max())
+        for index in np.flatnonzero(errs > self.tolerance):
+            self.failures.append(f"{context(int(index))}: err={errs[index]:.3e}")
 
     def check(self, ok: bool, context: str) -> None:
         """Boolean check; failed checks count as err = 1."""
@@ -70,52 +104,68 @@ class SuiteResult:
             self.max_err = max(self.max_err, 1.0)
             self.failures.append(context)
 
+    def check_all(self, ok, context: Callable[[int], str]) -> None:
+        ok = np.asarray(ok, dtype=bool).ravel()
+        self.checks += ok.size
+        failed = np.flatnonzero(~ok)
+        if failed.size:
+            self.max_err = max(self.max_err, 1.0)
+            self.failures.extend(context(int(index)) for index in failed)
+
 
 def suite_d_recursion_vs_closed(level: str) -> SuiteResult:
     res = SuiteResult("d recursion matches exact closed sum", 1e-12)
     n_max = 100 if level == "full" else 30
-    for alpha in DPOLY_PROBED:
-        for n in range(n_max + 1):
-            err = mixed_err(dpoly.d_closed(n, alpha), dpoly.d_recursive(n, alpha))
-            res.record(err, f"n={n} alpha={alpha}")
+    sizes = range(n_max + 1)
+    closed = np.array([[dpoly.d_closed(n, alpha) for n in sizes] for alpha in DPOLY_PROBED])
+    recursive = np.array([[dpoly.d_recursive(n, alpha) for n in sizes] for alpha in DPOLY_PROBED])
+    res.record_all(
+        mixed_err(closed, recursive),
+        lambda f: f"n={f % len(sizes)} alpha={DPOLY_PROBED[f // len(sizes)]}",
+    )
     return res
 
 
 def suite_d_splitting(level: str) -> SuiteResult:
     res = SuiteResult("d splitting identity", 1e-12)
     n_max = 60 if level == "full" else 30
+    n, k = _loop_grid(range(2, n_max + 1), lambda n: range(1, n))
     for alpha in DPOLY_PROBED:
         a2 = alpha * alpha
-        seq = dpoly.d_sequence(n_max, alpha)
-        for n in range(2, n_max + 1):
-            for k in range(1, n):
-                rhs = seq[k] * seq[n - k] - a2 * seq[k - 1] * seq[n - k - 1]
-                res.record(mixed_err(seq[n], rhs), f"n={n} k={k} alpha={alpha}")
+        seq = np.array(dpoly.d_sequence(n_max, alpha))
+        rhs = seq[k] * seq[n - k] - a2 * seq[k - 1] * seq[n - k - 1]
+        res.record_all(mixed_err(seq[n], rhs), lambda f: f"n={n[f]} k={k[f]} alpha={alpha}")
     return res
 
 
 def suite_d_product(level: str) -> SuiteResult:
     res = SuiteResult("d product identity", 1e-12)
     n_max = 60 if level == "full" else 30
+    n, k = _loop_grid(range(1, n_max + 1), lambda n: range(1, n + 1))
     for alpha in DPOLY_PROBED:
-        seq = dpoly.d_sequence(n_max + 1, alpha)
-        for n in range(1, n_max + 1):
-            for k in range(1, n + 1):
-                lhs = seq[k] * seq[n] - seq[k - 1] * seq[n + 1]
-                rhs = alpha ** (2 * k) * seq[n - k]
-                res.record(mixed_err(lhs, rhs), f"n={n} k={k} alpha={alpha}")
+        seq = np.array(dpoly.d_sequence(n_max + 1, alpha))
+        # Python's pow: numpy's vectorised power may round differently
+        even_powers = np.array([alpha ** (2 * m) for m in range(n_max + 1)])
+        lhs = seq[k] * seq[n] - seq[k - 1] * seq[n + 1]
+        rhs = even_powers[k] * seq[n - k]
+        res.record_all(mixed_err(lhs, rhs), lambda f: f"n={n[f]} k={k[f]} alpha={alpha}")
     return res
 
 
 def suite_d_bounds(level: str) -> SuiteResult:
     res = SuiteResult("d monotone bounds", 0.0)
     n_max = 100
-    for alpha in DPOLY_PROBED:
-        seq = dpoly.d_sequence(n_max, alpha)
-        # strict decrease starts at n = 2 (d_0 = d_1 = 1 by definition)
-        for n in range(2, n_max + 1):
-            ok = seq[n - 1] > seq[n] > 0.5 * seq[n - 1] > 0.0
-            res.check(ok, f"n={n} alpha={alpha}: d_prev={seq[n - 1]!r} d={seq[n]!r}")
+    seq = np.array([dpoly.d_sequence(n_max, alpha) for alpha in DPOLY_PROBED])
+    # strict decrease starts at n = 2 (d_0 = d_1 = 1 by definition)
+    prev, cur = seq[:, 1:-1], seq[:, 2:]
+    ok = (prev > cur) & (cur > 0.5 * prev) & (0.5 * prev > 0.0)
+
+    def context(f):
+        a, n = divmod(f, n_max - 1)
+        n += 2
+        return f"n={n} alpha={DPOLY_PROBED[a]}: d_prev={float(seq[a, n - 1])!r} d={float(seq[a, n])!r}"
+
+    res.check_all(ok, context)
     return res
 
 
@@ -147,24 +197,27 @@ def suite_d_ratio_limit(level: str) -> SuiteResult:
 def suite_d_vanishing_ratio(level: str) -> SuiteResult:
     res = SuiteResult("d vanishing power ratio bound", 0.0)
     n_max = 200
-    for alpha in DPOLY_PROBED:
-        seq = dpoly.d_sequence(n_max, alpha)
-        power = 1.0
-        for n in range(1, n_max + 1):
-            power *= alpha
-            bound = 2.0 * alpha / (n + 1)
-            res.check(power / seq[n] <= bound * (1.0 + 1e-13), f"n={n} alpha={alpha}")
+    alpha = np.array(DPOLY_PROBED)[:, None]
+    seq = np.array([dpoly.d_sequence(n_max, a) for a in DPOLY_PROBED])
+    # repeated multiplication, as alpha^n is built by the power *= alpha loop
+    power = np.cumprod(np.repeat(alpha, n_max, axis=1), axis=1)
+    bound = 2.0 * alpha / (np.arange(1, n_max + 1) + 1)
+    res.check_all(
+        power / seq[:, 1:] <= bound * (1.0 + 1e-13),
+        lambda f: f"n={f % n_max + 1} alpha={DPOLY_PROBED[f // n_max]}",
+    )
     return res
 
 
 def suite_d_golden_lower_bound(level: str) -> SuiteResult:
     res = SuiteResult("d golden-ratio lower bound", 0.0)
     grid = [a for a in DPOLY_GRID if a < INV_SQRT5]
-    for alpha in grid:
-        seq = dpoly.d_sequence(100, alpha)
-        for n in range(1, 101):
-            ok = seq[n] >= dpoly.fib_ratio(n) * seq[n - 1] - 1e-15
-            res.check(ok, f"n={n} alpha={alpha}")
+    seq = np.array([dpoly.d_sequence(100, alpha) for alpha in grid])
+    fib = np.array([dpoly.fib_ratio(n) for n in range(1, 101)])
+    res.check_all(
+        seq[:, 1:] >= fib * seq[:, :-1] - 1e-15,
+        lambda f: f"n={f % 100 + 1} alpha={grid[f // 100]}",
+    )
     return res
 
 
@@ -172,9 +225,10 @@ def suite_path_determinant(level: str) -> SuiteResult:
     res = SuiteResult("path determinant identity", 1e-11)
     n_max = 40 if level == "full" else 20
     for n in range(2, n_max + 1):
-        for alpha in katz_grid(GraphSpec.path(n)):
-            err = rel_err(katz.determinant_path(n, alpha), dpoly.d_recursive(n, alpha))
-            res.record(err, f"n={n} alpha={alpha}")
+        alphas = katz_grid(GraphSpec.path(n))
+        closed = np.array([dpoly.d_recursive(n, alpha) for alpha in alphas])
+        oracle = katz.determinant_path(n, alphas)
+        res.record_all(rel_err(oracle, closed), lambda f: f"n={n} alpha={alphas[f]}")
     return res
 
 
@@ -182,9 +236,10 @@ def suite_cycle_determinant(level: str) -> SuiteResult:
     res = SuiteResult("cycle determinant identity", 1e-11)
     n_max = 40 if level == "full" else 20
     for n in range(3, n_max + 1):
-        for alpha in katz_grid(GraphSpec.cycle(n)):
-            err = rel_err(katz.determinant_cycle(n, alpha), dpoly.D_cycle_denominator(n, alpha))
-            res.record(err, f"n={n} alpha={alpha}")
+        alphas = katz_grid(GraphSpec.cycle(n))
+        closed = np.array([dpoly.D_cycle_denominator(n, alpha) for alpha in alphas])
+        oracle = katz.determinant_cycle(n, alphas)
+        res.record_all(rel_err(oracle, closed), lambda f: f"n={n} alpha={alphas[f]}")
     return res
 
 
@@ -229,18 +284,27 @@ def suite_metric_axioms(level: str) -> SuiteResult:
         start = 2 if family == "path" else 3
         for n in range(start, 21):
             g = GraphSpec(family, n)
-            dist = {(i, j): graph_distance(g, i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-            resist = {(i, j): resistance(g, i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    res.check(dist[(i, j)] == dist[(j, i)], f"{family} n={n} distance symmetry ({i},{j})")
-                    res.check(resist[(i, j)] == resist[(j, i)], f"{family} n={n} resistance symmetry ({i},{j})")
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for via in range(1, n + 1):
-                        ok_d = dist[(i, j)] <= dist[(i, via)] + dist[(via, j)]
-                        ok_r = resist[(i, j)] <= resist[(i, via)] + resist[(via, j)] + 1e-12
-                        res.check(ok_d and ok_r, f"{family} n={n} triangle ({i},{via},{j})")
+            labels = range(1, n + 1)
+            dist = np.array([[graph_distance(g, i, j) for j in labels] for i in labels])
+            resist = np.array([[resistance(g, i, j) for j in labels] for i in labels])
+            upper = np.triu_indices(n, k=1)
+            # per pair i < j: distance, then resistance
+            symmetric = np.stack([dist[upper] == dist.T[upper], resist[upper] == resist.T[upper]], axis=1)
+            metric = ("distance", "resistance")
+            res.check_all(
+                symmetric,
+                lambda f: f"{family} n={n} {metric[f % 2]} symmetry "
+                f"({upper[0][f // 2] + 1},{upper[1][f // 2] + 1})",
+            )
+            # axes (i, j, via): m[i, j] <= m[i, via] + m[via, j]
+            ok_d = dist[:, :, None] <= dist[:, None, :] + dist.T[None, :, :]
+            ok_r = resist[:, :, None] <= resist[:, None, :] + resist.T[None, :, :] + 1e-12
+
+            def triangle(f):
+                i, j, via = np.unravel_index(f, (n, n, n))
+                return f"{family} n={n} triangle ({i + 1},{via + 1},{j + 1})"
+
+            res.check_all(ok_d & ok_r, triangle)
     return res
 
 
@@ -251,12 +315,14 @@ def suite_katz_closed_vs_inverse(level: str) -> SuiteResult:
         start = 2 if family == "path" else 3
         for n in range(start, n_max + 1):
             g = GraphSpec(family, n)
-            for alpha in katz_grid(g):
-                closed = (
-                    katz.katz_path_matrix(n, alpha) if g.is_path else katz.katz_cycle_matrix(n, alpha)
-                )
-                oracle = katz.katz_oracle_inverse(g, alpha)
-                res.record(float((np.abs(closed - oracle) / np.abs(oracle)).max()), f"{family} n={n} alpha={alpha}")
+            alphas = katz_grid(g)
+            matrix = katz.katz_path_matrix if g.is_path else katz.katz_cycle_matrix
+            oracle = katz.katz_oracle_inverse(g, alphas)
+            errs = [
+                (np.abs(matrix(n, alpha) - inverse) / np.abs(inverse)).max()
+                for alpha, inverse in zip(alphas, oracle)
+            ]
+            res.record_all(errs, lambda f: f"{family} n={n} alpha={alphas[f]}")
     return res
 
 
@@ -280,26 +346,23 @@ def suite_series_vs_inverse(level: str) -> SuiteResult:
 
 def suite_katz_distance_monotone(level: str) -> SuiteResult:
     res = SuiteResult("katz decreasing in path distance from an endpoint", 0.0)
+    alphas = [a for a in DPOLY_PROBED if a < 0.5]
     for n in range(3, 31):
-        for alpha in [a for a in DPOLY_PROBED if a < 0.5]:
-            row = katz.katz_path_matrix(n, alpha)[0]
-            ok = all(row[k] > row[k + 1] for k in range(1, n - 1))
-            res.check(ok, f"n={n} alpha={alpha}")
+        rows = np.array([katz.katz_path_matrix(n, alpha)[0] for alpha in alphas])
+        res.check_all((rows[:, 1:-1] > rows[:, 2:]).all(axis=1), lambda f: f"n={n} alpha={alphas[f]}")
     return res
 
 
 def suite_katz_shift_monotone(level: str) -> SuiteResult:
     res = SuiteResult("katz non-decreasing under centered pair shifts", 0.0)
+    alphas = [a for a in DPOLY_PROBED if a < 0.5]
     for n in range(3, 31):
-        for alpha in [a for a in DPOLY_PROBED if a < 0.5]:
+        k, i = _loop_grid(range(1, n - 1), lambda k: [i for i in range(1, n - k) if n - k - 2 * i - 1 >= 0])
+        for alpha in alphas:
             m = katz.katz_path_matrix(n, alpha)
-            for k in range(1, n - 1):
-                for i in range(1, n - k):
-                    if n - k - 2 * i - 1 < 0:
-                        continue
-                    left = m[i - 1, i + k - 1]
-                    right = m[i, i + k]
-                    res.check(left <= right + 1e-13, f"n={n} k={k} i={i} alpha={alpha}")
+            res.check_all(
+                m[i - 1, i + k - 1] <= m[i, i + k] + 1e-13, lambda f: f"n={n} k={k[f]} i={i[f]} alpha={alpha}"
+            )
     return res
 
 
@@ -520,6 +583,13 @@ ALL_SUITES = (
 
 
 def run_suites(level: str = "quick") -> list[SuiteResult]:
+    """Every suite at the level, in ALL_SUITES order, each with its seconds set."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    return [suite(level) for suite in ALL_SUITES]
+    results = []
+    for suite in ALL_SUITES:
+        started = time.perf_counter()
+        result = suite(level)
+        result.seconds = time.perf_counter() - started
+        results.append(result)
+    return results

@@ -192,9 +192,12 @@ def test_exact_evaluators_validate():
     with pytest.raises(ValueError):
         katz.katz_path_exact(6, 1, 2, Fraction(1, 2))
     with pytest.raises(ValueError):
-        katz.katz_cycle_exact(4, 1, 2, Fraction(1, 5))
-    with pytest.raises(ValueError):
-        katz.katz_cycle_exact(7, 2, 2, Fraction(1, 5))
+        katz.katz_cycle_exact(4, 1, 2, Fraction(1, 2))
+    # small cycles and the diagonal are exact too: a / (1 - 4 a^2) on C4
+    assert katz.katz_cycle_exact(4, 1, 2, Fraction(1, 5)) == Fraction(5, 21)
+    assert float(katz.katz_cycle_exact(7, 2, 2, Fraction(1, 5))) == pytest.approx(
+        katz.katz_cycle(7, 2, 2, 0.2), rel=1e-15
+    )
 
 
 def test_limit_path_worked_values():
@@ -261,3 +264,21 @@ def test_admissible_window_scales_with_size():
 def test_series_tolerance_validation():
     with pytest.raises(ValueError):
         katz.katz_oracle_series(GraphSpec.path(4), 0.3, tol=0.0)
+
+
+@pytest.mark.parametrize("g", [GraphSpec.path(6), GraphSpec.cycle(7)], ids=["path6", "cycle7"])
+def test_oracles_take_a_sequence_of_alphas(g):
+    alphas = [0.05, 0.3, 0.46]
+    inverse = katz.katz_oracle_inverse(g, alphas)
+    determinant = katz.determinant_path if g.is_path else katz.determinant_cycle
+    dets = determinant(g.n, alphas)
+    assert inverse.shape == (3, g.n, g.n) and dets.shape == (3,)
+    for index, alpha in enumerate(alphas):
+        assert np.array_equal(inverse[index], katz.katz_oracle_inverse(g, alpha))
+        assert dets[index] == determinant(g.n, alpha)
+    with pytest.raises(AdmissibilityError):
+        katz.katz_oracle_inverse(g, [0.3, 0.6])
+    with pytest.raises(AdmissibilityError):
+        determinant(g.n, [0.3, 0.0])
+    with pytest.raises(ValueError):
+        katz.katz_oracle_inverse(g, [[0.3]])

@@ -74,3 +74,80 @@ def test_shape_validation():
     too_big = np.eye(linalg.MAX_DENSE_N + 1)
     with pytest.raises(ValueError):
         linalg.determinant(too_big)
+
+
+def _pivoting_stack(seed, members, n):
+    """Non-symmetric random members that need row swaps, each pivoting in its own order."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(members, n, n))
+    for index in range(members):
+        stack[index] = stack[index][rng.permutation(n)]
+    return stack
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 25])
+def test_stack_equals_per_matrix_calls(n):
+    stack = _pivoting_stack(n, 6, n)
+    rng = np.random.default_rng(50 + n)
+    vectors = rng.normal(size=(6, n))
+    blocks = rng.normal(size=(6, n, 3))
+    x_vec = linalg.solve(stack, vectors)
+    x_mat = linalg.solve(stack, blocks)
+    inv = linalg.invert(stack)
+    det = linalg.determinant(stack)
+    assert x_vec.shape == (6, n) and x_mat.shape == (6, n, 3) and inv.shape == (6, n, n) and det.shape == (6,)
+    for index, a in enumerate(stack):
+        assert np.array_equal(x_vec[index], linalg.solve(a, vectors[index]))
+        assert np.array_equal(x_mat[index], linalg.solve(a, blocks[index]))
+        assert np.array_equal(inv[index], linalg.invert(a))
+        assert det[index] == linalg.determinant(a)
+
+
+def test_stack_members_pivot_differently():
+    # the same rows in two orders, plus a member that needs no swap at all
+    a = np.array([[1.0, 2.0, 0.5], [4.0, 1.0, 3.0], [2.0, 7.0, 1.0]])
+    stack = np.array([a, a[[2, 0, 1]], np.triu(a) + 5.0 * np.eye(3)])
+    det = linalg.determinant(stack)
+    inv = linalg.invert(stack)
+    for index, member in enumerate(stack):
+        assert det[index] == linalg.determinant(member)
+        assert np.array_equal(inv[index], linalg.invert(member))
+    assert det[0] == pytest.approx(np.linalg.det(a), rel=1e-13)
+    assert det[1] == pytest.approx(det[0], rel=1e-13)
+
+
+def test_stack_keeps_its_leading_axes():
+    stack = _pivoting_stack(9, 6, 5).reshape(2, 3, 5, 5)
+    rhs = np.random.default_rng(9).normal(size=(2, 3, 5))
+    x = linalg.solve(stack, rhs)
+    assert x.shape == (2, 3, 5)
+    assert linalg.determinant(stack).shape == (2, 3)
+    assert linalg.invert(stack).shape == (2, 3, 5, 5)
+    assert np.array_equal(x[1, 2], linalg.solve(stack[1, 2], rhs[1, 2]))
+
+
+def test_singular_member_in_a_stack():
+    stack = _pivoting_stack(4, 3, 3)
+    stack[1] = np.ones((3, 3))
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.solve(stack, np.ones((3, 3)))
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.invert(stack)
+    det = linalg.determinant(stack)
+    assert det[1] == 0.0
+    assert det[0] == linalg.determinant(stack[0]) and det[2] == linalg.determinant(stack[2])
+
+
+def test_stack_shape_validation():
+    with pytest.raises(ValueError):
+        linalg.solve(np.ones((2, 3, 3)), np.ones((3, 3, 1)))
+    with pytest.raises(ValueError):
+        linalg.solve(np.ones((2, 3, 3)), np.ones(3))
+    with pytest.raises(ValueError):
+        linalg.determinant(np.ones((2, 3, 4)))
+    # the cap is on the matrices, not on how many there are
+    with pytest.raises(ValueError):
+        linalg.determinant(np.zeros((2, linalg.MAX_DENSE_N + 1, linalg.MAX_DENSE_N + 1)))
+    assert linalg.determinant(np.broadcast_to(np.eye(2), (linalg.MAX_DENSE_N + 1, 2, 2))).shape == (
+        linalg.MAX_DENSE_N + 1,
+    )

@@ -1,0 +1,361 @@
+"""The array-at-a-time suites against their scalar loops.
+
+Each ``reference_*`` function below is the per-check loop the suite used
+before it moved to stacked eliminations and array checks, kept here as the
+test-only reference.  The array route must report the same check count, the
+same max_err and the same failure strings in the same order, on the real
+grids and with faults injected into the functions under test.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from katzlab import cli, dpoly, katz, verify
+from katzlab.dpoly import INV_SQRT5
+from katzlab.graphs import GraphSpec, graph_distance
+from katzlab.verify import DPOLY_GRID, DPOLY_PROBED, SuiteResult, katz_grid
+
+
+def scalar_mixed_err(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def scalar_rel_err(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def reference_d_recursion_vs_closed(level):
+    res = SuiteResult("d recursion matches exact closed sum", 1e-12)
+    n_max = 100 if level == "full" else 30
+    for alpha in DPOLY_PROBED:
+        for n in range(n_max + 1):
+            err = scalar_mixed_err(dpoly.d_closed(n, alpha), dpoly.d_recursive(n, alpha))
+            res.record(err, f"n={n} alpha={alpha}")
+    return res
+
+
+def reference_d_splitting(level):
+    res = SuiteResult("d splitting identity", 1e-12)
+    n_max = 60 if level == "full" else 30
+    for alpha in DPOLY_PROBED:
+        a2 = alpha * alpha
+        seq = dpoly.d_sequence(n_max, alpha)
+        for n in range(2, n_max + 1):
+            for k in range(1, n):
+                rhs = seq[k] * seq[n - k] - a2 * seq[k - 1] * seq[n - k - 1]
+                res.record(scalar_mixed_err(seq[n], rhs), f"n={n} k={k} alpha={alpha}")
+    return res
+
+
+def reference_d_product(level):
+    res = SuiteResult("d product identity", 1e-12)
+    n_max = 60 if level == "full" else 30
+    for alpha in DPOLY_PROBED:
+        seq = dpoly.d_sequence(n_max + 1, alpha)
+        for n in range(1, n_max + 1):
+            for k in range(1, n + 1):
+                lhs = seq[k] * seq[n] - seq[k - 1] * seq[n + 1]
+                rhs = alpha ** (2 * k) * seq[n - k]
+                res.record(scalar_mixed_err(lhs, rhs), f"n={n} k={k} alpha={alpha}")
+    return res
+
+
+def reference_d_bounds(level):
+    res = SuiteResult("d monotone bounds", 0.0)
+    n_max = 100
+    for alpha in DPOLY_PROBED:
+        seq = dpoly.d_sequence(n_max, alpha)
+        for n in range(2, n_max + 1):
+            ok = seq[n - 1] > seq[n] > 0.5 * seq[n - 1] > 0.0
+            res.check(ok, f"n={n} alpha={alpha}: d_prev={seq[n - 1]!r} d={seq[n]!r}")
+    return res
+
+
+def reference_d_vanishing_ratio(level):
+    res = SuiteResult("d vanishing power ratio bound", 0.0)
+    n_max = 200
+    for alpha in DPOLY_PROBED:
+        seq = dpoly.d_sequence(n_max, alpha)
+        power = 1.0
+        for n in range(1, n_max + 1):
+            power *= alpha
+            bound = 2.0 * alpha / (n + 1)
+            res.check(power / seq[n] <= bound * (1.0 + 1e-13), f"n={n} alpha={alpha}")
+    return res
+
+
+def reference_d_golden_lower_bound(level):
+    res = SuiteResult("d golden-ratio lower bound", 0.0)
+    grid = [a for a in DPOLY_GRID if a < INV_SQRT5]
+    for alpha in grid:
+        seq = dpoly.d_sequence(100, alpha)
+        for n in range(1, 101):
+            ok = seq[n] >= dpoly.fib_ratio(n) * seq[n - 1] - 1e-15
+            res.check(ok, f"n={n} alpha={alpha}")
+    return res
+
+
+def reference_path_determinant(level):
+    res = SuiteResult("path determinant identity", 1e-11)
+    n_max = 40 if level == "full" else 20
+    for n in range(2, n_max + 1):
+        for alpha in katz_grid(GraphSpec.path(n)):
+            err = scalar_rel_err(katz.determinant_path(n, alpha), dpoly.d_recursive(n, alpha))
+            res.record(err, f"n={n} alpha={alpha}")
+    return res
+
+
+def reference_cycle_determinant(level):
+    res = SuiteResult("cycle determinant identity", 1e-11)
+    n_max = 40 if level == "full" else 20
+    for n in range(3, n_max + 1):
+        for alpha in katz_grid(GraphSpec.cycle(n)):
+            err = scalar_rel_err(katz.determinant_cycle(n, alpha), dpoly.D_cycle_denominator(n, alpha))
+            res.record(err, f"n={n} alpha={alpha}")
+    return res
+
+
+def reference_metric_axioms(level):
+    res = SuiteResult("metric symmetry and triangle inequality", 0.0)
+    for family in ("path", "cycle"):
+        start = 2 if family == "path" else 3
+        for n in range(start, 21):
+            g = GraphSpec(family, n)
+            dist = {(i, j): graph_distance(g, i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+            resist = {(i, j): verify.resistance(g, i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    res.check(dist[(i, j)] == dist[(j, i)], f"{family} n={n} distance symmetry ({i},{j})")
+                    res.check(resist[(i, j)] == resist[(j, i)], f"{family} n={n} resistance symmetry ({i},{j})")
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    for via in range(1, n + 1):
+                        ok_d = dist[(i, j)] <= dist[(i, via)] + dist[(via, j)]
+                        ok_r = resist[(i, j)] <= resist[(i, via)] + resist[(via, j)] + 1e-12
+                        res.check(ok_d and ok_r, f"{family} n={n} triangle ({i},{via},{j})")
+    return res
+
+
+def reference_katz_closed_vs_inverse(level):
+    res = SuiteResult("katz closed form vs inverse oracle", 1e-10)
+    n_max = 40 if level == "full" else 25
+    for family in ("path", "cycle"):
+        start = 2 if family == "path" else 3
+        for n in range(start, n_max + 1):
+            g = GraphSpec(family, n)
+            for alpha in katz_grid(g):
+                closed = (
+                    katz.katz_path_matrix(n, alpha) if g.is_path else katz.katz_cycle_matrix(n, alpha)
+                )
+                oracle = katz.katz_oracle_inverse(g, alpha)
+                res.record(float((np.abs(closed - oracle) / np.abs(oracle)).max()), f"{family} n={n} alpha={alpha}")
+    return res
+
+
+def reference_katz_distance_monotone(level):
+    res = SuiteResult("katz decreasing in path distance from an endpoint", 0.0)
+    for n in range(3, 31):
+        for alpha in [a for a in DPOLY_PROBED if a < 0.5]:
+            row = katz.katz_path_matrix(n, alpha)[0]
+            ok = all(row[k] > row[k + 1] for k in range(1, n - 1))
+            res.check(ok, f"n={n} alpha={alpha}")
+    return res
+
+
+def reference_katz_shift_monotone(level):
+    res = SuiteResult("katz non-decreasing under centered pair shifts", 0.0)
+    for n in range(3, 31):
+        for alpha in [a for a in DPOLY_PROBED if a < 0.5]:
+            m = katz.katz_path_matrix(n, alpha)
+            for k in range(1, n - 1):
+                for i in range(1, n - k):
+                    if n - k - 2 * i - 1 < 0:
+                        continue
+                    left = m[i - 1, i + k - 1]
+                    right = m[i, i + k]
+                    res.check(left <= right + 1e-13, f"n={n} k={k} i={i} alpha={alpha}")
+    return res
+
+
+REFERENCES = {
+    verify.suite_d_recursion_vs_closed: reference_d_recursion_vs_closed,
+    verify.suite_d_splitting: reference_d_splitting,
+    verify.suite_d_product: reference_d_product,
+    verify.suite_d_bounds: reference_d_bounds,
+    verify.suite_d_vanishing_ratio: reference_d_vanishing_ratio,
+    verify.suite_d_golden_lower_bound: reference_d_golden_lower_bound,
+    verify.suite_path_determinant: reference_path_determinant,
+    verify.suite_cycle_determinant: reference_cycle_determinant,
+    verify.suite_metric_axioms: reference_metric_axioms,
+    verify.suite_katz_closed_vs_inverse: reference_katz_closed_vs_inverse,
+    verify.suite_katz_distance_monotone: reference_katz_distance_monotone,
+    verify.suite_katz_shift_monotone: reference_katz_shift_monotone,
+}
+
+
+def assert_same(got: SuiteResult, want: SuiteResult) -> None:
+    assert (got.name, got.tolerance) == (want.name, want.tolerance)
+    assert got.checks == want.checks
+    assert type(got.max_err) is float
+    assert got.max_err == want.max_err
+    assert got.failures == want.failures
+
+
+@pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda s: s.__name__)
+def test_array_suite_matches_scalar_loop(suite):
+    want = REFERENCES[suite]("quick")
+    got = suite("quick")
+    assert want.passed
+    assert_same(got, want)
+
+
+def _perturbed_path_matrix(original):
+    """katz_path_matrix with entries (1, 4) and (2, 6) moved at three (n, alpha) points."""
+
+    def perturbed(n, alpha, strict=False):
+        m = original(n, alpha, strict)
+        if (n, alpha) in ((7, 0.1), (7, 0.3), (9, 0.1)):
+            m[0, 3] += 0.5
+            m[1, 5] -= 0.5
+        return m
+
+    return perturbed
+
+
+def _perturbed_sequence(original):
+    """d_sequence with d_12 and d_14 shrunk a millionfold at alpha = 0.3."""
+
+    def perturbed(n, alpha):
+        seq = original(n, alpha)
+        if alpha == 0.3 and n >= 14:
+            seq[12] *= 1e-6
+            seq[14] *= 1e-6
+        return seq
+
+    return perturbed
+
+
+def _shifted_at(original, n_bad, shift):
+    """A scalar evaluator f(n, alpha) that is off by shift at n = n_bad for alpha in (0.1, 0.3)."""
+
+    def shifted(n, alpha):
+        value = original(n, alpha)
+        return value + shift if n == n_bad and alpha in (0.1, 0.3) else value
+
+    return shifted
+
+
+def _asymmetric_resistance(original):
+    """resistance that reads (5, 2) on the 6-cycle one higher than (2, 5)."""
+
+    def asymmetric(g, i, j):
+        value = original(g, i, j)
+        return value + 1.0 if (g.family, g.n, i, j) == ("cycle", 6, 5, 2) else value
+
+    return asymmetric
+
+
+FAULTS = {
+    "katz_path_matrix": (
+        lambda mp: mp.setattr(katz, "katz_path_matrix", _perturbed_path_matrix(katz.katz_path_matrix)),
+        [
+            verify.suite_katz_closed_vs_inverse,
+            verify.suite_katz_distance_monotone,
+            verify.suite_katz_shift_monotone,
+        ],
+    ),
+    "d_sequence": (
+        lambda mp: mp.setattr(dpoly, "d_sequence", _perturbed_sequence(dpoly.d_sequence)),
+        [
+            verify.suite_d_splitting,
+            verify.suite_d_product,
+            verify.suite_d_bounds,
+            verify.suite_d_vanishing_ratio,
+            verify.suite_d_golden_lower_bound,
+        ],
+    ),
+    "d_recursive": (
+        lambda mp: mp.setattr(dpoly, "d_recursive", _shifted_at(dpoly.d_recursive, 9, 1e-6)),
+        [verify.suite_d_recursion_vs_closed, verify.suite_path_determinant],
+    ),
+    "D_cycle_denominator": (
+        lambda mp: mp.setattr(
+            dpoly, "D_cycle_denominator", _shifted_at(dpoly.D_cycle_denominator, 11, 1e-6)
+        ),
+        [verify.suite_cycle_determinant],
+    ),
+    # the suite calls resistance by the name verify imported
+    "resistance": (
+        lambda mp: mp.setattr(verify, "resistance", _asymmetric_resistance(verify.resistance)),
+        [verify.suite_metric_axioms],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fault, suite",
+    [(fault, suite) for fault, (_, suites) in FAULTS.items() for suite in suites],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_array_suite_matches_scalar_loop_under_fault(fault, suite, monkeypatch):
+    FAULTS[fault][0](monkeypatch)
+    want = REFERENCES[suite]("quick")
+    got = suite("quick")
+    assert len(want.failures) >= 2
+    assert_same(got, want)
+
+
+def test_record_all_is_record_per_element():
+    errs = [0.5, float("nan"), 3.0, 0.25, 2.0]
+    one = SuiteResult("r", 1.0)
+    for index, err in enumerate(errs):
+        one.record(err, f"at {index}")
+    many = SuiteResult("r", 1.0)
+    many.record_all(np.array(errs), lambda index: f"at {index}")
+    assert_same(many, one)
+    assert many.failures == ["at 2: err=3.000e+00", "at 4: err=2.000e+00"]
+
+
+def test_check_all_is_check_per_element():
+    ok = np.array([[True, False], [True, False]])
+    one = SuiteResult("c", 0.0)
+    for index, value in enumerate(ok.ravel()):
+        one.check(bool(value), f"at {index}")
+    many = SuiteResult("c", 0.0)
+    many.check_all(ok, lambda index: f"at {index}")
+    assert_same(many, one)
+    assert many.failures == ["at 1", "at 3"]
+    empty = SuiteResult("c", 0.0)
+    empty.check_all(np.zeros((0, 4), dtype=bool), lambda index: f"at {index}")
+    assert (empty.checks, empty.max_err, empty.failures) == (0, 0.0, [])
+
+
+def test_margin_is_max_err_over_tolerance():
+    res = SuiteResult("m", 1e-10)
+    res.record(2.5e-13, "x")
+    assert res.margin == pytest.approx(2.5e-3, rel=1e-12)
+    assert SuiteResult("exact", 0.0).margin is None
+
+
+def test_verify_quick_lines_and_total(capsys, monkeypatch):
+    results = []
+
+    def run_and_keep(level):
+        results.extend(verify.run_suites(level))
+        return results
+
+    monkeypatch.setattr(cli, "run_suites", run_and_keep)
+    assert cli.main(["verify", "--level", "quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(results) + 1 == 28
+    line = re.compile(r"^PASS  .+  checks= *\d+  max_err=\d\.\d{3}e[+-]\d{2}  margin=(\S+) +(\d+\.\d{3})s$")
+    for result, text in zip(results, lines):
+        match = line.match(text)
+        assert match, text
+        margin = "-" if result.tolerance == 0.0 else f"{result.max_err / result.tolerance:.3e}"
+        assert match.group(1) == margin
+        assert match.group(2) == f"{result.seconds:.3f}"
+    assert sum(result.checks for result in results) == 275801
+    assert lines[-1].startswith("27/27 suites passed, 275801 checks, ")
