@@ -26,7 +26,12 @@ class SingularMatrixError(RuntimeError):
 
 
 def _checked_square(a) -> np.ndarray:
-    m = np.array(a, dtype=float)
+    """A C-ordered float copy of a square matrix or stack, the elimination's work space.
+
+    C order whatever a's layout: matmul hands only C-ordered blocks to BLAS,
+    so another layout would round the back-substitution differently.
+    """
+    m = np.array(a, dtype=float, order="C")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if m.shape[-1] > MAX_DENSE_N:
@@ -70,7 +75,7 @@ def solve(a, b) -> np.ndarray:
     (..., n, k) for k of them, with the same leading axes as a.
     """
     m = _checked_square(a)
-    rhs = np.array(b, dtype=float)
+    rhs = np.array(b, dtype=float, order="C")  # as in _checked_square: the solution takes b's layout
     vector = rhs.ndim == m.ndim - 1
     if vector:
         rhs = rhs[..., None]

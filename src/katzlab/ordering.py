@@ -82,17 +82,36 @@ class AgreementReport:
         return self.katz_vs_resistance and self.katz_vs_distance and self.resistance_vs_distance
 
 
+def _alphas(g: GraphSpec, alpha) -> list:
+    """The alphas of a number or a 1-D sequence, every one checked admissible for g up front."""
+    if np.ndim(alpha) > 1:
+        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
+    alphas = list(alpha) if np.ndim(alpha) else [alpha]
+    for value in alphas:
+        require_admissible(value, g)
+    return alphas
+
+
+def _katz_scores(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Katz scores of the pairs with labels i, j."""
+    matrix = katz_path_matrix(g.n, alpha) if g.is_path else katz_cycle_matrix(g.n, alpha)
+    return matrix[i - 1, j - 1]
+
+
+def _pair_table(g: GraphSpec) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Labels i, j of g.pairs() and the resistance and distance scores, which no alpha changes."""
+    i, j, resist, distance = pair_columns(g, resistance, graph_distance)
+    return i, j, {RESISTANCE: resist.astype(float), DISTANCE: distance.astype(float)}
+
+
 def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
     """Scores for g.pairs() in lexicographic pair order, as a float array."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if metric == KATZ:
-        if alpha is None:
-            raise ValueError("the katz metric needs an alpha value")
-        matrix = katz_path_matrix(g.n, alpha) if g.is_path else katz_cycle_matrix(g.n, alpha)
-        i, j = pair_columns(g)
-        return matrix[i - 1, j - 1]
-    return pair_columns(g, resistance if metric == RESISTANCE else graph_distance)[2].astype(float)
+    if metric == KATZ and alpha is None:
+        raise ValueError("the katz metric needs an alpha value")
+    i, j, scores = _pair_table(g)
+    return _katz_scores(g, alpha, i, j) if metric == KATZ else scores[metric]
 
 
 def _keys(metric: str, scores: np.ndarray) -> np.ndarray:
@@ -148,17 +167,29 @@ def score_classes(
     return classes
 
 
-def class_structures_match(g: GraphSpec, alpha: float, tol: float = TIE_TOL) -> bool:
-    """True when all three metrics produce identical best-first tie classes."""
+def _class_of_pair(metric: str, scores: np.ndarray, tol: float) -> np.ndarray:
+    """Each pair's tie-class number (see score_classes), in pair order."""
+    order, ids = _ranked_classes(metric, scores, tol)
+    by_pair = np.empty_like(ids)
+    by_pair[order] = ids
+    return by_pair
 
-    def class_of_pair(metric: str) -> np.ndarray:
-        order, ids = _ranked_classes(metric, _scores(g, metric, alpha), tol)
-        by_pair = np.empty_like(ids)
-        by_pair[order] = ids
-        return by_pair
 
-    reference = class_of_pair(KATZ)
-    return all(np.array_equal(class_of_pair(metric), reference) for metric in (RESISTANCE, DISTANCE))
+def class_structures_match(g: GraphSpec, alpha, tol: float = TIE_TOL):
+    """True when all three metrics produce identical best-first tie classes.
+
+    For a 1-D sequence of alphas, the list of results, one per alpha; the
+    resistance and distance classes are found once per call.
+    """
+    alphas = _alphas(g, alpha)
+    i, j, scores = _pair_table(g)
+    reference = _class_of_pair(RESISTANCE, scores[RESISTANCE], tol)
+    fixed_match = np.array_equal(_class_of_pair(DISTANCE, scores[DISTANCE], tol), reference)
+    matches = [
+        np.array_equal(_class_of_pair(KATZ, _katz_scores(g, value, i, j), tol), reference) and fixed_match
+        for value in alphas
+    ]
+    return matches if np.ndim(alpha) else matches[0]
 
 
 def _first_inversion(keys_a: np.ndarray, keys_b: np.ndarray) -> Optional[tuple[int, int]]:
@@ -185,39 +216,43 @@ def _first_inversion(keys_a: np.ndarray, keys_b: np.ndarray) -> Optional[tuple[i
     return a_ix, b_ix
 
 
-def agreement(g: GraphSpec, alpha: float) -> AgreementReport:
+def agreement(g: GraphSpec, alpha):
     """Pairwise ranking agreement between the three metrics at one alpha.
 
     Exhaustive over pairs-of-pairs in O(P log P) time and O(P) memory for
     P = n(n-1)/2 pairs; the witness is the first inversion in lexicographic
-    (pair_a, pair_b) order among the disagreeing metric pairs.
+    (pair_a, pair_b) order among the disagreeing metric pairs.  For a 1-D
+    sequence of alphas, the list of reports, one per alpha: the pair
+    columns and the resistance-vs-distance inversion are found once per
+    call, and only the Katz scores and their two inversions once per alpha.
     """
-    require_admissible(alpha, g)
-    scores = {m: _scores(g, m, alpha) for m in METRICS}
-    flags: dict[tuple[str, str], bool] = {}
-    witness: Optional[RankingInversion] = None
-    for metric_a, metric_b in ((KATZ, RESISTANCE), (KATZ, DISTANCE), (RESISTANCE, DISTANCE)):
-        found = _first_inversion(_keys(metric_a, scores[metric_a]), _keys(metric_b, scores[metric_b]))
-        flags[(metric_a, metric_b)] = found is None
-        if witness is None and found is not None:
-            a_ix, b_ix = found
-            i, j = pair_columns(g)
-            witness = RankingInversion(
-                metric_a,
-                metric_b,
-                VertexPair(int(i[a_ix]), int(j[a_ix])),
-                VertexPair(int(i[b_ix]), int(j[b_ix])),
-                (float(scores[metric_a][a_ix]), float(scores[metric_a][b_ix])),
-                (float(scores[metric_b][a_ix]), float(scores[metric_b][b_ix])),
-            )
-    return AgreementReport(
-        g,
-        alpha,
-        flags[(KATZ, RESISTANCE)],
-        flags[(KATZ, DISTANCE)],
-        flags[(RESISTANCE, DISTANCE)],
-        witness,
-    )
+    alphas = _alphas(g, alpha)
+    i, j, scores = _pair_table(g)
+    # resistance and distance scores are their own keys (smaller is better)
+    fixed_inversion = _first_inversion(scores[RESISTANCE], scores[DISTANCE])
+    reports = []
+    for value in alphas:
+        scores[KATZ] = _katz_scores(g, value, i, j)
+        katz_keys = _keys(KATZ, scores[KATZ])
+        found = {
+            (KATZ, RESISTANCE): _first_inversion(katz_keys, scores[RESISTANCE]),
+            (KATZ, DISTANCE): _first_inversion(katz_keys, scores[DISTANCE]),
+            (RESISTANCE, DISTANCE): fixed_inversion,
+        }
+        witness = None
+        for (metric_a, metric_b), hit in found.items():
+            if witness is None and hit is not None:
+                a_ix, b_ix = hit
+                witness = RankingInversion(
+                    metric_a,
+                    metric_b,
+                    VertexPair(int(i[a_ix]), int(j[a_ix])),
+                    VertexPair(int(i[b_ix]), int(j[b_ix])),
+                    (float(scores[metric_a][a_ix]), float(scores[metric_a][b_ix])),
+                    (float(scores[metric_b][a_ix]), float(scores[metric_b][b_ix])),
+                )
+        reports.append(AgreementReport(g, value, *(hit is None for hit in found.values()), witness))
+    return reports if np.ndim(alpha) else reports[0]
 
 
 def _gap_midpoint(n: int, j: int) -> int:

@@ -9,6 +9,7 @@ identities, n <= 40 oracle comparisons).
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -80,21 +81,23 @@ class SuiteResult:
         return self.max_err / self.tolerance if self.tolerance else None
 
     def record(self, err: float, context: str) -> None:
+        """One error check; a non-finite err fails and a NaN one becomes max_err."""
         err = float(err)
         self.checks += 1
-        if err > self.max_err:
+        if err > self.max_err or math.isnan(err):
             self.max_err = err
-        if err > self.tolerance:
+        if not math.isfinite(err) or err > self.tolerance:
             self.failures.append(f"{context}: err={err:.3e}")
 
     def record_all(self, errs, context: Callable[[int], str]) -> None:
         errs = np.asarray(errs, dtype=float).ravel()
         self.checks += errs.size
-        # NaN compares false, as in record
+        if np.isnan(errs).any():
+            self.max_err = math.nan
         above = errs[errs > self.max_err]
         if above.size:
             self.max_err = float(above.max())
-        for index in np.flatnonzero(errs > self.tolerance):
+        for index in np.flatnonzero(~np.isfinite(errs) | (errs > self.tolerance)):
             self.failures.append(f"{context(int(index))}: err={errs[index]:.3e}")
 
     def check(self, ok: bool, context: str) -> None:
@@ -385,12 +388,12 @@ def suite_cycle_agreement(level: str) -> SuiteResult:
     n_max = 30 if level == "full" else 20
     for n in range(5, n_max + 1):
         g = GraphSpec.cycle(n)
-        for alpha in katz_grid(g):
-            report = ordering.agreement(g, alpha)
+        alphas = katz_grid(g)
+        reports = ordering.agreement(g, alphas)
+        matches = ordering.class_structures_match(g, alphas)
+        for alpha, report, match in zip(alphas, reports, matches):
             res.check(report.all_agree(), f"n={n} alpha={alpha}: witness={report.witness}")
-            res.check(
-                ordering.class_structures_match(g, alpha), f"n={n} alpha={alpha}: tie classes differ"
-            )
+            res.check(match, f"n={n} alpha={alpha}: tie classes differ")
     return res
 
 
@@ -398,8 +401,8 @@ def suite_path_agreement_below_cutoff(level: str) -> SuiteResult:
     res = SuiteResult("path ranking agreement below the golden bound", 0.0)
     for n in range(3, 31):
         g = GraphSpec.path(n)
-        for alpha in [a for a in katz_grid(g) if a < INV_SQRT5]:
-            report = ordering.agreement(g, alpha)
+        alphas = [a for a in katz_grid(g) if a < INV_SQRT5]
+        for alpha, report in zip(alphas, ordering.agreement(g, alphas)):
             res.check(
                 report.katz_vs_resistance and report.katz_vs_distance and report.resistance_vs_distance,
                 f"n={n} alpha={alpha}: witness={report.witness}",

@@ -151,3 +151,31 @@ def test_stack_shape_validation():
     assert linalg.determinant(np.broadcast_to(np.eye(2), (linalg.MAX_DENSE_N + 1, 2, 2))).shape == (
         linalg.MAX_DENSE_N + 1,
     )
+
+
+def _layouts(x):
+    """x C-ordered, Fortran-ordered, and as a non-contiguous slice of a wider array."""
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+    wide[..., ::2] = x
+    return [np.ascontiguousarray(x), np.asfortranarray(x), wide[..., ::2]]
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=lambda lead: f"lead{len(lead)}")
+@pytest.mark.parametrize("n", [3, 7, 11])
+def test_results_do_not_depend_on_memory_layout(n, lead):
+    rng = np.random.default_rng(100 * n + len(lead))
+    a = rng.normal(size=lead + (n, n)) + n * np.eye(n)
+    b = rng.normal(size=lead + (n, 4))
+    v = rng.normal(size=lead + (n,))
+    a_forms, b_forms, v_forms = _layouts(a), _layouts(b), _layouts(v)
+    assert not b_forms[1].flags.c_contiguous and not b_forms[2].flags.c_contiguous
+    want_solve = linalg.solve(a_forms[0], b_forms[0])
+    want_vector = linalg.solve(a_forms[0], v_forms[0])
+    want_inverse = linalg.invert(a_forms[0])
+    want_det = linalg.determinant(a_forms[0])
+    for a_form in a_forms:
+        for b_form, v_form in zip(b_forms, v_forms):
+            assert np.array_equal(linalg.solve(a_form, b_form), want_solve)
+            assert np.array_equal(linalg.solve(a_form, v_form), want_vector)
+        assert np.array_equal(linalg.invert(a_form), want_inverse)
+        assert np.array_equal(linalg.determinant(a_form), want_det)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from katzlab import ordering
 from katzlab.dpoly import INV_SQRT5
-from katzlab.graphs import GraphSpec, VertexPair, graph_distance, resistance
+from katzlab.graphs import AdmissibilityError, GraphSpec, VertexPair, graph_distance, resistance
 from katzlab.katz import katz_cycle_matrix, katz_path_matrix
 from katzlab.ordering import (
     TIE_TOL,
@@ -25,6 +25,7 @@ from katzlab.ordering import (
     rank_pairs,
     score_classes,
 )
+from katzlab.verify import katz_grid
 
 
 def test_pair_scores_shapes_and_validation():
@@ -337,3 +338,55 @@ def test_array_routes_match_reference_on_grid(g):
         assert score_classes(g, "katz", alpha) == reference
         expected = all(reference_classes(g, m, alpha) == reference for m in ("resistance", "distance"))
         assert class_structures_match(g, alpha) == expected
+
+
+# -- a sequence of alphas ------------------------------------------------
+
+SWEEP_GRAPHS = [GraphSpec.path(n) for n in range(2, 41)] + [GraphSpec.cycle(n) for n in range(3, 41)]
+# above the path cut-off roots, where agreement finds witnesses
+WITNESS_ALPHAS = [0.465, 0.47, 0.475, 0.48, 0.485, 0.49]
+
+
+@pytest.mark.parametrize("g", SWEEP_GRAPHS, ids=lambda g: f"{g.family}{g.n}")
+def test_a_sequence_of_alphas_is_the_list_of_scalar_calls(g):
+    alphas = katz_grid(g) + WITNESS_ALPHAS
+    reports = agreement(g, alphas)
+    assert reports == [agreement(g, alpha) for alpha in alphas]
+    assert class_structures_match(g, alphas) == [class_structures_match(g, alpha) for alpha in alphas]
+    assert agreement(g, np.array(alphas)) == reports
+    if g.is_path and g.n >= 10:
+        assert any(report.witness is not None for report in reports)
+
+
+def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
+    calls = []
+
+    def record(name):
+        def fail(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return fail
+
+    for name in ("pair_columns", "katz_path_matrix", "katz_cycle_matrix"):
+        monkeypatch.setattr(ordering, name, record(name))
+    for g, bad in ((GraphSpec.cycle(8), 0.5), (GraphSpec.path(8), 0.6), (GraphSpec.path(8), 0.0)):
+        for alphas in ([bad, 0.1, 0.2], [0.1, bad, 0.2], [0.1, 0.2, bad]):
+            with pytest.raises(AdmissibilityError):
+                agreement(g, alphas)
+            with pytest.raises(AdmissibilityError):
+                class_structures_match(g, alphas)
+    assert calls == []
+
+
+def test_alpha_shapes():
+    g = GraphSpec.cycle(6)
+    with pytest.raises(ValueError, match="1-D"):
+        agreement(g, [[0.1, 0.2]])
+    with pytest.raises(ValueError, match="1-D"):
+        class_structures_match(g, np.full((2, 2), 0.1))
+    assert agreement(g, []) == []
+    assert class_structures_match(g, ()) == []
+    assert agreement(g, [0.3]) == [agreement(g, 0.3)]
+    assert isinstance(agreement(g, 0.3), AgreementReport)
+    assert class_structures_match(g, 0.3) is True

@@ -7,12 +7,13 @@ same max_err and the same failure strings in the same order, on the real
 grids and with faults injected into the functions under test.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from katzlab import cli, dpoly, katz, verify
+from katzlab import cli, dpoly, katz, ordering, verify
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import GraphSpec, graph_distance
 from katzlab.verify import DPOLY_GRID, DPOLY_PROBED, SuiteResult, katz_grid
@@ -179,6 +180,33 @@ def reference_katz_shift_monotone(level):
     return res
 
 
+def reference_cycle_agreement(level):
+    res = SuiteResult("cycle pair-ranking agreement across all metrics", 0.0)
+    n_max = 30 if level == "full" else 20
+    for n in range(5, n_max + 1):
+        g = GraphSpec.cycle(n)
+        for alpha in katz_grid(g):
+            report = ordering.agreement(g, alpha)
+            res.check(report.all_agree(), f"n={n} alpha={alpha}: witness={report.witness}")
+            res.check(
+                ordering.class_structures_match(g, alpha), f"n={n} alpha={alpha}: tie classes differ"
+            )
+    return res
+
+
+def reference_path_agreement_below_cutoff(level):
+    res = SuiteResult("path ranking agreement below the golden bound", 0.0)
+    for n in range(3, 31):
+        g = GraphSpec.path(n)
+        for alpha in [a for a in katz_grid(g) if a < INV_SQRT5]:
+            report = ordering.agreement(g, alpha)
+            res.check(
+                report.katz_vs_resistance and report.katz_vs_distance and report.resistance_vs_distance,
+                f"n={n} alpha={alpha}: witness={report.witness}",
+            )
+    return res
+
+
 REFERENCES = {
     verify.suite_d_recursion_vs_closed: reference_d_recursion_vs_closed,
     verify.suite_d_splitting: reference_d_splitting,
@@ -192,14 +220,17 @@ REFERENCES = {
     verify.suite_katz_closed_vs_inverse: reference_katz_closed_vs_inverse,
     verify.suite_katz_distance_monotone: reference_katz_distance_monotone,
     verify.suite_katz_shift_monotone: reference_katz_shift_monotone,
+    verify.suite_cycle_agreement: reference_cycle_agreement,
+    verify.suite_path_agreement_below_cutoff: reference_path_agreement_below_cutoff,
 }
+RANKING_SUITES = [verify.suite_cycle_agreement, verify.suite_path_agreement_below_cutoff]
 
 
 def assert_same(got: SuiteResult, want: SuiteResult) -> None:
     assert (got.name, got.tolerance) == (want.name, want.tolerance)
     assert got.checks == want.checks
     assert type(got.max_err) is float
-    assert got.max_err == want.max_err
+    assert got.max_err == want.max_err or (math.isnan(got.max_err) and math.isnan(want.max_err))
     assert got.failures == want.failures
 
 
@@ -208,6 +239,43 @@ def test_array_suite_matches_scalar_loop(suite):
     want = REFERENCES[suite]("quick")
     got = suite("quick")
     assert want.passed
+    assert_same(got, want)
+
+
+@pytest.mark.parametrize("suite", RANKING_SUITES, ids=lambda s: s.__name__)
+def test_ranking_suite_matches_per_alpha_loop_at_full(suite):
+    want = REFERENCES[suite]("full")
+    got = suite("full")
+    assert want.passed
+    assert_same(got, want)
+
+
+def _swapped_entries(original, n_bad, alpha_bad):
+    """A katz_*_matrix whose entries (1, 2) and (1, 4) trade places at (n_bad, alpha_bad)."""
+
+    def swapped(n, alpha, strict=False):
+        m = original(n, alpha, strict)
+        if (n, alpha) == (n_bad, alpha_bad):
+            m[0, 1], m[0, 3] = m[0, 3], m[0, 1]
+        return m
+
+    return swapped
+
+
+RANKING_FAULTS = {
+    verify.suite_cycle_agreement: ("katz_cycle_matrix", 8, 0.3),
+    verify.suite_path_agreement_below_cutoff: ("katz_path_matrix", 7, 0.2),
+}
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+@pytest.mark.parametrize("suite", RANKING_SUITES, ids=lambda s: s.__name__)
+def test_ranking_suite_matches_per_alpha_loop_under_fault(suite, level, monkeypatch):
+    name, n_bad, alpha_bad = RANKING_FAULTS[suite]
+    monkeypatch.setattr(ordering, name, _swapped_entries(getattr(ordering, name), n_bad, alpha_bad))
+    want = REFERENCES[suite](level)
+    got = suite(level)
+    assert want.failures and all(f"n={n_bad} alpha={alpha_bad}: " in failure for failure in want.failures)
     assert_same(got, want)
 
 
@@ -315,7 +383,39 @@ def test_record_all_is_record_per_element():
     many = SuiteResult("r", 1.0)
     many.record_all(np.array(errs), lambda index: f"at {index}")
     assert_same(many, one)
-    assert many.failures == ["at 2: err=3.000e+00", "at 4: err=2.000e+00"]
+    assert math.isnan(many.max_err)
+    assert many.failures == ["at 1: err=nan", "at 2: err=3.000e+00", "at 4: err=2.000e+00"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("tolerance", [0.0, 1e-12])
+def test_non_finite_errors_fail(bad, tolerance):
+    one = SuiteResult("r", tolerance)
+    one.record(0.0, "fine")
+    one.record(bad, "bad")
+    many = SuiteResult("r", tolerance)
+    many.record_all([0.0, bad], lambda index: "fine" if index == 0 else "bad")
+    for res in (one, many):
+        assert not res.passed
+        assert res.checks == 2
+        assert res.failures == [f"bad: err={bad:.3e}"]
+    assert_same(many, one)
+    if bad > 0:
+        assert one.max_err == math.inf
+    elif math.isnan(bad):
+        assert math.isnan(one.max_err)
+
+
+def test_nan_max_err_stays_once_seen():
+    one = SuiteResult("r", 1.0)
+    for err in (0.5, float("nan"), 3.0, float("inf")):
+        one.record(err, "x")
+    many = SuiteResult("r", 1.0)
+    many.record_all([0.5], lambda index: "x")
+    many.record_all([float("nan"), 3.0], lambda index: "x")
+    many.record_all([float("inf")], lambda index: "x")
+    assert math.isnan(one.max_err)
+    assert_same(many, one)
 
 
 def test_check_all_is_check_per_element():
