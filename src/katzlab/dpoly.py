@@ -72,6 +72,37 @@ def d_sequence_exact(n: int, alpha) -> list[Fraction]:
     return _d_sequence(n, Fraction(alpha), Fraction(1))
 
 
+class _ExactTerms:
+    """Read-only view of d_sequence_exact(n, alpha) that normalises a term only when read.
+
+    With alpha = p/q in lowest terms and S = q**(2*(n//2)), every S d_k for
+    k <= n is an integer (d_k is a sum of integer multiples of alpha^(2m)
+    with m <= n//2), so running the shared recursion from one = S keeps
+    every intermediate an integer and every gcd cheap.  term[k] is the
+    Fraction S d_k / S in lowest terms, the same value d_sequence_exact
+    holds at k, built on first read and kept.  len() is n + 1, and k
+    indexes as it would that list: a negative k counts from the end.
+    """
+
+    __slots__ = ("_scaled", "_scale", "_read")
+
+    def __init__(self, n: int, alpha) -> None:
+        _require_index(n)
+        a = Fraction(alpha)
+        self._scale = a.denominator ** (2 * (n // 2))
+        self._scaled = _d_sequence(n, a, self._scale)
+        self._read: dict[int, Fraction] = {}
+
+    def __len__(self) -> int:
+        return len(self._scaled)
+
+    def __getitem__(self, k: int) -> Fraction:
+        term = self._read.get(k)
+        if term is None:
+            term = self._read[k] = Fraction(self._scaled[k].numerator, self._scale)
+        return term
+
+
 def d_closed(n: int, alpha: float) -> float:
     """d_n(alpha) as the alternating sum over m of (-1)^m C(n-m, m) alpha^(2m).
 

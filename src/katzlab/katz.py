@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dpoly import _cycle_denominator, d_recursive, d_sequence, d_sequence_exact, ratio_constant
+from .dpoly import _cycle_denominator, _ExactTerms, d_recursive, d_sequence, ratio_constant
 from .graphs import GraphSpec, _checked_pair, require_admissible, spectral_radius
 from . import linalg
 
@@ -176,13 +176,14 @@ def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     alpha may be anything Fraction accepts and must land in (0, 1/2),
     where every d_k is positive for sure; this is the reference used to
     order consecutive convergence gaps once they drop below double
-    resolution.
+    resolution.  The d-terms run as scaled integers and only the three the
+    entry reads are reduced to lowest terms (README lists measured times).
     """
     i, j = _checked_pair(GraphSpec.path(n), i, j)
     a = Fraction(alpha)
     if not 0 < a < Fraction(1, 2):
         raise ValueError(f"exact evaluation needs 0 < alpha < 1/2, got {alpha}")
-    return _path_entry(d_sequence_exact(n, a), n, i, j, a)
+    return _path_entry(_ExactTerms(n, a), n, i, j, a)
 
 
 def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
@@ -194,7 +195,7 @@ def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
     a = Fraction(alpha)
     if not 0 < a < Fraction(1, 2):
         raise ValueError(f"exact evaluation needs 0 < alpha < 1/2, got {alpha}")
-    return _cycle_entry(d_sequence_exact(n - 1, a), n, min(j - i, n - (j - i)), a)
+    return _cycle_entry(_ExactTerms(n - 1, a), n, min(j - i, n - (j - i)), a)
 
 
 def katz_limit_path(i: int, j: int, alpha: float) -> float:

@@ -44,6 +44,50 @@ def test_sequence_exact_accepts_floats():
     assert all(abs(float(seq[n]) - dpoly.d_recursive(n, 0.3)) < 1e-14 for n in range(41))
 
 
+READER_SIZES = [0, 1, 2, 3, 10, 321]
+READER_ALPHAS = [Fraction(1, 5), Fraction(1, 2), 1e-5, 0.1, 0.3, 0.45, 0.499]
+
+
+@pytest.mark.parametrize("n", READER_SIZES)
+@pytest.mark.parametrize("alpha", READER_ALPHAS, ids=str)
+def test_exact_terms_read_the_exact_sequence(n, alpha):
+    terms = dpoly._ExactTerms(n, alpha)
+    got = [terms[k] for k in range(len(terms))]
+    want = dpoly.d_sequence_exact(n, alpha)
+    assert got == want
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("n", READER_SIZES)
+@pytest.mark.parametrize("alpha", READER_ALPHAS, ids=str)
+def test_exact_terms_scale_to_integers(n, alpha):
+    terms = dpoly._ExactTerms(n, alpha)
+    assert terms._scale == Fraction(alpha).denominator ** (2 * (n // 2))
+    assert len(terms._scaled) == n + 1
+    assert all(Fraction(t).denominator == 1 for t in terms._scaled)
+
+
+def test_exact_terms_index_like_the_list():
+    n, alpha = 10, 0.3
+    terms = dpoly._ExactTerms(n, alpha)
+    want = dpoly.d_sequence_exact(n, alpha)
+    assert len(terms) == len(want) == n + 1
+    assert [terms[-k] for k in range(1, n + 2)] == [want[-k] for k in range(1, n + 2)]
+    # a read is kept: the second read hands back the same object
+    assert terms[4] is terms[4]
+    for bad in (n + 1, -(n + 2)):
+        with pytest.raises(IndexError):
+            terms[bad]
+    assert len(dpoly._ExactTerms(0, 0.3)) == 1
+
+
+def test_exact_terms_validate_the_index():
+    with pytest.raises(ValueError):
+        dpoly._ExactTerms(-1, 0.3)
+    with pytest.raises(TypeError):
+        dpoly._ExactTerms(2.0, 0.3)
+
+
 @given(st.integers(min_value=0, max_value=80), decay)
 def test_closed_sum_matches_recursion(n, alpha):
     a = dpoly.d_closed(n, alpha)

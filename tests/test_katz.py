@@ -188,6 +188,53 @@ def test_exact_cycle_entry():
     assert float(value) == pytest.approx(katz.katz_cycle(7, 1, 3, 0.25), abs=1e-15)
 
 
+def list_route_path_exact(n, pairs, alpha):
+    """katz_path_exact at each (i, j) by the route it had before the exact-term reader.
+
+    That route read a fully normalised d_sequence_exact list; kept here as
+    the test-only reference, with one list per call instead of one per pair.
+    """
+    a = Fraction(alpha)
+    seq = dpoly.d_sequence_exact(n, a)
+    return [katz._path_entry(seq, n, i, j, a) for i, j in pairs]
+
+
+def list_route_cycle_exact(n, arcs, alpha):
+    """katz_cycle_exact at each arc length by the list route, as list_route_path_exact."""
+    a = Fraction(alpha)
+    seq = dpoly.d_sequence_exact(n - 1, a)
+    return [katz._cycle_entry(seq, n, k, a) for k in arcs]
+
+
+# one per size in the sweeps below, cycling, so every alpha meets many sizes
+EXACT_ALPHAS = [Fraction(1, 5), 1e-5, 0.1, 0.3, 0.45, 0.499]
+
+
+def test_exact_path_is_the_list_route_at_every_pair():
+    for n in range(2, 41):
+        alpha = EXACT_ALPHAS[n % len(EXACT_ALPHAS)]
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        got = [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs]
+        assert got == list_route_path_exact(n, pairs, alpha), (n, alpha)
+
+
+def test_exact_cycle_is_the_list_route_at_every_arc():
+    for n in range(3, 41):
+        alpha = EXACT_ALPHAS[n % len(EXACT_ALPHAS)]
+        arcs = range(n // 2 + 1)  # the diagonal is arc 0
+        got = [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs]
+        assert got == list_route_cycle_exact(n, arcs, alpha), (n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 5), 0.499], ids=str)
+def test_exact_routes_are_the_list_route_at_600(alpha):
+    n = 600
+    pairs = [(1, 1), (1, 2), (1, n), (2, 599), (300, 300), (300, 301), (n, n)]
+    assert [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs] == list_route_path_exact(n, pairs, alpha)
+    arcs = [0, 1, 2, 299, 300]
+    assert [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
+
+
 def test_exact_evaluators_validate():
     with pytest.raises(ValueError):
         katz.katz_path_exact(6, 1, 2, Fraction(1, 2))

@@ -5,10 +5,14 @@ before it moved to stacked eliminations and array checks, kept here as the
 test-only reference.  The array route must report the same check count, the
 same max_err and the same failure strings in the same order, on the real
 grids and with faults injected into the functions under test.
+``reference_limit_convergence`` is likewise the suite as it was before it
+read its exact d-terms through ``dpoly._ExactTerms``: one fully normalised
+``d_sequence_exact`` list per alpha.
 """
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,6 +211,34 @@ def reference_path_agreement_below_cutoff(level):
     return res
 
 
+def reference_limit_convergence(level):
+    res = SuiteResult("katz entries converge to their limits", 1e-8)
+    n_list = (10, 20, 40, 80, 160, 320)
+    for alpha in (0.1, 0.3, 0.45):
+        exact_alpha = Fraction(alpha)
+        seq = dpoly.d_sequence_exact(n_list[-1], exact_alpha)
+        for i, j in ((1, 2), (2, 5), (3, 3)):
+            limit = katz.katz_limit_path(i, j, alpha)
+            res.record(abs(katz.katz_path(320, i, j, alpha) - limit), f"path ({i},{j}) alpha={alpha}")
+            exact = [katz._path_entry(seq, n, i, j, exact_alpha) for n in n_list]
+            res.check(
+                all(a < b for a, b in zip(exact, exact[1:])),
+                f"path ({i},{j}) alpha={alpha}: entries not strictly climbing to the limit",
+            )
+        for offset in (1, 2, 3):
+            limit = katz.katz_limit_cycle(offset, alpha)
+            res.record(
+                abs(katz.katz_cycle(320, 1, 1 + offset, alpha) - limit),
+                f"cycle offset {offset} alpha={alpha}",
+            )
+            exact = [katz._cycle_entry(seq, n, offset, exact_alpha) for n in n_list]
+            res.check(
+                all(a > b for a, b in zip(exact, exact[1:])),
+                f"cycle offset {offset} alpha={alpha}: entries not strictly descending to the limit",
+            )
+    return res
+
+
 REFERENCES = {
     verify.suite_d_recursion_vs_closed: reference_d_recursion_vs_closed,
     verify.suite_d_splitting: reference_d_splitting,
@@ -372,6 +404,47 @@ def test_array_suite_matches_scalar_loop_under_fault(fault, suite, monkeypatch):
     want = REFERENCES[suite]("quick")
     got = suite("quick")
     assert len(want.failures) >= 2
+    assert_same(got, want)
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_limit_convergence_matches_list_route(level):
+    want = reference_limit_convergence(level)
+    got = verify.suite_limit_convergence(level)
+    assert want.passed
+    assert_same(got, want)
+    assert repr(got.max_err) == repr(want.max_err)
+
+
+def _exact_entry_nudged_at_80(original, shift):
+    """A katz entry body whose exact (Fraction) value at n = 80 moves by shift; floats pass through."""
+
+    def nudged(seq, n, *args):
+        value = original(seq, n, *args)
+        return value + shift if n == 80 and isinstance(value, Fraction) else value
+
+    return nudged
+
+
+# 1e-12 dwarfs every exact gap between n = 80 and n = 160 at these alphas
+# (the largest, on the cycle at 0.45, is about 3e-16); the float entries
+# the suite compares with the limits are left alone
+LIMIT_FAULTS = {
+    "_path_entry": (Fraction(1, 10**12), "not strictly climbing"),
+    "_cycle_entry": (-Fraction(1, 10**12), "not strictly descending"),
+}
+
+
+@pytest.mark.parametrize("name", list(LIMIT_FAULTS))
+def test_limit_convergence_fails_when_exact_order_breaks(name, monkeypatch):
+    shift, message = LIMIT_FAULTS[name]
+    monkeypatch.setattr(katz, name, _exact_entry_nudged_at_80(getattr(katz, name), shift))
+    want = reference_limit_convergence("quick")
+    got = verify.suite_limit_convergence("quick")
+    # three entries at each of the three alphas, and nothing else
+    assert len(got.failures) == 9
+    assert all(message in failure for failure in got.failures)
+    assert got.max_err == 1.0
     assert_same(got, want)
 
 
