@@ -25,13 +25,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import katz, ordering
 from .dpoly import INV_SQRT5
-from .graphs import FAMILIES, GraphSpec, graph_distance, pair_columns, require_admissible, resistance
+from .graphs import FAMILIES, GraphSpec, graph_distance, require_admissible, resistance, span_columns
 from .linalg import SingularMatrixError
 from .verify import run_suites
 
@@ -47,6 +47,10 @@ NUMERIC_RANGE_ERRORS = (
 
 DEFAULT_SCATTER_ALPHAS = (0.2, 0.3, 0.46)
 DEFAULT_CONVERGE_SIZES = (10, 20, 40, 80, 160, 320)
+
+# Rows per text block handed to _write_csv: bounds the block's text and
+# index arrays whatever n is.
+SCATTER_BLOCK_ROWS = 32768
 
 
 def _real(x: float) -> str:
@@ -67,15 +71,20 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _real_cells(values: np.ndarray) -> list[str]:
-    """[_real(x) for x in values], formatting each distinct float once.
+def _real_table(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The _real cell of each distinct float in values, and per value the index of its cell.
 
     Values are grouped by their bit pattern, so 0.0 and -0.0 (or two NaN
     payloads) are never merged and every cell is exactly its own _real.
     """
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    cells = np.array([_real(x) for x in keys.view(np.float64).tolist()], dtype=object)
-    return cells[inverse].tolist()
+    return [_real(x) for x in keys.view(np.float64).tolist()], inverse
+
+
+def _real_cells(values: np.ndarray) -> list[str]:
+    """[_real(x) for x in values], formatting each distinct float once."""
+    cells, inverse = _real_table(values)
+    return np.array(cells, dtype=object)[inverse].tolist()
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -89,28 +98,46 @@ def _write_csv(path: str, header: list[str], blocks: Iterable[str]) -> None:
         fh.writelines(blocks)
 
 
-def _scatter_block(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray, pair_cells: list[str]) -> str:
-    """The scatter rows of one alpha as one text block."""
-    kmat = katz.katz_path_matrix(g.n, alpha) if g.is_path else katz.katz_cycle_matrix(g.n, alpha)
-    alpha_cell = _real(alpha)
-    katz_cells = _real_cells(kmat[i - 1, j - 1])
-    return "".join([f"{alpha_cell},{cells}{k}\n" for cells, k in zip(pair_cells, katz_cells)])
+def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
+    """The scatter rows, alpha by alpha in g.pairs() order, at most SCATTER_BLOCK_ROWS to a block.
+
+    A row is four cells from small per-graph tables: the "alpha,i," head,
+    the "j," label, the "distance,resistance," cells of its span j - i and
+    the Katz cell with its line end, one per distinct value.  A block is one
+    object-array gather from the tables and one join.
+    """
+    n = g.n
+    i, j = np.triu_indices(n, k=1)  # vertices minus 1, in g.pairs() order
+    distance, resist = span_columns(g, graph_distance, resistance)
+    # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells
+    labels = [f"{v}," for v in range(2, n + 1)]
+    spans = [f"{d},{r}," for d, r in zip(distance.tolist(), _real_cells(resist))]
+    for alpha in alphas:
+        kmat = katz.katz_path_matrix(n, alpha) if g.is_path else katz.katz_cycle_matrix(n, alpha)
+        katz_cells, katz_index = _real_table(kmat[i, j])
+        del kmat
+        alpha_cell = _real(alpha)
+        heads = [f"{alpha_cell},{v}," for v in range(1, n)]
+        table = np.array(heads + labels + spans + [cell + "\n" for cell in katz_cells], dtype=object)
+        del katz_cells
+        for lo in range(0, len(i), SCATTER_BLOCK_ROWS):
+            block = slice(lo, lo + SCATTER_BLOCK_ROWS)
+            ib, jb = i[block], j[block]
+            index = np.empty((len(ib), 4), dtype=np.intp)
+            index[:, 0] = ib
+            index[:, 1] = jb + (n - 2)
+            index[:, 2] = jb - ib + (2 * n - 3)
+            index[:, 3] = katz_index[block] + 3 * (n - 1)
+            yield "".join(table[index].ravel().tolist())
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
     g = GraphSpec(args.family, args.n)
+    katz.require_matrix_size(g.n)
     alphas = sorted(args.alpha)
     for alpha in alphas:
         require_admissible(alpha, g)
-    i, j, distance, resist = pair_columns(g, graph_distance, resistance)
-    labels = [str(v) for v in range(g.n + 1)]
-    # the alpha-independent middle of each row, formatted once per graph
-    pair_cells = [
-        f"{labels[a]},{labels[b]},{labels[d]},{r},"
-        for a, b, d, r in zip(i.tolist(), j.tolist(), distance.tolist(), _real_cells(resist))
-    ]
-    blocks = (_scatter_block(g, alpha, i, j, pair_cells) for alpha in alphas)
-    _write_csv(args.out, ["alpha", "i", "j", "distance", "resistance", "katz"], blocks)
+    _write_csv(args.out, ["alpha", "i", "j", "distance", "resistance", "katz"], _scatter_blocks(g, alphas))
     return 0
 
 
@@ -241,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scatter = sub.add_parser("scatter", help="per-pair metric table for scatter plots")
     scatter.add_argument("--family", choices=FAMILIES, required=True)
-    scatter.add_argument("--n", type=int, required=True, help="number of vertices")
+    scatter.add_argument("--n", type=int, required=True, help=f"number of vertices (at most {katz.MATRIX_MAX_N})")
     scatter.add_argument(
         "--alpha",
         type=_alpha_list,

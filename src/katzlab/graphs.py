@@ -164,6 +164,15 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
     return k * (g.n - k) / g.n
 
 
+def span_columns(g: GraphSpec, *metrics) -> tuple[np.ndarray, ...]:
+    """Each metric(g, 1, 1 + s) for the spans s = 1..n-1, as arrays in that order.
+
+    For a metric that depends on a pair only through its span j - i, entry
+    s - 1 is its value at every pair of span s.
+    """
+    return tuple(np.array([metric(g, 1, 2 + s) for s in range(g.n - 1)]) for metric in metrics)
+
+
 def pair_columns(g: GraphSpec, *metrics) -> tuple[np.ndarray, ...]:
     """Labels i, j of g.pairs() and each metric(g, i, j), as arrays in that order.
 
@@ -174,8 +183,7 @@ def pair_columns(g: GraphSpec, *metrics) -> tuple[np.ndarray, ...]:
     """
     i, j = np.triu_indices(g.n, k=1)
     span_index = j - i - 1
-    columns = (np.array([metric(g, 1, 2 + s) for s in range(g.n - 1)])[span_index] for metric in metrics)
-    return (i + 1, j + 1, *columns)
+    return (i + 1, j + 1, *(column[span_index] for column in span_columns(g, *metrics)))
 
 
 @functools.lru_cache(maxsize=1)

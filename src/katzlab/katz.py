@@ -25,9 +25,26 @@ from . import linalg
 
 SERIES_ITERATION_CAP = 100000
 
+# Largest n of katz_path_matrix and katz_cycle_matrix: an n x n float64
+# array of at most 128 MiB.
+MATRIX_MAX_N = 4096
+
 
 class SeriesDivergenceError(RuntimeError):
     """The walk series did not meet its tolerance within the iteration cap."""
+
+
+class MatrixSizeError(ValueError):
+    """n exceeds MATRIX_MAX_N, the size limit of the n x n Katz matrices."""
+
+
+def require_matrix_size(n: int) -> None:
+    """Validate n <= MATRIX_MAX_N, before anything of size n x n is allocated."""
+    if n > MATRIX_MAX_N:
+        raise MatrixSizeError(
+            f"n = {n} exceeds the Katz matrix limit MATRIX_MAX_N = {MATRIX_MAX_N} "
+            f"(an n x n float64 array of at most {8 * MATRIX_MAX_N**2 >> 20} MiB)"
+        )
 
 
 def _path_entry(seq, n: int, i: int, j: int, alpha):
@@ -90,8 +107,12 @@ def katz_cycle(n: int, i: int, j: int, alpha: float, strict: bool = False) -> fl
 
 
 def katz_path_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
-    """Full closed-form Katz matrix for the path, diagonal included."""
+    """Full closed-form Katz matrix for the path, diagonal included.
+
+    n may not exceed MATRIX_MAX_N (MatrixSizeError).
+    """
     g = GraphSpec.path(n)
+    require_matrix_size(n)
     require_admissible(alpha, g, strict)
     seq = np.array(d_sequence(n, alpha))
     idx = np.arange(1, n + 1)
@@ -105,20 +126,27 @@ def katz_path_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
 def katz_cycle_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
     """Full closed-form Katz matrix for the cycle (n >= 3), diagonal included.
 
-    The diagonal equals :func:`katz_cycle` bit for bit.  Off it, numpy's
+    The matrix is circulant: entry (i, j) depends only on the span
+    (j - i) mod n, through the arc length min(span, n - span).  Its first
+    row is evaluated once per span and every row is a rotation of it.  The
+    diagonal equals :func:`katz_cycle` bit for bit.  Off it, numpy's
     vectorised alpha**k may round a power an ulp or two away from Python's,
-    so the two routes can differ in the last bits.
+    so the two routes can differ in the last bits.  n may not exceed
+    MATRIX_MAX_N (MatrixSizeError).
     """
     g = GraphSpec.cycle(n)
+    require_matrix_size(n)
     require_admissible(alpha, g, strict)
     seq = np.array(d_sequence(n - 1, alpha))
-    idx = np.arange(1, n + 1)
-    span = np.abs(np.subtract.outer(idx, idx))
+    span = np.arange(n)
     k = np.minimum(span, n - span)
     # at k = 0 the numerator reads seq[-1] for d_{-1}; the diagonal is overwritten
-    out = _cycle_numerator(seq, n, k, alpha) / _cycle_denominator(seq, n, alpha)
-    np.fill_diagonal(out, _cycle_entry(seq, n, 0, alpha))
-    return out
+    row = _cycle_numerator(seq, n, k, alpha) / _cycle_denominator(seq, n, alpha)
+    row[0] = _cycle_entry(seq, n, 0, alpha)
+    # row i is row 0 rotated right by i: entry (i, j) is doubled[n - i + j]
+    doubled = np.concatenate((row, row))
+    step = doubled.itemsize
+    return np.ndarray((n, n), doubled.dtype, doubled, offset=n * step, strides=(-step, step)).copy()
 
 
 def _system(g: GraphSpec, alpha) -> np.ndarray:

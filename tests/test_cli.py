@@ -97,6 +97,45 @@ def test_scatter_matches_per_row_reference(tmp_path, family, n, alphas):
     assert out.read_bytes() == reference_scatter_text(family, n, alphas).encode()
 
 
+def block_size_for(pairs, remainder):
+    """The largest block size b with pairs = m b + remainder for some m >= 2."""
+    return max(b for b in range(1, pairs) if (pairs - remainder) % b == 0 and (pairs - remainder) // b >= 2)
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+@pytest.mark.parametrize("n", [10, 16])
+@pytest.mark.parametrize("remainder", [-1, 0, 1])
+@pytest.mark.parametrize("alphas", [list(cli.DEFAULT_SCATTER_ALPHAS), [0.3, 0.1, 0.3]])
+def test_scatter_bytes_across_row_blocks(tmp_path, monkeypatch, family, n, remainder, alphas):
+    # P pairs per alpha: a multiple of the block, one short of one, one past one
+    block = block_size_for(n * (n - 1) // 2, remainder)
+    monkeypatch.setattr(cli, "SCATTER_BLOCK_ROWS", block)
+    out = tmp_path / "scatter.csv"
+    argv = ["scatter", "--family", family, "--n", str(n), "--alpha", ",".join(map(repr, alphas)), "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_bytes() == reference_scatter_text(family, n, alphas).encode()
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_scatter_bytes_across_real_row_blocks(tmp_path, family):
+    n = 300
+    assert n * (n - 1) // 2 > cli.SCATTER_BLOCK_ROWS
+    out = tmp_path / "scatter.csv"
+    assert run(["scatter", "--family", family, "--n", str(n), "--out", str(out)]) == 0
+    assert out.read_bytes() == reference_scatter_text(family, n, cli.DEFAULT_SCATTER_ALPHAS).encode()
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_scatter_rejects_n_above_the_matrix_cap(tmp_path, capsys, family):
+    out = tmp_path / "scatter.csv"
+    rc = run(["scatter", "--family", family, "--n", str(katz.MATRIX_MAX_N + 1), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MATRIX_MAX_N" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan, 1.0, 0.3]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from katzlab import dpoly, katz
 from katzlab.graphs import AdmissibilityError, GraphSpec, spectral_radius
+from katzlab.verify import katz_grid
 
 
 def test_path_worked_values():
@@ -140,6 +142,49 @@ def test_cycle_matrix_is_the_scalar_route_on_a_grid(alpha):
         scalar = [katz.katz_cycle(n, 1, 1 + k, alpha) for k in range(n)]
         assert first[0] == scalar[0]
         np.testing.assert_allclose(first, scalar, rtol=1e-15, atol=0.0)
+
+
+def reference_cycle_matrix(n, alpha):
+    """The closed form evaluated at the arc length of every one of the n^2 entries."""
+    seq = np.array(dpoly.d_sequence(n - 1, alpha))
+    idx = np.arange(1, n + 1)
+    span = np.abs(np.subtract.outer(idx, idx))
+    k = np.minimum(span, n - span)
+    out = katz._cycle_numerator(seq, n, k, alpha) / dpoly._cycle_denominator(seq, n, alpha)
+    np.fill_diagonal(out, katz._cycle_entry(seq, n, 0, alpha))
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(3, 81), 250, 401])
+def test_cycle_matrix_is_the_per_entry_route_bit_for_bit(n):
+    for alpha in katz_grid(GraphSpec.cycle(n)) + [0.02, 0.49]:
+        got = katz.katz_cycle_matrix(n, alpha)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got.view(np.int64), reference_cycle_matrix(n, alpha).view(np.int64)), alpha
+
+
+def test_cycle_matrix_peak_memory_is_its_output():
+    n = 1000
+    tracemalloc.start()
+    try:
+        katz.katz_cycle_matrix(n, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n
+
+
+@pytest.mark.parametrize("build", [katz.katz_path_matrix, katz.katz_cycle_matrix])
+def test_matrix_size_cap_is_checked_before_allocation(build):
+    assert issubclass(katz.MatrixSizeError, ValueError)
+    tracemalloc.start()
+    try:
+        with pytest.raises(katz.MatrixSizeError, match="MATRIX_MAX_N"):
+            build(katz.MATRIX_MAX_N + 1, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_series_oracle_matches_inverse():
