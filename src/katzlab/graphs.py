@@ -107,6 +107,16 @@ def require_admissible(value: float, g: GraphSpec, strict: bool = False) -> floa
     return float(value)
 
 
+def _admissible_alphas(alpha, g: GraphSpec) -> list:
+    """The alphas of a number or a 1-D sequence, every one checked admissible for g up front."""
+    if np.ndim(alpha) > 1:
+        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
+    alphas = list(alpha) if np.ndim(alpha) else [alpha]
+    for value in alphas:
+        require_admissible(value, g)
+    return alphas
+
+
 def spectral_radius(g: GraphSpec) -> float:
     """2 cos(pi/(n+1)) for paths; exactly 2 for cycles."""
     if g.is_path:

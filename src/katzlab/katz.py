@@ -8,9 +8,10 @@ independent brute-force oracles (dense inverse and truncated walk series),
 and the n -> infinity limits of individual entries.
 
 Each closed form is written once and evaluated in whatever arithmetic its
-inputs carry: floats for the public entries, numpy arrays for the
-matrices, Fractions for the exact routes.  The cycle forms cover every
-n >= 3, diagonal included; only the oracles touch dense linear algebra.
+inputs carry: floats for the public entries, Fractions for the exact
+routes.  The matrices hold the float entries bit for bit, with every power
+of alpha taken by Python's pow.  The cycle forms cover every n >= 3,
+diagonal included; only the oracles touch dense linear algebra.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dpoly import _cycle_denominator, _ExactTerms, d_recursive, d_sequence, ratio_constant
-from .graphs import GraphSpec, _checked_pair, require_admissible, spectral_radius
+from .graphs import GraphSpec, _admissible_alphas, _checked_pair, require_admissible, spectral_radius
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
@@ -48,31 +49,37 @@ def require_matrix_size(n: int) -> None:
 
 
 def _path_entry(seq, n: int, i: int, j: int, alpha):
-    """Path entry (i <= j) from seq = [d_0, ..., d_n]; floats or Fractions."""
-    core = seq[i - 1] * seq[n - j] / seq[n]
+    """Path entry (i <= j) from seq = [d_0, ..., d_n]; floats or Fractions.
+
+    Off the diagonal, alpha^(j-i) (d_{i-1} d_{n-j} / d_n).  The diagonal
+    d_{i-1} d_{n-i} / d_n - 1 is evaluated as
+    alpha^2 (d_{i-1} d_{n-i-1} + d_{i-2} d_{n-i}) / d_n with d_{-1} = 0, the
+    same rational value by the recursion, so small alpha loses no digits to
+    the cancellation of a ratio near 1 against the 1.
+    """
     if i == j:
-        return core - 1
-    return alpha ** (j - i) * core
+        before = seq[i - 2] if i > 1 else 0
+        after = seq[n - i - 1] if i < n else 0
+        return alpha * alpha * (seq[i - 1] * after + before * seq[n - i]) / seq[n]
+    return alpha ** (j - i) * (seq[i - 1] * seq[n - j] / seq[n])
 
 
-def _cycle_numerator(seq, n: int, k, alpha):
-    """alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1} for arc length k >= 1 (an int or an int array)."""
+def _cycle_numerator(seq, n: int, k: int, alpha):
+    """Numerator of the cycle entry at arc length k from seq = [d_0, ..., d_{n-1}].
+
+    alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1} for k >= 1.  At k = 0 the
+    adjugate numerator d_{n-1} less the identity's share D_n, taken
+    symbolically: 2 alpha^n + 2 alpha^2 d_{n-2}, so small alpha loses no
+    digits to cancellation on the diagonal.
+    """
+    if k == 0:
+        return 2 * alpha**n + 2 * alpha * alpha * seq[n - 2]
     return alpha**k * seq[n - k - 1] + alpha ** (n - k) * seq[k - 1]
 
 
 def _cycle_entry(seq, n: int, k: int, alpha):
-    """Cycle entry at arc length k from seq = [d_0, ..., d_{n-1}]; floats or Fractions.
-
-    k = 0 is the diagonal d_{n-1}/D_n - 1: the adjugate formula, that is the
-    numerator at k = 0 with d_{-1} = 0, minus the identity.  It is evaluated
-    as (2 alpha^n + 2 alpha^2 d_{n-2}) / D_n, the same rational value with
-    d_{n-1} - D_n taken symbolically, so small alpha loses no digits to the
-    cancellation of a ratio near 1 against the 1.
-    """
-    denominator = _cycle_denominator(seq, n, alpha)
-    if k == 0:
-        return (2 * alpha**n + 2 * alpha * alpha * seq[n - 2]) / denominator
-    return _cycle_numerator(seq, n, k, alpha) / denominator
+    """Cycle entry at arc length k from seq = [d_0, ..., d_{n-1}]; floats or Fractions."""
+    return _cycle_numerator(seq, n, k, alpha) / _cycle_denominator(seq, n, alpha)
 
 
 def katz_path(n: int, i: int, j: int, alpha: float, strict: bool = False) -> float:
@@ -80,7 +87,8 @@ def katz_path(n: int, i: int, j: int, alpha: float, strict: bool = False) -> flo
 
     For i < j: alpha^(j-i) d_{i-1} d_{n-j} / d_n.  For i = j the same
     product without the power, minus 1 (the diagonal of (I - alpha A)^(-1)
-    carries the identity, which the walk sum excludes).
+    carries the identity, which the walk sum excludes), evaluated as
+    alpha^2 (d_{i-1} d_{n-i-1} + d_{i-2} d_{n-i}) / d_n with d_{-1} = 0.
 
     With strict=True, alpha is confined to (0, 0.5); the default admits the
     full interval (0, 1/rho), which for short paths stretches above 0.5.
@@ -109,17 +117,27 @@ def katz_cycle(n: int, i: int, j: int, alpha: float, strict: bool = False) -> fl
 def katz_path_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
     """Full closed-form Katz matrix for the path, diagonal included.
 
-    n may not exceed MATRIX_MAX_N (MatrixSizeError).
+    Every entry is :func:`katz_path` bit for bit: the same operations on
+    the same operands, with alpha^(j-i) read from one table of Python
+    powers.  n may not exceed MATRIX_MAX_N (MatrixSizeError).
     """
     g = GraphSpec.path(n)
     require_matrix_size(n)
     require_admissible(alpha, g, strict)
-    seq = np.array(d_sequence(n, alpha))
-    idx = np.arange(1, n + 1)
-    lo = np.minimum.outer(idx, idx)
-    hi = np.maximum.outer(idx, idx)
-    out = alpha ** (hi - lo) * seq[lo - 1] * seq[n - hi] / seq[n]
-    np.fill_diagonal(out, np.diag(out) - 1.0)
+    padded = np.array([0.0] + d_sequence(n, alpha))  # padded[k + 1] = d_k, d_{-1} = 0
+    seq = padded[1:]
+    powers = np.array([alpha**k for k in range(n)])
+    idx = np.arange(n)
+    lo = np.minimum.outer(idx, idx)  # i - 1 of the pair i <= j
+    hi = np.maximum.outer(idx, idx)  # j - 1
+    out = powers[hi - lo]
+    core = seq[lo]
+    del lo  # with hi reused in place, at most four n x n arrays are live
+    core *= seq[np.subtract(n - 1, hi, out=hi)]  # d_{n-j}
+    core /= seq[n]
+    out *= core
+    before, after = padded[:n], padded[n - 1 :: -1]  # d_{i-2} and d_{n-i-1} for i = 1..n
+    np.fill_diagonal(out, alpha * alpha * (seq[:n] * after + before * seq[n - 1 :: -1]) / seq[n])
     return out
 
 
@@ -127,23 +145,21 @@ def katz_cycle_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
     """Full closed-form Katz matrix for the cycle (n >= 3), diagonal included.
 
     The matrix is circulant: entry (i, j) depends only on the span
-    (j - i) mod n, through the arc length min(span, n - span).  Its first
-    row is evaluated once per span and every row is a rotation of it.  The
-    diagonal equals :func:`katz_cycle` bit for bit.  Off it, numpy's
-    vectorised alpha**k may round a power an ulp or two away from Python's,
-    so the two routes can differ in the last bits.  n may not exceed
-    MATRIX_MAX_N (MatrixSizeError).
+    (j - i) mod n, through the arc length k = min(span, n - span).  Its
+    first row holds the numerator of each k = 0..n//2 over the one shared
+    denominator, mirrored, and every row is a rotation of it, so every
+    entry is :func:`katz_cycle` bit for bit.  n may not exceed MATRIX_MAX_N
+    (MatrixSizeError).
     """
     g = GraphSpec.cycle(n)
     require_matrix_size(n)
     require_admissible(alpha, g, strict)
-    seq = np.array(d_sequence(n - 1, alpha))
-    span = np.arange(n)
-    k = np.minimum(span, n - span)
-    # at k = 0 the numerator reads seq[-1] for d_{-1}; the diagonal is overwritten
-    row = _cycle_numerator(seq, n, k, alpha) / _cycle_denominator(seq, n, alpha)
-    row[0] = _cycle_entry(seq, n, 0, alpha)
-    # row i is row 0 rotated right by i: entry (i, j) is doubled[n - i + j]
+    seq = d_sequence(n - 1, alpha)
+    half = np.array([_cycle_numerator(seq, n, k, alpha) for k in range(n // 2 + 1)])
+    half /= _cycle_denominator(seq, n, alpha)
+    # row 0 is half mirrored (span n - k reads arc k); row i is row 0 rotated
+    # right by i, so entry (i, j) is doubled[n - i + j]
+    row = np.concatenate((half, half[(n - 1) // 2 : 0 : -1]))
     doubled = np.concatenate((row, row))
     step = doubled.itemsize
     return np.ndarray((n, n), doubled.dtype, doubled, offset=n * step, strides=(-step, step)).copy()
@@ -154,10 +170,7 @@ def _system(g: GraphSpec, alpha) -> np.ndarray:
 
     Every alpha must be admissible for g.
     """
-    if np.ndim(alpha) > 1:
-        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
-    for value in alpha if np.ndim(alpha) else [alpha]:
-        require_admissible(value, g)
+    _admissible_alphas(alpha, g)
     system = np.asarray(alpha, dtype=float)[..., None, None] * g.adjacency()
     return np.subtract(np.eye(g.n), system, out=system)
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dpoly import INV_SQRT5, d_sequence
-from .graphs import GraphSpec, VertexPair, graph_distance, pair_columns, require_admissible, resistance
+from .graphs import GraphSpec, VertexPair, _admissible_alphas, graph_distance, pair_columns, resistance
 from .katz import _cycle_numerator, katz_cycle_matrix, katz_path, katz_path_matrix
 
 KATZ = "katz"
@@ -80,16 +80,6 @@ class AgreementReport:
 
     def all_agree(self) -> bool:
         return self.katz_vs_resistance and self.katz_vs_distance and self.resistance_vs_distance
-
-
-def _alphas(g: GraphSpec, alpha) -> list:
-    """The alphas of a number or a 1-D sequence, every one checked admissible for g up front."""
-    if np.ndim(alpha) > 1:
-        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
-    alphas = list(alpha) if np.ndim(alpha) else [alpha]
-    for value in alphas:
-        require_admissible(value, g)
-    return alphas
 
 
 def _katz_scores(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -181,7 +171,7 @@ def class_structures_match(g: GraphSpec, alpha, tol: float = TIE_TOL):
     For a 1-D sequence of alphas, the list of results, one per alpha; the
     resistance and distance classes are found once per call.
     """
-    alphas = _alphas(g, alpha)
+    alphas = _admissible_alphas(alpha, g)
     i, j, scores = _pair_table(g)
     reference = _class_of_pair(RESISTANCE, scores[RESISTANCE], tol)
     fixed_match = np.array_equal(_class_of_pair(DISTANCE, scores[DISTANCE], tol), reference)
@@ -226,7 +216,7 @@ def agreement(g: GraphSpec, alpha):
     columns and the resistance-vs-distance inversion are found once per
     call, and only the Katz scores and their two inversions once per alpha.
     """
-    alphas = _alphas(g, alpha)
+    alphas = _admissible_alphas(alpha, g)
     i, j, scores = _pair_table(g)
     # resistance and distance scores are their own keys (smaller is better)
     fixed_inversion = _first_inversion(scores[RESISTANCE], scores[DISTANCE])

@@ -34,7 +34,7 @@ def test_scatter_row_order_and_formats(tmp_path):
     out = tmp_path / "scatter.csv"
     run(["scatter", "--family", "path", "--n", "10", "--out", str(out)])
     lines = read_lines(out)
-    assert lines[1] == "2.0000000000000001e-01,1,2,1,1.0000000000000000e+00,2.1780381305187715e-01"
+    assert lines[1] == "2.0000000000000001e-01,1,2,1,1.0000000000000000e+00,2.1780381305187713e-01"
     alphas = [float(line.split(",")[0]) for line in lines[1:]]
     assert alphas == sorted(alphas)
     first_block = [tuple(map(int, line.split(",")[1:3])) for line in lines[1:46]]
@@ -95,6 +95,18 @@ def test_scatter_matches_per_row_reference(tmp_path, family, n, alphas):
     argv = ["scatter", "--family", family, "--n", str(n), "--alpha", ",".join(map(repr, alphas)), "--out", str(out)]
     assert run(argv) == 0
     assert out.read_bytes() == reference_scatter_text(family, n, alphas).encode()
+
+
+@pytest.mark.parametrize("family, n", [("path", 2), ("path", 10), ("path", 57), ("cycle", 3), ("cycle", 10),
+                                       ("cycle", 57)])
+def test_scatter_katz_cells_are_the_scalar_route(tmp_path, family, n):
+    out = tmp_path / "scatter.csv"
+    assert run(["scatter", "--family", family, "--n", str(n), "--out", str(out)]) == 0
+    route = katz.katz_path if family == "path" else katz.katz_cycle
+    rows = [line.split(",") for line in read_lines(out)[1:]]
+    assert len(rows) == len(cli.DEFAULT_SCATTER_ALPHAS) * n * (n - 1) // 2
+    for alpha, i, j, _, _, cell in rows:
+        assert cell == cli._real(route(n, int(i), int(j), float(alpha))), (alpha, i, j)
 
 
 def block_size_for(pairs, remainder):

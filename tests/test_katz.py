@@ -113,7 +113,34 @@ def test_path_matrix_matches_scalar_route():
     mat = katz.katz_path_matrix(n, alpha)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            assert mat[i - 1, j - 1] == pytest.approx(katz.katz_path(n, i, j, alpha), rel=1e-13)
+            assert mat[i - 1, j - 1] == katz.katz_path(n, i, j, alpha)
+
+
+def scalar_rows(route, n, alpha, rows):
+    """route(n, i, j, alpha) at every j of each row i, as float64 bits."""
+    return np.array([[route(n, i, j, alpha) for j in range(1, n + 1)] for i in rows]).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [*range(2, 81, 3), 80, 250, 401])
+def test_path_matrix_is_the_per_entry_route_bit_for_bit(n):
+    # katz_path at every entry of rows 1, n//2 + 1 and n and along the
+    # diagonal (every entry for n <= 10)
+    rows = sorted({1, n // 2 + 1, n}) if n > 10 else range(1, n + 1)
+    for alpha in katz_grid(GraphSpec.path(n)) + [0.02, 0.49]:
+        got = katz.katz_path_matrix(n, alpha)
+        assert np.array_equal(got[np.array(rows) - 1].view(np.int64), scalar_rows(katz.katz_path, n, alpha, rows))
+        diagonal = [katz.katz_path(n, i, i, alpha) for i in range(1, n + 1)]
+        assert np.array_equal(np.diag(got).view(np.int64), np.array(diagonal).view(np.int64)), alpha
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-3, 0.3, 0.46])
+@pytest.mark.parametrize("n", [2, 10, 40])
+def test_path_diagonal_keeps_relative_accuracy(n, alpha):
+    # alpha^2 (d_{i-1} d_{n-i-1} + d_{i-2} d_{n-i}) / d_n has no cancellation;
+    # d_{i-1} d_{n-i} / d_n - 1 was 8.2e-8 relative off at (10, 3, 3, 1e-5)
+    for i in sorted({1, 3, n // 2, n} & set(range(1, n + 1))):
+        exact = katz.katz_path_exact(n, i, i, alpha)
+        assert abs(Fraction(katz.katz_path(n, i, i, alpha)) - exact) <= Fraction(1e-15) * exact, i
 
 
 def test_cycle_matrix_matches_scalar_route_off_diagonal():
@@ -130,9 +157,8 @@ def test_cycle_matrix_matches_scalar_route_off_diagonal():
 
 @pytest.mark.parametrize("alpha", [0.02, 0.2, 0.3, 0.46, 0.49])
 def test_cycle_matrix_is_the_scalar_route_on_a_grid(alpha):
-    # The matrix holds one value per arc class and its diagonal is the scalar
-    # route bit for bit.  Off the diagonal, numpy's vectorised alpha**k may
-    # round a power an ulp or two away from Python's pow.
+    # The matrix holds one value per arc class, and that value is the scalar
+    # route bit for bit.
     for n in range(3, 41):
         mat = katz.katz_cycle_matrix(n, alpha)
         idx = np.arange(n)
@@ -140,27 +166,21 @@ def test_cycle_matrix_is_the_scalar_route_on_a_grid(alpha):
         assert np.array_equal(mat, first[(idx[None, :] - idx[:, None]) % n])
         assert np.array_equal(first[1:], first[:0:-1])
         scalar = [katz.katz_cycle(n, 1, 1 + k, alpha) for k in range(n)]
-        assert first[0] == scalar[0]
-        np.testing.assert_allclose(first, scalar, rtol=1e-15, atol=0.0)
-
-
-def reference_cycle_matrix(n, alpha):
-    """The closed form evaluated at the arc length of every one of the n^2 entries."""
-    seq = np.array(dpoly.d_sequence(n - 1, alpha))
-    idx = np.arange(1, n + 1)
-    span = np.abs(np.subtract.outer(idx, idx))
-    k = np.minimum(span, n - span)
-    out = katz._cycle_numerator(seq, n, k, alpha) / dpoly._cycle_denominator(seq, n, alpha)
-    np.fill_diagonal(out, katz._cycle_entry(seq, n, 0, alpha))
-    return out
+        assert np.array_equal(first.view(np.int64), np.array(scalar).view(np.int64))
 
 
 @pytest.mark.parametrize("n", [*range(3, 81), 250, 401])
 def test_cycle_matrix_is_the_per_entry_route_bit_for_bit(n):
+    # katz_cycle at every entry of rows 1 and n//2 + 1 (every row for
+    # n <= 10); every other row must be a rotation of row 1.
+    rows = [1, n // 2 + 1] if n > 10 else range(1, n + 1)
     for alpha in katz_grid(GraphSpec.cycle(n)) + [0.02, 0.49]:
         got = katz.katz_cycle_matrix(n, alpha)
         assert got.flags.c_contiguous and got.flags.writeable
-        assert np.array_equal(got.view(np.int64), reference_cycle_matrix(n, alpha).view(np.int64)), alpha
+        want = scalar_rows(katz.katz_cycle, n, alpha, rows)
+        assert np.array_equal(got[np.array(rows) - 1].view(np.int64), want), alpha
+        idx = np.arange(n)
+        assert np.array_equal(got.view(np.int64), want[0][(idx[None, :] - idx[:, None]) % n]), alpha
 
 
 def test_cycle_matrix_peak_memory_is_its_output():
