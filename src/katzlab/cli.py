@@ -154,39 +154,19 @@ def cmd_cutoff(args: argparse.Namespace) -> int:
         raise ValueError(f"tol must be positive, got {args.tol}")
     rows: list[list[str]] = []
     roots: list[float] = []
-    converged = 0
     nan = float("nan")
     for n in range(args.n_lo, args.n_hi + 1):
         try:
             result = ordering.cutoff_root(n, args.j, tol=args.tol)
         except ordering.BracketError:
-            rows.append([str(n), str(args.j), _real(nan), _real(nan), "0", _real(nan), "bracket_failure"])
-            continue
+            root, iterations, residual, status = nan, 0, nan, "bracket_failure"
         except ordering.BisectionDivergenceError:
-            rows.append(
-                [
-                    str(n),
-                    str(args.j),
-                    _real(nan),
-                    _real(nan),
-                    str(ordering.BISECTION_ITERATION_CAP),
-                    _real(nan),
-                    "no_convergence",
-                ]
-            )
-            continue
-        converged += 1
-        roots.append(result.root)
+            root, iterations, residual, status = nan, ordering.BISECTION_ITERATION_CAP, nan, "no_convergence"
+        else:
+            root, iterations, residual, status = result.root, result.iterations, result.residual, "ok"
+            roots.append(root)
         rows.append(
-            [
-                str(n),
-                str(args.j),
-                _real(result.root),
-                _real(result.root - INV_SQRT5),
-                str(result.iterations),
-                _real(result.residual),
-                "ok",
-            ]
+            [str(n), str(args.j), _real(root), _real(root - INV_SQRT5), str(iterations), _real(residual), status]
         )
     _write_csv(
         args.out,
@@ -195,7 +175,7 @@ def cmd_cutoff(args: argparse.Namespace) -> int:
     )
     monotone = all(a > b for a, b in zip(roots, roots[1:]))
     print(
-        f"cutoff j={args.j} n={args.n_lo}..{args.n_hi}: {converged}/{len(rows)} converged; "
+        f"cutoff j={args.j} n={args.n_lo}..{args.n_hi}: {len(roots)}/{len(rows)} converged; "
         f"roots monotone decreasing: {'yes' if monotone and roots else 'no'}"
     )
     return 0

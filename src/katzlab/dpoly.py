@@ -33,6 +33,16 @@ def _require_index(n: int) -> None:
         raise ValueError(f"index must be >= 0, got {n}")
 
 
+def _require_below_half(alpha) -> None:
+    """Validate 0 < alpha < 1/2, the interval on which every d_k is positive.
+
+    The d-polynomial bounds and the n -> infinity limits are proved there.
+    alpha is compared as given, so a Fraction is checked exactly; NaN fails.
+    """
+    if not 0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), where every d_k is positive; got {alpha}")
+
+
 def _d_sequence(n: int, alpha, one) -> list:
     """[d_0, ..., d_n] by d_k = d_{k-1} - alpha^2 d_{k-2}, in the arithmetic of alpha and one."""
     a2 = alpha * alpha
@@ -211,6 +221,5 @@ def ratio_constant(k: int, alpha: float) -> float:
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError(f"shift must be an integer, got {k!r}")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"ratio_constant needs alpha in (0, 0.5), got {alpha}")
+    _require_below_half(alpha)
     return ((1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0) ** k

@@ -21,6 +21,9 @@ PATH = "path"
 CYCLE = "cycle"
 FAMILIES = (PATH, CYCLE)
 
+_POWER_ITERATION_TOL = 1e-13
+_POWER_ITERATION_CAP = 200000
+
 
 class AdmissibilityError(ValueError):
     """The decay parameter lies outside the open interval (0, 1/rho(A))."""
@@ -89,21 +92,18 @@ class VertexPair:
         return cls(min(i, j), max(i, j))
 
 
-def require_admissible(value: float, g: GraphSpec, strict: bool = False) -> float:
-    """Validate 0 < value < 1/rho(A); with strict=True also require value < 1/2.
+def require_admissible(value: float, g: GraphSpec) -> float:
+    """Validate 0 < value < 1/rho(A).
 
-    The strict interval is the one on which the d-polynomial bounds (and the
-    limit formulas built on them) are proved; paths with small n admit decay
-    values above 1/2 that are fine for the closed forms but not for those
-    bounds.
+    For short paths the interval stretches above 1/2, where the closed
+    forms hold but the d-polynomial bounds and the limit formulas do not;
+    those routines check (0, 1/2) themselves.
     """
     bound = 1.0 / spectral_radius(g)
     if not 0.0 < value < bound:
         raise AdmissibilityError(
             f"alpha {value} is not admissible for {g.family}({g.n}): requires 0 < alpha < {bound:.6g}"
         )
-    if strict and not value < 0.5:
-        raise AdmissibilityError(f"alpha {value} rejected: this code path requires alpha < 0.5")
     return float(value)
 
 
@@ -124,7 +124,7 @@ def spectral_radius(g: GraphSpec) -> float:
     return 2.0
 
 
-def spectral_radius_oracle(g: GraphSpec, tol: float = 1e-13, max_iter: int = 200000) -> float:
+def spectral_radius_oracle(g: GraphSpec) -> float:
     """Largest adjacency eigenvalue by power iteration (Rayleigh quotient).
 
     Brute-force cross-check for :func:`spectral_radius`.  Iterates on
@@ -137,12 +137,12 @@ def spectral_radius_oracle(g: GraphSpec, tol: float = 1e-13, max_iter: int = 200
     # A strictly positive start vector has a component along the Perron vector.
     v = np.ones(g.n) / math.sqrt(g.n)
     lam = 2.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_ITERATION_CAP):
         w = shifted @ v
         v = w / math.sqrt(float(w @ w))
         lam = float(v @ (shifted @ v))
         residual = shifted @ v - lam * v
-        if math.sqrt(float(residual @ residual)) < tol:
+        if math.sqrt(float(residual @ residual)) < _POWER_ITERATION_TOL:
             break
     return lam - 2.0
 
@@ -167,10 +167,9 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
     Paths: equal to the hop distance (a series chain).  Cycles: the two arcs
     between the vertices act in parallel, k(n-k)/n for arc length k.
     """
-    i, j = _checked_pair(g, i, j)
+    k = graph_distance(g, i, j)
     if g.is_path:
-        return float(j - i)
-    k = min(j - i, g.n - (j - i))
+        return float(k)
     return k * (g.n - k) / g.n
 
 

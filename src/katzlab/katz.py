@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dpoly import _cycle_denominator, _ExactTerms, d_recursive, d_sequence, ratio_constant
-from .graphs import GraphSpec, _admissible_alphas, _checked_pair, require_admissible, spectral_radius
+from .dpoly import _cycle_denominator, _ExactTerms, _require_below_half, d_recursive, d_sequence, ratio_constant
+from .graphs import GraphSpec, _admissible_alphas, _checked_pair, graph_distance, require_admissible, spectral_radius
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
@@ -82,7 +82,7 @@ def _cycle_entry(seq, n: int, k: int, alpha):
     return _cycle_numerator(seq, n, k, alpha) / _cycle_denominator(seq, n, alpha)
 
 
-def katz_path(n: int, i: int, j: int, alpha: float, strict: bool = False) -> float:
+def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     """Closed-form Katz entry on the n-vertex path.
 
     For i < j: alpha^(j-i) d_{i-1} d_{n-j} / d_n.  For i = j the same
@@ -90,16 +90,16 @@ def katz_path(n: int, i: int, j: int, alpha: float, strict: bool = False) -> flo
     carries the identity, which the walk sum excludes), evaluated as
     alpha^2 (d_{i-1} d_{n-i-1} + d_{i-2} d_{n-i}) / d_n with d_{-1} = 0.
 
-    With strict=True, alpha is confined to (0, 0.5); the default admits the
-    full interval (0, 1/rho), which for short paths stretches above 0.5.
+    alpha may be anywhere in the admissible interval (0, 1/rho), which for
+    short paths stretches above 0.5.
     """
     g = GraphSpec.path(n)
-    require_admissible(alpha, g, strict)
+    require_admissible(alpha, g)
     i, j = _checked_pair(g, i, j)
     return _path_entry(d_sequence(n, alpha), n, i, j, alpha)
 
 
-def katz_cycle(n: int, i: int, j: int, alpha: float, strict: bool = False) -> float:
+def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     """Closed-form Katz entry on the n-vertex cycle, for every n >= 3.
 
     With k = min(j - i, n - (j - i)) the arc length and D_n the cycle
@@ -109,12 +109,12 @@ def katz_cycle(n: int, i: int, j: int, alpha: float, strict: bool = False) -> fl
     d_{n-1}/D_n - 1, evaluated as (2 alpha^n + 2 alpha^2 d_{n-2}) / D_n.
     """
     g = GraphSpec.cycle(n)
-    require_admissible(alpha, g, strict)
-    i, j = _checked_pair(g, i, j)
-    return _cycle_entry(d_sequence(n - 1, alpha), n, min(j - i, n - (j - i)), alpha)
+    require_admissible(alpha, g)
+    k = graph_distance(g, i, j)
+    return _cycle_entry(d_sequence(n - 1, alpha), n, k, alpha)
 
 
-def katz_path_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
+def katz_path_matrix(n: int, alpha: float) -> np.ndarray:
     """Full closed-form Katz matrix for the path, diagonal included.
 
     Every entry is :func:`katz_path` bit for bit: the same operations on
@@ -123,7 +123,7 @@ def katz_path_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
     """
     g = GraphSpec.path(n)
     require_matrix_size(n)
-    require_admissible(alpha, g, strict)
+    require_admissible(alpha, g)
     padded = np.array([0.0] + d_sequence(n, alpha))  # padded[k + 1] = d_k, d_{-1} = 0
     seq = padded[1:]
     powers = np.array([alpha**k for k in range(n)])
@@ -141,7 +141,7 @@ def katz_path_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
     return out
 
 
-def katz_cycle_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
+def katz_cycle_matrix(n: int, alpha: float) -> np.ndarray:
     """Full closed-form Katz matrix for the cycle (n >= 3), diagonal included.
 
     The matrix is circulant: entry (i, j) depends only on the span
@@ -153,7 +153,7 @@ def katz_cycle_matrix(n: int, alpha: float, strict: bool = False) -> np.ndarray:
     """
     g = GraphSpec.cycle(n)
     require_matrix_size(n)
-    require_admissible(alpha, g, strict)
+    require_admissible(alpha, g)
     seq = d_sequence(n - 1, alpha)
     half = np.array([_cycle_numerator(seq, n, k, alpha) for k in range(n // 2 + 1)])
     half /= _cycle_denominator(seq, n, alpha)
@@ -222,8 +222,7 @@ def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     """
     i, j = _checked_pair(GraphSpec.path(n), i, j)
     a = Fraction(alpha)
-    if not 0 < a < Fraction(1, 2):
-        raise ValueError(f"exact evaluation needs 0 < alpha < 1/2, got {alpha}")
+    _require_below_half(a)
     return _path_entry(_ExactTerms(n, a), n, i, j, a)
 
 
@@ -232,11 +231,10 @@ def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
 
     alpha must land in (0, 1/2), as for :func:`katz_path_exact`.
     """
-    i, j = _checked_pair(GraphSpec.cycle(n), i, j)
+    k = graph_distance(GraphSpec.cycle(n), i, j)
     a = Fraction(alpha)
-    if not 0 < a < Fraction(1, 2):
-        raise ValueError(f"exact evaluation needs 0 < alpha < 1/2, got {alpha}")
-    return _cycle_entry(_ExactTerms(n - 1, a), n, min(j - i, n - (j - i)), a)
+    _require_below_half(a)
+    return _cycle_entry(_ExactTerms(n - 1, a), n, k, a)
 
 
 def katz_limit_path(i: int, j: int, alpha: float) -> float:
@@ -246,8 +244,7 @@ def katz_limit_path(i: int, j: int, alpha: float) -> float:
     i < j, and c^i d_{i-1} - 1 on the diagonal (the trailing d-ratio
     d_{n-j}/d_n tends to c^j).  Only derived for alpha in (0, 0.5).
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"limit formula needs alpha in (0, 0.5), got {alpha}")
+    _require_below_half(alpha)
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")
     c = ratio_constant(-1, alpha)
@@ -272,8 +269,7 @@ def katz_limit_cycle(offset: int, alpha: float) -> float:
         raise TypeError(f"offset must be an integer, got {offset!r}")
     if offset < 1:
         raise ValueError(f"offset must be >= 1, got {offset}")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"limit formula needs alpha in (0, 0.5), got {alpha}")
+    _require_below_half(alpha)
     c = ratio_constant(-1, alpha)
     return alpha**offset * c ** (offset - 2) * (1.0 - alpha**4 * c**4) / (1.0 - 4.0 * alpha * alpha)
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dpoly import INV_SQRT5, d_sequence
+from .dpoly import INV_SQRT5, _require_below_half, d_sequence
 from .graphs import GraphSpec, VertexPair, _admissible_alphas, graph_distance, pair_columns, resistance
 from .katz import _cycle_numerator, katz_cycle_matrix, katz_path, katz_path_matrix
 
@@ -129,19 +129,17 @@ def rank_pairs(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> Pair
     return PairRanking(g, metric, alpha if metric == KATZ else None, entries)
 
 
-def _ranked_classes(metric: str, scores: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _ranked_classes(metric: str, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best-first pair order and the tie-class number at each rank (see score_classes)."""
     order = _best_first(metric, scores)
     ranked = scores[order]
     prev, cur = ranked[:-1], ranked[1:]
-    boundary = np.abs(cur - prev) > tol * np.maximum(np.abs(cur), np.abs(prev))
+    boundary = np.abs(cur - prev) > TIE_TOL * np.maximum(np.abs(cur), np.abs(prev))
     return order, np.concatenate(([0], np.cumsum(boundary)))
 
 
-def score_classes(
-    g: GraphSpec, metric: str, alpha: Optional[float] = None, tol: float = TIE_TOL
-) -> list[set[VertexPair]]:
-    """Tie classes best-first: consecutive ranked scores within tol merge.
+def score_classes(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> list[set[VertexPair]]:
+    """Tie classes best-first: consecutive ranked scores within TIE_TOL merge.
 
     Ties are judged relative to the larger magnitude: theoretically-equal
     scores come out of one vectorized expression and match to the last
@@ -150,22 +148,22 @@ def score_classes(
     absolute tolerance, which would merge them spuriously.
     """
     pairs = g.pairs()
-    order, ids = _ranked_classes(metric, _scores(g, metric, alpha), tol)
+    order, ids = _ranked_classes(metric, _scores(g, metric, alpha))
     classes: list[set[VertexPair]] = [set() for _ in range(int(ids[-1]) + 1)]
     for ix, class_id in zip(order.tolist(), ids.tolist()):
         classes[class_id].add(pairs[ix])
     return classes
 
 
-def _class_of_pair(metric: str, scores: np.ndarray, tol: float) -> np.ndarray:
+def _class_of_pair(metric: str, scores: np.ndarray) -> np.ndarray:
     """Each pair's tie-class number (see score_classes), in pair order."""
-    order, ids = _ranked_classes(metric, scores, tol)
+    order, ids = _ranked_classes(metric, scores)
     by_pair = np.empty_like(ids)
     by_pair[order] = ids
     return by_pair
 
 
-def class_structures_match(g: GraphSpec, alpha, tol: float = TIE_TOL):
+def class_structures_match(g: GraphSpec, alpha):
     """True when all three metrics produce identical best-first tie classes.
 
     For a 1-D sequence of alphas, the list of results, one per alpha; the
@@ -173,10 +171,10 @@ def class_structures_match(g: GraphSpec, alpha, tol: float = TIE_TOL):
     """
     alphas = _admissible_alphas(alpha, g)
     i, j, scores = _pair_table(g)
-    reference = _class_of_pair(RESISTANCE, scores[RESISTANCE], tol)
-    fixed_match = np.array_equal(_class_of_pair(DISTANCE, scores[DISTANCE], tol), reference)
+    reference = _class_of_pair(RESISTANCE, scores[RESISTANCE])
+    fixed_match = np.array_equal(_class_of_pair(DISTANCE, scores[DISTANCE]), reference)
     matches = [
-        np.array_equal(_class_of_pair(KATZ, _katz_scores(g, value, i, j), tol), reference) and fixed_match
+        np.array_equal(_class_of_pair(KATZ, _katz_scores(g, value, i, j)), reference) and fixed_match
         for value in alphas
     ]
     return matches if np.ndim(alpha) else matches[0]
@@ -371,7 +369,6 @@ def cycle_numerator_gap(n: int, k: int, alpha: float) -> float:
         raise TypeError(f"arc length must be an integer, got {k!r}")
     if not 1 <= k < n // 2:
         raise ValueError(f"need 1 <= k < n//2, got k = {k}, n = {n}")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"needs alpha in (0, 0.5), got {alpha}")
+    _require_below_half(alpha)
     seq = d_sequence(n - k - 1, alpha)
     return _cycle_numerator(seq, n, k, alpha) - _cycle_numerator(seq, n, k + 1, alpha)

@@ -402,10 +402,7 @@ def suite_path_agreement_below_cutoff(level: str) -> SuiteResult:
         g = GraphSpec.path(n)
         alphas = [a for a in katz_grid(g) if a < INV_SQRT5]
         for alpha, report in zip(alphas, ordering.agreement(g, alphas)):
-            res.check(
-                report.katz_vs_resistance and report.katz_vs_distance and report.resistance_vs_distance,
-                f"n={n} alpha={alpha}: witness={report.witness}",
-            )
+            res.check(report.all_agree(), f"n={n} alpha={alpha}: witness={report.witness}")
     return res
 
 

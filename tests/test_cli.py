@@ -204,6 +204,26 @@ def test_cutoff_table_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra, status",
+    [
+        # the bracket's upper end loses its sign at large n
+        (["--n-lo", "600", "--n-hi", "602"], "0,nan,bracket_failure"),
+        # a width below one ulp is never reached within the bisection cap
+        (["--n-lo", "6", "--n-hi", "8", "--tol", "1e-300"], "200,nan,no_convergence"),
+    ],
+)
+def test_cutoff_failure_rows(tmp_path, capsys, extra, status):
+    out = tmp_path / "cutoff.csv"
+    assert run(["cutoff", "--j", "1", *extra, "--out", str(out)]) == 0
+    n_lo = int(extra[1])
+    assert out.read_bytes() == (
+        "n,j,root,root_minus_inv_sqrt5,iterations,residual,status\n"
+        + "".join(f"{n},1,nan,nan,{status}\n" for n in range(n_lo, n_lo + 3))
+    ).encode()
+    assert f"n={n_lo}..{n_lo + 2}: 0/3 converged; roots monotone decreasing: no" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cutoff", "--j", "0", "--n-lo", "6", "--n-hi", "8", "--out", "x.csv"],
@@ -304,6 +324,18 @@ def test_numeric_range_error_exits_with_usage_error(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     argv = ["converge", "--family", "path", "--i", "1500", "--j", "1501", "--alpha", "0.499",
             "--n-list", "1600", "--out", "x.csv"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_converge_rejects_alpha_outside_the_limit_interval(tmp_path, monkeypatch, capsys):
+    # 0.5 is admissible for paths of 3 and 4 vertices, but the limit needs alpha < 1/2
+    monkeypatch.chdir(tmp_path)
+    argv = ["converge", "--family", "path", "--i", "1", "--j", "2", "--alpha", "0.5",
+            "--n-list", "3,4", "--out", "x.csv"]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -127,8 +127,6 @@ def test_short_paths_admit_values_above_half():
     # 1/rho for the 5-vertex path is about 0.577, so 0.52 is fine by default
     g = GraphSpec.path(5)
     assert graphs.require_admissible(0.52, g) == 0.52
-    with pytest.raises(AdmissibilityError):
-        graphs.require_admissible(0.52, g, strict=True)
 
 
 @pytest.mark.parametrize("g", [GraphSpec.path(2), GraphSpec.path(9), GraphSpec.cycle(3), GraphSpec.cycle(12)])

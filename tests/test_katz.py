@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from katzlab import dpoly, katz
+from katzlab import dpoly, katz, ordering
 from katzlab.graphs import AdmissibilityError, GraphSpec, spectral_radius
 from katzlab.verify import katz_grid
 
@@ -225,10 +225,8 @@ def test_admissibility_enforced():
         katz.katz_path(10, 1, 2, 0.53)
     with pytest.raises(AdmissibilityError):
         katz.katz_cycle(8, 1, 2, 0.5)
-    # short path: 0.55 is admissible non-strictly, rejected strictly
+    # short path: 1/rho is about 0.577, so 0.55 is admissible
     assert katz.katz_path(5, 1, 2, 0.55) > 0.0
-    with pytest.raises(AdmissibilityError):
-        katz.katz_path(5, 1, 2, 0.55, strict=True)
 
 
 def test_vertex_validation():
@@ -298,6 +296,34 @@ def test_exact_routes_are_the_list_route_at_600(alpha):
     assert [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs] == list_route_path_exact(n, pairs, alpha)
     arcs = [0, 1, 2, 299, 300]
     assert [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
+
+
+# The routines proved only on (0, 1/2), where every d_k is positive.
+HALF_INTERVAL_ROUTINES = {
+    "ratio_constant": lambda a: dpoly.ratio_constant(1, a),
+    "katz_path_exact": lambda a: katz.katz_path_exact(5, 1, 2, a),
+    "katz_cycle_exact": lambda a: katz.katz_cycle_exact(5, 1, 2, a),
+    "katz_limit_path": lambda a: katz.katz_limit_path(1, 2, a),
+    "katz_limit_cycle": lambda a: katz.katz_limit_cycle(1, a),
+    "cycle_numerator_gap": lambda a: ordering.cycle_numerator_gap(8, 1, a),
+}
+
+
+@pytest.mark.parametrize("alpha", [0, 0.5, -0.1, math.nan, Fraction(1, 2)], ids=repr)
+@pytest.mark.parametrize("name", list(HALF_INTERVAL_ROUTINES))
+def test_half_interval_is_checked_by_every_routine(name, alpha):
+    # the exact routes convert alpha to a Fraction first, which refuses NaN
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\)|NaN"):
+        HALF_INTERVAL_ROUTINES[name](alpha)
+
+
+@pytest.mark.parametrize("name", list(HALF_INTERVAL_ROUTINES))
+def test_half_interval_admits_values_just_below_half(name):
+    assert math.isfinite(HALF_INTERVAL_ROUTINES[name](0.499))
+
+
+def test_half_interval_check_is_exact_for_fractions():
+    assert katz.katz_path_exact(5, 1, 2, Fraction(1, 2) - Fraction(1, 10**30)) > 0
 
 
 def test_exact_evaluators_validate():

@@ -285,8 +285,8 @@ def test_ranking_suite_matches_per_alpha_loop_at_full(suite):
 def _swapped_entries(original, n_bad, alpha_bad):
     """A katz_*_matrix whose entries (1, 2) and (1, 4) trade places at (n_bad, alpha_bad)."""
 
-    def swapped(n, alpha, strict=False):
-        m = original(n, alpha, strict)
+    def swapped(n, alpha):
+        m = original(n, alpha)
         if (n, alpha) == (n_bad, alpha_bad):
             m[0, 1], m[0, 3] = m[0, 3], m[0, 1]
         return m
@@ -314,8 +314,8 @@ def test_ranking_suite_matches_per_alpha_loop_under_fault(suite, level, monkeypa
 def _perturbed_path_matrix(original):
     """katz_path_matrix with entries (1, 4) and (2, 6) moved at three (n, alpha) points."""
 
-    def perturbed(n, alpha, strict=False):
-        m = original(n, alpha, strict)
+    def perturbed(n, alpha):
+        m = original(n, alpha)
         if (n, alpha) in ((7, 0.1), (7, 0.3), (9, 0.1)):
             m[0, 3] += 0.5
             m[1, 5] -= 0.5
