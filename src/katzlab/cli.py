@@ -31,7 +31,9 @@ import numpy as np
 
 from . import katz, ordering
 from .dpoly import INV_SQRT5
-from .graphs import FAMILIES, GraphSpec, graph_distance, require_admissible, resistance, span_columns
+# resistance is unused here; perfbench/test_tracer.py checks that the tracer
+# patches this by-name import
+from .graphs import FAMILIES, GraphSpec, require_admissible, resistance, span_columns  # noqa: F401
 from .linalg import SingularMatrixError
 from .verify import run_suites
 
@@ -103,19 +105,24 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
 
     A row is four cells from small per-graph tables: the "alpha,i," head,
     the "j," label, the "distance,resistance," cells of its span j - i and
-    the Katz cell with its line end, one per distinct value.  A block is one
-    object-array gather from the tables and one join.
+    the Katz cell with its line end.  A path has one Katz cell per distinct
+    value of its matrix; a cycle's Katz value depends on a pair only through
+    its arc, the distance of its span, so it has one per arc, n//2 + 1 per
+    alpha, and no matrix.  A block is one object-array gather from the
+    tables and one join.
     """
     n = g.n
     i, j = np.triu_indices(n, k=1)  # vertices minus 1, in g.pairs() order
-    distance, resist = span_columns(g, graph_distance, resistance)
+    distance, resist = span_columns(g)
     # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells
     labels = [f"{v}," for v in range(2, n + 1)]
     spans = [f"{d},{r}," for d, r in zip(distance.tolist(), _real_cells(resist))]
-    for alpha in alphas:
-        kmat = katz.katz_path_matrix(n, alpha) if g.is_path else katz.katz_cycle_matrix(n, alpha)
-        katz_cells, katz_index = _real_table(kmat[i, j])
-        del kmat
+    cycle = None if g.is_path else katz._KatzTable(g, alphas)
+    for number, alpha in enumerate(alphas):
+        if cycle is None:
+            katz_cells, katz_index = _real_table(katz.katz_path_matrix(n, alpha)[i, j])
+        else:
+            katz_cells = [_real(x) for x in cycle.arcs(number).tolist()]
         alpha_cell = _real(alpha)
         heads = [f"{alpha_cell},{v}," for v in range(1, n)]
         table = np.array(heads + labels + spans + [cell + "\n" for cell in katz_cells], dtype=object)
@@ -127,7 +134,8 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
             index[:, 0] = ib
             index[:, 1] = jb + (n - 2)
             index[:, 2] = jb - ib + (2 * n - 3)
-            index[:, 3] = katz_index[block] + 3 * (n - 1)
+            index[:, 3] = katz_index[block] if cycle is None else distance[jb - ib - 1]
+            index[:, 3] += 3 * (n - 1)
             yield "".join(table[index].ravel().tolist())
 
 

@@ -173,26 +173,27 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
     return k * (g.n - k) / g.n
 
 
-def span_columns(g: GraphSpec, *metrics) -> tuple[np.ndarray, ...]:
-    """Each metric(g, 1, 1 + s) for the spans s = 1..n-1, as arrays in that order.
+def span_columns(g: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """graph_distance and resistance at the spans s = j - i = 1..n-1, as arrays in that order.
 
-    For a metric that depends on a pair only through its span j - i, entry
-    s - 1 is its value at every pair of span s.
+    Entry s - 1 is the value at every pair of span s: s on paths, and on
+    cycles the arc length k = min(s, n - s) and k(n - k)/n.  That quotient
+    divides two int64 values that are exact as doubles, so it rounds as the
+    Python expression does and every entry is the scalar result.
     """
-    return tuple(np.array([metric(g, 1, 2 + s) for s in range(g.n - 1)]) for metric in metrics)
+    span = np.arange(1, g.n)
+    if g.is_path:
+        return span, span.astype(float)
+    arc = np.minimum(span, g.n - span)
+    return arc, arc * (g.n - arc) / g.n
 
 
-def pair_columns(g: GraphSpec, *metrics) -> tuple[np.ndarray, ...]:
-    """Labels i, j of g.pairs() and each metric(g, i, j), as arrays in that order.
-
-    Every metric must depend on a pair only through its span j - i, as
-    :func:`graph_distance` and :func:`resistance` do on paths and cycles.  It
-    is called once per span (n - 1 calls rather than n(n-1)/2) and the
-    values are gathered, so each column holds exactly the scalar results.
-    """
+def pair_columns(g: GraphSpec) -> tuple[np.ndarray, ...]:
+    """Labels i, j of g.pairs() and the graph_distance and resistance of each pair, as arrays in that order."""
     i, j = np.triu_indices(g.n, k=1)
     span_index = j - i - 1
-    return (i + 1, j + 1, *(column[span_index] for column in span_columns(g, *metrics)))
+    distance, resist = span_columns(g)
+    return i + 1, j + 1, distance[span_index], resist[span_index]
 
 
 @functools.lru_cache(maxsize=1)

@@ -16,6 +16,7 @@ diagonal included; only the oracles touch dense linear algebra.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,8 @@ from . import linalg
 SERIES_ITERATION_CAP = 100000
 
 # Largest n of katz_path_matrix and katz_cycle_matrix: an n x n float64
-# array of at most 128 MiB.
+# array of at most 128 MiB.  A stack of A matrices is held to the same
+# total, A n^2 <= MATRIX_MAX_N^2.
 MATRIX_MAX_N = 4096
 
 
@@ -36,15 +38,16 @@ class SeriesDivergenceError(RuntimeError):
 
 
 class MatrixSizeError(ValueError):
-    """n exceeds MATRIX_MAX_N, the size limit of the n x n Katz matrices."""
+    """A stack of count n x n Katz matrices would exceed MATRIX_MAX_N**2 entries."""
 
 
-def require_matrix_size(n: int) -> None:
-    """Validate n <= MATRIX_MAX_N, before anything of size n x n is allocated."""
-    if n > MATRIX_MAX_N:
+def require_matrix_size(n: int, count: int = 1) -> None:
+    """Validate count n^2 <= MATRIX_MAX_N^2, before a stack of count n x n matrices is allocated."""
+    if count * n * n > MATRIX_MAX_N**2:
+        what = f"n = {n} exceeds" if count == 1 else f"{count} matrices of n = {n} exceed"
         raise MatrixSizeError(
-            f"n = {n} exceeds the Katz matrix limit MATRIX_MAX_N = {MATRIX_MAX_N} "
-            f"(an n x n float64 array of at most {8 * MATRIX_MAX_N**2 >> 20} MiB)"
+            f"{what} the Katz matrix limit of MATRIX_MAX_N**2 entries, MATRIX_MAX_N = {MATRIX_MAX_N} "
+            f"(float64 arrays of at most {8 * MATRIX_MAX_N**2 >> 20} MiB in all)"
         )
 
 
@@ -114,55 +117,140 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     return _cycle_entry(d_sequence(n - 1, alpha), n, k, alpha)
 
 
-def katz_path_matrix(n: int, alpha: float) -> np.ndarray:
-    """Full closed-form Katz matrix for the path, diagonal included.
+def _path_terms(power, before, after, d_n, out=None, where=True):
+    """Off-diagonal path entries alpha^(j-i) (d_{i-1} d_{n-j} / d_n) from arrays of their operands.
 
-    Every entry is :func:`katz_path` bit for bit: the same operations on
-    the same operands, with alpha^(j-i) read from one table of Python
-    powers.  n may not exceed MATRIX_MAX_N (MatrixSizeError).
+    The operation order of :func:`_path_entry`, so each value is its scalar
+    entry bit for bit.  The operands broadcast; out and where are those of
+    the numpy ufuncs, and entries outside where are neither computed nor
+    written.
     """
-    g = GraphSpec.path(n)
-    require_matrix_size(n)
-    require_admissible(alpha, g)
-    padded = np.array([0.0] + d_sequence(n, alpha))  # padded[k + 1] = d_k, d_{-1} = 0
-    seq = padded[1:]
-    powers = np.array([alpha**k for k in range(n)])
-    idx = np.arange(n)
-    lo = np.minimum.outer(idx, idx)  # i - 1 of the pair i <= j
-    hi = np.maximum.outer(idx, idx)  # j - 1
-    out = powers[hi - lo]
-    core = seq[lo]
-    del lo  # with hi reused in place, at most four n x n arrays are live
-    core *= seq[np.subtract(n - 1, hi, out=hi)]  # d_{n-j}
-    core /= seq[n]
-    out *= core
-    before, after = padded[:n], padded[n - 1 :: -1]  # d_{i-2} and d_{n-i-1} for i = 1..n
-    np.fill_diagonal(out, alpha * alpha * (seq[:n] * after + before * seq[n - 1 :: -1]) / seq[n])
+    out = np.multiply(before, after, out=out, where=where)
+    np.divide(out, d_n, out=out, where=where)
+    np.multiply(out, power, out=out, where=where)
     return out
 
 
-def katz_cycle_matrix(n: int, alpha: float) -> np.ndarray:
+class _KatzTable:
+    """The O(n) numbers that fix the Katz matrix of one graph at each of a list of alphas.
+
+    A tridiagonal inverse is fixed by O(n) data (Meurant, SIAM J. Matrix
+    Anal. Appl. 13, 1992).  Per alpha the table holds the d-row of
+    :func:`d_sequence`, [d_0, ..., d_n] on paths and [d_0, ..., d_{n-1}] on
+    cycles, and on paths the row alpha^0, ..., alpha^(n-1) of Python
+    powers.  Every value it serves is the scalar entry bit for bit.  Every
+    alpha is checked admissible before any row is built.
+    """
+
+    def __init__(self, g: GraphSpec, alpha) -> None:
+        self.graph = g
+        self.alphas = [float(value) for value in _admissible_alphas(alpha, g)]
+        n = g.n
+        rows = [d_sequence(n if g.is_path else n - 1, value) for value in self.alphas]
+        if g.is_path:
+            count = len(rows)
+            self.d = np.array(rows).reshape(count, n + 1)
+            self.powers = np.array([[value**k for k in range(n)] for value in self.alphas]).reshape(count, n)
+        else:
+            self.rows = rows  # lists: the cycle entries run the scalar numerator per arc
+
+    def arcs(self, number: int) -> np.ndarray:
+        """Cycle entries at arc lengths k = 0..n//2 for alpha number `number`, the diagonal at k = 0."""
+        n, alpha, seq = self.graph.n, self.alphas[number], self.rows[number]
+        half = np.array([_cycle_numerator(seq, n, k, alpha) for k in range(n // 2 + 1)])
+        half /= _cycle_denominator(seq, n, alpha)
+        return half
+
+    def pair_scores(self, i: np.ndarray, j: np.ndarray) -> Iterator[np.ndarray]:
+        """The entries at the pairs with labels i < j, one array per alpha in turn; no n x n matrix.
+
+        The index arrays are rebuilt per alpha, so between alphas the sweep
+        holds no array of the pairs' size.
+        """
+        n = self.graph.n
+        for number in range(len(self.alphas)):
+            if self.graph.is_path:
+                d = self.d[number]
+                yield _path_terms(self.powers[number][j - i], d[i - 1], d[n - j], d[n])
+            else:
+                yield self.arcs(number)[np.minimum(j - i, n - j + i)]
+
+    def matrices(self) -> np.ndarray:
+        """The (A, n, n) stack of Katz matrices, one per alpha, diagonal included.
+
+        Its size is checked against MATRIX_MAX_N before it is allocated.
+        """
+        n, count = self.graph.n, len(self.alphas)
+        require_matrix_size(n, count)
+        if not count:
+            return np.empty((0, n, n))
+        return self._path_matrices() if self.graph.is_path else self._cycle_matrices()
+
+    def _path_matrices(self) -> np.ndarray:
+        d, n, count = self.d, self.graph.n, len(self.alphas)
+        d_n = d[:, n, None, None]
+        # toeplitz[a, r, c] = powers[a, |c - r|], a strided view of the mirrored power rows
+        mirrored = np.concatenate((self.powers[:, :0:-1], self.powers), axis=1)
+        step = mirrored.itemsize
+        toeplitz = np.ndarray(
+            (count, n, n), mirrored.dtype, mirrored, offset=(n - 1) * step, strides=(mirrored.strides[0], -step, step)
+        )
+        lower = np.tri(n, k=-1, dtype=bool)  # i > j
+        out = np.empty((count, n, n))
+        _path_terms(toeplitz, d[:, :n, None], d[:, None, n - 1 :: -1], d_n, out=out, where=~lower)
+        # below the diagonal the entry of (j, i): d_{j-1} d_{n-i}
+        _path_terms(toeplitz, d[:, None, :n], d[:, n - 1 :: -1, None], d_n, out=out, where=lower)
+        padded = np.concatenate((np.zeros((count, 1)), d), axis=1)  # padded[:, k + 1] = d_k, d_{-1} = 0
+        before, after = padded[:, :n], padded[:, n - 1 :: -1]  # d_{i-2} and d_{n-i-1} for i = 1..n
+        alpha = np.array(self.alphas)[:, None]
+        diagonal = alpha * alpha * (d[:, :n] * after + before * d[:, n - 1 :: -1]) / d_n[:, 0]
+        out.reshape(count, n * n)[:, :: n + 1] = diagonal
+        return out
+
+    def _cycle_matrices(self) -> np.ndarray:
+        # member a is circulant: row 0 is arcs(a) mirrored (span n - k reads
+        # arc k) and row i is row 0 rotated right by i, so entry (i, j) is
+        # doubled[a, n - i + j]
+        n, count = self.graph.n, len(self.alphas)
+        half = np.array([self.arcs(number) for number in range(count)])
+        row = np.concatenate((half, half[:, (n - 1) // 2 : 0 : -1]), axis=1)
+        doubled = np.concatenate((row, row), axis=1)
+        step = doubled.itemsize
+        return np.ndarray(
+            (count, n, n), doubled.dtype, doubled, offset=n * step, strides=(doubled.strides[0], -step, step)
+        ).copy()
+
+
+def _matrices(g: GraphSpec, alpha) -> np.ndarray:
+    """The Katz matrix of g at alpha, or the (A, n, n) stack for a 1-D sequence of A alphas."""
+    stack = _KatzTable(g, alpha).matrices()
+    return stack if np.ndim(alpha) else stack[0]
+
+
+def katz_path_matrix(n: int, alpha) -> np.ndarray:
+    """Full closed-form Katz matrix for the path, diagonal included.
+
+    For a 1-D sequence of A alphas, the (A, n, n) stack of their matrices;
+    a number is the stack of one.  Every entry is :func:`katz_path` bit for
+    bit: the same operations on the same operands, with alpha^(j-i) read
+    from one row of Python powers per alpha.  Every alpha must be
+    admissible, and the stack may hold at most MATRIX_MAX_N**2 entries
+    (MatrixSizeError); both are checked before it is allocated.
+    """
+    return _matrices(GraphSpec.path(n), alpha)
+
+
+def katz_cycle_matrix(n: int, alpha) -> np.ndarray:
     """Full closed-form Katz matrix for the cycle (n >= 3), diagonal included.
 
-    The matrix is circulant: entry (i, j) depends only on the span
-    (j - i) mod n, through the arc length k = min(span, n - span).  Its
-    first row holds the numerator of each k = 0..n//2 over the one shared
-    denominator, mirrored, and every row is a rotation of it, so every
-    entry is :func:`katz_cycle` bit for bit.  n may not exceed MATRIX_MAX_N
-    (MatrixSizeError).
+    For a 1-D sequence of A alphas, the (A, n, n) stack, as for
+    :func:`katz_path_matrix`.  Each matrix is circulant: entry (i, j)
+    depends only on the span (j - i) mod n, through the arc length
+    k = min(span, n - span).  Its first row holds the numerator of each
+    k = 0..n//2 over the one shared denominator, mirrored, and every row is
+    a rotation of it, so every entry is :func:`katz_cycle` bit for bit.
     """
-    g = GraphSpec.cycle(n)
-    require_matrix_size(n)
-    require_admissible(alpha, g)
-    seq = d_sequence(n - 1, alpha)
-    half = np.array([_cycle_numerator(seq, n, k, alpha) for k in range(n // 2 + 1)])
-    half /= _cycle_denominator(seq, n, alpha)
-    # row 0 is half mirrored (span n - k reads arc k); row i is row 0 rotated
-    # right by i, so entry (i, j) is doubled[n - i + j]
-    row = np.concatenate((half, half[(n - 1) // 2 : 0 : -1]))
-    doubled = np.concatenate((row, row))
-    step = doubled.itemsize
-    return np.ndarray((n, n), doubled.dtype, doubled, offset=n * step, strides=(-step, step)).copy()
+    return _matrices(GraphSpec.cycle(n), alpha)
 
 
 def _system(g: GraphSpec, alpha) -> np.ndarray:

@@ -25,8 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .dpoly import INV_SQRT5, _require_below_half, d_sequence
-from .graphs import GraphSpec, VertexPair, _admissible_alphas, graph_distance, pair_columns, resistance
-from .katz import _cycle_numerator, katz_cycle_matrix, katz_path, katz_path_matrix
+# resistance is unused here; perfbench/test_tracer.py checks that the tracer
+# patches this by-name import
+from .graphs import GraphSpec, VertexPair, _admissible_alphas, pair_columns, require_admissible, resistance  # noqa: F401
+from .katz import _cycle_numerator, _KatzTable, _path_entry
 
 KATZ = "katz"
 RESISTANCE = "resistance"
@@ -82,16 +84,10 @@ class AgreementReport:
         return self.katz_vs_resistance and self.katz_vs_distance and self.resistance_vs_distance
 
 
-def _katz_scores(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Katz scores of the pairs with labels i, j."""
-    matrix = katz_path_matrix(g.n, alpha) if g.is_path else katz_cycle_matrix(g.n, alpha)
-    return matrix[i - 1, j - 1]
-
-
 def _pair_table(g: GraphSpec) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Labels i, j of g.pairs() and the resistance and distance scores, which no alpha changes."""
-    i, j, resist, distance = pair_columns(g, resistance, graph_distance)
-    return i, j, {RESISTANCE: resist.astype(float), DISTANCE: distance.astype(float)}
+    i, j, distance, resist = pair_columns(g)
+    return i, j, {RESISTANCE: resist, DISTANCE: distance.astype(float)}
 
 
 def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
@@ -101,7 +97,7 @@ def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
     if metric == KATZ and alpha is None:
         raise ValueError("the katz metric needs an alpha value")
     i, j, scores = _pair_table(g)
-    return _katz_scores(g, alpha, i, j) if metric == KATZ else scores[metric]
+    return next(_KatzTable(g, alpha).pair_scores(i, j)) if metric == KATZ else scores[metric]
 
 
 def _keys(metric: str, scores: np.ndarray) -> np.ndarray:
@@ -174,8 +170,8 @@ def class_structures_match(g: GraphSpec, alpha):
     reference = _class_of_pair(RESISTANCE, scores[RESISTANCE])
     fixed_match = np.array_equal(_class_of_pair(DISTANCE, scores[DISTANCE]), reference)
     matches = [
-        np.array_equal(_class_of_pair(KATZ, _katz_scores(g, value, i, j)), reference) and fixed_match
-        for value in alphas
+        np.array_equal(_class_of_pair(KATZ, katz_scores), reference) and fixed_match
+        for katz_scores in _KatzTable(g, alphas).pair_scores(i, j)
     ]
     return matches if np.ndim(alpha) else matches[0]
 
@@ -211,16 +207,17 @@ def agreement(g: GraphSpec, alpha):
     P = n(n-1)/2 pairs; the witness is the first inversion in lexicographic
     (pair_a, pair_b) order among the disagreeing metric pairs.  For a 1-D
     sequence of alphas, the list of reports, one per alpha: the pair
-    columns and the resistance-vs-distance inversion are found once per
-    call, and only the Katz scores and their two inversions once per alpha.
+    columns, the d-rows of every alpha and the resistance-vs-distance
+    inversion are found once per call, and only the Katz scores and their
+    two inversions once per alpha.  No n x n matrix is built.
     """
     alphas = _admissible_alphas(alpha, g)
     i, j, scores = _pair_table(g)
     # resistance and distance scores are their own keys (smaller is better)
     fixed_inversion = _first_inversion(scores[RESISTANCE], scores[DISTANCE])
     reports = []
-    for value in alphas:
-        scores[KATZ] = _katz_scores(g, value, i, j)
+    for value, katz_scores in zip(alphas, _KatzTable(g, alphas).pair_scores(i, j)):
+        scores[KATZ] = katz_scores
         katz_keys = _keys(KATZ, scores[KATZ])
         found = {
             (KATZ, RESISTANCE): _first_inversion(katz_keys, scores[RESISTANCE]),
@@ -259,7 +256,9 @@ def p_gap(n: int, j: int, alpha: float) -> float:
     at the center.  Positive means the distance classes stay separated.
     """
     m = _gap_midpoint(n, j)
-    return katz_path(n, 1, 1 + j, alpha) - katz_path(n, m, m + j + 1, alpha)
+    require_admissible(alpha, GraphSpec.path(n))
+    seq = d_sequence(n, alpha)
+    return _path_entry(seq, n, 1, 1 + j, alpha) - _path_entry(seq, n, m, m + j + 1, alpha)
 
 
 def p_tilde(n: int, j: int, alpha: float) -> float:

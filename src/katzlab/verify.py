@@ -318,11 +318,11 @@ def suite_katz_closed_vs_inverse(level: str) -> SuiteResult:
         for n in range(start, n_max + 1):
             g = GraphSpec(family, n)
             alphas = katz_grid(g)
-            matrix = katz.katz_path_matrix if g.is_path else katz.katz_cycle_matrix
-            oracle = katz.katz_oracle_inverse(g, alphas)
+            matrices = katz.katz_path_matrix if g.is_path else katz.katz_cycle_matrix
+            # member by member, so no temporary is the size of the whole stack
             errs = [
-                (np.abs(matrix(n, alpha) - inverse) / np.abs(inverse)).max()
-                for alpha, inverse in zip(alphas, oracle)
+                (np.abs(closed - inverse) / np.abs(inverse)).max()
+                for closed, inverse in zip(matrices(n, alphas), katz.katz_oracle_inverse(g, alphas))
             ]
             res.record_all(errs, lambda f: f"{family} n={n} alpha={alphas[f]}")
     return res
@@ -350,7 +350,7 @@ def suite_katz_distance_monotone(level: str) -> SuiteResult:
     res = SuiteResult("katz decreasing in path distance from an endpoint", 0.0)
     alphas = [a for a in DPOLY_PROBED if a < 0.5]
     for n in range(3, 31):
-        rows = np.array([katz.katz_path_matrix(n, alpha)[0] for alpha in alphas])
+        rows = katz.katz_path_matrix(n, alphas)[:, 0]
         res.check_all((rows[:, 1:-1] > rows[:, 2:]).all(axis=1), lambda f: f"n={n} alpha={alphas[f]}")
     return res
 
@@ -360,22 +360,25 @@ def suite_katz_shift_monotone(level: str) -> SuiteResult:
     alphas = [a for a in DPOLY_PROBED if a < 0.5]
     for n in range(3, 31):
         k, i = _loop_grid(range(1, n - 1), lambda k: [i for i in range(1, n - k) if n - k - 2 * i - 1 >= 0])
-        for alpha in alphas:
-            m = katz.katz_path_matrix(n, alpha)
-            res.check_all(
-                m[i - 1, i + k - 1] <= m[i, i + k] + 1e-13, lambda f: f"n={n} k={k[f]} i={i[f]} alpha={alpha}"
-            )
+        m = katz.katz_path_matrix(n, alphas)
+
+        def context(f):
+            a, f = divmod(f, len(k))
+            return f"n={n} k={k[f]} i={i[f]} alpha={alphas[a]}"
+
+        # per alpha, then per (k, i): the flat order of the (alpha, pair) array
+        res.check_all(m[:, i - 1, i + k - 1] <= m[:, i, i + k] + 1e-13, context)
     return res
 
 
 def suite_cycle_translation_invariance(level: str) -> SuiteResult:
     res = SuiteResult("cycle katz depends only on arc length", 1e-13)
+    alphas = (0.1, 0.3, 0.46)
     for n in range(5, 31):
-        for alpha in (0.1, 0.3, 0.46):
-            m = katz.katz_cycle_matrix(n, alpha)
-            idx = np.arange(1, n + 1)
-            span = np.abs(np.subtract.outer(idx, idx))
-            arcs = np.minimum(span, n - span)
+        idx = np.arange(1, n + 1)
+        span = np.abs(np.subtract.outer(idx, idx))
+        arcs = np.minimum(span, n - span)
+        for alpha, m in zip(alphas, katz.katz_cycle_matrix(n, alphas)):
             for k in range(1, n // 2 + 1):
                 vals = m[arcs == k]
                 res.record(float(vals.max() - vals.min()) / max(1.0, float(np.abs(vals).max())), f"n={n} k={k} alpha={alpha}")

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from katzlab import cli, katz
 from katzlab.dpoly import INV_SQRT5
-from katzlab.graphs import GraphSpec, graph_distance, pair_columns, resistance
+from katzlab.graphs import GraphSpec, pair_columns
 from katzlab.katz import katz_limit_path
 
 
@@ -77,7 +77,7 @@ def test_scatter_small_cycles_print_one_value_per_arc_class(tmp_path, n):
 def reference_scatter_text(family, n, alphas):
     """The per-row route: _real on every cell, one ",".join per row."""
     g = GraphSpec(family, n)
-    i, j, distance, resist = pair_columns(g, graph_distance, resistance)
+    i, j, distance, resist = pair_columns(g)
     lines = ["alpha,i,j,distance,resistance,katz"]
     for alpha in sorted(alphas):
         kmat = katz.katz_path_matrix(n, alpha) if g.is_path else katz.katz_cycle_matrix(n, alpha)

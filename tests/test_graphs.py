@@ -131,7 +131,18 @@ def test_short_paths_admit_values_above_half():
 
 @pytest.mark.parametrize("g", [GraphSpec.path(2), GraphSpec.path(9), GraphSpec.cycle(3), GraphSpec.cycle(12)])
 def test_pair_columns_match_scalar_calls(g):
-    i, j, distance, resist = graphs.pair_columns(g, graphs.graph_distance, graphs.resistance)
+    i, j, distance, resist = graphs.pair_columns(g)
     assert list(zip(i.tolist(), j.tolist())) == [(p.i, p.j) for p in g.pairs()]
     assert distance.tolist() == [graphs.graph_distance(g, p.i, p.j) for p in g.pairs()]
     assert resist.tolist() == [graphs.resistance(g, p.i, p.j) for p in g.pairs()]
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_span_columns_are_the_scalar_calls_at_every_span(family):
+    for n in range(2 if family == "path" else 3, 402):
+        g = GraphSpec(family, n)
+        distance, resist = graphs.span_columns(g)
+        assert distance.dtype == np.int64 and resist.dtype == np.float64
+        assert distance.tolist() == [graphs.graph_distance(g, 1, 1 + s) for s in range(1, n)]
+        want = [graphs.resistance(g, 1, 1 + s) for s in range(1, n)]
+        assert np.array_equal(resist.view(np.int64), np.array(want).view(np.int64)), n

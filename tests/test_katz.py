@@ -207,6 +207,89 @@ def test_matrix_size_cap_is_checked_before_allocation(build):
     assert peak < 2**20
 
 
+MATRICES = {"path": katz.katz_path_matrix, "cycle": katz.katz_cycle_matrix}
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family, n", [("path", n) for n in (*range(2, 81, 3), 250, 401)]
+                         + [("cycle", n) for n in (*range(3, 81, 3), 250, 401)])
+def test_each_stack_member_is_the_float_call_bit_for_bit(family, n):
+    alphas = katz_grid(GraphSpec(family, n)) + [0.02, 0.49]
+    stack = MATRICES[family](n, alphas)
+    assert stack.shape == (len(alphas), n, n)
+    for alpha, member in zip(alphas, stack):
+        assert np.array_equal(member.view(np.int64), MATRICES[family](n, alpha).view(np.int64)), alpha
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_stack_shapes(family):
+    build = MATRICES[family]
+    assert build(7, []).shape == (0, 7, 7)
+    assert build(7, np.array([])).shape == (0, 7, 7)
+    one = build(7, [0.3])
+    assert one.shape == (1, 7, 7)
+    assert np.array_equal(one[0], build(7, 0.3))
+    assert build(7, 0.3).shape == (7, 7)
+    with pytest.raises(ValueError, match="1-D"):
+        build(7, [[0.3]])
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_an_inadmissible_alpha_anywhere_in_a_stack_fails_before_allocation(family):
+    build = MATRICES[family]
+    bad = 0.6 if family == "path" else 0.5  # 1/rho is just above 1/2 on a path
+    for alphas in ([bad, 0.1, 0.2], [0.1, bad, 0.2], [0.1, 0.2, bad], [0.1, 0.0, 0.2]):
+        peak = traced_peak(lambda: pytest.raises(AdmissibilityError, build, 2000, alphas))
+        assert peak < 2**20, alphas
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_stack_size_cap_is_checked_before_allocation(family):
+    build = MATRICES[family]
+    n = katz.MATRIX_MAX_N // 2
+    katz.require_matrix_size(n, 4)  # 4 n^2 = MATRIX_MAX_N^2 is allowed
+    with pytest.raises(katz.MatrixSizeError, match=r"5 matrices of n = 2048 exceed .*MATRIX_MAX_N"):
+        katz.require_matrix_size(n, 5)
+    peak = traced_peak(lambda: pytest.raises(katz.MatrixSizeError, build, n, [0.1, 0.2, 0.3, 0.4, 0.45]))
+    assert peak < 2**20
+
+
+def test_stacked_cycle_peak_memory_is_at_most_twice_its_output():
+    n, alphas = 500, [0.1, 0.2, 0.3, 0.4]
+    assert traced_peak(lambda: katz.katz_cycle_matrix(n, alphas)) <= 2 * 8 * len(alphas) * n * n
+
+
+def test_path_matrix_peak_memory_is_its_output_and_two_masks():
+    # the output, and two n x n boolean masks that pick the triangles
+    n = 2000
+    assert traced_peak(lambda: katz.katz_path_matrix(n, 0.3)) <= (8 + 2) * n * n + 2**20
+
+
+@pytest.mark.parametrize("family, n", [("path", 2), ("path", 9), ("path", 64), ("cycle", 3), ("cycle", 4),
+                                       ("cycle", 9), ("cycle", 64)])
+def test_table_pair_scores_and_arcs_are_the_scalar_route(family, n):
+    g = GraphSpec(family, n)
+    alphas = katz_grid(g) + [0.02, 0.49]
+    table = katz._KatzTable(g, alphas)
+    i, j = (labels + 1 for labels in np.triu_indices(n, k=1))
+    route = katz.katz_path if g.is_path else katz.katz_cycle
+    for number, (alpha, scores) in enumerate(zip(alphas, table.pair_scores(i, j))):
+        want = [route(n, a, b, alpha) for a, b in zip(i.tolist(), j.tolist())]
+        assert np.array_equal(scores.view(np.int64), np.array(want).view(np.int64)), alpha
+        if not g.is_path:
+            want = [katz.katz_cycle(n, 1, 1 + k, alpha) for k in range(n // 2 + 1)]
+            assert np.array_equal(table.arcs(number).view(np.int64), np.array(want).view(np.int64)), alpha
+
+
 def test_series_oracle_matches_inverse():
     for g in (GraphSpec.path(6), GraphSpec.cycle(7)):
         a = katz.katz_oracle_series(g, 0.3, tol=1e-13)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from katzlab import ordering
+from katzlab import katz, ordering
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import AdmissibilityError, GraphSpec, VertexPair, graph_distance, resistance
 from katzlab.katz import katz_cycle_matrix, katz_path_matrix
@@ -136,6 +137,19 @@ def test_gap_and_reduced_form_share_sign(n, j, alpha):
     t = p_tilde(n, j, alpha)
     if abs(g) > 1e-13:  # too close to a root, sign is noise
         assert (g > 0.0) == (t > 0.0)
+
+
+def test_gap_is_the_difference_of_the_two_scalar_entries_bit_for_bit():
+    for n in range(3, 61):
+        for j in (1, 2, 3):
+            if n - j < 2:
+                continue
+            m = (n - j + 1) // 2
+            for alpha in katz_grid(GraphSpec.path(n)) + [0.02, INV_SQRT5, 0.49]:
+                want = katz.katz_path(n, 1, 1 + j, alpha) - katz.katz_path(n, m, m + j + 1, alpha)
+                assert p_gap(n, j, alpha).hex() == want.hex(), (n, j, alpha)
+    with pytest.raises(AdmissibilityError):
+        p_gap(10, 1, 0.6)
 
 
 def test_reduced_form_depends_only_on_the_span():
@@ -368,7 +382,7 @@ def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
 
         return fail
 
-    for name in ("pair_columns", "katz_path_matrix", "katz_cycle_matrix"):
+    for name in ("pair_columns", "_KatzTable"):
         monkeypatch.setattr(ordering, name, record(name))
     for g, bad in ((GraphSpec.cycle(8), 0.5), (GraphSpec.path(8), 0.6), (GraphSpec.path(8), 0.0)):
         for alphas in ([bad, 0.1, 0.2], [0.1, bad, 0.2], [0.1, 0.2, bad]):
@@ -377,6 +391,25 @@ def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
             with pytest.raises(AdmissibilityError):
                 class_structures_match(g, alphas)
     assert calls == []
+
+
+def test_a_sequence_of_alphas_holds_no_stack_of_scores_or_matrices(monkeypatch):
+    # the peak of a 40-alpha sweep is within a few P-arrays of that of two
+    # alphas: no (A, P) block, and no n x n matrix per alpha
+    monkeypatch.setattr(katz._KatzTable, "matrices", lambda self: pytest.fail("matrices called"))
+    for g in (GraphSpec.path(200), GraphSpec.cycle(200)):
+        alphas = [0.01 * k for k in range(5, 45)]
+        peaks = []
+        for sweep in (alphas[:2], alphas):
+            tracemalloc.start()
+            try:
+                agreement(g, sweep)
+                class_structures_match(g, sweep)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        pairs = g.n * (g.n - 1) // 2
+        assert peaks[1] < peaks[0] + 4 * 8 * pairs, (g, peaks)
 
 
 def test_alpha_shapes():

@@ -283,20 +283,22 @@ def test_ranking_suite_matches_per_alpha_loop_at_full(suite):
 
 
 def _swapped_entries(original, n_bad, alpha_bad):
-    """A katz_*_matrix whose entries (1, 2) and (1, 4) trade places at (n_bad, alpha_bad)."""
+    """A Katz table whose scores of the pairs (1, 2) and (1, 4) trade places at (n_bad, alpha_bad)."""
 
-    def swapped(n, alpha):
-        m = original(n, alpha)
-        if (n, alpha) == (n_bad, alpha_bad):
-            m[0, 1], m[0, 3] = m[0, 3], m[0, 1]
-        return m
+    class Swapped(original):
+        def pair_scores(self, i, j):
+            for alpha, scores in zip(self.alphas, super().pair_scores(i, j)):
+                if (self.graph.n, alpha) == (n_bad, alpha_bad):
+                    a, b = (np.flatnonzero((i == 1) & (j == k))[0] for k in (2, 4))
+                    scores[a], scores[b] = scores[b], scores[a]
+                yield scores
 
-    return swapped
+    return Swapped
 
 
 RANKING_FAULTS = {
-    verify.suite_cycle_agreement: ("katz_cycle_matrix", 8, 0.3),
-    verify.suite_path_agreement_below_cutoff: ("katz_path_matrix", 7, 0.2),
+    verify.suite_cycle_agreement: ("_KatzTable", 8, 0.3),
+    verify.suite_path_agreement_below_cutoff: ("_KatzTable", 7, 0.2),
 }
 
 
@@ -312,13 +314,18 @@ def test_ranking_suite_matches_per_alpha_loop_under_fault(suite, level, monkeypa
 
 
 def _perturbed_path_matrix(original):
-    """katz_path_matrix with entries (1, 4) and (2, 6) moved at three (n, alpha) points."""
+    """katz_path_matrix with entries (1, 4) and (2, 6) moved at three (n, alpha) points.
+
+    For a sequence of alphas, the stack member of each such alpha.
+    """
 
     def perturbed(n, alpha):
         m = original(n, alpha)
-        if (n, alpha) in ((7, 0.1), (7, 0.3), (9, 0.1)):
-            m[0, 3] += 0.5
-            m[1, 5] -= 0.5
+        members = zip(alpha, m) if np.ndim(alpha) else [(alpha, m)]
+        for value, member in members:
+            if (n, value) in ((7, 0.1), (7, 0.3), (9, 0.1)):
+                member[0, 3] += 0.5
+                member[1, 5] -= 0.5
         return m
 
     return perturbed
