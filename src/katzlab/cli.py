@@ -31,9 +31,7 @@ import numpy as np
 
 from . import katz, ordering
 from .dpoly import INV_SQRT5
-# resistance is unused here; perfbench/test_tracer.py checks that the tracer
-# patches this by-name import
-from .graphs import FAMILIES, GraphSpec, require_admissible, resistance, span_columns  # noqa: F401
+from .graphs import FAMILIES, GraphSpec, graph_distance, require_admissible, resistance
 from .linalg import SingularMatrixError
 from .verify import run_suites
 
@@ -113,16 +111,16 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
     """
     n = g.n
     i, j = np.triu_indices(n, k=1)  # vertices minus 1, in g.pairs() order
-    distance, resist = span_columns(g)
+    ends = np.arange(2, n + 1)  # the pairs (1, 1 + s) stand for every pair of span s = 1..n-1
+    distance, resist = graph_distance(g, 1, ends), resistance(g, 1, ends)
     # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells
     labels = [f"{v}," for v in range(2, n + 1)]
     spans = [f"{d},{r}," for d, r in zip(distance.tolist(), _real_cells(resist))]
-    cycle = None if g.is_path else katz._KatzTable(g, alphas)
-    for number, alpha in enumerate(alphas):
-        if cycle is None:
+    for alpha in alphas:
+        if g.is_path:
             katz_cells, katz_index = _real_table(katz.katz_path_matrix(n, alpha)[i, j])
         else:
-            katz_cells = [_real(x) for x in cycle.arcs(number).tolist()]
+            katz_cells = [_real(x) for x in katz.katz_cycle_arcs(n, alpha).tolist()]
         alpha_cell = _real(alpha)
         heads = [f"{alpha_cell},{v}," for v in range(1, n)]
         table = np.array(heads + labels + spans + [cell + "\n" for cell in katz_cells], dtype=object)
@@ -134,7 +132,7 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
             index[:, 0] = ib
             index[:, 1] = jb + (n - 2)
             index[:, 2] = jb - ib + (2 * n - 3)
-            index[:, 3] = katz_index[block] if cycle is None else distance[jb - ib - 1]
+            index[:, 3] = katz_index[block] if g.is_path else distance[jb - ib - 1]
             index[:, 3] += 3 * (n - 1)
             yield "".join(table[index].ravel().tolist())
 

@@ -153,8 +153,27 @@ def _checked_pair(g: GraphSpec, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
 
 
+def _label_spans(g: GraphSpec, i, j) -> np.ndarray:
+    """|j - i| for an array of labels against a label or another array (they broadcast), every label checked."""
+    for labels in (i, j):
+        if not isinstance(labels, np.ndarray):
+            g.check_vertex(labels)
+        elif labels.dtype.kind not in "iu":
+            raise TypeError(f"vertex labels must be integers, got dtype {labels.dtype}")
+        elif labels.size and not (1 <= labels.min() and labels.max() <= g.n):
+            raise ValueError(f"vertex labels out of range 1..{g.n}")
+    return np.abs(np.subtract(j, i, dtype=np.int64))
+
+
 def graph_distance(g: GraphSpec, i: int, j: int) -> int:
-    """Hop distance: j - i on paths, min(j - i, n - (j - i)) on cycles."""
+    """Hop distance: j - i on paths, min(j - i, n - (j - i)) on cycles.
+
+    i or j may be a numpy array of labels; the two broadcast, and the
+    distances come back as an int64 array.
+    """
+    if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
+        span = _label_spans(g, i, j)
+        return span if g.is_path else np.minimum(span, g.n - span)
     i, j = _checked_pair(g, i, j)
     if g.is_path:
         return j - i
@@ -165,35 +184,15 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
     """Effective resistance with unit-resistor edges, by closed form.
 
     Paths: equal to the hop distance (a series chain).  Cycles: the two arcs
-    between the vertices act in parallel, k(n-k)/n for arc length k.
+    between the vertices act in parallel, k(n-k)/n for arc length k.  For
+    arrays of labels, as in :func:`graph_distance`, a float64 array: the
+    quotient divides int64 values that are exact as doubles, so each entry
+    rounds as the scalar expression does.
     """
     k = graph_distance(g, i, j)
     if g.is_path:
-        return float(k)
+        return k + 0.0  # a float, or a float64 array, of the same values
     return k * (g.n - k) / g.n
-
-
-def span_columns(g: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
-    """graph_distance and resistance at the spans s = j - i = 1..n-1, as arrays in that order.
-
-    Entry s - 1 is the value at every pair of span s: s on paths, and on
-    cycles the arc length k = min(s, n - s) and k(n - k)/n.  That quotient
-    divides two int64 values that are exact as doubles, so it rounds as the
-    Python expression does and every entry is the scalar result.
-    """
-    span = np.arange(1, g.n)
-    if g.is_path:
-        return span, span.astype(float)
-    arc = np.minimum(span, g.n - span)
-    return arc, arc * (g.n - arc) / g.n
-
-
-def pair_columns(g: GraphSpec) -> tuple[np.ndarray, ...]:
-    """Labels i, j of g.pairs() and the graph_distance and resistance of each pair, as arrays in that order."""
-    i, j = np.triu_indices(g.n, k=1)
-    span_index = j - i - 1
-    distance, resist = span_columns(g)
-    return i + 1, j + 1, distance[span_index], resist[span_index]
 
 
 @functools.lru_cache(maxsize=1)

@@ -16,7 +16,6 @@ diagonal included; only the oracles touch dense linear algebra.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -138,13 +137,13 @@ class _KatzTable:
     Anal. Appl. 13, 1992).  Per alpha the table holds the d-row of
     :func:`d_sequence`, [d_0, ..., d_n] on paths and [d_0, ..., d_{n-1}] on
     cycles, and on paths the row alpha^0, ..., alpha^(n-1) of Python
-    powers.  Every value it serves is the scalar entry bit for bit.  Every
-    alpha is checked admissible before any row is built.
+    powers.  Every value it serves is the scalar entry bit for bit.  The
+    alphas are taken as checked admissible for g.
     """
 
-    def __init__(self, g: GraphSpec, alpha) -> None:
+    def __init__(self, g: GraphSpec, alphas: list) -> None:
         self.graph = g
-        self.alphas = [float(value) for value in _admissible_alphas(alpha, g)]
+        self.alphas = [float(value) for value in alphas]
         n = g.n
         rows = [d_sequence(n if g.is_path else n - 1, value) for value in self.alphas]
         if g.is_path:
@@ -160,20 +159,6 @@ class _KatzTable:
         half = np.array([_cycle_numerator(seq, n, k, alpha) for k in range(n // 2 + 1)])
         half /= _cycle_denominator(seq, n, alpha)
         return half
-
-    def pair_scores(self, i: np.ndarray, j: np.ndarray) -> Iterator[np.ndarray]:
-        """The entries at the pairs with labels i < j, one array per alpha in turn; no n x n matrix.
-
-        The index arrays are rebuilt per alpha, so between alphas the sweep
-        holds no array of the pairs' size.
-        """
-        n = self.graph.n
-        for number in range(len(self.alphas)):
-            if self.graph.is_path:
-                d = self.d[number]
-                yield _path_terms(self.powers[number][j - i], d[i - 1], d[n - j], d[n])
-            else:
-                yield self.arcs(number)[np.minimum(j - i, n - j + i)]
 
     def matrices(self) -> np.ndarray:
         """The (A, n, n) stack of Katz matrices, one per alpha, diagonal included.
@@ -223,8 +208,42 @@ class _KatzTable:
 
 def _matrices(g: GraphSpec, alpha) -> np.ndarray:
     """The Katz matrix of g at alpha, or the (A, n, n) stack for a 1-D sequence of A alphas."""
-    stack = _KatzTable(g, alpha).matrices()
+    stack = _KatzTable(g, _admissible_alphas(alpha, g)).matrices()
     return stack if np.ndim(alpha) else stack[0]
+
+
+def _one_alpha(g: GraphSpec, alpha) -> list:
+    """[alpha], checked a single admissible number for g."""
+    if np.ndim(alpha):
+        raise ValueError(f"alpha must be a single number here, got shape {np.shape(alpha)}")
+    return [require_admissible(alpha, g)]
+
+
+def katz_pair_entries(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Katz entries of g at one alpha for the pairs with label arrays i < j, without an n x n matrix.
+
+    Each is :func:`katz_path` or :func:`katz_cycle` bit for bit, from the
+    one d-row of alpha: O(n) numbers whatever the number of pairs.
+    """
+    alphas, n = _one_alpha(g, alpha), g.n
+    span = j - i
+    if span.size and not (span.min() > 0 and i.min() >= 1 and j.max() <= n):
+        raise ValueError(f"every pair needs labels 1 <= i < j <= {n}")
+    table = _KatzTable(g, alphas)
+    if not g.is_path:
+        return table.arcs(0)[np.minimum(span, n - span)]
+    d = table.d[0]
+    return _path_terms(table.powers[0][span], d[i - 1], d[n - j], d[n])
+
+
+def katz_cycle_arcs(n: int, alpha: float) -> np.ndarray:
+    """Katz entries of the n-cycle at arc lengths k = 0..n//2, the diagonal at k = 0.
+
+    Entry k is :func:`katz_cycle` at every pair whose graph distance is k,
+    bit for bit.
+    """
+    g = GraphSpec.cycle(n)
+    return _KatzTable(g, _one_alpha(g, alpha)).arcs(0)
 
 
 def katz_path_matrix(n: int, alpha) -> np.ndarray:

@@ -25,10 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .dpoly import INV_SQRT5, _require_below_half, d_sequence
-# resistance is unused here; perfbench/test_tracer.py checks that the tracer
-# patches this by-name import
-from .graphs import GraphSpec, VertexPair, _admissible_alphas, pair_columns, require_admissible, resistance  # noqa: F401
-from .katz import _cycle_numerator, _KatzTable, _path_entry
+from .graphs import GraphSpec, VertexPair, _admissible_alphas, graph_distance, require_admissible, resistance
+from .katz import _cycle_numerator, _path_entry, katz_pair_entries
 
 KATZ = "katz"
 RESISTANCE = "resistance"
@@ -85,9 +83,17 @@ class AgreementReport:
 
 
 def _pair_table(g: GraphSpec) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Labels i, j of g.pairs() and the resistance and distance scores, which no alpha changes."""
-    i, j, distance, resist = pair_columns(g)
-    return i, j, {RESISTANCE: resist, DISTANCE: distance.astype(float)}
+    """Labels i, j of g.pairs() and the resistance and distance scores, which no alpha changes.
+
+    Both metrics depend on a pair only through its span j - i, so each is
+    evaluated at the n - 1 pairs (1, 1 + s) and gathered by span.
+    """
+    i, j = np.triu_indices(g.n, k=1)
+    span_index = j - i - 1
+    ends = np.arange(2, g.n + 1)
+    resist = resistance(g, 1, ends)[span_index]
+    distance = graph_distance(g, 1, ends)[span_index].astype(float)
+    return i + 1, j + 1, {RESISTANCE: resist, DISTANCE: distance}
 
 
 def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
@@ -97,7 +103,7 @@ def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
     if metric == KATZ and alpha is None:
         raise ValueError("the katz metric needs an alpha value")
     i, j, scores = _pair_table(g)
-    return next(_KatzTable(g, alpha).pair_scores(i, j)) if metric == KATZ else scores[metric]
+    return katz_pair_entries(g, alpha, i, j) if metric == KATZ else scores[metric]
 
 
 def _keys(metric: str, scores: np.ndarray) -> np.ndarray:
@@ -170,8 +176,8 @@ def class_structures_match(g: GraphSpec, alpha):
     reference = _class_of_pair(RESISTANCE, scores[RESISTANCE])
     fixed_match = np.array_equal(_class_of_pair(DISTANCE, scores[DISTANCE]), reference)
     matches = [
-        np.array_equal(_class_of_pair(KATZ, katz_scores), reference) and fixed_match
-        for katz_scores in _KatzTable(g, alphas).pair_scores(i, j)
+        np.array_equal(_class_of_pair(KATZ, katz_pair_entries(g, value, i, j)), reference) and fixed_match
+        for value in alphas
     ]
     return matches if np.ndim(alpha) else matches[0]
 
@@ -207,17 +213,17 @@ def agreement(g: GraphSpec, alpha):
     P = n(n-1)/2 pairs; the witness is the first inversion in lexicographic
     (pair_a, pair_b) order among the disagreeing metric pairs.  For a 1-D
     sequence of alphas, the list of reports, one per alpha: the pair
-    columns, the d-rows of every alpha and the resistance-vs-distance
-    inversion are found once per call, and only the Katz scores and their
-    two inversions once per alpha.  No n x n matrix is built.
+    columns and the resistance-vs-distance inversion are found once per
+    call, and only the Katz scores and their two inversions once per alpha.
+    The Katz scores come from the alpha's d-row; no n x n matrix is built.
     """
     alphas = _admissible_alphas(alpha, g)
     i, j, scores = _pair_table(g)
     # resistance and distance scores are their own keys (smaller is better)
     fixed_inversion = _first_inversion(scores[RESISTANCE], scores[DISTANCE])
     reports = []
-    for value, katz_scores in zip(alphas, _KatzTable(g, alphas).pair_scores(i, j)):
-        scores[KATZ] = katz_scores
+    for value in alphas:
+        scores[KATZ] = katz_pair_entries(g, value, i, j)
         katz_keys = _keys(KATZ, scores[KATZ])
         found = {
             (KATZ, RESISTANCE): _first_inversion(katz_keys, scores[RESISTANCE]),

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from katzlab import cli, katz
 from katzlab.dpoly import INV_SQRT5
-from katzlab.graphs import GraphSpec, pair_columns
+from katzlab.graphs import GraphSpec, graph_distance, resistance
 from katzlab.katz import katz_limit_path
 
 
@@ -77,11 +77,11 @@ def test_scatter_small_cycles_print_one_value_per_arc_class(tmp_path, n):
 def reference_scatter_text(family, n, alphas):
     """The per-row route: _real on every cell, one ",".join per row."""
     g = GraphSpec(family, n)
-    i, j, distance, resist = pair_columns(g)
     lines = ["alpha,i,j,distance,resistance,katz"]
     for alpha in sorted(alphas):
         kmat = katz.katz_path_matrix(n, alpha) if g.is_path else katz.katz_cycle_matrix(n, alpha)
-        for a, b, d, r in zip(i.tolist(), j.tolist(), distance.tolist(), resist.tolist()):
+        for a, b in ((p.i, p.j) for p in g.pairs()):
+            d, r = graph_distance(g, a, b), resistance(g, a, b)
             cells = [cli._real(alpha), str(a), str(b), str(d), cli._real(r), cli._real(kmat[a - 1, b - 1])]
             lines.append(",".join(cells))
     return "".join(line + "\n" for line in lines)

@@ -131,18 +131,43 @@ def test_short_paths_admit_values_above_half():
 
 @pytest.mark.parametrize("g", [GraphSpec.path(2), GraphSpec.path(9), GraphSpec.cycle(3), GraphSpec.cycle(12)])
 def test_pair_columns_match_scalar_calls(g):
-    i, j, distance, resist = graphs.pair_columns(g)
+    # the columns over g.pairs() that the rankings read, from label arrays
+    i, j = (labels + 1 for labels in np.triu_indices(g.n, k=1))
     assert list(zip(i.tolist(), j.tolist())) == [(p.i, p.j) for p in g.pairs()]
-    assert distance.tolist() == [graphs.graph_distance(g, p.i, p.j) for p in g.pairs()]
-    assert resist.tolist() == [graphs.resistance(g, p.i, p.j) for p in g.pairs()]
+    assert graphs.graph_distance(g, i, j).tolist() == [graphs.graph_distance(g, p.i, p.j) for p in g.pairs()]
+    assert graphs.resistance(g, i, j).tolist() == [graphs.resistance(g, p.i, p.j) for p in g.pairs()]
+    # either order, and a scalar label broadcast against an array
+    assert graphs.graph_distance(g, j, i).tolist() == graphs.graph_distance(g, i, j).tolist()
+    assert graphs.resistance(g, 1, j[i == 1]).tolist() == [graphs.resistance(g, 1, b) for b in range(2, g.n + 1)]
 
 
 @pytest.mark.parametrize("family", ["path", "cycle"])
-def test_span_columns_are_the_scalar_calls_at_every_span(family):
+def test_label_arrays_give_the_scalar_calls_at_every_span(family):
     for n in range(2 if family == "path" else 3, 402):
         g = GraphSpec(family, n)
-        distance, resist = graphs.span_columns(g)
+        ends = np.arange(2, n + 1)
+        distance, resist = graphs.graph_distance(g, 1, ends), graphs.resistance(g, 1, ends)
         assert distance.dtype == np.int64 and resist.dtype == np.float64
         assert distance.tolist() == [graphs.graph_distance(g, 1, 1 + s) for s in range(1, n)]
         want = [graphs.resistance(g, 1, 1 + s) for s in range(1, n)]
         assert np.array_equal(resist.view(np.int64), np.array(want).view(np.int64)), n
+
+
+def test_label_arrays_are_checked():
+    g = GraphSpec.cycle(6)
+    for bad in (np.array([0, 2]), np.array([2, 7])):
+        for metric in (graphs.graph_distance, graphs.resistance):
+            with pytest.raises(ValueError, match="out of range"):
+                metric(g, 1, bad)
+            with pytest.raises(ValueError, match="out of range"):
+                metric(g, bad, 1)
+    with pytest.raises(TypeError, match="integers"):
+        graphs.graph_distance(g, 1, np.array([2.0, 3.0]))
+    assert graphs.graph_distance(g, 1, np.array([], dtype=np.int64)).shape == (0,)
+    unsigned = np.array([2, 5, 6], dtype=np.uint8)
+    assert graphs.graph_distance(g, 6, unsigned).tolist() == [2, 1, 0]
+    assert graphs.graph_distance(g, unsigned[::-1], unsigned).tolist() == [2, 0, 2]
+    with pytest.raises(TypeError, match="integer"):
+        graphs.graph_distance(g, np.uint8(6), unsigned)
+    with pytest.raises(ValueError, match="out of range"):
+        graphs.graph_distance(g, 7, unsigned)

@@ -276,18 +276,36 @@ def test_path_matrix_peak_memory_is_its_output_and_two_masks():
 
 @pytest.mark.parametrize("family, n", [("path", 2), ("path", 9), ("path", 64), ("cycle", 3), ("cycle", 4),
                                        ("cycle", 9), ("cycle", 64)])
-def test_table_pair_scores_and_arcs_are_the_scalar_route(family, n):
+def test_pair_entries_and_arcs_are_the_scalar_route(family, n):
     g = GraphSpec(family, n)
-    alphas = katz_grid(g) + [0.02, 0.49]
-    table = katz._KatzTable(g, alphas)
     i, j = (labels + 1 for labels in np.triu_indices(n, k=1))
     route = katz.katz_path if g.is_path else katz.katz_cycle
-    for number, (alpha, scores) in enumerate(zip(alphas, table.pair_scores(i, j))):
+    for alpha in katz_grid(g) + [0.02, 0.49]:
         want = [route(n, a, b, alpha) for a, b in zip(i.tolist(), j.tolist())]
+        scores = katz.katz_pair_entries(g, alpha, i, j)
         assert np.array_equal(scores.view(np.int64), np.array(want).view(np.int64)), alpha
         if not g.is_path:
             want = [katz.katz_cycle(n, 1, 1 + k, alpha) for k in range(n // 2 + 1)]
-            assert np.array_equal(table.arcs(number).view(np.int64), np.array(want).view(np.int64)), alpha
+            assert np.array_equal(katz.katz_cycle_arcs(n, alpha).view(np.int64), np.array(want).view(np.int64)), alpha
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_pair_entries_take_one_admissible_alpha_and_pairs_i_below_j(family):
+    g = GraphSpec(family, 8)
+    i, j = np.array([1, 2]), np.array([3, 8])
+    for alpha in ([0.1, 0.2], [], np.array([0.1])):
+        with pytest.raises(ValueError, match="single number"):
+            katz.katz_pair_entries(g, alpha, i, j)
+    with pytest.raises(AdmissibilityError):
+        katz.katz_pair_entries(g, 0.6, i, j)
+    for bad_i, bad_j in ((j, i), (i, j + 1), (i - 1, j), (i, i)):
+        with pytest.raises(ValueError, match="1 <= i < j <= 8"):
+            katz.katz_pair_entries(g, 0.3, bad_i, bad_j)
+    assert katz.katz_pair_entries(g, 0.3, i[:0], j[:0]).shape == (0,)
+    with pytest.raises(ValueError, match="single number"):
+        katz.katz_cycle_arcs(8, [0.3])
+    with pytest.raises(AdmissibilityError):
+        katz.katz_cycle_arcs(8, 0.5)
 
 
 def test_series_oracle_matches_inverse():

@@ -382,7 +382,7 @@ def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
 
         return fail
 
-    for name in ("pair_columns", "_KatzTable"):
+    for name in ("graph_distance", "resistance", "katz_pair_entries"):
         monkeypatch.setattr(ordering, name, record(name))
     for g, bad in ((GraphSpec.cycle(8), 0.5), (GraphSpec.path(8), 0.6), (GraphSpec.path(8), 0.0)):
         for alphas in ([bad, 0.1, 0.2], [0.1, bad, 0.2], [0.1, 0.2, bad]):
@@ -410,6 +410,14 @@ def test_a_sequence_of_alphas_holds_no_stack_of_scores_or_matrices(monkeypatch):
                 tracemalloc.stop()
         pairs = g.n * (g.n - 1) // 2
         assert peaks[1] < peaks[0] + 4 * 8 * pairs, (g, peaks)
+
+
+def test_single_alpha_routes_reject_a_sequence():
+    g = GraphSpec.path(8)
+    for alphas in ([0.1, 0.2], []):
+        for call in (rank_pairs, score_classes, pair_scores):
+            with pytest.raises(ValueError, match="single number"):
+                call(g, "katz", alphas)
 
 
 def test_alpha_shapes():
