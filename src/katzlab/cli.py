@@ -103,14 +103,16 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
 
     A row is four cells from small per-graph tables: the "alpha,i," head,
     the "j," label, the "distance,resistance," cells of its span j - i and
-    the Katz cell with its line end.  A path has one Katz cell per distinct
-    value of its matrix; a cycle's Katz value depends on a pair only through
-    its arc, the distance of its span, so it has one per arc, n//2 + 1 per
-    alpha, and no matrix.  A block is one object-array gather from the
-    tables and one join.
+    the Katz cell with its line end, read by katz.katz_pair_entries with no
+    n x n matrix.  A path has one Katz cell per distinct value of its pairs;
+    a cycle's Katz value depends on a pair only through its arc, the
+    distance of its span, so it reads the pairs (1, 1 + k), k = 1..n//2,
+    one cell per arc.  A block is one object-array gather and one join.
     """
     n = g.n
-    i, j = np.triu_indices(n, k=1)  # vertices minus 1, in g.pairs() order
+    i, j = np.triu_indices(n, k=1)
+    i += 1  # labels in g.pairs() order, made 1-based in place: no second copy
+    j += 1
     ends = np.arange(2, n + 1)  # the pairs (1, 1 + s) stand for every pair of span s = 1..n-1
     distance, resist = graph_distance(g, 1, ends), resistance(g, 1, ends)
     # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells
@@ -118,9 +120,10 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
     spans = [f"{d},{r}," for d, r in zip(distance.tolist(), _real_cells(resist))]
     for alpha in alphas:
         if g.is_path:
-            katz_cells, katz_index = _real_table(katz.katz_path_matrix(n, alpha)[i, j])
+            katz_cells, katz_index = _real_table(katz.katz_pair_entries(g, alpha, i, j))
         else:
-            katz_cells = [_real(x) for x in katz.katz_cycle_arcs(n, alpha).tolist()]
+            arcs = katz.katz_pair_entries(g, alpha, np.ones(n // 2, dtype=np.int64), ends[: n // 2])
+            katz_cells = [_real(x) for x in arcs.tolist()]
         alpha_cell = _real(alpha)
         heads = [f"{alpha_cell},{v}," for v in range(1, n)]
         table = np.array(heads + labels + spans + [cell + "\n" for cell in katz_cells], dtype=object)
@@ -129,10 +132,10 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
             block = slice(lo, lo + SCATTER_BLOCK_ROWS)
             ib, jb = i[block], j[block]
             index = np.empty((len(ib), 4), dtype=np.intp)
-            index[:, 0] = ib
-            index[:, 1] = jb + (n - 2)
+            index[:, 0] = ib - 1
+            index[:, 1] = jb + (n - 3)
             index[:, 2] = jb - ib + (2 * n - 3)
-            index[:, 3] = katz_index[block] if g.is_path else distance[jb - ib - 1]
+            index[:, 3] = katz_index[block] if g.is_path else distance[jb - ib - 1] - 1
             index[:, 3] += 3 * (n - 1)
             yield "".join(table[index].ravel().tolist())
 

@@ -134,31 +134,27 @@ class _KatzTable:
     """The O(n) numbers that fix the Katz matrix of one graph at each of a list of alphas.
 
     A tridiagonal inverse is fixed by O(n) data (Meurant, SIAM J. Matrix
-    Anal. Appl. 13, 1992).  Per alpha the table holds the d-row of
-    :func:`d_sequence`, [d_0, ..., d_n] on paths and [d_0, ..., d_{n-1}] on
-    cycles, and on paths the row alpha^0, ..., alpha^(n-1) of Python
-    powers.  Every value it serves is the scalar entry bit for bit.  The
-    alphas are taken as checked admissible for g.
+    Anal. Appl. 13, 1992).  Per alpha a path's table holds the d-row [d_0,
+    ..., d_n] of :func:`d_sequence` and the Python powers alpha^0, ...,
+    alpha^(n-1); a cycle's, in the (A, n//2 + 1) array arcs, its entries at
+    arc lengths k = 0..n//2.  Every value it serves is the scalar entry bit
+    for bit.  The alphas are taken as checked admissible for g.
     """
 
     def __init__(self, g: GraphSpec, alphas: list) -> None:
         self.graph = g
         self.alphas = [float(value) for value in alphas]
-        n = g.n
+        n, count = g.n, len(self.alphas)
         rows = [d_sequence(n if g.is_path else n - 1, value) for value in self.alphas]
         if g.is_path:
-            count = len(rows)
             self.d = np.array(rows).reshape(count, n + 1)
             self.powers = np.array([[value**k for k in range(n)] for value in self.alphas]).reshape(count, n)
         else:
-            self.rows = rows  # lists: the cycle entries run the scalar numerator per arc
-
-    def arcs(self, number: int) -> np.ndarray:
-        """Cycle entries at arc lengths k = 0..n//2 for alpha number `number`, the diagonal at k = 0."""
-        n, alpha, seq = self.graph.n, self.alphas[number], self.rows[number]
-        half = np.array([_cycle_numerator(seq, n, k, alpha) for k in range(n // 2 + 1)])
-        half /= _cycle_denominator(seq, n, alpha)
-        return half
+            arcs = []
+            for seq, value in zip(rows, self.alphas):
+                denominator = _cycle_denominator(seq, n, value)
+                arcs.append([_cycle_numerator(seq, n, k, value) / denominator for k in range(n // 2 + 1)])
+            self.arcs = np.array(arcs).reshape(count, n // 2 + 1)
 
     def matrices(self) -> np.ndarray:
         """The (A, n, n) stack of Katz matrices, one per alpha, diagonal included.
@@ -193,11 +189,10 @@ class _KatzTable:
         return out
 
     def _cycle_matrices(self) -> np.ndarray:
-        # member a is circulant: row 0 is arcs(a) mirrored (span n - k reads
+        # member a is circulant: row 0 is arcs[a] mirrored (span n - k reads
         # arc k) and row i is row 0 rotated right by i, so entry (i, j) is
         # doubled[a, n - i + j]
-        n, count = self.graph.n, len(self.alphas)
-        half = np.array([self.arcs(number) for number in range(count)])
+        n, count, half = self.graph.n, len(self.alphas), self.arcs
         row = np.concatenate((half, half[:, (n - 1) // 2 : 0 : -1]), axis=1)
         doubled = np.concatenate((row, row), axis=1)
         step = doubled.itemsize
@@ -212,38 +207,29 @@ def _matrices(g: GraphSpec, alpha) -> np.ndarray:
     return stack if np.ndim(alpha) else stack[0]
 
 
-def _one_alpha(g: GraphSpec, alpha) -> list:
-    """[alpha], checked a single admissible number for g."""
-    if np.ndim(alpha):
-        raise ValueError(f"alpha must be a single number here, got shape {np.shape(alpha)}")
-    return [require_admissible(alpha, g)]
+def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Katz entries of g for the pairs with integer label arrays i < j, without an n x n matrix.
 
-
-def katz_pair_entries(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Katz entries of g at one alpha for the pairs with label arrays i < j, without an n x n matrix.
-
-    Each is :func:`katz_path` or :func:`katz_cycle` bit for bit, from the
-    one d-row of alpha: O(n) numbers whatever the number of pairs.
+    At a number, the (P,) entries of the P pairs; at a 1-D sequence of A
+    alphas, the (A, P) array whose row a is the call with alpha a alone.
+    Every alpha is checked admissible before any work.  Each entry is
+    :func:`katz_path` or :func:`katz_cycle` bit for bit, gathered from the
+    O(n) numbers per alpha of one table, whatever the number of pairs.
     """
-    alphas, n = _one_alpha(g, alpha), g.n
-    span = j - i
+    alphas, n = _admissible_alphas(alpha, g), g.n
+    if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
+        raise TypeError(f"vertex labels must be integers, got dtypes {i.dtype} and {j.dtype}")
+    span = np.subtract(j, i, dtype=np.int64)
     if span.size and not (span.min() > 0 and i.min() >= 1 and j.max() <= n):
         raise ValueError(f"every pair needs labels 1 <= i < j <= {n}")
     table = _KatzTable(g, alphas)
-    if not g.is_path:
-        return table.arcs(0)[np.minimum(span, n - span)]
-    d = table.d[0]
-    return _path_terms(table.powers[0][span], d[i - 1], d[n - j], d[n])
-
-
-def katz_cycle_arcs(n: int, alpha: float) -> np.ndarray:
-    """Katz entries of the n-cycle at arc lengths k = 0..n//2, the diagonal at k = 0.
-
-    Entry k is :func:`katz_cycle` at every pair whose graph distance is k,
-    bit for bit.
-    """
-    g = GraphSpec.cycle(n)
-    return _KatzTable(g, _one_alpha(g, alpha)).arcs(0)
+    if g.is_path:
+        d = table.d
+        before = d.take(i - 1, axis=1)  # the gathered d_{i-1} become the entries in place
+        entries = _path_terms(table.powers.take(span, axis=1), before, d.take(n - j, axis=1), d[:, n:], out=before)
+    else:
+        entries = table.arcs.take(np.minimum(span, n - span), axis=1)
+    return entries if np.asarray(alpha).ndim else entries[0]
 
 
 def katz_path_matrix(n: int, alpha) -> np.ndarray:

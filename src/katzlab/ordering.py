@@ -102,6 +102,8 @@ def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == KATZ and alpha is None:
         raise ValueError("the katz metric needs an alpha value")
+    if metric == KATZ and np.ndim(alpha):
+        raise ValueError(f"alpha must be a single number here, got shape {np.shape(alpha)}")
     i, j, scores = _pair_table(g)
     return katz_pair_entries(g, alpha, i, j) if metric == KATZ else scores[metric]
 

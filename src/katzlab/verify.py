@@ -350,8 +350,9 @@ def suite_katz_distance_monotone(level: str) -> SuiteResult:
     res = SuiteResult("katz decreasing in path distance from an endpoint", 0.0)
     alphas = [a for a in DPOLY_PROBED if a < 0.5]
     for n in range(3, 31):
-        rows = katz.katz_path_matrix(n, alphas)[:, 0]
-        res.check_all((rows[:, 1:-1] > rows[:, 2:]).all(axis=1), lambda f: f"n={n} alpha={alphas[f]}")
+        # the pairs (1, 1 + s), s = 1..n-1, per alpha
+        rows = katz.katz_pair_entries(GraphSpec.path(n), alphas, np.ones(n - 1, dtype=int), np.arange(2, n + 1))
+        res.check_all((rows[:, :-1] > rows[:, 1:]).all(axis=1), lambda f: f"n={n} alpha={alphas[f]}")
     return res
 
 
@@ -360,14 +361,16 @@ def suite_katz_shift_monotone(level: str) -> SuiteResult:
     alphas = [a for a in DPOLY_PROBED if a < 0.5]
     for n in range(3, 31):
         k, i = _loop_grid(range(1, n - 1), lambda k: [i for i in range(1, n - k) if n - k - 2 * i - 1 >= 0])
-        m = katz.katz_path_matrix(n, alphas)
+        # per alpha, the pairs (i, i + k) and then their shifts (i + 1, i + k + 1)
+        firsts, seconds = np.concatenate((i, i + 1)), np.concatenate((i + k, i + k + 1))
+        left, right = np.split(katz.katz_pair_entries(GraphSpec.path(n), alphas, firsts, seconds), 2, axis=1)
 
         def context(f):
             a, f = divmod(f, len(k))
             return f"n={n} k={k[f]} i={i[f]} alpha={alphas[a]}"
 
         # per alpha, then per (k, i): the flat order of the (alpha, pair) array
-        res.check_all(m[:, i - 1, i + k - 1] <= m[:, i, i + k] + 1e-13, context)
+        res.check_all(left <= right + 1e-13, context)
     return res
 
 

@@ -109,6 +109,15 @@ def test_scatter_katz_cells_are_the_scalar_route(tmp_path, family, n):
         assert cell == cli._real(route(n, int(i), int(j), float(alpha))), (alpha, i, j)
 
 
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_scatter_builds_no_katz_matrix(tmp_path, monkeypatch, family):
+    want = reference_scatter_text(family, 12, cli.DEFAULT_SCATTER_ALPHAS).encode()
+    monkeypatch.setattr(katz._KatzTable, "matrices", lambda self: pytest.fail("matrices called"))
+    out = tmp_path / "scatter.csv"
+    assert run(["scatter", "--family", family, "--n", "12", "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+
+
 def block_size_for(pairs, remainder):
     """The largest block size b with pairs = m b + remainder for some m >= 2."""
     return max(b for b in range(1, pairs) if (pairs - remainder) % b == 0 and (pairs - remainder) // b >= 2)

@@ -274,8 +274,10 @@ def test_path_matrix_peak_memory_is_its_output_and_two_masks():
     assert traced_peak(lambda: katz.katz_path_matrix(n, 0.3)) <= (8 + 2) * n * n + 2**20
 
 
-@pytest.mark.parametrize("family, n", [("path", 2), ("path", 9), ("path", 64), ("cycle", 3), ("cycle", 4),
-                                       ("cycle", 9), ("cycle", 64)])
+PAIR_GRIDS = [("path", 2), ("path", 9), ("path", 64), ("cycle", 3), ("cycle", 4), ("cycle", 9), ("cycle", 64)]
+
+
+@pytest.mark.parametrize("family, n", PAIR_GRIDS)
 def test_pair_entries_and_arcs_are_the_scalar_route(family, n):
     g = GraphSpec(family, n)
     i, j = (labels + 1 for labels in np.triu_indices(n, k=1))
@@ -285,27 +287,50 @@ def test_pair_entries_and_arcs_are_the_scalar_route(family, n):
         scores = katz.katz_pair_entries(g, alpha, i, j)
         assert np.array_equal(scores.view(np.int64), np.array(want).view(np.int64)), alpha
         if not g.is_path:
-            want = [katz.katz_cycle(n, 1, 1 + k, alpha) for k in range(n // 2 + 1)]
-            assert np.array_equal(katz.katz_cycle_arcs(n, alpha).view(np.int64), np.array(want).view(np.int64)), alpha
+            # one pair per arc length k = 1..n//2
+            arcs = katz.katz_pair_entries(g, alpha, np.ones(n // 2, dtype=int), np.arange(2, n // 2 + 2))
+            want = [katz.katz_cycle(n, 1, 1 + k, alpha) for k in range(1, n // 2 + 1)]
+            assert np.array_equal(arcs.view(np.int64), np.array(want).view(np.int64)), alpha
+
+
+@pytest.mark.parametrize("family, n", PAIR_GRIDS)
+def test_pair_entries_at_a_sequence_are_the_one_alpha_calls(family, n):
+    g = GraphSpec(family, n)
+    i, j = (labels + 1 for labels in np.triu_indices(n, k=1))
+    alphas = katz_grid(g) + [0.02, 0.49]
+    rows = katz.katz_pair_entries(g, alphas, i, j)
+    assert rows.shape == (len(alphas), len(i))
+    for alpha, row in zip(alphas, rows):
+        assert np.array_equal(row.view(np.int64), katz.katz_pair_entries(g, alpha, i, j).view(np.int64)), alpha
+    assert np.array_equal(katz.katz_pair_entries(g, np.array(alphas), i, j), rows)
+    assert katz.katz_pair_entries(g, [], i, j).shape == (0, len(i))
+    with pytest.raises(ValueError, match="1-D"):
+        katz.katz_pair_entries(g, [alphas], i, j)
+
+
+def test_an_inadmissible_alpha_anywhere_fails_before_a_table_is_built(monkeypatch):
+    monkeypatch.setattr(katz, "_KatzTable", lambda *args: pytest.fail("table built"))
+    i, j = np.array([1, 2]), np.array([3, 8])
+    for g, bad in ((GraphSpec.cycle(8), 0.5), (GraphSpec.path(8), 0.6), (GraphSpec.path(8), 0.0)):
+        for alphas in ([bad, 0.1, 0.2], [0.1, bad, 0.2], [0.1, 0.2, bad]):
+            with pytest.raises(AdmissibilityError):
+                katz.katz_pair_entries(g, alphas, i, j)
 
 
 @pytest.mark.parametrize("family", ["path", "cycle"])
 def test_pair_entries_take_one_admissible_alpha_and_pairs_i_below_j(family):
     g = GraphSpec(family, 8)
     i, j = np.array([1, 2]), np.array([3, 8])
-    for alpha in ([0.1, 0.2], [], np.array([0.1])):
-        with pytest.raises(ValueError, match="single number"):
-            katz.katz_pair_entries(g, alpha, i, j)
     with pytest.raises(AdmissibilityError):
         katz.katz_pair_entries(g, 0.6, i, j)
-    for bad_i, bad_j in ((j, i), (i, j + 1), (i - 1, j), (i, i)):
+    for bad_i, bad_j in ((j, i), (i, j + 1), (i - 1, j), (i, i), (j.astype(np.uint8), i.astype(np.uint8))):
         with pytest.raises(ValueError, match="1 <= i < j <= 8"):
             katz.katz_pair_entries(g, 0.3, bad_i, bad_j)
     assert katz.katz_pair_entries(g, 0.3, i[:0], j[:0]).shape == (0,)
-    with pytest.raises(ValueError, match="single number"):
-        katz.katz_cycle_arcs(8, [0.3])
-    with pytest.raises(AdmissibilityError):
-        katz.katz_cycle_arcs(8, 0.5)
+    # a bool is not vertex 1, nor a float a vertex
+    for bad_i, bad_j in ((np.array([True]), np.array([2])), (i, j.astype(float)), (i + 0.5, j)):
+        with pytest.raises(TypeError, match="vertex labels must be integers"):
+            katz.katz_pair_entries(g, 0.3, bad_i, bad_j)
 
 
 def test_series_oracle_matches_inverse():

@@ -163,8 +163,9 @@ def reference_katz_distance_monotone(level):
     res = SuiteResult("katz decreasing in path distance from an endpoint", 0.0)
     for n in range(3, 31):
         for alpha in [a for a in DPOLY_PROBED if a < 0.5]:
-            row = katz.katz_path_matrix(n, alpha)[0]
-            ok = all(row[k] > row[k + 1] for k in range(1, n - 1))
+            # row[s - 1] is the pair (1, 1 + s)
+            row = katz.katz_pair_entries(GraphSpec.path(n), alpha, np.ones(n - 1, dtype=int), np.arange(2, n + 1))
+            ok = all(row[k] > row[k + 1] for k in range(n - 2))
             res.check(ok, f"n={n} alpha={alpha}")
     return res
 
@@ -172,14 +173,16 @@ def reference_katz_distance_monotone(level):
 def reference_katz_shift_monotone(level):
     res = SuiteResult("katz non-decreasing under centered pair shifts", 0.0)
     for n in range(3, 31):
+        first, second = (labels + 1 for labels in np.triu_indices(n, k=1))
+        pairs = list(zip(first.tolist(), second.tolist()))
         for alpha in [a for a in DPOLY_PROBED if a < 0.5]:
-            m = katz.katz_path_matrix(n, alpha)
+            m = dict(zip(pairs, katz.katz_pair_entries(GraphSpec.path(n), alpha, first, second).tolist()))
             for k in range(1, n - 1):
                 for i in range(1, n - k):
                     if n - k - 2 * i - 1 < 0:
                         continue
-                    left = m[i - 1, i + k - 1]
-                    right = m[i, i + k]
+                    left = m[i, i + k]
+                    right = m[i + 1, i + k + 1]
                     res.check(left <= right + 1e-13, f"n={n} k={k} i={i} alpha={alpha}")
     return res
 
@@ -274,6 +277,13 @@ def test_array_suite_matches_scalar_loop(suite):
     assert_same(got, want)
 
 
+@pytest.mark.parametrize("suite", [verify.suite_katz_distance_monotone, verify.suite_katz_shift_monotone],
+                         ids=lambda s: s.__name__)
+def test_monotone_suites_build_no_katz_matrix(suite, monkeypatch):
+    monkeypatch.setattr(katz._KatzTable, "matrices", lambda self: pytest.fail("matrices called"))
+    assert suite("quick").passed
+
+
 @pytest.mark.parametrize("suite", RANKING_SUITES, ids=lambda s: s.__name__)
 def test_ranking_suite_matches_per_alpha_loop_at_full(suite):
     want = REFERENCES[suite]("full")
@@ -330,6 +340,24 @@ def _perturbed_path_matrix(original):
     return perturbed
 
 
+def _perturbed_pair_entries(original):
+    """katz_pair_entries with the pairs (1, 4) and (2, 6) moved at three (n, alpha) points.
+
+    For a sequence of alphas, the row of each such alpha.
+    """
+
+    def perturbed(g, alpha, i, j):
+        entries = original(g, alpha, i, j)
+        rows = zip(alpha, entries) if np.ndim(alpha) else [(alpha, entries)]
+        for value, row in rows:
+            if (g.n, value) in ((7, 0.1), (7, 0.3), (9, 0.1)):
+                row[(i == 1) & (j == 4)] += 0.5
+                row[(i == 2) & (j == 6)] -= 0.5
+        return entries
+
+    return perturbed
+
+
 def _perturbed_sequence(original):
     """d_sequence with d_12 and d_14 shrunk a millionfold at alpha = 0.3."""
 
@@ -366,11 +394,11 @@ def _asymmetric_resistance(original):
 FAULTS = {
     "katz_path_matrix": (
         lambda mp: mp.setattr(katz, "katz_path_matrix", _perturbed_path_matrix(katz.katz_path_matrix)),
-        [
-            verify.suite_katz_closed_vs_inverse,
-            verify.suite_katz_distance_monotone,
-            verify.suite_katz_shift_monotone,
-        ],
+        [verify.suite_katz_closed_vs_inverse],
+    ),
+    "katz_pair_entries": (
+        lambda mp: mp.setattr(katz, "katz_pair_entries", _perturbed_pair_entries(katz.katz_pair_entries)),
+        [verify.suite_katz_distance_monotone, verify.suite_katz_shift_monotone],
     ),
     "d_sequence": (
         lambda mp: mp.setattr(dpoly, "d_sequence", _perturbed_sequence(dpoly.d_sequence)),
