@@ -7,9 +7,12 @@ structure at the two probe points ``alpha = 1/2`` and ``alpha = 1/sqrt(5)``
 that the ordering module leans on.  The cycle-graph determinant ``D_n`` and
 its parity factorization live here too.
 
-All evaluators return IEEE doubles.  ``d_recursive`` is the canonical route
-used by the rest of the package; ``d_closed`` is an independent cross-check
-of it (see its docstring for why it is accumulated exactly).
+All evaluators return IEEE doubles.  The recursion is written once, in
+``_d_terms``: the scalar closed forms of the package read the few terms
+they need from one run of it, and the list forms (``d_sequence``,
+``d_sequence_exact``) keep every term of such a run.  ``d_closed`` is an
+independent cross-check of it (see its docstring for why it is
+accumulated exactly).
 """
 
 from __future__ import annotations
@@ -43,14 +46,53 @@ def _require_below_half(alpha) -> None:
         raise ValueError(f"alpha must lie in (0, 1/2), where every d_k is positive; got {alpha}")
 
 
-def _d_sequence(n: int, alpha, one) -> list:
-    """[d_0, ..., d_n] by d_k = d_{k-1} - alpha^2 d_{k-2}, in the arithmetic of alpha and one."""
+# Tuples of 0..15 turns: the run between two nearby stops iterates one of
+# these, since building a range per stop costs about as much as a short
+# run's steps; longer runs iterate a range.
+_FEW_TURNS = tuple((None,) * turns for turns in range(16))
+
+
+def _d_terms(stops, alpha, one=1.0, seq=None) -> list:
+    """The terms d_s at the indices s of stops, in order, from one run of the recursion.
+
+    d_0 = d_1 = one and d_k = d_{k-1} - alpha^2 d_{k-2}, in the arithmetic
+    of alpha and one, run once up to the largest stop, two steps per turn.
+    Only the latest two terms are held, so each stop must be at least the
+    largest stop before it less one (the first at least 0); callers pass
+    their indices in that order and unpack the terms by position.  seq, if
+    given, is a list that every term the run makes, d_2 onward, is
+    appended to in order.
+    """
     a2 = alpha * alpha
-    seq = [one]
+    k = 1  # prev = d_{k-1}, cur = d_k
     prev = cur = one
-    for _ in range(n):
-        seq.append(cur)
-        prev, cur = cur, cur - a2 * prev
+    terms = []
+    for stop in stops:
+        steps = stop - k
+        if steps > 0:
+            if steps & 1:
+                prev, cur = cur, cur - a2 * prev
+                if seq is not None:
+                    seq.append(cur)
+            if steps > 1:
+                turns = steps >> 1
+                for _ in _FEW_TURNS[turns] if turns < len(_FEW_TURNS) else range(turns):
+                    prev = cur - a2 * prev
+                    cur = prev - a2 * cur
+                    if seq is not None:
+                        seq.append(prev)
+                        seq.append(cur)
+            k = stop
+        terms.append(cur if stop == k else prev)
+    return terms
+
+
+def _d_sequence(n: int, alpha, one) -> list:
+    """[d_0, ..., d_n] in the arithmetic of alpha and one, kept from one run of :func:`_d_terms`."""
+    seq = [one, one]
+    if n < 2:
+        return seq[: n + 1]
+    _d_terms((n,), alpha, one, seq)
     return seq
 
 
@@ -62,7 +104,7 @@ def d_recursive(n: int, alpha: float) -> float:
     decay instead of amplifying.
     """
     _require_index(n)
-    return _d_sequence(n, alpha, 1.0)[n]
+    return _d_terms((n,), alpha)[0]
 
 
 def d_sequence(n: int, alpha: float) -> list[float]:
@@ -159,13 +201,13 @@ def d_special_root5(n: int) -> float:
     return hi - lo
 
 
-def _cycle_denominator(seq, n: int, alpha):
-    """D_n = d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2} from seq = [d_0, ..., d_{n-1}, ...].
+def _cycle_denominator(d_before, d_last, n: int, alpha):
+    """D_n = d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2} from d_before = d_{n-2} and d_last = d_{n-1}.
 
-    Integer constants keep the expression exact when seq and alpha are
-    Fractions; on floats they round exactly as 2.0 would.
+    Integer constants keep the expression exact when the terms and alpha
+    are Fractions; on floats they round exactly as 2.0 would.
     """
-    return seq[n - 1] - 2 * alpha**n - 2 * alpha * alpha * seq[n - 2]
+    return d_last - 2 * alpha**n - 2 * alpha * alpha * d_before
 
 
 def D_cycle_denominator(n: int, alpha: float) -> float:
@@ -177,7 +219,7 @@ def D_cycle_denominator(n: int, alpha: float) -> float:
     _require_index(n)
     if n < 3:
         raise ValueError(f"cycle determinant needs n >= 3, got {n}")
-    return _cycle_denominator(d_sequence(n - 1, alpha), n, alpha)
+    return _cycle_denominator(*_d_terms((n - 2, n - 1), alpha), n, alpha)
 
 
 def D_parity_form(n: int, alpha: float) -> float:
@@ -191,11 +233,11 @@ def D_parity_form(n: int, alpha: float) -> float:
         raise ValueError(f"parity form needs n >= 3, got {n}")
     if n % 2 == 0:
         ell = n // 2
-        d = d_recursive(ell - 1, alpha)
+        (d,) = _d_terms((ell - 1,), alpha)
         return (1.0 - 4.0 * alpha * alpha) * d * d
     ell = (n - 1) // 2
-    seq = d_sequence(ell, alpha)
-    return (1.0 - 2.0 * alpha) * (alpha ** (2 * ell) + (1.0 + 2.0 * alpha) * seq[ell] * seq[ell - 1])
+    d_before, d_ell = _d_terms((ell - 1, ell), alpha)
+    return (1.0 - 2.0 * alpha) * (alpha ** (2 * ell) + (1.0 + 2.0 * alpha) * d_ell * d_before)
 
 
 def fib_ratio(n: int) -> float:

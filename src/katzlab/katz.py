@@ -20,7 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dpoly import _cycle_denominator, _ExactTerms, _require_below_half, d_recursive, d_sequence, ratio_constant
+from .dpoly import (
+    _cycle_denominator,
+    _d_terms,
+    _ExactTerms,
+    _require_below_half,
+    d_recursive,
+    d_sequence,
+    ratio_constant,
+)
 from .graphs import GraphSpec, _admissible_alphas, _checked_pair, graph_distance, require_admissible, spectral_radius
 from . import linalg
 
@@ -50,38 +58,55 @@ def require_matrix_size(n: int, count: int = 1) -> None:
         )
 
 
-def _path_entry(seq, n: int, i: int, j: int, alpha):
-    """Path entry (i <= j) from seq = [d_0, ..., d_n]; floats or Fractions.
+def _path_off_diagonal(head, tail, d_n, span: int, alpha):
+    """Path entry i < j, alpha^(j-i) (d_{i-1} d_{n-j} / d_n), from head = d_{i-1} and tail = d_{n-j}; span = j - i."""
+    return alpha**span * (head * tail / d_n)
 
-    Off the diagonal, alpha^(j-i) (d_{i-1} d_{n-j} / d_n).  The diagonal
+
+def _path_diagonal(head_before, head, tail_before, tail, d_n, alpha):
+    """Path entry (i, i) from head = d_{i-1}, tail = d_{n-i} and the terms one below each.
+
     d_{i-1} d_{n-i} / d_n - 1 is evaluated as
     alpha^2 (d_{i-1} d_{n-i-1} + d_{i-2} d_{n-i}) / d_n with d_{-1} = 0, the
     same rational value by the recursion, so small alpha loses no digits to
     the cancellation of a ratio near 1 against the 1.
     """
+    return alpha * alpha * (head * tail_before + head_before * tail) / d_n
+
+
+def _path_entry(seq, n: int, i: int, j: int, alpha):
+    """Path entry (i <= j) from seq = [d_0, ..., d_n]; floats or Fractions."""
     if i == j:
         before = seq[i - 2] if i > 1 else 0
         after = seq[n - i - 1] if i < n else 0
-        return alpha * alpha * (seq[i - 1] * after + before * seq[n - i]) / seq[n]
-    return alpha ** (j - i) * (seq[i - 1] * seq[n - j] / seq[n])
+        return _path_diagonal(before, seq[i - 1], after, seq[n - i], seq[n], alpha)
+    return _path_off_diagonal(seq[i - 1], seq[n - j], seq[n], j - i, alpha)
 
 
-def _cycle_numerator(seq, n: int, k: int, alpha):
-    """Numerator of the cycle entry at arc length k from seq = [d_0, ..., d_{n-1}].
+def _cycle_diagonal(d_before, n: int, alpha):
+    """Numerator of the cycle's diagonal entry from d_before = d_{n-2}.
 
-    alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1} for k >= 1.  At k = 0 the
-    adjugate numerator d_{n-1} less the identity's share D_n, taken
+    The adjugate numerator d_{n-1} less the identity's share D_n, taken
     symbolically: 2 alpha^n + 2 alpha^2 d_{n-2}, so small alpha loses no
     digits to cancellation on the diagonal.
     """
-    if k == 0:
-        return 2 * alpha**n + 2 * alpha * alpha * seq[n - 2]
-    return alpha**k * seq[n - k - 1] + alpha ** (n - k) * seq[k - 1]
+    return 2 * alpha**n + 2 * alpha * alpha * d_before
+
+
+def _cycle_numerator(d_short, d_long, n: int, k: int, alpha):
+    """Numerator alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1} of the cycle entry at arc length k >= 1.
+
+    d_short = d_{k-1} and d_long = d_{n-k-1} weigh the walk families
+    around the short and the long arc.
+    """
+    return alpha**k * d_long + alpha ** (n - k) * d_short
 
 
 def _cycle_entry(seq, n: int, k: int, alpha):
     """Cycle entry at arc length k from seq = [d_0, ..., d_{n-1}]; floats or Fractions."""
-    return _cycle_numerator(seq, n, k, alpha) / _cycle_denominator(seq, n, alpha)
+    d_before = seq[n - 2]
+    numerator = _cycle_numerator(seq[k - 1], seq[n - k - 1], n, k, alpha) if k else _cycle_diagonal(d_before, n, alpha)
+    return numerator / _cycle_denominator(d_before, seq[n - 1], n, alpha)
 
 
 def katz_path(n: int, i: int, j: int, alpha: float) -> float:
@@ -91,6 +116,8 @@ def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     product without the power, minus 1 (the diagonal of (I - alpha A)^(-1)
     carries the identity, which the walk sum excludes), evaluated as
     alpha^2 (d_{i-1} d_{n-i-1} + d_{i-2} d_{n-i}) / d_n with d_{-1} = 0.
+    The d-terms come from one run of the recursion up to d_n, and no list
+    of them is kept: O(n) time, O(1) memory.
 
     alpha may be anywhere in the admissible interval (0, 1/rho), which for
     short paths stretches above 0.5.
@@ -98,7 +125,20 @@ def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     g = GraphSpec.path(n)
     require_admissible(alpha, g)
     i, j = _checked_pair(g, i, j)
-    return _path_entry(d_sequence(n, alpha), n, i, j, alpha)
+    # head = d_{i-1} and tail = d_{n-j}, asked for in index order
+    if i < j:
+        if i - 1 <= n - j:
+            head, tail, d_n = _d_terms((i - 1, n - j, n), alpha)
+        else:
+            tail, head, d_n = _d_terms((n - j, i - 1, n), alpha)
+        return _path_off_diagonal(head, tail, d_n, j - i, alpha)
+    # on the diagonal each also with the term one below; d_{-1} = 0
+    a, b = i - 1, n - i
+    if a <= b:
+        head_before, head, tail_before, tail, d_n = _d_terms((a - 1 if a else 0, a, b - 1, b, n), alpha)
+    else:
+        tail_before, tail, head_before, head, d_n = _d_terms((b - 1 if b else 0, b, a - 1, a, n), alpha)
+    return _path_diagonal(head_before if a else 0, head, tail_before if b else 0, tail, d_n, alpha)
 
 
 def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
@@ -109,20 +149,27 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     (alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1}) / D_n; the two summands are
     the walk families around the short and long arcs.  The diagonal is
     d_{n-1}/D_n - 1, evaluated as (2 alpha^n + 2 alpha^2 d_{n-2}) / D_n.
+    Like :func:`katz_path`, O(n) time and O(1) memory.
     """
     g = GraphSpec.cycle(n)
     require_admissible(alpha, g)
     k = graph_distance(g, i, j)
-    return _cycle_entry(d_sequence(n - 1, alpha), n, k, alpha)
+    if k:
+        d_short, d_long, d_before, d_last = _d_terms((k - 1, n - k - 1, n - 2, n - 1), alpha)
+        numerator = _cycle_numerator(d_short, d_long, n, k, alpha)
+    else:
+        d_before, d_last = _d_terms((n - 2, n - 1), alpha)
+        numerator = _cycle_diagonal(d_before, n, alpha)
+    return numerator / _cycle_denominator(d_before, d_last, n, alpha)
 
 
 def _path_terms(power, before, after, d_n, out=None, where=True):
     """Off-diagonal path entries alpha^(j-i) (d_{i-1} d_{n-j} / d_n) from arrays of their operands.
 
-    The operation order of :func:`_path_entry`, so each value is its scalar
-    entry bit for bit.  The operands broadcast; out and where are those of
-    the numpy ufuncs, and entries outside where are neither computed nor
-    written.
+    The operation order of :func:`_path_off_diagonal`, so each value is
+    its scalar entry bit for bit.  The operands broadcast; out and where are
+    those of the numpy ufuncs, and entries outside where are neither
+    computed nor written.
     """
     out = np.multiply(before, after, out=out, where=where)
     np.divide(out, d_n, out=out, where=where)
@@ -152,8 +199,11 @@ class _KatzTable:
         else:
             arcs = []
             for seq, value in zip(rows, self.alphas):
-                denominator = _cycle_denominator(seq, n, value)
-                arcs.append([_cycle_numerator(seq, n, k, value) / denominator for k in range(n // 2 + 1)])
+                denominator = _cycle_denominator(seq[n - 2], seq[n - 1], n, value)
+                row = [_cycle_diagonal(seq[n - 2], n, value) / denominator]
+                for k in range(1, n // 2 + 1):
+                    row.append(_cycle_numerator(seq[k - 1], seq[n - k - 1], n, k, value) / denominator)
+                arcs.append(row)
             self.arcs = np.array(arcs).reshape(count, n // 2 + 1)
 
     def matrices(self) -> np.ndarray:

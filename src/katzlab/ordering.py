@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dpoly import INV_SQRT5, _require_below_half, d_sequence
+from .dpoly import INV_SQRT5, _d_terms, _require_below_half, _require_index
 from .graphs import GraphSpec, VertexPair, _admissible_alphas, graph_distance, require_admissible, resistance
-from .katz import _cycle_numerator, _path_entry, katz_pair_entries
+from .katz import _cycle_numerator, _path_off_diagonal, katz_pair_entries
 
 KATZ = "katz"
 RESISTANCE = "resistance"
@@ -265,8 +265,15 @@ def p_gap(n: int, j: int, alpha: float) -> float:
     """
     m = _gap_midpoint(n, j)
     require_admissible(alpha, GraphSpec.path(n))
-    seq = d_sequence(n, alpha)
-    return _path_entry(seq, n, 1, 1 + j, alpha) - _path_entry(seq, n, m, m + j + 1, alpha)
+    # the entries (1, 1 + j) and (m, m + j + 1) read these terms, in index order
+    d_0, tail, head, top, d_n = _d_terms((0, n - m - j - 1, m - 1, n - j - 1, n), alpha)
+    return _path_off_diagonal(d_0, top, d_n, j, alpha) - _path_off_diagonal(head, tail, d_n, j + 1, alpha)
+
+
+def _p_tilde(n: int, j: int, m: int, alpha: float) -> float:
+    """p_tilde at checked n and j, with m = _gap_midpoint(n, j)."""
+    tail, head, top = _d_terms((n - m - j - 1, m - 1, n - j - 1), alpha)
+    return top - alpha * head * tail
 
 
 def p_tilde(n: int, j: int, alpha: float) -> float:
@@ -277,8 +284,8 @@ def p_tilde(n: int, j: int, alpha: float) -> float:
     bisection target for cut-off roots.
     """
     m = _gap_midpoint(n, j)
-    seq = d_sequence(n - j - 1, alpha)
-    return seq[n - j - 1] - alpha * seq[m - 1] * seq[n - m - j - 1]
+    _require_index(n - j - 1)
+    return _p_tilde(n, j, m, alpha)
 
 
 class BracketError(RuntimeError):
@@ -314,22 +321,25 @@ def cutoff_root(n: int, j: int, tol: float = 1e-15) -> CutoffResult:
     instead reads exactly zero at the smallest nudge, the endpoint is
     shifted right in 1e-6 steps until the sign resolves.  Raises
     BracketError when no sign change can be established, which is the
-    expected outcome for n - j < 5.
+    expected outcome for n - j < 5.  n and j are checked once, before the
+    first evaluation; the residual is |p_tilde(n, j, root)|.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    m = _gap_midpoint(n, j)
+    _require_index(n - j - 1)
     hi = BRACKET_HI - 1e-12
     nudge = 1e-12
     lo = BRACKET_LO + nudge
-    f_lo = p_tilde(n, j, lo)
+    f_lo = _p_tilde(n, j, m, lo)
     while f_lo <= 0.0 and nudge > 1e-16:
         nudge /= 10.0
         lo = max(BRACKET_LO + nudge, math.nextafter(BRACKET_LO, BRACKET_HI))
-        f_lo = p_tilde(n, j, lo)
+        f_lo = _p_tilde(n, j, m, lo)
     while f_lo == 0.0 and lo < hi:
         lo += 1e-6
-        f_lo = p_tilde(n, j, lo)
-    f_hi = p_tilde(n, j, hi)
+        f_lo = _p_tilde(n, j, m, lo)
+    f_hi = _p_tilde(n, j, m, hi)
     if not (f_lo > 0.0 > f_hi):
         raise BracketError(
             f"no sign change for n = {n}, j = {j}: "
@@ -345,7 +355,7 @@ def cutoff_root(n: int, j: int, tol: float = 1e-15) -> CutoffResult:
             )
         iterations += 1
         mid = 0.5 * (lo + hi)
-        f_mid = p_tilde(n, j, mid)
+        f_mid = _p_tilde(n, j, m, mid)
         if f_mid > 0.0:
             lo = mid
         elif f_mid < 0.0:
@@ -377,5 +387,6 @@ def cycle_numerator_gap(n: int, k: int, alpha: float) -> float:
     if not 1 <= k < n // 2:
         raise ValueError(f"need 1 <= k < n//2, got k = {k}, n = {n}")
     _require_below_half(alpha)
-    seq = d_sequence(n - k - 1, alpha)
-    return _cycle_numerator(seq, n, k, alpha) - _cycle_numerator(seq, n, k + 1, alpha)
+    _require_index(n - k - 1)
+    d_short, d_short_next, d_long_next, d_long = _d_terms((k - 1, k, n - k - 2, n - k - 1), alpha)
+    return _cycle_numerator(d_short, d_long, n, k, alpha) - _cycle_numerator(d_short_next, d_long_next, n, k + 1, alpha)

@@ -1,6 +1,9 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -231,3 +234,124 @@ def test_golden_constants():
     assert dpoly.GOLDEN == pytest.approx(1.0 + dpoly.GOLDEN_RECIP, abs=1e-15)
     assert dpoly.GOLDEN * dpoly.GOLDEN_RECIP == pytest.approx(1.0, abs=1e-15)
     assert dpoly.SQRT5 * dpoly.INV_SQRT5 == pytest.approx(1.0, abs=1e-15)
+
+
+def list_route(n, alpha, one=1.0):
+    """[d_0, ..., d_n] one step per term, the loop every d-route ran before the term reader."""
+    a2 = alpha * alpha
+    seq = [one]
+    prev = cur = one
+    for _ in range(n):
+        seq.append(cur)
+        prev, cur = cur, cur - a2 * prev
+    return seq
+
+
+def same(got, want):
+    """Equal value and type, element by element for lists; NaN matches NaN."""
+    if isinstance(want, list):
+        return len(got) == len(want) and all(same(g, w) for g, w in zip(got, want))
+    return type(got) is type(want) and (got == want or (got != got and want != want))
+
+
+# one of each arithmetic the routes are called in, besides plain floats
+TYPED_ALPHAS = [Fraction(1, 5), np.float64(0.3)]
+ROUTE_ALPHAS = [1e-5, 0.02, 0.1, 0.3, 1.0 / math.sqrt(5.0), 0.45, 0.49, 0.499, 0.5, *TYPED_ALPHAS]
+
+
+@pytest.mark.parametrize("alpha", ROUTE_ALPHAS, ids=str)
+def test_sequences_are_the_one_step_list_route(alpha):
+    for n in [*range(40), 250, 2000]:
+        assert same(dpoly.d_sequence(n, alpha), list_route(n, alpha)), n
+        assert same(dpoly.d_recursive(n, alpha), list_route(n, alpha)[n]), n
+    for n in (0, 1, 2, 3, 17, 120):
+        assert same(dpoly.d_sequence_exact(n, alpha), list_route(n, Fraction(alpha), Fraction(1))), n
+        terms = dpoly._ExactTerms(n, alpha)
+        assert terms._scaled == list_route(n, Fraction(alpha), terms._scale), n
+
+
+def random_stops(rng, top):
+    """Indices in 0..top, each at least the largest before it less one: the order _d_terms accepts."""
+    stops = [rng.randint(0, top)]
+    for _ in range(rng.randint(0, 6)):
+        stops.append(rng.randint(max(max(stops) - 1, 0), top))
+    return tuple(stops)
+
+
+@pytest.mark.parametrize("alpha", ROUTE_ALPHAS, ids=str)
+def test_terms_are_the_list_terms_at_any_stops(alpha):
+    rng = random.Random(f"stops:{alpha}")
+    for top in [*range(8), 40, 41, 300]:
+        for _ in range(40):
+            stops = random_stops(rng, top)
+            want = list_route(max(stops), alpha)
+            assert same(dpoly._d_terms(stops, alpha), [want[s] for s in stops]), stops
+    # adjacent and repeated stops, both parities of every gap, runs either side of 32 steps
+    for stops in [(0,), (1,), (0, 0, 1, 1), (1, 0), (5, 4, 5, 5, 6), (2, 3, 9, 10, 12), (0, 7, 6, 7, 8),
+                  (32, 64, 97, 131), (1, 33, 34, 68), (2, 33, 65, 66)]:
+        want = list_route(max(stops), alpha)
+        assert same(dpoly._d_terms(stops, alpha), [want[s] for s in stops]), stops
+
+
+@pytest.mark.parametrize("one", [1.0, Fraction(1), 3**6], ids=str)
+def test_terms_keep_every_term_into_a_list(one):
+    alpha = Fraction(1, 3) if isinstance(one, int) else 0.3
+    for stops in [(0,), (1,), (2,), (3, 2), (0, 7, 6, 7), (12,), (5, 13)]:
+        seq = [one, one]
+        terms = dpoly._d_terms(stops, alpha, one, seq)
+        want = list_route(max(*stops, 1), alpha, one)
+        assert same(seq, want), stops
+        assert same(terms, [want[s] for s in stops]), stops
+
+
+def parity_list_route(n, alpha):
+    """D_parity_form by the list route: its terms read from one d_sequence."""
+    if n % 2 == 0:
+        d = list_route(n // 2 - 1, alpha)[-1]
+        return (1.0 - 4.0 * alpha * alpha) * d * d
+    ell = (n - 1) // 2
+    seq = list_route(ell, alpha)
+    return (1.0 - 2.0 * alpha) * (alpha ** (2 * ell) + (1.0 + 2.0 * alpha) * seq[ell] * seq[ell - 1])
+
+
+@pytest.mark.parametrize("alpha", ROUTE_ALPHAS, ids=str)
+def test_cycle_determinants_are_the_list_route(alpha):
+    for n in [*range(3, 81), 247, 250, 1000, 3000]:
+        seq = list_route(n - 1, alpha)
+        want = seq[n - 1] - 2 * alpha**n - 2 * alpha * alpha * seq[n - 2]
+        assert same(dpoly.D_cycle_denominator(n, alpha), want), n
+        assert same(dpoly.D_parity_form(n, alpha), parity_list_route(n, alpha)), n
+
+
+def test_scalar_d_routes_hold_no_list():
+    dpoly.d_recursive(10, 0.01)
+    for call in (
+        lambda: dpoly.d_recursive(200_000, 0.01),
+        lambda: dpoly.D_cycle_denominator(200_000, 0.01),
+        lambda: dpoly.D_parity_form(200_001, 0.01),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def test_index_checks_come_before_the_recursion(monkeypatch):
+    def ran(*args):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(dpoly, "_d_terms", ran)
+    for route in (dpoly.d_recursive, dpoly.D_cycle_denominator, dpoly.D_parity_form):
+        with pytest.raises(TypeError, match="index must be an integer"):
+            route(12.0, 0.3)
+        with pytest.raises(TypeError, match="index must be an integer"):
+            route(True, 0.3)
+        with pytest.raises(ValueError, match="index must be >= 0"):
+            route(-3, 0.3)
+    with pytest.raises(ValueError, match="cycle determinant needs n >= 3"):
+        dpoly.D_cycle_denominator(2, 0.3)
+    with pytest.raises(ValueError, match="parity form needs n >= 3"):
+        dpoly.D_parity_form(2, 0.3)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -546,3 +547,143 @@ def test_oracles_take_a_sequence_of_alphas(g):
         determinant(g.n, [0.3, 0.0])
     with pytest.raises(ValueError):
         katz.katz_oracle_inverse(g, [[0.3]])
+
+
+def list_route_path(seq, n, i, j, alpha):
+    """katz_path (i <= j) as the list route evaluated it from seq = d_sequence(n, alpha)."""
+    if i == j:
+        before = seq[i - 2] if i > 1 else 0
+        after = seq[n - i - 1] if i < n else 0
+        return alpha * alpha * (seq[i - 1] * after + before * seq[n - i]) / seq[n]
+    return alpha ** (j - i) * (seq[i - 1] * seq[n - j] / seq[n])
+
+
+def list_route_cycle(seq, n, k, alpha):
+    """katz_cycle at arc length k as the list route evaluated it from seq = d_sequence(n - 1, alpha)."""
+    if k == 0:
+        numerator = 2 * alpha**n + 2 * alpha * alpha * seq[n - 2]
+    else:
+        numerator = alpha**k * seq[n - k - 1] + alpha ** (n - k) * seq[k - 1]
+    return numerator / (seq[n - 1] - 2 * alpha**n - 2 * alpha * alpha * seq[n - 2])
+
+
+def same(got, want):
+    """Equal value and type; NaN matches NaN."""
+    return type(got) is type(want) and (got == want or (got != got and want != want))
+
+
+SCALAR_EXTRA_ALPHAS = [1e-5, 0.02, 0.49, 0.499]
+
+
+def scalar_alphas(g):
+    """katz_grid(g), which reaches above 1/2 on paths with n <= 4, and the extra probe values."""
+    return sorted(set(katz_grid(g)) | set(SCALAR_EXTRA_ALPHAS))
+
+
+def test_scalar_path_is_the_list_route_at_every_pair():
+    for n in range(2, 81):
+        alphas = scalar_alphas(GraphSpec.path(n))
+        # every pair of every size, at a rotating share of the alphas: each alpha meets many sizes
+        for alpha in alphas[n % 8 :: 8] if n > 4 else alphas:
+            seq = dpoly.d_sequence(n, alpha)
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    want = list_route_path(seq, n, i, j, alpha)
+                    assert same(katz.katz_path(n, i, j, alpha), want), (n, i, j, alpha)
+                    if n <= 12:
+                        assert same(katz.katz_path(n, j, i, alpha), want), (n, j, i, alpha)
+
+
+def test_scalar_cycle_is_the_list_route_at_every_arc():
+    for n in range(3, 81):
+        for alpha in scalar_alphas(GraphSpec.cycle(n)):
+            seq = dpoly.d_sequence(n - 1, alpha)
+            for k in range(n // 2 + 1):
+                want = list_route_cycle(seq, n, k, alpha)
+                assert same(katz.katz_cycle(n, 1, 1 + k, alpha), want), (n, k, alpha)
+                # the same arc with the labels swapped and across the wrap
+                assert same(katz.katz_cycle(n, n - k if k else n, n, alpha), want), (n, k, alpha)
+
+
+def sampled_pairs(n, rng):
+    middle = (n + 1) // 2
+    pairs = {(1, 1), (1, 2), (1, n), (n, n), (n - 1, n), (middle, middle), (middle, middle + 1), (n // 2, n // 2 + 3)}
+    while len(pairs) < 40:
+        i, j = sorted((rng.randint(1, n), rng.randint(1, n)))
+        pairs.add((i, j))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("n", [247, 250, 1000, 3000])
+def test_scalar_entries_are_the_list_route_at_sampled_pairs(n):
+    rng = np.random.default_rng(n)
+    pairs = sampled_pairs(n, random.Random(n))
+    arcs = sorted({0, 1, 2, n // 2, n // 2 - 1, *rng.integers(0, n // 2 + 1, 20).tolist()})
+    # past float64_size_limit the d-terms underflow; both routes then give the same 0.0 or nan
+    for alpha in scalar_alphas(GraphSpec.path(n)):
+        seq = dpoly.d_sequence(n, alpha)
+        for i, j in pairs:
+            assert same(katz.katz_path(n, i, j, alpha), list_route_path(seq, n, i, j, alpha)), (n, i, j, alpha)
+    for alpha in scalar_alphas(GraphSpec.cycle(n)):
+        seq = dpoly.d_sequence(n - 1, alpha)
+        for k in arcs:
+            assert same(katz.katz_cycle(n, 1, 1 + k, alpha), list_route_cycle(seq, n, k, alpha)), (n, k, alpha)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 5), np.float64(0.3)], ids=repr)
+def test_scalar_entries_keep_the_list_route_type(alpha):
+    for n in range(2, 13):
+        seq = dpoly.d_sequence(n, alpha)
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                assert same(katz.katz_path(n, i, j, alpha), list_route_path(seq, n, i, j, alpha)), (n, i, j)
+    for n in range(3, 13):
+        seq = dpoly.d_sequence(n - 1, alpha)
+        for k in range(n // 2 + 1):
+            assert same(katz.katz_cycle(n, 1, 1 + k, alpha), list_route_cycle(seq, n, k, alpha)), (n, k)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scalar_entries_hold_no_d_list():
+    # at n = 200,000 the d-list of the list route peaked at 6.1 MiB
+    katz.katz_path(10, 1, 2, 0.01)
+    katz.katz_cycle(10, 1, 3, 0.01)
+    assert traced_peak(lambda: katz.katz_path(200_000, 1, 2, 0.01)) < 64 * 1024
+    assert traced_peak(lambda: katz.katz_cycle(200_000, 1, 3, 0.01)) < 64 * 1024
+
+
+def fail_the_recursion(monkeypatch):
+    def ran(*args):
+        raise AssertionError("the recursion ran")
+
+    for module in (dpoly, katz, ordering):
+        monkeypatch.setattr(module, "_d_terms", ran)
+
+
+@pytest.mark.parametrize("route", [katz.katz_path, katz.katz_cycle])
+def test_scalar_entries_check_before_the_recursion(route, monkeypatch):
+    fail_the_recursion(monkeypatch)
+    for bad_label in ((0, 2), (1, 11), (11, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            route(10, *bad_label, 0.3)
+    for bad_label in ((1.0, 2), (1, True)):
+        with pytest.raises(TypeError, match="vertex label must be an integer"):
+            route(10, *bad_label, 0.3)
+    for bad_alpha in (0.0, -0.1, 0.6, math.nan):
+        with pytest.raises(AdmissibilityError):
+            route(10, 1, 2, bad_alpha)
+    # admissibility is checked before the labels, as it always was
+    with pytest.raises(AdmissibilityError):
+        route(10, 0, 2, 0.6)
+    with pytest.raises(TypeError, match="vertex count must be an integer"):
+        route(10.0, 1, 2, 0.3)
+    with pytest.raises(ValueError, match="graphs need n >="):
+        route(-3, 1, 2, 0.3)

@@ -1,14 +1,15 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from katzlab import katz, ordering
+from katzlab import dpoly, katz, ordering
 from katzlab.dpoly import INV_SQRT5
-from katzlab.graphs import AdmissibilityError, GraphSpec, VertexPair, graph_distance, resistance
+from katzlab.graphs import AdmissibilityError, GraphSpec, VertexPair, graph_distance, resistance, spectral_radius
 from katzlab.katz import katz_cycle_matrix, katz_path_matrix
 from katzlab.ordering import (
     TIE_TOL,
@@ -431,3 +432,126 @@ def test_alpha_shapes():
     assert agreement(g, [0.3]) == [agreement(g, 0.3)]
     assert isinstance(agreement(g, 0.3), AgreementReport)
     assert class_structures_match(g, 0.3) is True
+
+
+def list_route_p_tilde(n, j, alpha):
+    """p_tilde as the list route evaluated it: its three terms read from one d_sequence."""
+    m = (n - j + 1) // 2
+    seq = dpoly.d_sequence(n - j - 1, alpha)
+    return seq[n - j - 1] - alpha * seq[m - 1] * seq[n - m - j - 1]
+
+
+def list_route_p_gap(n, j, alpha):
+    """p_gap by the list route: the two path entries' formulas on one d_sequence."""
+    m = (n - j + 1) // 2
+    seq = dpoly.d_sequence(n, alpha)
+    first = alpha ** j * (seq[0] * seq[n - 1 - j] / seq[n])
+    return first - alpha ** (j + 1) * (seq[m - 1] * seq[n - m - j - 1] / seq[n])
+
+
+def list_route_cycle_gap(n, k, alpha):
+    """cycle_numerator_gap by the list route: both arc numerators on one d_sequence."""
+    seq = dpoly.d_sequence(n - k - 1, alpha)
+    arc = alpha**k * seq[n - k - 1] + alpha ** (n - k) * seq[k - 1]
+    return arc - (alpha ** (k + 1) * seq[n - k - 2] + alpha ** (n - k - 1) * seq[k])
+
+
+def same(got, want):
+    """Equal value and type; NaN matches NaN."""
+    return type(got) is type(want) and (got == want or (got != got and want != want))
+
+
+GAP_ALPHAS = sorted({k / 50 for k in range(1, 25)} | {1e-5, 0.02, INV_SQRT5, INV_SQRT5 + 1e-9, 0.49, 0.499})
+
+
+def test_gap_polynomials_are_the_list_route():
+    for j in (1, 2, 3, 4, 5):
+        for n in range(j + 2, j + 81):
+            path_alphas = [a for a in GAP_ALPHAS if a < 1.0 / spectral_radius(GraphSpec.path(n))]
+            for alpha in GAP_ALPHAS + [0.5, 0.5 - 1e-12]:
+                assert same(p_tilde(n, j, alpha), list_route_p_tilde(n, j, alpha)), (n, j, alpha)
+            for alpha in path_alphas:
+                assert same(p_gap(n, j, alpha), list_route_p_gap(n, j, alpha)), (n, j, alpha)
+    for n in range(5, 81):
+        for k in range(1, n // 2):
+            for alpha in GAP_ALPHAS[k % 3 :: 3]:
+                assert same(cycle_numerator_gap(n, k, alpha), list_route_cycle_gap(n, k, alpha)), (n, k, alpha)
+
+
+@pytest.mark.parametrize("n", [247, 250, 1000, 3000])
+def test_gap_polynomials_are_the_list_route_at_large_n(n):
+    for alpha in GAP_ALPHAS:
+        for j in (1, 2, 5):
+            assert same(p_tilde(n, j, alpha), list_route_p_tilde(n, j, alpha)), (j, alpha)
+            assert same(p_gap(n, j, alpha), list_route_p_gap(n, j, alpha)), (j, alpha)
+        for k in (1, 2, n // 4, n // 2 - 1):
+            assert same(cycle_numerator_gap(n, k, alpha), list_route_cycle_gap(n, k, alpha)), (k, alpha)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 5), np.float64(0.3)], ids=repr)
+def test_gap_polynomials_keep_the_list_route_type(alpha):
+    for n in range(3, 20):
+        for j in (1, 2):
+            if n - j >= 2:
+                assert same(p_tilde(n, j, alpha), list_route_p_tilde(n, j, alpha)), (n, j)
+                assert same(p_gap(n, j, alpha), list_route_p_gap(n, j, alpha)), (n, j)
+        for k in range(1, n // 2):
+            assert same(cycle_numerator_gap(n, k, alpha), list_route_cycle_gap(n, k, alpha)), (n, k)
+
+
+def test_cutoff_root_bisects_the_list_route(monkeypatch):
+    got = [cutoff_root(n, j) for j in (1, 2, 3) for n in range(j + 5, j + 60)]
+    monkeypatch.setattr(ordering, "_p_tilde", lambda n, j, m, alpha: list_route_p_tilde(n, j, alpha))
+    want = [cutoff_root(n, j) for j in (1, 2, 3) for n in range(j + 5, j + 60)]
+    assert got == want
+    assert all(r.residual == abs(p_tilde(r.n, r.j, r.root)) for r in got)
+
+
+def test_reduced_form_holds_no_d_list():
+    p_tilde(12, 1, 0.01)
+    tracemalloc.start()
+    try:
+        p_tilde(200_000, 1, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_gap_routes_check_before_the_recursion(monkeypatch):
+    def ran(*args):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(ordering, "_d_terms", ran)
+    for route in (p_tilde, p_gap):
+        for bad_j in (0, -1, 1.5, True):
+            with pytest.raises(ValueError, match="offset j must be a positive integer"):
+                route(12, bad_j, 0.3)
+        with pytest.raises(ValueError, match="needs n - j >= 2"):
+            route(4, 3, 0.3)
+        with pytest.raises(ValueError, match="needs n - j >= 2"):
+            route(-3, 1, 0.3)
+    with pytest.raises(TypeError, match="index must be an integer"):
+        p_tilde(12.0, 1, 0.3)
+    with pytest.raises(TypeError, match="vertex count must be an integer"):
+        p_gap(12.0, 1, 0.3)
+    with pytest.raises(AdmissibilityError):
+        p_gap(12, 1, 0.6)
+    # the offset is checked before admissibility, as it always was
+    with pytest.raises(ValueError, match="offset j"):
+        p_gap(12, 0, 0.6)
+    for bad_tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            cutoff_root(12, 0, bad_tol)
+    with pytest.raises(ValueError, match="offset j must be a positive integer"):
+        cutoff_root(12, 0)
+    with pytest.raises(TypeError, match="index must be an integer"):
+        cutoff_root(12.0, 1)
+    with pytest.raises(TypeError, match="arc length must be an integer"):
+        cycle_numerator_gap(12, 2.0, 0.3)
+    with pytest.raises(ValueError, match="need 1 <= k < n//2"):
+        cycle_numerator_gap(12, 6, 0.3)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        cycle_numerator_gap(12, 2, 0.5)
+    with pytest.raises(TypeError, match="index must be an integer"):
+        cycle_numerator_gap(12.0, 2, 0.3)
