@@ -31,7 +31,7 @@ import numpy as np
 
 from . import katz, ordering
 from .dpoly import INV_SQRT5
-from .graphs import FAMILIES, GraphSpec, graph_distance, require_admissible, resistance
+from .graphs import FAMILIES, GraphSpec, PowerIterationError, graph_distance, require_admissible, resistance
 from .linalg import SingularMatrixError
 from .verify import run_suites
 
@@ -43,6 +43,7 @@ NUMERIC_RANGE_ERRORS = (
     ordering.BracketError,
     ordering.BisectionDivergenceError,
     katz.SeriesDivergenceError,
+    PowerIterationError,
 )
 
 DEFAULT_SCATTER_ALPHAS = (0.2, 0.3, 0.46)

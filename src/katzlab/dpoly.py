@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 SQRT5 = math.sqrt(5.0)
 INV_SQRT5 = 1.0 / SQRT5
@@ -155,32 +157,58 @@ class _ExactTerms:
         return term
 
 
+def _closed_sum(n: int, p2: int, q_powers) -> float:
+    """d_n from alpha^2 = p2/q2, with q_powers yielding q2^0, q2^1, ..., q2^(n//2) in order.
+
+    Horner's rule in p2 from the top power down leaves total = the sum over
+    m of (-1)^m C(n-m, m) p2^m q2^(n//2 - m), with one small factor in every
+    product: no product of two large powers.  It is divided by the last
+    power once, and int / int rounds correctly, as the float of the reduced
+    Fraction does, with no gcd taken.
+    """
+    m = n // 2
+    total = 0
+    for q_power in q_powers:  # q2^(n//2 - m)
+        term = math.comb(n - m, m) * q_power
+        total = total * p2 + (-term if m % 2 else term)
+        m -= 1
+    return total / q_power
+
+
+def _squares(alpha) -> tuple[int, int]:
+    """(p^2, q^2) for alpha = p/q, the exact binary value of the double."""
+    p, q = float(alpha).as_integer_ratio()
+    return p * p, q * q
+
+
 def d_closed(n: int, alpha: float) -> float:
     """d_n(alpha) as the alternating sum over m of (-1)^m C(n-m, m) alpha^(2m).
 
-    Terms are summed in ascending m.  The sum is hostile to floating point
-    for large n: at n = 100, alpha = 0.49 the largest term is ~1e7 while the
-    value is ~1e-22, so a double-precision accumulation loses the value
-    entirely.  Since any machine double is an exact binary rational p/q,
-    the sum is instead accumulated in exact integer arithmetic over
-    alpha^2 = p^2/q^2 and rounded once at the end.  That keeps this
-    evaluator a full-accuracy independent cross-check of d_recursive at
-    every n the test sweeps use.
+    The sum is hostile to floating point for large n: at n = 100,
+    alpha = 0.49 the largest term is ~1e7 while the value is ~1e-22, so a
+    double-precision accumulation loses the value entirely.  Since any
+    machine double is an exact binary rational p/q, the sum is instead
+    accumulated in exact integer arithmetic over alpha^2 = p^2/q^2 and
+    rounded once at the end.  That keeps this evaluator a full-accuracy
+    independent cross-check of d_recursive at every n the test sweeps use.
+    The powers of q^2 are made as the sum reads them: O(n) memory.
     """
     _require_index(n)
-    p, q = float(alpha).as_integer_ratio()
-    p2, q2 = p * p, q * q
-    half = n // 2
-    total = 0
-    ppow = 1  # p2**m
-    qpow = q2**half  # q2**(half - m)
-    for m in range(half + 1):
-        term = math.comb(n - m, m) * ppow * qpow
-        total = total - term if m % 2 else total + term
-        if m < half:
-            ppow *= p2
-            qpow //= q2
-    return float(Fraction(total, q2**half))
+    p2, q2 = _squares(alpha)
+    return _closed_sum(n, p2, accumulate(repeat(q2, n // 2), mul, initial=1))
+
+
+def d_closed_sequence(n: int, alpha: float) -> list[float]:
+    """[d_closed(0, alpha), ..., d_closed(n, alpha)], bit for bit, from one list of powers of q^2.
+
+    Each sum is run and rounded as :func:`d_closed` runs it; only the
+    integer powers are shared across the sizes.  No recursion: the values
+    stay an independent check of it.
+    """
+    _require_index(n)
+    p2, q2 = _squares(alpha)
+    q_powers = list(accumulate(repeat(q2, n // 2), mul, initial=1))
+    return [_closed_sum(k, p2, q_powers[: k // 2 + 1]) for k in range(n + 1)]
 
 
 def d_special_half(n: int) -> float:

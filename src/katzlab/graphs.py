@@ -29,6 +29,10 @@ class AdmissibilityError(ValueError):
     """The decay parameter lies outside the open interval (0, 1/rho(A))."""
 
 
+class PowerIterationError(RuntimeError):
+    """Power iteration did not meet its residual tolerance within its iteration cap."""
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """A path or cycle graph; vertices are labeled 1..n."""
@@ -132,20 +136,26 @@ def spectral_radius_oracle(g: GraphSpec) -> float:
     A + 2I rather than A: paths are bipartite, so A alone has a -rho
     eigenvalue of equal magnitude and the unshifted iteration need not
     settle.  The shift makes rho + 2 strictly dominant; deterministic
-    start vector, residual-based stopping.
+    start vector, residual-based stopping.  Raises PowerIterationError if
+    the residual is still above tolerance after the iteration cap.
     """
     shifted = g.adjacency() + 2.0 * np.eye(g.n)
     # A strictly positive start vector has a component along the Perron vector.
     v = np.ones(g.n) / math.sqrt(g.n)
-    lam = 2.0
+    w = shifted @ v
     for _ in range(_POWER_ITERATION_CAP):
-        w = shifted @ v
         v = w / math.sqrt(float(w @ w))
-        lam = float(v @ (shifted @ v))
-        residual = shifted @ v - lam * v
+        # one product per step: shifted @ v gives the quotient and the
+        # residual here, and is the next step's w
+        w = shifted @ v
+        lam = float(v @ w)
+        residual = w - lam * v
         if math.sqrt(float(residual @ residual)) < _POWER_ITERATION_TOL:
-            break
-    return lam - 2.0
+            return lam - 2.0
+    raise PowerIterationError(
+        f"power iteration on {g.family}({g.n}) did not reach residual {_POWER_ITERATION_TOL} "
+        f"in {_POWER_ITERATION_CAP} steps"
+    )
 
 
 def _checked_pair(g: GraphSpec, i: int, j: int) -> tuple[int, int]:
@@ -200,13 +210,15 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
 def _laplacian_pinv(g: GraphSpec) -> np.ndarray:
     """(L + J/n)^(-1) - J/n for the connected graph g, one dense solve per graph.
 
-    Cached for the latest graph: callers sweep every pair of one graph in a
-    row, and must not modify the returned array.
+    Cached for the latest graph, since callers sweep the pairs of one graph
+    in a row; read-only, so no caller can change a later answer.
     """
     a = g.adjacency()
     lap = np.diag(a.sum(axis=1)) - a
     n = g.n
-    return linalg.invert(lap + 1.0 / n) - 1.0 / n
+    pinv = linalg.invert(lap + 1.0 / n) - 1.0 / n
+    pinv.flags.writeable = False
+    return pinv
 
 
 def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
@@ -214,8 +226,15 @@ def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
 
     For a connected graph the pseudoinverse is (L + J/n)^(-1) - J/n with J
     the all-ones matrix; the resistance is then the standard quadratic form
-    L+_ii + L+_jj - 2 L+_ij.  Dense solve, so capped at n = 512.
+    L+_ii + L+_jj - 2 L+_ij with i <= j.  Dense solve, so capped at n = 512.
+    For arrays of labels, checked and broadcast as in :func:`resistance`, a
+    float64 array whose entries are the scalar calls bit for bit.
     """
+    if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
+        _label_spans(g, i, j)
+        i, j = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+        pinv = _laplacian_pinv(g)
+        return pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j]
     i, j = _checked_pair(g, i, j)
     pinv = _laplacian_pinv(g)
     return float(pinv[i - 1, i - 1] + pinv[j - 1, j - 1] - 2.0 * pinv[i - 1, j - 1])

@@ -329,29 +329,47 @@ def katz_oracle_inverse(g: GraphSpec, alpha) -> np.ndarray:
     return matrix
 
 
-def katz_oracle_series(g: GraphSpec, alpha: float, tol: float = 1e-12) -> np.ndarray:
-    """Katz matrix by accumulating the walk series alpha^t A^t.
+def katz_oracle_series(g: GraphSpec, alpha, tol: float = 1e-12) -> np.ndarray:
+    """Katz matrix by summing the walk series alpha^t A^t, t = 1..T, by doubling.
 
-    Stops once max|alpha^t A^t| / (1 - alpha rho) < tol; term norms shrink
-    geometrically like (alpha rho)^t, so that ratio bounds the discarded
-    tail entrywise by tol.
+    With P_T = (alpha A)^T and S_T the sum of its first T terms,
+    S_2T = S_T + P_T S_T and P_2T = P_T^2, from S_1 = P_1 = alpha A: log2(T)
+    steps of two matrix products each.  A is symmetric, so
+    ||(alpha A)^t||_2 = (alpha rho)^t, and every entry of the tail after T
+    terms is at most (alpha rho)^(T+1) / (1 - alpha rho).  T is the first
+    power of two that puts that bound below tol, fixed before the loop;
+    SeriesDivergenceError is raised, before any n x n work, where T would
+    exceed SERIES_ITERATION_CAP.
+
+    For a 1-D sequence of alphas, the stack of their matrices: each member
+    stops at its own T and is its lone call bit for bit.
     """
-    require_admissible(alpha, g)
+    alphas = [float(value) for value in _admissible_alphas(alpha, g)]
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    a = g.adjacency()
-    margin = 1.0 - alpha * spectral_radius(g)
-    term = alpha * a
-    total = np.zeros_like(a)
-    for _ in range(SERIES_ITERATION_CAP):
-        total += term
-        if float(np.abs(term).max()) / margin < tol:
-            return total
-        term = alpha * (term @ a)
-    raise SeriesDivergenceError(
-        f"walk series still above tolerance after {SERIES_ITERATION_CAP} terms; "
-        f"alpha = {alpha} is too close to 1/rho = {1.0 / spectral_radius(g):.6g}"
-    )
+    rho = spectral_radius(g)
+    doublings = []
+    for value in alphas:
+        ratio = value * rho
+        terms = 1
+        while ratio ** (terms + 1) / (1.0 - ratio) >= tol:
+            terms *= 2
+            if terms > SERIES_ITERATION_CAP:
+                raise SeriesDivergenceError(
+                    f"walk series needs more than {SERIES_ITERATION_CAP} terms to bound its tail below {tol}; "
+                    f"alpha = {value} is too close to 1/rho = {1.0 / rho:.6g}"
+                )
+        doublings.append(terms.bit_length() - 1)
+    power = np.array(alphas)[:, None, None] * g.adjacency()
+    total = power.copy()
+    remaining = np.array(doublings, dtype=int)
+    for step in range(max(doublings, default=0)):
+        live = np.flatnonzero(remaining > step)
+        p, s = power[live], total[live]
+        total[live] = s + p @ s
+        again = remaining[live] > step + 1  # the members that double once more need P_2T
+        power[live[again]] = p[again] @ p[again]
+    return total if np.ndim(alpha) else total[0]
 
 
 def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:

@@ -48,16 +48,20 @@ def _eliminate(m: np.ndarray, rhs: np.ndarray | None) -> tuple[np.ndarray, np.nd
     column; the others are not affected.
     """
     s, n, _ = m.shape
-    members = np.arange(s)
     pivots = np.empty((s, n))
     swapped = np.empty((s, n), dtype=bool)
     for col in range(n):
         pivot_row = col + np.argmax(np.abs(m[:, col:, col]), axis=1)
-        swapped[:, col] = pivot_row != col
-        for arr in (m,) if rhs is None else (m, rhs):
-            top = arr[members, col]
-            arr[members, col] = arr[members, pivot_row]
-            arr[members, pivot_row] = top
+        moved = pivot_row != col
+        swapped[:, col] = moved
+        if moved.any():
+            # only the members whose pivot row moves exchange rows
+            members = np.flatnonzero(moved)
+            rows = pivot_row[members]
+            for arr in (m,) if rhs is None else (m, rhs):
+                top = arr[members, col]
+                arr[members, col] = arr[members, rows]
+                arr[members, rows] = top
         pivot = m[:, col, col].copy()
         pivots[:, col] = pivot
         pivot[pivot == 0.0] = 1.0

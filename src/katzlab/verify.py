@@ -120,7 +120,7 @@ def suite_d_recursion_vs_closed(level: str) -> SuiteResult:
     res = SuiteResult("d recursion matches exact closed sum", 1e-12)
     n_max = 100 if level == "full" else 30
     sizes = range(n_max + 1)
-    closed = np.array([[dpoly.d_closed(n, alpha) for n in sizes] for alpha in DPOLY_PROBED])
+    closed = np.array([dpoly.d_closed_sequence(n_max, alpha) for alpha in DPOLY_PROBED])
     recursive = np.array([[dpoly.d_recursive(n, alpha) for n in sizes] for alpha in DPOLY_PROBED])
     res.record_all(
         mixed_err(closed, recursive),
@@ -274,9 +274,9 @@ def suite_resistance_oracle(level: str) -> SuiteResult:
         start = 2 if family == "path" else 3
         for n in range(start, n_max + 1):
             g = GraphSpec(family, n)
-            for p in g.pairs():
-                err = abs(resistance(g, p.i, p.j) - resistance_oracle(g, p.i, p.j))
-                res.record(err, f"{family} n={n} pair=({p.i},{p.j})")
+            i, j = (labels + 1 for labels in np.triu_indices(n, k=1))  # g.pairs() in order
+            errs = np.abs(resistance(g, i, j) - resistance_oracle(g, i, j))
+            res.record_all(errs, lambda f: f"{family} n={n} pair=({i[f]},{j[f]})")
     return res
 
 
@@ -339,10 +339,11 @@ def suite_series_vs_inverse(level: str) -> SuiteResult:
     for family in ("path", "cycle"):
         for n in sizes:
             g = GraphSpec(family, n)
-            for alpha in grids(g):
-                series = katz.katz_oracle_series(g, alpha, tol=1e-12)
-                inverse = katz.katz_oracle_inverse(g, alpha)
-                res.record(float(np.abs(series - inverse).max()), f"{family} n={n} alpha={alpha}")
+            alphas = grids(g)
+            series = katz.katz_oracle_series(g, alphas, tol=1e-12)
+            inverse = katz.katz_oracle_inverse(g, alphas)
+            errs = np.abs(series - inverse).max(axis=(1, 2))
+            res.record_all(errs, lambda f: f"{family} n={n} alpha={alphas[f]}")
     return res
 
 

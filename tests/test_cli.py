@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from katzlab import cli, katz
+from katzlab import cli, graphs, katz
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import GraphSpec, graph_distance, resistance
 from katzlab.katz import katz_limit_path
@@ -184,6 +184,15 @@ def test_scatter_rejects_inadmissible_alpha(tmp_path, capsys):
     assert rc == 2
     assert "not admissible" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_exits_2_when_power_iteration_does_not_converge(capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "_POWER_ITERATION_CAP", 3)
+    assert graphs.PowerIterationError in cli.NUMERIC_RANGE_ERRORS
+    assert run(["verify", "--level", "quick"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: power iteration on path(3) did not reach residual 1e-13 in 3 steps")
+    assert "Traceback" not in err
 
 
 def test_scatter_rejects_empty_alpha_list(tmp_path):

@@ -107,6 +107,51 @@ def test_closed_sum_survives_cancellation():
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
+def ascending_closed_sum(n, alpha):
+    """d_closed as first written: terms in ascending m, the total rounded through a reduced Fraction."""
+    p, q = float(alpha).as_integer_ratio()
+    half = n // 2
+    total = sum((-1) ** m * math.comb(n - m, m) * p ** (2 * m) * q ** (2 * (half - m)) for m in range(half + 1))
+    return float(Fraction(total, q ** (2 * half)))
+
+
+CLOSED_ALPHAS = ALPHAS + [1e-5, 0.499, 0.5, 0.6, 1.7, 5e-324, 1e-300, 1.0 / 3.0]
+
+
+def test_closed_sum_is_the_ascending_fraction_route():
+    rng = random.Random(15)
+    for alpha in CLOSED_ALPHAS + [rng.uniform(0.0, 0.5) for _ in range(10)]:
+        for n in list(range(0, 41)) + [63, 64, 100, 120]:
+            assert repr(dpoly.d_closed(n, alpha)) == repr(ascending_closed_sum(n, alpha)), (n, alpha)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 101])
+def test_closed_sequence_is_the_scalar_closed_sum(n):
+    for alpha in CLOSED_ALPHAS + [Fraction(1, 3), np.float64(0.3)]:
+        seq = dpoly.d_closed_sequence(n, alpha)
+        assert len(seq) == n + 1
+        assert [repr(value) for value in seq] == [repr(dpoly.d_closed(k, alpha)) for k in range(n + 1)]
+    with pytest.raises(ValueError):
+        dpoly.d_closed_sequence(-1, 0.3)
+    with pytest.raises(TypeError):
+        dpoly.d_closed_sequence(3.0, 0.3)
+
+
+def test_closed_sum_holds_no_list_of_powers():
+    # the sum's integers have about as many bits as its denominator
+    # q^(2 floor(n/2)); a list of every power up to it would hold about n/4 times that
+    n, alpha = 1000, 0.3
+    denominator_bytes = (alpha.as_integer_ratio()[1] ** (2 * (n // 2))).bit_length() // 8
+    dpoly.d_closed(10, alpha)
+    tracemalloc.start()
+    try:
+        dpoly.d_closed(n, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * denominator_bytes
+
+
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=10**6), decay)
 def test_splitting_identity(n, k_seed, alpha):
     k = 1 + k_seed % (n - 1)

@@ -171,3 +171,76 @@ def test_label_arrays_are_checked():
         graphs.graph_distance(g, np.uint8(6), unsigned)
     with pytest.raises(ValueError, match="out of range"):
         graphs.graph_distance(g, 7, unsigned)
+
+
+def _three_product_radius(g):
+    """spectral_radius_oracle as it was written with three products per step."""
+    shifted = g.adjacency() + 2.0 * np.eye(g.n)
+    v = np.ones(g.n) / math.sqrt(g.n)
+    lam = 2.0
+    for _ in range(graphs._POWER_ITERATION_CAP):
+        w = shifted @ v
+        v = w / math.sqrt(float(w @ w))
+        lam = float(v @ (shifted @ v))
+        residual = shifted @ v - lam * v
+        if math.sqrt(float(residual @ residual)) < graphs._POWER_ITERATION_TOL:
+            break
+    return lam - 2.0
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_spectral_radius_oracle_is_the_three_product_loop(family):
+    for n in (2, 3, 5, 10, 17, 40):
+        if family == "cycle" and n < 3:
+            continue
+        g = GraphSpec(family, n)
+        assert repr(graphs.spectral_radius_oracle(g)) == repr(_three_product_radius(g))
+
+
+def test_unconverged_power_iteration_raises(monkeypatch):
+    monkeypatch.setattr(graphs, "_POWER_ITERATION_CAP", 3)
+    with pytest.raises(graphs.PowerIterationError, match=r"path\(10\).* 3 steps"):
+        graphs.spectral_radius_oracle(GraphSpec.path(10))
+    assert issubclass(graphs.PowerIterationError, RuntimeError)
+
+
+@pytest.mark.parametrize("g", [GraphSpec.path(2), GraphSpec.path(9), GraphSpec.cycle(3), GraphSpec.cycle(14)])
+def test_resistance_oracle_label_arrays_are_the_scalar_calls(g):
+    i, j = (labels + 1 for labels in np.triu_indices(g.n, k=1))
+    want = np.array([graphs.resistance_oracle(g, p.i, p.j) for p in g.pairs()])
+    for got in (graphs.resistance_oracle(g, i, j), graphs.resistance_oracle(g, j, i)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a scalar label against an array, either side, and labels equal
+    ends = np.arange(1, g.n + 1, dtype=np.uint8)
+    row = [graphs.resistance_oracle(g, 1, b) for b in range(1, g.n + 1)]
+    assert graphs.resistance_oracle(g, 1, ends).tolist() == row
+    assert graphs.resistance_oracle(g, ends, 1).tolist() == row
+    assert graphs.resistance_oracle(g, ends, ends).tolist() == [graphs.resistance_oracle(g, v, v) for v in ends.tolist()]
+
+
+def test_resistance_oracle_label_arrays_are_checked():
+    g = GraphSpec.cycle(6)
+    for bad in (np.array([0, 2]), np.array([2, 7])):
+        with pytest.raises(ValueError, match="out of range"):
+            graphs.resistance_oracle(g, 1, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            graphs.resistance_oracle(g, bad, 1)
+    with pytest.raises(TypeError, match="integers"):
+        graphs.resistance_oracle(g, 1, np.array([2.0, 3.0]))
+    with pytest.raises(ValueError, match="out of range"):
+        graphs.resistance_oracle(g, 7, np.array([2]))
+    assert graphs.resistance_oracle(g, 1, np.array([], dtype=np.int64)).shape == (0,)
+
+
+def test_cached_pseudoinverse_is_read_only():
+    g = GraphSpec.cycle(8)
+    before = graphs.resistance_oracle(g, 2, 5)
+    pinv = graphs._laplacian_pinv(g)
+    assert pinv is graphs._laplacian_pinv(g)
+    with pytest.raises(ValueError, match="read-only"):
+        pinv[1, 1] = 100.0
+    with pytest.raises(ValueError, match="read-only"):
+        pinv += 1.0
+    assert graphs.resistance_oracle(g, 2, 5) == before
+    assert graphs.resistance_oracle(g, np.array([2]), np.array([5]))[0] == before

@@ -347,6 +347,80 @@ def test_series_oracle_diverges_near_the_boundary():
         katz.katz_oracle_series(g, 0.70710678, tol=1e-12)
 
 
+def _series_terms(ratio, tol):
+    """The first power of two T with ratio^(T+1) / (1 - ratio) < tol, and that tail bound."""
+    terms = 1
+    while ratio ** (terms + 1) / (1.0 - ratio) >= tol:
+        terms *= 2
+    return terms, ratio ** (terms + 1) / (1.0 - ratio)
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_series_oracle_is_within_its_tail_bound(family, tol):
+    # allowance for rounding in both oracles: n eps (1 + max|K|) / (1 - alpha rho),
+    # the forward error of a solve with condition number about 1 / (1 - alpha rho)
+    eps = np.finfo(float).eps
+    for n in (5, 12, 25, 40):
+        g = GraphSpec(family, n)
+        for alpha in (0.1, 0.3, 0.46, 0.49):
+            ratio = alpha * spectral_radius(g)
+            _, tail = _series_terms(ratio, tol)
+            assert tail < tol
+            inverse = katz.katz_oracle_inverse(g, alpha)
+            allowance = n * eps * (1.0 + np.abs(inverse).max()) / (1.0 - ratio)
+            err = np.abs(katz.katz_oracle_series(g, alpha, tol) - inverse).max()
+            assert err <= tail + allowance, (n, alpha)
+
+
+@pytest.mark.parametrize("g", [GraphSpec.path(9), GraphSpec.cycle(12)], ids=["path9", "cycle12"])
+def test_series_oracle_stack_is_the_one_alpha_calls(g):
+    # alphas out of order, and with different term counts
+    alphas = [0.46, 0.05, 0.3, 0.49, 0.3]
+    stack = katz.katz_oracle_series(g, alphas, tol=1e-12)
+    assert stack.shape == (5, g.n, g.n)
+    terms = [_series_terms(alpha * spectral_radius(g), 1e-12)[0] for alpha in alphas]
+    assert len(set(terms)) >= 3
+    for member, alpha in zip(stack, alphas):
+        assert np.array_equal(member, katz.katz_oracle_series(g, alpha, tol=1e-12))
+    assert katz.katz_oracle_series(g, [], tol=1e-12).shape == (0, g.n, g.n)
+    assert katz.katz_oracle_series(g, np.array([0.3]), tol=1e-12).shape == (1, g.n, g.n)
+
+
+def test_series_oracle_sums_the_terms_of_its_bound():
+    # T = 16 terms at alpha rho = 0.25 and tol = 1e-10: the doubling sum
+    # is the plain sum of the first 16 terms, to rounding
+    g = GraphSpec.cycle(6)
+    terms, _ = _series_terms(0.25, 1e-10)
+    assert terms == 16
+    a = 0.125 * g.adjacency()
+    power, plain = np.eye(6), np.zeros((6, 6))
+    for _ in range(terms):
+        power = power @ a
+        plain += power
+    assert np.allclose(katz.katz_oracle_series(g, 0.125, tol=1e-10), plain, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.70710678, [0.3, 0.70710678]], ids=["one", "stack"])
+def test_series_divergence_is_raised_before_any_matrix_work(alpha, monkeypatch):
+    g = GraphSpec.path(3)  # 1/rho is about 0.707
+    monkeypatch.setattr(GraphSpec, "adjacency", lambda self: pytest.fail("adjacency built"))
+    with pytest.raises(katz.SeriesDivergenceError, match=str(katz.SERIES_ITERATION_CAP)):
+        katz.katz_oracle_series(g, alpha, tol=1e-12)
+
+
+def test_series_term_count_stops_at_the_cap():
+    # on a cycle alpha rho = 2 alpha: 2^16 terms still run, 2^17 exceed the cap
+    g = GraphSpec.cycle(4)
+    assert 2**16 <= katz.SERIES_ITERATION_CAP < 2**17
+    assert _series_terms(2 * 0.4998, 1e-3)[0] == 2**16
+    assert _series_terms(2 * 0.4999, 1e-3)[0] == 2**17
+    series = katz.katz_oracle_series(g, 0.4998, tol=1e-3)
+    assert np.abs(series - katz.katz_oracle_inverse(g, 0.4998)).max() < 1e-3
+    with pytest.raises(katz.SeriesDivergenceError):
+        katz.katz_oracle_series(g, 0.4999, tol=1e-3)
+
+
 def test_admissibility_enforced():
     with pytest.raises(AdmissibilityError):
         katz.katz_path(10, 1, 2, 0.53)

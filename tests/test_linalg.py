@@ -179,3 +179,55 @@ def test_results_do_not_depend_on_memory_layout(n, lead):
             assert np.array_equal(linalg.solve(a_form, v_form), want_vector)
         assert np.array_equal(linalg.invert(a_form), want_inverse)
         assert np.array_equal(linalg.determinant(a_form), want_det)
+
+
+def _dominant(rng, n):
+    """A matrix dominant by columns: elimination keeps it so, and partial pivoting never leaves the diagonal."""
+    a = rng.normal(size=(n, n))
+    return a + np.diag(np.abs(a).sum(axis=0) + 1.0)
+
+
+def _swap_columns(stack):
+    """Per column, how many members exchange rows there, from one elimination of a copy."""
+    _, swapped = linalg._eliminate(np.array(stack, dtype=float), None)
+    return swapped.sum(axis=0)
+
+
+def _assert_members_are_lone_calls(stack, rng):
+    n = stack.shape[-1]
+    vectors = rng.normal(size=stack.shape[:-1])
+    blocks = rng.normal(size=stack.shape[:-1] + (2,))
+    x_vec, x_mat = linalg.solve(stack, vectors), linalg.solve(stack, blocks)
+    inv, det = linalg.invert(stack), linalg.determinant(stack)
+    for index, a in enumerate(stack):
+        assert np.array_equal(x_vec[index], linalg.solve(a, vectors[index]))
+        assert np.array_equal(x_mat[index], linalg.solve(a, blocks[index]))
+        assert np.array_equal(inv[index], linalg.invert(a))
+        assert det[index] == linalg.determinant(a)
+    assert inv.shape == (len(stack), n, n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_stack_where_no_member_exchanges_rows(n):
+    rng = np.random.default_rng(200 + n)
+    stack = np.array([_dominant(rng, n) for _ in range(4)])
+    assert _swap_columns(stack).tolist() == [0] * n
+    _assert_members_are_lone_calls(stack, rng)
+    assert linalg.determinant(stack[0]) == pytest.approx(np.linalg.det(stack[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_stack_where_only_some_members_exchange_rows(n):
+    # dominant members never exchange rows; their row-reversed copies do
+    # at the first column, so every column with an exchange has members
+    # that exchange and members that do not
+    rng = np.random.default_rng(300 + n)
+    dominant = [_dominant(rng, n) for _ in range(3)]
+    stack = np.array([dominant[0], dominant[1][::-1], dominant[2], dominant[0][::-1]])
+    counts = _swap_columns(stack)
+    assert counts[0] == 2 and counts.max() <= 2
+    _, swapped = linalg._eliminate(stack.copy(), None)
+    assert not swapped[[0, 2]].any() and swapped[[1, 3], 0].all()
+    _assert_members_are_lone_calls(stack, rng)
+    # a row reversal is floor(n/2) transpositions
+    assert linalg.determinant(stack[3]) == pytest.approx((-1) ** (n // 2) * linalg.determinant(stack[0]), rel=1e-12)

@@ -566,3 +566,114 @@ def test_verify_quick_lines_and_total(capsys, monkeypatch):
         assert match.group(2) == f"{result.seconds:.3f}"
     assert sum(result.checks for result in results) == 275801
     assert lines[-1].startswith("27/27 suites passed, 275801 checks, ")
+
+
+def reference_resistance_oracle(level):
+    res = SuiteResult("resistance closed form vs pseudoinverse oracle", 1e-10)
+    n_max = 40 if level == "full" else 20
+    for family in ("path", "cycle"):
+        start = 2 if family == "path" else 3
+        for n in range(start, n_max + 1):
+            g = GraphSpec(family, n)
+            for p in g.pairs():
+                err = abs(verify.resistance(g, p.i, p.j) - verify.resistance_oracle(g, p.i, p.j))
+                res.record(err, f"{family} n={n} pair=({p.i},{p.j})")
+    return res
+
+
+def reference_series_vs_inverse(level):
+    res = SuiteResult("katz series oracle vs inverse oracle", 1e-11)
+    if level == "full":
+        sizes, grids = range(5, 41), katz_grid
+    else:
+        sizes = (5, 12, 25)
+        grids = lambda g: [a for a in (0.1, 0.3, 0.46) if a < 1.0 / verify.spectral_radius(g)]
+    for family in ("path", "cycle"):
+        for n in sizes:
+            g = GraphSpec(family, n)
+            for alpha in grids(g):
+                series = katz.katz_oracle_series(g, alpha, tol=1e-12)
+                inverse = katz.katz_oracle_inverse(g, alpha)
+                res.record(float(np.abs(series - inverse).max()), f"{family} n={n} alpha={alpha}")
+    return res
+
+
+@pytest.mark.parametrize(
+    "suite, reference, level",
+    [
+        (verify.suite_resistance_oracle, reference_resistance_oracle, "quick"),
+        (verify.suite_resistance_oracle, reference_resistance_oracle, "full"),
+        (verify.suite_series_vs_inverse, reference_series_vs_inverse, "quick"),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_array_oracle_suite_matches_per_call_loop(suite, reference, level):
+    want = reference(level)
+    got = suite(level)
+    assert want.passed
+    assert_same(got, want)
+
+
+def _asymmetric_oracle(original):
+    """resistance_oracle that reads the pairs (1, 3) of the 5-path and (2, 4) of the 7-cycle 1e-6 high."""
+
+    def asymmetric(g, i, j):
+        value = original(g, i, j)
+        bad = {("path", 5): (1, 3), ("cycle", 7): (2, 4)}.get((g.family, g.n))
+        if bad is None:
+            return value
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value[(i == bad[0]) & (j == bad[1])] += 1e-6
+            return value
+        return value + 1e-6 if (i, j) == bad else value
+
+    return asymmetric
+
+
+def test_resistance_oracle_suite_matches_per_call_loop_under_fault(monkeypatch):
+    monkeypatch.setattr(verify, "resistance_oracle", _asymmetric_oracle(verify.resistance_oracle))
+    want = reference_resistance_oracle("quick")
+    got = verify.suite_resistance_oracle("quick")
+    assert [failure.split(":")[0] for failure in want.failures] == ["path n=5 pair=(1,3)", "cycle n=7 pair=(2,4)"]
+    assert_same(got, want)
+
+
+# (name, checks at quick, checks at full) of every suite, in ALL_SUITES order
+SUITE_CHECKS = [
+    ("d recursion matches exact closed sum", 1581, 5151),
+    ("d splitting identity", 22185, 90270),
+    ("d product identity", 23715, 93330),
+    ("d monotone bounds", 5049, 5049),
+    ("d special values at the probe points", 181, 601),
+    ("d ratio limit constant", 9, 9),
+    ("d vanishing power ratio bound", 10200, 10200),
+    ("d golden-ratio lower bound", 4400, 4400),
+    ("path determinant identity", 524, 1024),
+    ("cycle determinant identity", 432, 912),
+    ("cycle determinant parity factorization", 1862, 4802),
+    ("spectral radius closed form vs power iteration", 11, 11),
+    ("resistance closed form vs pseudoinverse oracle", 2659, 21319),
+    ("metric symmetry and triangle inequality", 93508, 93508),
+    ("katz closed form vs inverse oracle", 1201, 1936),
+    ("katz series oracle vs inverse oracle", 18, 1774),
+    ("katz decreasing in path distance from an endpoint", 1428, 1428),
+    ("katz non-decreasing under centered pair shifts", 98175, 98175),
+    ("cycle katz depends only on arc length", 663, 663),
+    ("cycle pair-ranking agreement across all metrics", 768, 1248),
+    ("path ranking agreement below the golden bound", 616, 616),
+    ("path ranking inversion at alpha = 0.46", 3, 3),
+    ("gap polynomial sign equivalence", 4131, 4131),
+    ("gap polynomial values at the probe points", 423, 423),
+    ("cycle arc-class separation margin", 1960, 4410),
+    ("cut-off roots: bracket, monotonicity", 63, 113),
+    ("katz entries converge to their limits", 36, 36),
+]
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_every_suite_keeps_its_checks_and_passes(level):
+    column = 1 if level == "quick" else 2
+    got = [(result.name, result.checks, result.passed) for result in verify.run_suites(level)]
+    assert got == [(row[0], row[column], True) for row in SUITE_CHECKS]
+    assert sum(row[column] for row in SUITE_CHECKS) == {"quick": 275801, "full": 445542}[level]
