@@ -9,9 +9,14 @@ and the n -> infinity limits of individual entries.
 
 Each closed form is written once and evaluated in whatever arithmetic its
 inputs carry: floats for the public entries, Fractions for the exact
-routes.  The matrices hold the float entries bit for bit, with every power
-of alpha taken by Python's pow.  The cycle forms cover every n >= 3,
-diagonal included; only the oracles touch dense linear algebra.
+routes, numpy arrays for values at many pairs.  A tridiagonal inverse is
+fixed by O(n) data (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): per
+alpha a path's d-row and row of powers (:func:`_path_rows`), a cycle's
+entries at each arc length (:func:`_cycle_arcs`).  The pair values and
+the matrices are the same closed forms on those rows, so they hold the
+scalar entries bit for bit, with every power of alpha taken by Python's
+pow.  The cycle forms cover every n >= 3, diagonal included; only the
+oracles touch dense linear algebra.
 """
 
 from __future__ import annotations
@@ -58,9 +63,14 @@ def require_matrix_size(n: int, count: int = 1) -> None:
         )
 
 
-def _path_off_diagonal(head, tail, d_n, span: int, alpha):
-    """Path entry i < j, alpha^(j-i) (d_{i-1} d_{n-j} / d_n), from head = d_{i-1} and tail = d_{n-j}; span = j - i."""
-    return alpha**span * (head * tail / d_n)
+def _path_off_diagonal(power, head, tail, d_n):
+    """Path entry i < j, alpha^(j-i) (d_{i-1} d_{n-j} / d_n), from head = d_{i-1} and tail = d_{n-j}.
+
+    The caller passes power = alpha^(j-i), taken with Python's pow.  Like
+    :func:`_path_diagonal`, evaluated on floats, Fractions or numpy arrays
+    alike.
+    """
+    return power * (head * tail / d_n)
 
 
 def _path_diagonal(head_before, head, tail_before, tail, d_n, alpha):
@@ -80,7 +90,7 @@ def _path_entry(seq, n: int, i: int, j: int, alpha):
         before = seq[i - 2] if i > 1 else 0
         after = seq[n - i - 1] if i < n else 0
         return _path_diagonal(before, seq[i - 1], after, seq[n - i], seq[n], alpha)
-    return _path_off_diagonal(seq[i - 1], seq[n - j], seq[n], j - i, alpha)
+    return _path_off_diagonal(alpha ** (j - i), seq[i - 1], seq[n - j], seq[n])
 
 
 def _cycle_diagonal(d_before, n: int, alpha):
@@ -131,7 +141,7 @@ def katz_path(n: int, i: int, j: int, alpha: float) -> float:
             head, tail, d_n = _d_terms((i - 1, n - j, n), alpha)
         else:
             tail, head, d_n = _d_terms((n - j, i - 1, n), alpha)
-        return _path_off_diagonal(head, tail, d_n, j - i, alpha)
+        return _path_off_diagonal(alpha ** (j - i), head, tail, d_n)
     # on the diagonal each also with the term one below; d_{-1} = 0
     a, b = i - 1, n - i
     if a <= b:
@@ -163,97 +173,65 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     return numerator / _cycle_denominator(d_before, d_last, n, alpha)
 
 
-def _path_terms(power, before, after, d_n, out=None, where=True):
-    """Off-diagonal path entries alpha^(j-i) (d_{i-1} d_{n-j} / d_n) from arrays of their operands.
+def _path_rows(alphas: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, n + 1) d-rows [d_0, ..., d_n] and (A, n) powers alpha^0, ..., alpha^(n-1) of an n-vertex path.
 
-    The operation order of :func:`_path_off_diagonal`, so each value is
-    its scalar entry bit for bit.  The operands broadcast; out and where are
-    those of the numpy ufuncs, and entries outside where are neither
-    computed nor written.
+    One row each per alpha, taken as checked admissible; the d-rows come
+    from :func:`d_sequence` and the powers from Python's pow, so the path
+    helpers on them give the scalar entries bit for bit.
     """
-    out = np.multiply(before, after, out=out, where=where)
-    np.divide(out, d_n, out=out, where=where)
-    np.multiply(out, power, out=out, where=where)
-    return out
+    alphas = [float(value) for value in alphas]
+    d = np.array([d_sequence(n, value) for value in alphas]).reshape(len(alphas), n + 1)
+    powers = np.array([[value**k for k in range(n)] for value in alphas]).reshape(len(alphas), n)
+    return d, powers
 
 
-class _KatzTable:
-    """The O(n) numbers that fix the Katz matrix of one graph at each of a list of alphas.
+def _cycle_arcs(alphas: list, n: int) -> np.ndarray:
+    """The (A, n//2 + 1) Katz entries of an n-cycle at arc lengths k = 0..n//2, one row per alpha.
 
-    A tridiagonal inverse is fixed by O(n) data (Meurant, SIAM J. Matrix
-    Anal. Appl. 13, 1992).  Per alpha a path's table holds the d-row [d_0,
-    ..., d_n] of :func:`d_sequence` and the Python powers alpha^0, ...,
-    alpha^(n-1); a cycle's, in the (A, n//2 + 1) array arcs, its entries at
-    arc lengths k = 0..n//2.  Every value it serves is the scalar entry bit
-    for bit.  The alphas are taken as checked admissible for g.
+    The alphas are taken as checked admissible.  Each value is the
+    :func:`katz_cycle` entry at its arc length bit for bit.
     """
-
-    def __init__(self, g: GraphSpec, alphas: list) -> None:
-        self.graph = g
-        self.alphas = [float(value) for value in alphas]
-        n, count = g.n, len(self.alphas)
-        rows = [d_sequence(n if g.is_path else n - 1, value) for value in self.alphas]
-        if g.is_path:
-            self.d = np.array(rows).reshape(count, n + 1)
-            self.powers = np.array([[value**k for k in range(n)] for value in self.alphas]).reshape(count, n)
-        else:
-            arcs = []
-            for seq, value in zip(rows, self.alphas):
-                denominator = _cycle_denominator(seq[n - 2], seq[n - 1], n, value)
-                row = [_cycle_diagonal(seq[n - 2], n, value) / denominator]
-                for k in range(1, n // 2 + 1):
-                    row.append(_cycle_numerator(seq[k - 1], seq[n - k - 1], n, k, value) / denominator)
-                arcs.append(row)
-            self.arcs = np.array(arcs).reshape(count, n // 2 + 1)
-
-    def matrices(self) -> np.ndarray:
-        """The (A, n, n) stack of Katz matrices, one per alpha, diagonal included.
-
-        Its size is checked against MATRIX_MAX_N before it is allocated.
-        """
-        n, count = self.graph.n, len(self.alphas)
-        require_matrix_size(n, count)
-        if not count:
-            return np.empty((0, n, n))
-        return self._path_matrices() if self.graph.is_path else self._cycle_matrices()
-
-    def _path_matrices(self) -> np.ndarray:
-        d, n, count = self.d, self.graph.n, len(self.alphas)
-        d_n = d[:, n, None, None]
-        # toeplitz[a, r, c] = powers[a, |c - r|], a strided view of the mirrored power rows
-        mirrored = np.concatenate((self.powers[:, :0:-1], self.powers), axis=1)
-        step = mirrored.itemsize
-        toeplitz = np.ndarray(
-            (count, n, n), mirrored.dtype, mirrored, offset=(n - 1) * step, strides=(mirrored.strides[0], -step, step)
-        )
-        lower = np.tri(n, k=-1, dtype=bool)  # i > j
-        out = np.empty((count, n, n))
-        _path_terms(toeplitz, d[:, :n, None], d[:, None, n - 1 :: -1], d_n, out=out, where=~lower)
-        # below the diagonal the entry of (j, i): d_{j-1} d_{n-i}
-        _path_terms(toeplitz, d[:, None, :n], d[:, n - 1 :: -1, None], d_n, out=out, where=lower)
-        padded = np.concatenate((np.zeros((count, 1)), d), axis=1)  # padded[:, k + 1] = d_k, d_{-1} = 0
-        before, after = padded[:, :n], padded[:, n - 1 :: -1]  # d_{i-2} and d_{n-i-1} for i = 1..n
-        alpha = np.array(self.alphas)[:, None]
-        diagonal = alpha * alpha * (d[:, :n] * after + before * d[:, n - 1 :: -1]) / d_n[:, 0]
-        out.reshape(count, n * n)[:, :: n + 1] = diagonal
-        return out
-
-    def _cycle_matrices(self) -> np.ndarray:
-        # member a is circulant: row 0 is arcs[a] mirrored (span n - k reads
-        # arc k) and row i is row 0 rotated right by i, so entry (i, j) is
-        # doubled[a, n - i + j]
-        n, count, half = self.graph.n, len(self.alphas), self.arcs
-        row = np.concatenate((half, half[:, (n - 1) // 2 : 0 : -1]), axis=1)
-        doubled = np.concatenate((row, row), axis=1)
-        step = doubled.itemsize
-        return np.ndarray(
-            (count, n, n), doubled.dtype, doubled, offset=n * step, strides=(doubled.strides[0], -step, step)
-        ).copy()
+    arcs = []
+    for value in map(float, alphas):
+        seq = d_sequence(n - 1, value)
+        denominator = _cycle_denominator(seq[n - 2], seq[n - 1], n, value)
+        row = [_cycle_diagonal(seq[n - 2], n, value) / denominator]
+        for k in range(1, n // 2 + 1):
+            row.append(_cycle_numerator(seq[k - 1], seq[n - k - 1], n, k, value) / denominator)
+        arcs.append(row)
+    return np.array(arcs).reshape(len(arcs), n // 2 + 1)
 
 
 def _matrices(g: GraphSpec, alpha) -> np.ndarray:
-    """The Katz matrix of g at alpha, or the (A, n, n) stack for a 1-D sequence of A alphas."""
-    stack = _KatzTable(g, _admissible_alphas(alpha, g)).matrices()
+    """The Katz matrix of g at alpha, or the (A, n, n) stack for a 1-D sequence of A alphas.
+
+    Every alpha is checked admissible, and the stack's size against
+    MATRIX_MAX_N, before it is allocated.
+    """
+    alphas, n = _admissible_alphas(alpha, g), g.n
+    require_matrix_size(n, len(alphas))
+    if g.is_path:
+        d, powers = _path_rows(alphas, n)
+        d_n = d[:, n:]
+        stack = np.empty((len(alphas), n, n))
+        for r in range(n - 1):
+            # row i = r + 1 right of the diagonal, j = i + 1..n, then mirrored below it
+            stack[:, r, r + 1 :] = _path_off_diagonal(powers[:, 1 : n - r], d[:, r : r + 1], d[:, n - r - 2 :: -1], d_n)
+            stack[:, r + 1 :, r] = stack[:, r, r + 1 :]
+        padded = np.concatenate((np.zeros((len(alphas), 1)), d), axis=1)  # padded[:, k + 1] = d_k, d_{-1} = 0
+        # at i = 1..n: d_{i-2}, d_{i-1}, d_{n-i-1} and d_{n-i}
+        before, head, after, tail = padded[:, :n], d[:, :n], padded[:, n - 1 :: -1], d[:, n - 1 :: -1]
+        diagonal = np.arange(n)
+        stack[:, diagonal, diagonal] = _path_diagonal(before, head, after, tail, d_n, np.array(alphas, float)[:, None])
+    else:
+        # each member is circulant: row 0 is the arcs mirrored (span n - k
+        # reads arc k) and row i is row 0 rotated right by i, the window of
+        # the doubled row that starts at n - i
+        half = _cycle_arcs(alphas, n)
+        row = np.concatenate((half, half[:, (n - 1) // 2 : 0 : -1]), axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row), axis=1), n, axis=1)
+        stack = windows[:, n:0:-1].copy()
     return stack if np.ndim(alpha) else stack[0]
 
 
@@ -264,7 +242,8 @@ def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.n
     alphas, the (A, P) array whose row a is the call with alpha a alone.
     Every alpha is checked admissible before any work.  Each entry is
     :func:`katz_path` or :func:`katz_cycle` bit for bit, gathered from the
-    O(n) numbers per alpha of one table, whatever the number of pairs.
+    O(n) rows per alpha of :func:`_path_rows` or :func:`_cycle_arcs`,
+    whatever the number of pairs.
     """
     alphas, n = _admissible_alphas(alpha, g), g.n
     if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
@@ -272,13 +251,11 @@ def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.n
     span = np.subtract(j, i, dtype=np.int64)
     if span.size and not (span.min() > 0 and i.min() >= 1 and j.max() <= n):
         raise ValueError(f"every pair needs labels 1 <= i < j <= {n}")
-    table = _KatzTable(g, alphas)
     if g.is_path:
-        d = table.d
-        before = d.take(i - 1, axis=1)  # the gathered d_{i-1} become the entries in place
-        entries = _path_terms(table.powers.take(span, axis=1), before, d.take(n - j, axis=1), d[:, n:], out=before)
+        d, powers = _path_rows(alphas, n)
+        entries = _path_off_diagonal(powers.take(span, axis=1), d.take(i - 1, axis=1), d.take(n - j, axis=1), d[:, n:])
     else:
-        entries = table.arcs.take(np.minimum(span, n - span), axis=1)
+        entries = _cycle_arcs(alphas, n).take(np.minimum(span, n - span), axis=1)
     return entries if np.asarray(alpha).ndim else entries[0]
 
 
@@ -286,11 +263,14 @@ def katz_path_matrix(n: int, alpha) -> np.ndarray:
     """Full closed-form Katz matrix for the path, diagonal included.
 
     For a 1-D sequence of A alphas, the (A, n, n) stack of their matrices;
-    a number is the stack of one.  Every entry is :func:`katz_path` bit for
-    bit: the same operations on the same operands, with alpha^(j-i) read
-    from one row of Python powers per alpha.  Every alpha must be
-    admissible, and the stack may hold at most MATRIX_MAX_N**2 entries
-    (MatrixSizeError); both are checked before it is allocated.
+    a number is the stack of one.  Each row is filled right of the diagonal
+    by :func:`_path_off_diagonal` on the rows of :func:`_path_rows` and
+    mirrored below it, and the diagonal comes from :func:`_path_diagonal`:
+    every entry is :func:`katz_path` bit for bit, the same operations on
+    the same operands, and the stack is all the memory it takes.  Every
+    alpha must be admissible, and the stack may hold at most
+    MATRIX_MAX_N**2 entries (MatrixSizeError); both are checked before it
+    is allocated.
     """
     return _matrices(GraphSpec.path(n), alpha)
 
@@ -301,9 +281,10 @@ def katz_cycle_matrix(n: int, alpha) -> np.ndarray:
     For a 1-D sequence of A alphas, the (A, n, n) stack, as for
     :func:`katz_path_matrix`.  Each matrix is circulant: entry (i, j)
     depends only on the span (j - i) mod n, through the arc length
-    k = min(span, n - span).  Its first row holds the numerator of each
-    k = 0..n//2 over the one shared denominator, mirrored, and every row is
-    a rotation of it, so every entry is :func:`katz_cycle` bit for bit.
+    k = min(span, n - span).  Its first row holds the :func:`_cycle_arcs`
+    entries at k = 0..n//2, mirrored, and every row is a rotation of it, a
+    window of the doubled row, so every entry is :func:`katz_cycle` bit for
+    bit.
     """
     return _matrices(GraphSpec.cycle(n), alpha)
 
@@ -405,6 +386,9 @@ def katz_limit_path(i: int, j: int, alpha: float) -> float:
     i < j, and c^i d_{i-1} - 1 on the diagonal (the trailing d-ratio
     d_{n-j}/d_n tends to c^j).  Only derived for alpha in (0, 0.5).
     """
+    for label in (i, j):
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise TypeError(f"vertex labels must be integers, got {label!r}")
     _require_below_half(alpha)
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")

@@ -267,7 +267,7 @@ def p_gap(n: int, j: int, alpha: float) -> float:
     require_admissible(alpha, GraphSpec.path(n))
     # the entries (1, 1 + j) and (m, m + j + 1) read these terms, in index order
     d_0, tail, head, top, d_n = _d_terms((0, n - m - j - 1, m - 1, n - j - 1, n), alpha)
-    return _path_off_diagonal(d_0, top, d_n, j, alpha) - _path_off_diagonal(head, tail, d_n, j + 1, alpha)
+    return _path_off_diagonal(alpha**j, d_0, top, d_n) - _path_off_diagonal(alpha ** (j + 1), head, tail, d_n)
 
 
 def _p_tilde(n: int, j: int, m: int, alpha: float) -> float:

@@ -269,10 +269,10 @@ def test_stacked_cycle_peak_memory_is_at_most_twice_its_output():
     assert traced_peak(lambda: katz.katz_cycle_matrix(n, alphas)) <= 2 * 8 * len(alphas) * n * n
 
 
-def test_path_matrix_peak_memory_is_its_output_and_two_masks():
-    # the output, and two n x n boolean masks that pick the triangles
+def test_path_matrix_peak_memory_is_its_output():
+    # the output and O(n) rows, no n x n temporary
     n = 2000
-    assert traced_peak(lambda: katz.katz_path_matrix(n, 0.3)) <= (8 + 2) * n * n + 2**20
+    assert traced_peak(lambda: katz.katz_path_matrix(n, 0.3)) <= 8 * n * n + 2**20
 
 
 PAIR_GRIDS = [("path", 2), ("path", 9), ("path", 64), ("cycle", 3), ("cycle", 4), ("cycle", 9), ("cycle", 64)]
@@ -310,7 +310,8 @@ def test_pair_entries_at_a_sequence_are_the_one_alpha_calls(family, n):
 
 
 def test_an_inadmissible_alpha_anywhere_fails_before_a_table_is_built(monkeypatch):
-    monkeypatch.setattr(katz, "_KatzTable", lambda *args: pytest.fail("table built"))
+    for name in ("_path_rows", "_cycle_arcs"):
+        monkeypatch.setattr(katz, name, lambda *args: pytest.fail("table built"))
     i, j = np.array([1, 2]), np.array([3, 8])
     for g, bad in ((GraphSpec.cycle(8), 0.5), (GraphSpec.path(8), 0.6), (GraphSpec.path(8), 0.0)):
         for alphas in ([bad, 0.1, 0.2], [0.1, bad, 0.2], [0.1, 0.2, bad]):
@@ -584,6 +585,13 @@ def test_limit_validation():
         katz.katz_limit_cycle(0, 0.3)
     with pytest.raises(TypeError):
         katz.katz_limit_cycle(1.5, 0.3)
+
+
+@pytest.mark.parametrize("i, j", [(2, 3.5), (2, 2.0), (True, 2)])
+def test_limit_path_takes_integer_labels_only(i, j):
+    # checked like katz_limit_cycle's offset: neither a float nor a bool is a vertex
+    with pytest.raises(TypeError, match="vertex labels must be integers"):
+        katz.katz_limit_path(i, j, 0.3)
 
 
 def test_determinant_oracles():
