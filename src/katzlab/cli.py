@@ -193,8 +193,8 @@ def cmd_cutoff(args: argparse.Namespace) -> int:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     sizes = args.n_list
-    if sorted(sizes) != sizes:
-        raise ValueError("n-list must be increasing")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"n-list must be strictly increasing, got {','.join(map(str, sizes))}")
     if args.family == "path":
         if args.i is None or args.j is None or args.offset is not None:
             raise ValueError("path convergence takes --i and --j (not --offset)")
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-list",
         type=_int_list,
         default=list(DEFAULT_CONVERGE_SIZES),
-        help="comma-separated sizes (default 10,20,40,80,160,320)",
+        help="comma-separated strictly increasing sizes (default 10,20,40,80,160,320)",
     )
     converge.add_argument("--out", required=True, help="output CSV path")
     converge.set_defaults(handler=cmd_converge)

@@ -8,14 +8,15 @@ independent brute-force oracles (dense inverse and truncated walk series),
 and the n -> infinity limits of individual entries.
 
 Each closed form is written once and evaluated in whatever arithmetic its
-inputs carry: floats for the public entries, Fractions for the exact
-routes, numpy arrays for values at many pairs.  A tridiagonal inverse is
-fixed by O(n) data (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): per
-alpha a path's d-row and row of powers (:func:`_path_rows`), a cycle's
-entries at each arc length (:func:`_cycle_arcs`).  The pair values and
-the matrices are the same closed forms on those rows, so they hold the
-scalar entries bit for bit, with every power of alpha taken by Python's
-pow.  The cycle forms cover every n >= 3, diagonal included; only the
+inputs carry: floats for the public entries, integers over powers of
+alpha's denominator for the exact routes (:class:`katzlab.dpoly._OverQ`,
+a Fraction once the entry divides), numpy arrays for values at many
+pairs.  A tridiagonal inverse is fixed by O(n) data (Meurant, SIAM J.
+Matrix Anal. Appl. 13, 1992): per alpha a path's d-row and row of powers
+(:func:`_path_rows`), a cycle's entries at each arc length
+(:func:`_cycle_arcs`).  The pair values and the matrices are the same
+closed forms on those rows, so they hold the scalar entries bit for bit,
+with every power of alpha taken by Python's pow.  The cycle forms cover every n >= 3, diagonal included; only the
 oracles touch dense linear algebra.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 from .dpoly import (
     _cycle_denominator,
     _d_terms,
-    _ExactTerms,
+    _over_q,
     _require_below_half,
     d_recursive,
     d_sequence,
@@ -119,6 +120,35 @@ def _cycle_entry(seq, n: int, k: int, alpha):
     return numerator / _cycle_denominator(d_before, seq[n - 1], n, alpha)
 
 
+def _path_value(n: int, i: int, j: int, alpha, one):
+    """Path entry (i <= j) in the arithmetic of alpha and one, from the d-terms one run of the recursion stops at."""
+    # head = d_{i-1} and tail = d_{n-j}, asked for in index order
+    if i < j:
+        if i - 1 <= n - j:
+            head, tail, d_n = _d_terms((i - 1, n - j, n), alpha, one)
+        else:
+            tail, head, d_n = _d_terms((n - j, i - 1, n), alpha, one)
+        return _path_off_diagonal(alpha ** (j - i), head, tail, d_n)
+    # on the diagonal each also with the term one below; d_{-1} = 0
+    a, b = i - 1, n - i
+    if a <= b:
+        head_before, head, tail_before, tail, d_n = _d_terms((a - 1 if a else 0, a, b - 1, b, n), alpha, one)
+    else:
+        tail_before, tail, head_before, head, d_n = _d_terms((b - 1 if b else 0, b, a - 1, a, n), alpha, one)
+    return _path_diagonal(head_before if a else 0, head, tail_before if b else 0, tail, d_n, alpha)
+
+
+def _cycle_value(n: int, k: int, alpha, one):
+    """Cycle entry at arc length k in the arithmetic of alpha and one, from the d-terms one run stops at."""
+    if k:
+        d_short, d_long, d_before, d_last = _d_terms((k - 1, n - k - 1, n - 2, n - 1), alpha, one)
+        numerator = _cycle_numerator(d_short, d_long, n, k, alpha)
+    else:
+        d_before, d_last = _d_terms((n - 2, n - 1), alpha, one)
+        numerator = _cycle_diagonal(d_before, n, alpha)
+    return numerator / _cycle_denominator(d_before, d_last, n, alpha)
+
+
 def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     """Closed-form Katz entry on the n-vertex path.
 
@@ -135,20 +165,7 @@ def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     g = GraphSpec.path(n)
     require_admissible(alpha, g)
     i, j = _checked_pair(g, i, j)
-    # head = d_{i-1} and tail = d_{n-j}, asked for in index order
-    if i < j:
-        if i - 1 <= n - j:
-            head, tail, d_n = _d_terms((i - 1, n - j, n), alpha)
-        else:
-            tail, head, d_n = _d_terms((n - j, i - 1, n), alpha)
-        return _path_off_diagonal(alpha ** (j - i), head, tail, d_n)
-    # on the diagonal each also with the term one below; d_{-1} = 0
-    a, b = i - 1, n - i
-    if a <= b:
-        head_before, head, tail_before, tail, d_n = _d_terms((a - 1 if a else 0, a, b - 1, b, n), alpha)
-    else:
-        tail_before, tail, head_before, head, d_n = _d_terms((b - 1 if b else 0, b, a - 1, a, n), alpha)
-    return _path_diagonal(head_before if a else 0, head, tail_before if b else 0, tail, d_n, alpha)
+    return _path_value(n, i, j, alpha, 1.0)
 
 
 def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
@@ -163,14 +180,7 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     """
     g = GraphSpec.cycle(n)
     require_admissible(alpha, g)
-    k = graph_distance(g, i, j)
-    if k:
-        d_short, d_long, d_before, d_last = _d_terms((k - 1, n - k - 1, n - 2, n - 1), alpha)
-        numerator = _cycle_numerator(d_short, d_long, n, k, alpha)
-    else:
-        d_before, d_last = _d_terms((n - 2, n - 1), alpha)
-        numerator = _cycle_diagonal(d_before, n, alpha)
-    return numerator / _cycle_denominator(d_before, d_last, n, alpha)
+    return _cycle_value(n, graph_distance(g, i, j), alpha, 1.0)
 
 
 def _path_rows(alphas: list, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -359,24 +369,28 @@ def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     alpha may be anything Fraction accepts and must land in (0, 1/2),
     where every d_k is positive for sure; this is the reference used to
     order consecutive convergence gaps once they drop below double
-    resolution.  The d-terms run as scaled integers and only the three the
-    entry reads are reduced to lowest terms (README lists measured times).
+    resolution.  The entry is katz_path's, run over integers: with
+    alpha = p/q, each d-term is an integer over a power of q
+    (:class:`katzlab.dpoly._OverQ`), and only the last division and
+    product reduce to lowest terms (README lists measured times).  Like
+    katz_path, it holds no list of terms.
     """
     i, j = _checked_pair(GraphSpec.path(n), i, j)
     a = Fraction(alpha)
     _require_below_half(a)
-    return _path_entry(_ExactTerms(n, a), n, i, j, a)
+    return _path_value(n, i, j, *_over_q(a))
 
 
 def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
     """katz_cycle in exact rational arithmetic, for every n >= 3, diagonal included.
 
-    alpha must land in (0, 1/2), as for :func:`katz_path_exact`.
+    alpha must land in (0, 1/2), and the entry runs over integers, as for
+    :func:`katz_path_exact`.
     """
     k = graph_distance(GraphSpec.cycle(n), i, j)
     a = Fraction(alpha)
     _require_below_half(a)
-    return _cycle_entry(_ExactTerms(n - 1, a), n, k, a)
+    return _cycle_value(n, k, *_over_q(a))
 
 
 def katz_limit_path(i: int, j: int, alpha: float) -> float:

@@ -312,6 +312,17 @@ def test_converge_usage_errors(tmp_path, argv, monkeypatch):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("n_list", ["10,10", "10,20,20,40", "20,10"])
+def test_converge_requires_a_strictly_increasing_n_list(n_list, tmp_path, monkeypatch, capsys):
+    # a repeated size would write its row twice
+    monkeypatch.chdir(tmp_path)
+    argv = ["converge", "--family", "path", "--i", "1", "--j", "2", "--alpha", "0.3",
+            "--n-list", n_list, "--out", "x.csv"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: n-list must be strictly increasing, got {n_list}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_quick_passes(capsys):
     assert run(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from katzlab import dpoly, katz, ordering
 from katzlab.graphs import AdmissibilityError, GraphSpec, spectral_radius
@@ -498,6 +500,58 @@ def test_exact_routes_are_the_list_route_at_600(alpha):
     assert [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs] == list_route_path_exact(n, pairs, alpha)
     arcs = [0, 1, 2, 299, 300]
     assert [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
+
+
+# alpha as doubles, weighted to the far ends of (0, 1/2) and to 1/sqrt5,
+# and as Fractions whose denominators are no power of two
+exact_alphas = st.one_of(
+    st.sampled_from([1e-5, 1.0 / math.sqrt(5.0)]),
+    st.integers(min_value=2, max_value=53).map(lambda k: 0.5 - 2.0**-k),
+    st.floats(min_value=1e-5, max_value=0.5, exclude_max=True),
+    st.sampled_from([3, 7, 10**30 + 1]).flatmap(
+        lambda q: st.integers(min_value=1, max_value=(q - 1) // 2).map(lambda p: Fraction(p, q))
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(min_value=3, max_value=60), exact_alphas)
+@example(40, Fraction(5 * 10**29, 10**30 + 1))
+@example(31, Fraction(1, 10**30 + 1))
+@example(60, 0.5 - 2.0**-53)
+def test_exact_entries_are_the_fraction_list_route(n, alpha):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    assert [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs] == list_route_path_exact(n, pairs, alpha)
+    arcs = range(n // 2 + 1)  # the diagonal is arc 0
+    assert [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
+
+
+@pytest.mark.parametrize(
+    "family, i, j",
+    [("path", 1, 2), ("path", 160, 160), ("cycle", 1, 1), ("cycle", 1, 2)],
+    ids=["path off-diagonal", "path diagonal", "cycle arc 0", "cycle arc 1"],
+)
+def test_exact_entries_reduce_once_not_per_step(family, i, j, monkeypatch):
+    # every Fraction operation reduces by math.gcd, about 970 times for
+    # one of these entries at n = 320 when the d-terms ran in Fractions;
+    # they run in integers, and only the last division and product reduce
+    calls = 0
+    gcd = math.gcd
+
+    def counting_gcd(*args):
+        nonlocal calls
+        calls += 1
+        return gcd(*args)
+
+    entry = katz.katz_path_exact if family == "path" else katz.katz_cycle_exact
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    value = entry(320, i, j, 0.46)
+    monkeypatch.undo()
+    assert calls <= 8
+    if family == "path":
+        assert [value] == list_route_path_exact(320, [(i, j)], 0.46)
+    else:
+        assert [value] == list_route_cycle_exact(320, [j - i], 0.46)
 
 
 # The routines proved only on (0, 1/2), where every d_k is positive.

@@ -6,8 +6,9 @@ test-only reference.  The array route must report the same check count, the
 same max_err and the same failure strings in the same order, on the real
 grids and with faults injected into the functions under test.
 ``reference_limit_convergence`` is likewise the suite as it was before it
-read its exact d-terms through ``dpoly._ExactTerms``: one fully normalised
-``d_sequence_exact`` list per alpha.
+read its exact d-terms from ``dpoly._exact_sequence``, integers over powers
+of alpha's denominator: one fully normalised ``d_sequence_exact`` list per
+alpha.
 """
 
 import math
