@@ -11,6 +11,13 @@ actually assert, and the tie-class comparison is exposed separately via
 :func:`score_classes` / :func:`class_structures_match` for the cycle case,
 where the classes genuinely coincide.)
 
+Resistance and distance, and Katz on a cycle, depend on a pair only
+through its span j - i.  So the rankings read them on the n - 1 pairs
+(1, 1 + s), which hold every span: a cycle's agreement and tie classes
+take O(n log n) time, with no work of the size of its P = n(n-1)/2 pairs,
+and agreement compares a path's P Katz scores with the span classes in
+O(P) per alpha, with no sort of the pairs.
+
 Also here: the gap polynomials whose sign tracks whether a distance-j pair
 can be out-ranked by a distance-(j+1) pair on a path, and bisection for the
 decay cut-off in (1/sqrt 5, 1/2) where that first happens.
@@ -82,18 +89,28 @@ class AgreementReport:
         return self.katz_vs_resistance and self.katz_vs_distance and self.resistance_vs_distance
 
 
-def _pair_table(g: GraphSpec) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Labels i, j of g.pairs() and the resistance and distance scores, which no alpha changes.
+def _pair_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels i < j of the n(n-1)/2 pairs of an n-vertex graph, in g.pairs() order.
 
-    Both metrics depend on a pair only through its span j - i, so each is
-    evaluated at the n - 1 pairs (1, 1 + s) and gathered by span.
+    Row i holds the n - i pairs (i, i + 1) .. (i, n), so the labels follow
+    from the row offsets alone, with no n x n index mask.
     """
-    i, j = np.triu_indices(g.n, k=1)
-    span_index = j - i - 1
+    row_sizes = np.arange(n - 1, 0, -1)
+    i = np.repeat(np.arange(1, n), row_sizes)
+    # pair k of the row of i, which starts at offset s, is (i, k - s + i + 1)
+    shift = np.cumsum(row_sizes) - row_sizes - np.arange(2, n + 1)
+    return i, np.arange(i.size) - np.repeat(shift, row_sizes)
+
+
+def _span_scores(g: GraphSpec) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The ends 2..n of the pairs (1, 1 + s) and their resistance and distance scores.
+
+    These n - 1 pairs come first in g.pairs() and hold every span s = j - i.
+    Resistance and distance, and Katz on a cycle, depend on a pair only
+    through its span, so pair (i, j) scores as entry j - i - 1 here.
+    """
     ends = np.arange(2, g.n + 1)
-    resist = resistance(g, 1, ends)[span_index]
-    distance = graph_distance(g, 1, ends)[span_index].astype(float)
-    return i + 1, j + 1, {RESISTANCE: resist, DISTANCE: distance}
+    return ends, {RESISTANCE: resistance(g, 1, ends), DISTANCE: graph_distance(g, 1, ends).astype(float)}
 
 
 def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
@@ -104,8 +121,8 @@ def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
         raise ValueError("the katz metric needs an alpha value")
     if metric == KATZ and np.ndim(alpha):
         raise ValueError(f"alpha must be a single number here, got shape {np.shape(alpha)}")
-    i, j, scores = _pair_table(g)
-    return katz_pair_entries(g, alpha, i, j) if metric == KATZ else scores[metric]
+    i, j = _pair_labels(g.n)
+    return katz_pair_entries(g, alpha, i, j) if metric == KATZ else _span_scores(g)[1][metric][j - i - 1]
 
 
 def _keys(metric: str, scores: np.ndarray) -> np.ndarray:
@@ -167,82 +184,112 @@ def _class_of_pair(metric: str, scores: np.ndarray) -> np.ndarray:
     return by_pair
 
 
+def _katz_rows(g: GraphSpec, alphas: list, ends: np.ndarray):
+    """The pairs that Katz is ranked on, each one's span class, and its Katz scores per alpha.
+
+    Returns labels i, j, the span classes j - i - 1 and a generator of one
+    score array per alpha, each from its own katz_pair_entries call, so no
+    (A, P) block is held.  On a cycle Katz is span-valued, so the pairs
+    are the n - 1 span pairs (1, ends); a path keeps all P pairs in
+    g.pairs() order.
+    """
+    i, j = _pair_labels(g.n) if g.is_path else (np.ones_like(ends), ends)
+    return i, j, j - i - 1, (katz_pair_entries(g, value, i, j) for value in alphas)
+
+
 def class_structures_match(g: GraphSpec, alpha):
     """True when all three metrics produce identical best-first tie classes.
 
-    For a 1-D sequence of alphas, the list of results, one per alpha; the
-    resistance and distance classes are found once per call.
+    For a 1-D sequence of alphas, the list of results, one per alpha.  A
+    tie-class number is a function of the score, so the resistance and
+    distance classes are found once per call on the n - 1 span pairs (see
+    _span_scores), and so are a cycle's Katz classes, with no P-sized
+    work.  A path's Katz classes take one sort of its P scores per alpha
+    and are compared with the resistance classes gathered by span.
     """
     alphas = _admissible_alphas(alpha, g)
-    i, j, scores = _pair_table(g)
+    ends, scores = _span_scores(g)
     reference = _class_of_pair(RESISTANCE, scores[RESISTANCE])
     fixed_match = np.array_equal(_class_of_pair(DISTANCE, scores[DISTANCE]), reference)
-    matches = [
-        np.array_equal(_class_of_pair(KATZ, katz_pair_entries(g, value, i, j)), reference) and fixed_match
-        for value in alphas
-    ]
+    _, _, classes, katz_rows = _katz_rows(g, alphas, ends)
+    reference = reference[classes]
+    matches = [np.array_equal(_class_of_pair(KATZ, katz), reference) and fixed_match for katz in katz_rows]
     return matches if np.ndim(alpha) else matches[0]
 
 
-def _first_inversion(keys_a: np.ndarray, keys_b: np.ndarray) -> Optional[tuple[int, int]]:
+def _first_inversion(keys_a: np.ndarray, classes: np.ndarray, class_keys_b: np.ndarray) -> Optional[tuple[int, int]]:
     """First (a, b) in row-major order with a strictly before b under A and after under B.
 
+    B is given per class: pair p's B key is class_keys_b[classes[p]].
     Strictly means by more than TIE_TOL: keys_a[a] < keys_a[b] - TIE_TOL and
-    keys_b[a] > keys_b[b] + TIE_TOL.  A dominance query in O(P log P) time
-    and O(P) memory: the pairs b that a strictly precedes under A are a
-    suffix of the pairs sorted by keys_a - TIE_TOL, and a has a partner
-    there exactly when that suffix's minimum of keys_b + TIE_TOL lies
-    below keys_b[a].  Every comparison is one of the two float expressions
-    above, so the result is exactly that of a P x P scan.
+    keys_b[a] > keys_b[b] + TIE_TOL.  The pairs b that B strictly prefers
+    to a fill the classes whose class_keys_b + TIE_TOL lies below
+    keys_b[a], a prefix of the classes sorted by that value; a has a
+    partner exactly when the largest keys_a - TIE_TOL over that prefix
+    exceeds keys_a[a].  So a per-class maximum, one sort of the C class
+    keys and their prefix maxima give each class's threshold, and one
+    comparison per pair finds a: O(P + C log C) time and O(P) memory.
+    Every comparison is one of the two float expressions above, and a
+    maximum does not round, so the result is exactly that of a P x P scan.
+    With classes = arange(P) each pair is its own class.
     """
     u = keys_a - TIE_TOL
-    v = keys_b + TIE_TOL
-    by_u = np.argsort(u)
-    start = np.searchsorted(u[by_u], keys_a, side="right")
-    suffix_min = np.append(np.minimum.accumulate(v[by_u][::-1])[::-1], np.inf)
-    candidates = np.flatnonzero(suffix_min[start] < keys_b)
-    if candidates.size == 0:
+    v = class_keys_b + TIE_TOL
+    reach = np.full(v.size, -np.inf)
+    np.maximum.at(reach, classes, u)
+    by_v = np.argsort(v)
+    prefix_max = np.concatenate(([-np.inf], np.maximum.accumulate(reach[by_v])))
+    threshold = prefix_max[np.searchsorted(v[by_v], class_keys_b, side="left")]
+    has_partner = threshold[classes] > keys_a
+    a_ix = int(has_partner.argmax())
+    if not has_partner[a_ix]:
         return None
-    a_ix = int(candidates[0])
-    b_ix = int(np.flatnonzero((keys_a[a_ix] < u) & (keys_b[a_ix] > v))[0])
+    partner_class = class_keys_b[classes[a_ix]] > v
+    b_ix = int(((keys_a[a_ix] < u) & partner_class[classes]).argmax())
     return a_ix, b_ix
 
 
 def agreement(g: GraphSpec, alpha):
     """Pairwise ranking agreement between the three metrics at one alpha.
 
-    Exhaustive over pairs-of-pairs in O(P log P) time and O(P) memory for
-    P = n(n-1)/2 pairs; the witness is the first inversion in lexicographic
-    (pair_a, pair_b) order among the disagreeing metric pairs.  For a 1-D
-    sequence of alphas, the list of reports, one per alpha: the pair
-    columns and the resistance-vs-distance inversion are found once per
-    call, and only the Katz scores and their two inversions once per alpha.
-    The Katz scores come from the alpha's d-row; no n x n matrix is built.
+    Exhaustive over the pairs-of-pairs of all P = n(n-1)/2 pairs; the
+    witness is the first inversion in lexicographic (pair_a, pair_b) order
+    among the disagreeing metric pairs.  Two span-valued metrics have
+    their first inversion among the n - 1 span pairs (see _span_scores),
+    at the same indices, so resistance vs distance, and on a cycle every
+    comparison, take O(n log n) time.  A path's Katz scores are compared
+    with the span classes in O(P) time and memory per alpha, with no sort
+    of the P pairs.  For a 1-D sequence of alphas, the list of reports,
+    one per alpha: the span scores and the resistance-vs-distance
+    inversion are found once per call, and only the Katz scores and their
+    two inversions once per alpha.  No n x n matrix is built.
     """
     alphas = _admissible_alphas(alpha, g)
-    i, j, scores = _pair_table(g)
-    # resistance and distance scores are their own keys (smaller is better)
-    fixed_inversion = _first_inversion(scores[RESISTANCE], scores[DISTANCE])
+    ends, scores = _span_scores(g)
+    # resistance and distance scores are their own keys (smaller is better),
+    # and each span pair is its own class, ends - 2 = j - i - 1
+    fixed_inversion = _first_inversion(scores[RESISTANCE], ends - 2, scores[DISTANCE])
+    i, j, classes, katz_rows = _katz_rows(g, alphas, ends)
     reports = []
-    for value in alphas:
-        scores[KATZ] = katz_pair_entries(g, value, i, j)
-        katz_keys = _keys(KATZ, scores[KATZ])
+    for value, katz in zip(alphas, katz_rows):
+        katz_keys = _keys(KATZ, katz)
         found = {
-            (KATZ, RESISTANCE): _first_inversion(katz_keys, scores[RESISTANCE]),
-            (KATZ, DISTANCE): _first_inversion(katz_keys, scores[DISTANCE]),
+            (KATZ, RESISTANCE): _first_inversion(katz_keys, classes, scores[RESISTANCE]),
+            (KATZ, DISTANCE): _first_inversion(katz_keys, classes, scores[DISTANCE]),
             (RESISTANCE, DISTANCE): fixed_inversion,
         }
         witness = None
         for (metric_a, metric_b), hit in found.items():
             if witness is None and hit is not None:
-                a_ix, b_ix = hit
+                both = list(hit)
+                # a span-valued score is that of the pair's span class
+                at = {m: (katz[both] if m == KATZ else scores[m][classes[both]]).tolist() for m in (metric_a, metric_b)}
                 witness = RankingInversion(
                     metric_a,
                     metric_b,
-                    VertexPair(int(i[a_ix]), int(j[a_ix])),
-                    VertexPair(int(i[b_ix]), int(j[b_ix])),
-                    (float(scores[metric_a][a_ix]), float(scores[metric_a][b_ix])),
-                    (float(scores[metric_b][a_ix]), float(scores[metric_b][b_ix])),
+                    *(VertexPair(int(i[ix]), int(j[ix])) for ix in both),
+                    tuple(at[metric_a]),
+                    tuple(at[metric_b]),
                 )
         reports.append(AgreementReport(g, value, *(hit is None for hit in found.values()), witness))
     return reports if np.ndim(alpha) else reports[0]

@@ -319,8 +319,28 @@ KEY_PAIRS = st.integers(min_value=1, max_value=40).flatmap(
 
 @given(KEY_PAIRS)
 def test_first_inversion_matches_dense_masks(keys):
+    # each pair its own class
     keys_a, keys_b = (np.array(k) for k in keys)
-    assert ordering._first_inversion(keys_a, keys_b) == dense_first_inversion(keys_a, keys_b)
+    assert ordering._first_inversion(keys_a, np.arange(keys_a.size), keys_b) == dense_first_inversion(keys_a, keys_b)
+
+
+# keys_b constant on classes: repeated class labels, class keys on the tie levels
+CLASSED_KEYS = st.integers(min_value=1, max_value=8).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.sampled_from(TIE_LEVELS), min_size=c, max_size=c),
+        st.lists(st.tuples(KEY_VALUES, st.integers(min_value=0, max_value=c - 1)), min_size=1, max_size=40),
+    )
+)
+
+
+@given(CLASSED_KEYS)
+def test_first_inversion_over_classes_matches_dense_masks(drawn):
+    class_keys_b, pairs = drawn
+    keys_a = np.array([key for key, _ in pairs])
+    classes = np.array([c for _, c in pairs])
+    class_keys_b = np.array(class_keys_b)
+    expected = dense_first_inversion(keys_a, class_keys_b[classes])
+    assert ordering._first_inversion(keys_a, classes, class_keys_b) == expected
 
 
 @pytest.mark.parametrize(
@@ -336,7 +356,7 @@ def test_first_inversion_matches_dense_masks(keys):
 def test_first_inversion_is_strict_at_exactly_the_tolerance(keys_a, keys_b, expected):
     keys_a, keys_b = np.array(keys_a), np.array(keys_b)
     assert dense_first_inversion(keys_a, keys_b) == expected
-    assert ordering._first_inversion(keys_a, keys_b) == expected
+    assert ordering._first_inversion(keys_a, np.arange(keys_a.size), keys_b) == expected
 
 
 GRID_ALPHAS = (0.02, 0.1, 0.3, 0.44, 0.46, 0.49)
@@ -411,6 +431,40 @@ def test_a_sequence_of_alphas_holds_no_stack_of_scores_or_matrices(monkeypatch):
                 tracemalloc.stop()
         pairs = g.n * (g.n - 1) // 2
         assert peaks[1] < peaks[0] + 4 * 8 * pairs, (g, peaks)
+
+
+def test_cycle_ranking_does_only_span_sized_work(monkeypatch):
+    # a cycle's three metrics depend on a pair only through its span, so
+    # ranking reads the n - 1 span pairs: no array of all P pairs is made
+    g = GraphSpec.cycle(2000)
+    alphas = [0.1, 0.3, 0.46]
+    sizes = []
+    entries = ordering.katz_pair_entries
+
+    def counted(graph, alpha, i, j):
+        sizes.append(np.size(i))
+        return entries(graph, alpha, i, j)
+
+    monkeypatch.setattr(ordering, "katz_pair_entries", counted)
+    tracemalloc.start()
+    try:
+        agreement(g, alphas)
+        class_structures_match(g, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sizes and max(sizes) <= g.n - 1
+
+
+def test_paths_agree_below_the_cutoff_root_and_invert_above_it():
+    # delta = root - 1/sqrt 5 shrinks geometrically in n, so the two probes
+    # sit on either side of the root at the nearest Katz ties
+    for n in range(7, 51):
+        delta = cutoff_root(n, 1).root - INV_SQRT5
+        g = GraphSpec.path(n)
+        assert agreement(g, INV_SQRT5 + delta / 2).all_agree(), n
+        assert not agreement(g, INV_SQRT5 + 2 * delta).katz_vs_resistance, n
 
 
 def test_single_alpha_routes_reject_a_sequence():
