@@ -41,7 +41,6 @@ NUMERIC_RANGE_ERRORS = (
     ArithmeticError,
     SingularMatrixError,
     ordering.BracketError,
-    ordering.BisectionDivergenceError,
     katz.SeriesDivergenceError,
     PowerIterationError,
 )
@@ -160,18 +159,14 @@ def cmd_cutoff(args: argparse.Namespace) -> int:
         raise ValueError(
             f"n - j must be >= 5 for a bracketed root; got n_lo={args.n_lo}, j={args.j}"
         )
-    if not args.tol > 0.0:
-        raise ValueError(f"tol must be positive, got {args.tol}")
     rows: list[list[str]] = []
     roots: list[float] = []
     nan = float("nan")
     for n in range(args.n_lo, args.n_hi + 1):
         try:
-            result = ordering.cutoff_root(n, args.j, tol=args.tol)
+            result = ordering.cutoff_root(n, args.j)
         except ordering.BracketError:
             root, iterations, residual, status = nan, 0, nan, "bracket_failure"
-        except ordering.BisectionDivergenceError:
-            root, iterations, residual, status = nan, ordering.BISECTION_ITERATION_CAP, nan, "no_convergence"
         else:
             root, iterations, residual, status = result.root, result.iterations, result.residual, "ok"
             roots.append(root)
@@ -272,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     cutoff.add_argument("--j", type=int, required=True, help="pair offset of the leading gap")
     cutoff.add_argument("--n-lo", type=int, required=True)
     cutoff.add_argument("--n-hi", type=int, required=True)
-    cutoff.add_argument("--tol", type=float, default=1e-15, help="bisection bracket width")
     cutoff.add_argument("--out", required=True, help="output CSV path")
     cutoff.set_defaults(handler=cmd_cutoff)
 

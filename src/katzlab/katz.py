@@ -122,19 +122,17 @@ def _cycle_entry(seq, n: int, k: int, alpha):
 
 def _path_value(n: int, i: int, j: int, alpha, one):
     """Path entry (i <= j) in the arithmetic of alpha and one, from the d-terms one run of the recursion stops at."""
-    # head = d_{i-1} and tail = d_{n-j}, asked for in index order
+    if i - 1 > n - j:
+        # the mirror pair (n + 1 - j, n + 1 - i) swaps head and tail, so its
+        # products take the same factors in the other order: the same value
+        i, j = n + 1 - j, n + 1 - i
+    # head = d_{i-1} and tail = d_{n-j}, now in index order
     if i < j:
-        if i - 1 <= n - j:
-            head, tail, d_n = _d_terms((i - 1, n - j, n), alpha, one)
-        else:
-            tail, head, d_n = _d_terms((n - j, i - 1, n), alpha, one)
+        head, tail, d_n = _d_terms((i - 1, n - j, n), alpha, one)
         return _path_off_diagonal(alpha ** (j - i), head, tail, d_n)
     # on the diagonal each also with the term one below; d_{-1} = 0
     a, b = i - 1, n - i
-    if a <= b:
-        head_before, head, tail_before, tail, d_n = _d_terms((a - 1 if a else 0, a, b - 1, b, n), alpha, one)
-    else:
-        tail_before, tail, head_before, head, d_n = _d_terms((b - 1 if b else 0, b, a - 1, a, n), alpha, one)
+    head_before, head, tail_before, tail, d_n = _d_terms((a - 1 if a else 0, a, b - 1, b, n), alpha, one)
     return _path_diagonal(head_before if a else 0, head, tail_before if b else 0, tail, d_n, alpha)
 
 
@@ -250,11 +248,14 @@ def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.n
 
     At a number, the (P,) entries of the P pairs; at a 1-D sequence of A
     alphas, the (A, P) array whose row a is the call with alpha a alone.
-    Every alpha is checked admissible before any work.  Each entry is
+    Labels that are not numpy arrays raise TypeError, and every alpha is
+    checked admissible, before any work.  Each entry is
     :func:`katz_path` or :func:`katz_cycle` bit for bit, gathered from the
     O(n) rows per alpha of :func:`_path_rows` or :func:`_cycle_arcs`,
     whatever the number of pairs.
     """
+    if not (isinstance(i, np.ndarray) and isinstance(j, np.ndarray)):
+        raise TypeError(f"vertex labels must be numpy arrays, got {type(i).__name__} and {type(j).__name__}")
     alphas, n = _admissible_alphas(alpha, g), g.n
     if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
         raise TypeError(f"vertex labels must be integers, got dtypes {i.dtype} and {j.dtype}")

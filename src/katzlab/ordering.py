@@ -19,8 +19,8 @@ and agreement compares a path's P Katz scores with the span classes in
 O(P) per alpha, with no sort of the pairs.
 
 Also here: the gap polynomials whose sign tracks whether a distance-j pair
-can be out-ranked by a distance-(j+1) pair on a path, and bisection for the
-decay cut-off in (1/sqrt 5, 1/2) where that first happens.
+can be out-ranked by a distance-(j+1) pair on a path, and bisection to one
+fixed width for the decay cut-off in (1/sqrt 5, 1/2) where that first happens.
 """
 
 from __future__ import annotations
@@ -46,7 +46,11 @@ TIE_TOL = 1e-11
 
 BRACKET_LO = INV_SQRT5
 BRACKET_HI = 0.5
-BISECTION_ITERATION_CAP = 200
+# cutoff_root bisects while its bracket, at most 0.053 wide, is wider than
+# this: within 46 halvings, as 0.053 / 2**46 < 1e-15.  Doubles near the root
+# are 5.6e-17 apart, so each midpoint of a wider bracket lies strictly inside.
+BISECTION_WIDTH = 1e-15
+BISECTION_ITERATION_CAP = 200  # a bound on those 46 iterations
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,7 @@ def agreement(g: GraphSpec, alpha):
     of the P pairs.  For a 1-D sequence of alphas, the list of reports,
     one per alpha: the span scores and the resistance-vs-distance
     inversion are found once per call, and only the Katz scores and their
-    two inversions once per alpha.  No n x n matrix is built.
+    one inversion, reported against both, once per alpha.  No n x n matrix.
     """
     alphas = _admissible_alphas(alpha, g)
     ends, scores = _span_scores(g)
@@ -272,10 +276,13 @@ def agreement(g: GraphSpec, alpha):
     i, j, classes, katz_rows = _katz_rows(g, alphas, ends)
     reports = []
     for value, katz in zip(alphas, katz_rows):
-        katz_keys = _keys(KATZ, katz)
+        # R[a] > R[b] + TIE_TOL exactly when D[a] > D[b] + TIE_TOL: on a path
+        # R is D bit for bit, on a cycle R = k(n - k)/n rises with the arc k
+        # in steps of at least 1/n.  So Katz inverts both at the same pairs.
+        katz_inversion = _first_inversion(_keys(KATZ, katz), classes, scores[DISTANCE])
         found = {
-            (KATZ, RESISTANCE): _first_inversion(katz_keys, classes, scores[RESISTANCE]),
-            (KATZ, DISTANCE): _first_inversion(katz_keys, classes, scores[DISTANCE]),
+            (KATZ, RESISTANCE): katz_inversion,
+            (KATZ, DISTANCE): katz_inversion,
             (RESISTANCE, DISTANCE): fixed_inversion,
         }
         witness = None
@@ -339,10 +346,6 @@ class BracketError(RuntimeError):
     """The bisection bracket endpoints do not straddle a sign change."""
 
 
-class BisectionDivergenceError(RuntimeError):
-    """Bisection failed to shrink the bracket to tolerance within the cap."""
-
-
 @dataclass(frozen=True)
 class CutoffResult:
     """A converged bisection run on p_tilde(n, j, .)."""
@@ -356,7 +359,7 @@ class CutoffResult:
     residual: float
 
 
-def cutoff_root(n: int, j: int, tol: float = 1e-15) -> CutoffResult:
+def cutoff_root(n: int, j: int) -> CutoffResult:
     """Bisection root of p_tilde(n, j, .) on (1/sqrt 5, 1/2).
 
     Endpoints start nudged inward by 1e-12 so both evaluations are
@@ -368,11 +371,10 @@ def cutoff_root(n: int, j: int, tol: float = 1e-15) -> CutoffResult:
     instead reads exactly zero at the smallest nudge, the endpoint is
     shifted right in 1e-6 steps until the sign resolves.  Raises
     BracketError when no sign change can be established, which is the
-    expected outcome for n - j < 5.  n and j are checked once, before the
-    first evaluation; the residual is |p_tilde(n, j, root)|.
+    expected outcome for n - j < 5; bisection stops at BISECTION_WIDTH.  n
+    and j are checked once, before the first evaluation; the residual is
+    |p_tilde(n, j, root)|.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     m = _gap_midpoint(n, j)
     _require_index(n - j - 1)
     hi = BRACKET_HI - 1e-12
@@ -395,11 +397,7 @@ def cutoff_root(n: int, j: int, tol: float = 1e-15) -> CutoffResult:
         )
     bracket_lo, bracket_hi = lo, hi
     iterations = 0
-    while hi - lo > tol:
-        if iterations >= BISECTION_ITERATION_CAP:
-            raise BisectionDivergenceError(
-                f"bracket still {hi - lo:.3e} wide after {iterations} bisections"
-            )
+    while hi - lo > BISECTION_WIDTH:
         iterations += 1
         mid = 0.5 * (lo + hi)
         f_mid = _p_tilde(n, j, m, mid)
@@ -413,13 +411,13 @@ def cutoff_root(n: int, j: int, tol: float = 1e-15) -> CutoffResult:
     return CutoffResult(n, j, bracket_lo, bracket_hi, root, iterations, abs(p_tilde(n, j, root)))
 
 
-def cutoff_table(j: int, n_range, tol: float = 1e-15) -> list[CutoffResult]:
-    """cutoff_root for every n in n_range (each must satisfy n - j >= 5)."""
+def cutoff_table(j: int, n_range) -> list[CutoffResult]:
+    """cutoff_root, bisected to BISECTION_WIDTH, for every n in n_range (each must satisfy n - j >= 5)."""
     ns = list(n_range)
     for n in ns:
         if n - j < 5:
             raise ValueError(f"cutoff_table needs n - j >= 5 for every n; n = {n}, j = {j}")
-    return [cutoff_root(n, j, tol) for n in ns]
+    return [cutoff_root(n, j) for n in ns]
 
 
 def cycle_numerator_gap(n: int, k: int, alpha: float) -> float:

@@ -226,8 +226,6 @@ def test_cutoff_table_csv(tmp_path, capsys):
     [
         # the bracket's upper end loses its sign at large n
         (["--n-lo", "600", "--n-hi", "602"], "0,nan,bracket_failure"),
-        # a width below one ulp is never reached within the bisection cap
-        (["--n-lo", "6", "--n-hi", "8", "--tol", "1e-300"], "200,nan,no_convergence"),
     ],
 )
 def test_cutoff_failure_rows(tmp_path, capsys, extra, status):
@@ -247,12 +245,20 @@ def test_cutoff_failure_rows(tmp_path, capsys, extra, status):
         ["cutoff", "--j", "0", "--n-lo", "6", "--n-hi", "8", "--out", "x.csv"],
         ["cutoff", "--j", "1", "--n-lo", "9", "--n-hi", "8", "--out", "x.csv"],
         ["cutoff", "--j", "1", "--n-lo", "5", "--n-hi", "8", "--out", "x.csv"],
-        ["cutoff", "--j", "1", "--n-lo", "6", "--n-hi", "8", "--tol", "0", "--out", "x.csv"],
     ],
 )
 def test_cutoff_usage_errors(tmp_path, argv, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
+
+
+def test_cutoff_has_no_tolerance_option(tmp_path, monkeypatch):
+    # the bisection stops at one fixed width, so argparse rejects --tol
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run(["cutoff", "--j", "1", "--n-lo", "6", "--n-hi", "8", "--tol", "1e-12", "--out", "x.csv"])
+    assert err.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_converge_path_csv(tmp_path):

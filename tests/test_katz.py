@@ -335,6 +335,12 @@ def test_pair_entries_take_one_admissible_alpha_and_pairs_i_below_j(family):
     for bad_i, bad_j in ((np.array([True]), np.array([2])), (i, j.astype(float)), (i + 0.5, j)):
         with pytest.raises(TypeError, match="vertex labels must be integers"):
             katz.katz_pair_entries(g, 0.3, bad_i, bad_j)
+    # lists are not label arrays, whatever the alpha
+    for alpha in (0.3, 0.6):
+        with pytest.raises(TypeError, match="vertex labels must be numpy arrays"):
+            katz.katz_pair_entries(g, alpha, [1, 2], [3, 4])
+        with pytest.raises(TypeError, match="vertex labels must be numpy arrays"):
+            katz.katz_pair_entries(g, alpha, i, [3, 8])
 
 
 def test_series_oracle_matches_inverse():

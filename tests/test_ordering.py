@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -185,11 +184,20 @@ def test_cutoff_root_worked_example():
     assert p_gap(10, 1, result.root + 1e-6) < 0.0
 
 
-def test_cutoff_root_tracks_requested_tolerance():
-    loose = cutoff_root(12, 1, tol=1e-6)
-    tight = cutoff_root(12, 1, tol=1e-15)
-    assert loose.iterations < tight.iterations
-    assert abs(loose.root - tight.root) < 1e-6
+def test_cutoff_root_bisects_within_46_halvings():
+    # the bound stated at BISECTION_WIDTH: 0.053 / 2**46 < 1e-15
+    assert ordering.BISECTION_WIDTH == 1e-15
+    assert 46 <= ordering.BISECTION_ITERATION_CAP
+    bracketed = 0
+    for j in range(1, 6):
+        for n in range(j + 5, j + 400):
+            try:
+                result = cutoff_root(n, j)
+            except BracketError:
+                continue
+            bracketed += 1
+            assert 0 < result.iterations <= 46, (n, j)
+    assert bracketed > 0
 
 
 def test_cutoff_root_deep_tail_still_brackets():
@@ -204,8 +212,6 @@ def test_cutoff_root_deep_tail_still_brackets():
 def test_cutoff_root_validation():
     with pytest.raises(BracketError):
         cutoff_root(5, 1)  # span 4: the reduced form has no root here
-    with pytest.raises(ValueError):
-        cutoff_root(10, 1, tol=0.0)
 
 
 def test_cutoff_table_monotone():
@@ -357,6 +363,17 @@ def test_first_inversion_is_strict_at_exactly_the_tolerance(keys_a, keys_b, expe
     keys_a, keys_b = np.array(keys_a), np.array(keys_b)
     assert dense_first_inversion(keys_a, keys_b) == expected
     assert ordering._first_inversion(keys_a, np.arange(keys_a.size), keys_b) == expected
+
+
+def test_resistance_and_distance_strictly_prefer_the_same_span_classes():
+    # agreement reports Katz's first inversion against distance for
+    # resistance too, which rests on these boolean matrices being equal
+    sizes = [*range(2, 401), 1000, 2000]
+    graphs = [GraphSpec.path(n) for n in sizes] + [GraphSpec.cycle(n) for n in sizes if n >= 3]
+    for g in graphs:
+        _, scores = ordering._span_scores(g)
+        r, d = (scores[m][:, None] > scores[m][None, :] + TIE_TOL for m in ("resistance", "distance"))
+        assert np.array_equal(r, d), g
 
 
 GRID_ALPHAS = (0.02, 0.1, 0.3, 0.44, 0.46, 0.49)
@@ -594,9 +611,6 @@ def test_gap_routes_check_before_the_recursion(monkeypatch):
     # the offset is checked before admissibility, as it always was
     with pytest.raises(ValueError, match="offset j"):
         p_gap(12, 0, 0.6)
-    for bad_tol in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            cutoff_root(12, 0, bad_tol)
     with pytest.raises(ValueError, match="offset j must be a positive integer"):
         cutoff_root(12, 0)
     with pytest.raises(TypeError, match="index must be an integer"):
