@@ -39,6 +39,8 @@ from .graphs import GraphSpec, _admissible_alphas, _checked_pair, graph_distance
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
+# Bound on every entry of the walk series' tail after its last term.
+SERIES_TOL = 1e-12
 
 # Largest n of katz_path_matrix and katz_cycle_matrix: an n x n float64
 # array of at most 128 MiB.  A stack of A matrices is held to the same
@@ -47,7 +49,7 @@ MATRIX_MAX_N = 4096
 
 
 class SeriesDivergenceError(RuntimeError):
-    """The walk series did not meet its tolerance within the iteration cap."""
+    """The walk series did not meet SERIES_TOL within the iteration cap."""
 
 
 class MatrixSizeError(ValueError):
@@ -321,7 +323,7 @@ def katz_oracle_inverse(g: GraphSpec, alpha) -> np.ndarray:
     return matrix
 
 
-def katz_oracle_series(g: GraphSpec, alpha, tol: float = 1e-12) -> np.ndarray:
+def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
     """Katz matrix by summing the walk series alpha^t A^t, t = 1..T, by doubling.
 
     With P_T = (alpha A)^T and S_T the sum of its first T terms,
@@ -329,39 +331,34 @@ def katz_oracle_series(g: GraphSpec, alpha, tol: float = 1e-12) -> np.ndarray:
     steps of two matrix products each.  A is symmetric, so
     ||(alpha A)^t||_2 = (alpha rho)^t, and every entry of the tail after T
     terms is at most (alpha rho)^(T+1) / (1 - alpha rho).  T is the first
-    power of two that puts that bound below tol, fixed before the loop;
-    SeriesDivergenceError is raised, before any n x n work, where T would
-    exceed SERIES_ITERATION_CAP.
+    power of two that puts that bound below SERIES_TOL, fixed before the
+    loop; SeriesDivergenceError is raised, before any n x n work, where T
+    would exceed SERIES_ITERATION_CAP.
 
-    For a 1-D sequence of alphas, the stack of their matrices: each member
-    stops at its own T and is its lone call bit for bit.
+    For a 1-D sequence of alphas, the stack of their lone calls.
     """
     alphas = [float(value) for value in _admissible_alphas(alpha, g)]
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     rho = spectral_radius(g)
     doublings = []
     for value in alphas:
         ratio = value * rho
         terms = 1
-        while ratio ** (terms + 1) / (1.0 - ratio) >= tol:
+        while ratio ** (terms + 1) / (1.0 - ratio) >= SERIES_TOL:
             terms *= 2
             if terms > SERIES_ITERATION_CAP:
                 raise SeriesDivergenceError(
-                    f"walk series needs more than {SERIES_ITERATION_CAP} terms to bound its tail below {tol}; "
-                    f"alpha = {value} is too close to 1/rho = {1.0 / rho:.6g}"
+                    f"walk series needs more than {SERIES_ITERATION_CAP} terms to bound its tail below "
+                    f"SERIES_TOL = {SERIES_TOL}; alpha = {value} is too close to 1/rho = {1.0 / rho:.6g}"
                 )
         doublings.append(terms.bit_length() - 1)
-    power = np.array(alphas)[:, None, None] * g.adjacency()
-    total = power.copy()
-    remaining = np.array(doublings, dtype=int)
-    for step in range(max(doublings, default=0)):
-        live = np.flatnonzero(remaining > step)
-        p, s = power[live], total[live]
-        total[live] = s + p @ s
-        again = remaining[live] > step + 1  # the members that double once more need P_2T
-        power[live[again]] = p[again] @ p[again]
-    return total if np.ndim(alpha) else total[0]
+    powers = np.array(alphas)[:, None, None] * g.adjacency()
+    totals = powers.copy()
+    for power, total, steps in zip(powers, totals, doublings):
+        for step in range(steps):
+            if step:
+                power = power @ power
+            total += power @ total
+    return totals if np.ndim(alpha) else totals[0]
 
 
 def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:

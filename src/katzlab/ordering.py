@@ -367,12 +367,11 @@ def cutoff_root(n: int, j: int) -> CutoffResult:
     in n (it sits within 1e-12 of 1/sqrt 5 once n - j >= 54), so when the
     left probe lands at or past the root (reads <= 0) the nudge is shrunk
     by factors of 10 down to one ulp until the probe is positive again;
-    bracket_lo records the endpoint actually used.  If the left value
-    instead reads exactly zero at the smallest nudge, the endpoint is
-    shifted right in 1e-6 steps until the sign resolves.  Raises
-    BracketError when no sign change can be established, which is the
-    expected outcome for n - j < 5; bisection stops at BISECTION_WIDTH.  n
-    and j are checked once, before the first evaluation; the residual is
+    bracket_lo records the endpoint actually used.  Raises BracketError
+    when no sign change can be established, which is the expected outcome
+    for n - j < 5 and where the left value reads exactly zero at the
+    smallest nudge; bisection stops at BISECTION_WIDTH.  n and j are
+    checked once, before the first evaluation; the residual is
     |p_tilde(n, j, root)|.
     """
     m = _gap_midpoint(n, j)
@@ -384,9 +383,6 @@ def cutoff_root(n: int, j: int) -> CutoffResult:
     while f_lo <= 0.0 and nudge > 1e-16:
         nudge /= 10.0
         lo = max(BRACKET_LO + nudge, math.nextafter(BRACKET_LO, BRACKET_HI))
-        f_lo = _p_tilde(n, j, m, lo)
-    while f_lo == 0.0 and lo < hi:
-        lo += 1e-6
         f_lo = _p_tilde(n, j, m, lo)
     f_hi = _p_tilde(n, j, m, hi)
     if not (f_lo > 0.0 > f_hi):

@@ -345,7 +345,7 @@ def test_pair_entries_take_one_admissible_alpha_and_pairs_i_below_j(family):
 
 def test_series_oracle_matches_inverse():
     for g in (GraphSpec.path(6), GraphSpec.cycle(7)):
-        a = katz.katz_oracle_series(g, 0.3, tol=1e-13)
+        a = katz.katz_oracle_series(g, 0.3)
         b = katz.katz_oracle_inverse(g, 0.3)
         assert np.max(np.abs(a - b)) < 1e-11
 
@@ -353,7 +353,7 @@ def test_series_oracle_matches_inverse():
 def test_series_oracle_diverges_near_the_boundary():
     g = GraphSpec.path(3)  # 1/rho is about 0.707
     with pytest.raises(katz.SeriesDivergenceError):
-        katz.katz_oracle_series(g, 0.70710678, tol=1e-12)
+        katz.katz_oracle_series(g, 0.70710678)
 
 
 def _series_terms(ratio, tol):
@@ -365,7 +365,7 @@ def _series_terms(ratio, tol):
 
 
 @pytest.mark.parametrize("family", ["path", "cycle"])
-@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("tol", [katz.SERIES_TOL])
 def test_series_oracle_is_within_its_tail_bound(family, tol):
     # allowance for rounding in both oracles: n eps (1 + max|K|) / (1 - alpha rho),
     # the forward error of a solve with condition number about 1 / (1 - alpha rho)
@@ -378,7 +378,7 @@ def test_series_oracle_is_within_its_tail_bound(family, tol):
             assert tail < tol
             inverse = katz.katz_oracle_inverse(g, alpha)
             allowance = n * eps * (1.0 + np.abs(inverse).max()) / (1.0 - ratio)
-            err = np.abs(katz.katz_oracle_series(g, alpha, tol) - inverse).max()
+            err = np.abs(katz.katz_oracle_series(g, alpha) - inverse).max()
             assert err <= tail + allowance, (n, alpha)
 
 
@@ -386,28 +386,28 @@ def test_series_oracle_is_within_its_tail_bound(family, tol):
 def test_series_oracle_stack_is_the_one_alpha_calls(g):
     # alphas out of order, and with different term counts
     alphas = [0.46, 0.05, 0.3, 0.49, 0.3]
-    stack = katz.katz_oracle_series(g, alphas, tol=1e-12)
+    stack = katz.katz_oracle_series(g, alphas)
     assert stack.shape == (5, g.n, g.n)
-    terms = [_series_terms(alpha * spectral_radius(g), 1e-12)[0] for alpha in alphas]
+    terms = [_series_terms(alpha * spectral_radius(g), katz.SERIES_TOL)[0] for alpha in alphas]
     assert len(set(terms)) >= 3
     for member, alpha in zip(stack, alphas):
-        assert np.array_equal(member, katz.katz_oracle_series(g, alpha, tol=1e-12))
-    assert katz.katz_oracle_series(g, [], tol=1e-12).shape == (0, g.n, g.n)
-    assert katz.katz_oracle_series(g, np.array([0.3]), tol=1e-12).shape == (1, g.n, g.n)
+        assert np.array_equal(member, katz.katz_oracle_series(g, alpha))
+    assert katz.katz_oracle_series(g, []).shape == (0, g.n, g.n)
+    assert katz.katz_oracle_series(g, np.array([0.3])).shape == (1, g.n, g.n)
 
 
 def test_series_oracle_sums_the_terms_of_its_bound():
-    # T = 16 terms at alpha rho = 0.25 and tol = 1e-10: the doubling sum
-    # is the plain sum of the first 16 terms, to rounding
+    # T = 32 terms at alpha rho = 0.25: the doubling sum is the plain sum
+    # of the first 32 terms, to rounding
     g = GraphSpec.cycle(6)
-    terms, _ = _series_terms(0.25, 1e-10)
-    assert terms == 16
+    terms, _ = _series_terms(0.25, katz.SERIES_TOL)
+    assert terms == 32
     a = 0.125 * g.adjacency()
     power, plain = np.eye(6), np.zeros((6, 6))
     for _ in range(terms):
         power = power @ a
         plain += power
-    assert np.allclose(katz.katz_oracle_series(g, 0.125, tol=1e-10), plain, rtol=0.0, atol=1e-15)
+    assert np.allclose(katz.katz_oracle_series(g, 0.125), plain, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.70710678, [0.3, 0.70710678]], ids=["one", "stack"])
@@ -415,19 +415,22 @@ def test_series_divergence_is_raised_before_any_matrix_work(alpha, monkeypatch):
     g = GraphSpec.path(3)  # 1/rho is about 0.707
     monkeypatch.setattr(GraphSpec, "adjacency", lambda self: pytest.fail("adjacency built"))
     with pytest.raises(katz.SeriesDivergenceError, match=str(katz.SERIES_ITERATION_CAP)):
-        katz.katz_oracle_series(g, alpha, tol=1e-12)
+        katz.katz_oracle_series(g, alpha)
 
 
 def test_series_term_count_stops_at_the_cap():
     # on a cycle alpha rho = 2 alpha: 2^16 terms still run, 2^17 exceed the cap
     g = GraphSpec.cycle(4)
     assert 2**16 <= katz.SERIES_ITERATION_CAP < 2**17
-    assert _series_terms(2 * 0.4998, 1e-3)[0] == 2**16
-    assert _series_terms(2 * 0.4999, 1e-3)[0] == 2**17
-    series = katz.katz_oracle_series(g, 0.4998, tol=1e-3)
-    assert np.abs(series - katz.katz_oracle_inverse(g, 0.4998)).max() < 1e-3
+    terms, tail = _series_terms(2 * 0.4997, katz.SERIES_TOL)
+    assert terms == 2**16
+    assert _series_terms(2 * 0.49975, katz.SERIES_TOL)[0] == 2**17
+    inverse = katz.katz_oracle_inverse(g, 0.4997)
+    # rounding allowance as in test_series_oracle_is_within_its_tail_bound
+    allowance = 4 * np.finfo(float).eps * (1.0 + np.abs(inverse).max()) / (1.0 - 2 * 0.4997)
+    assert np.abs(katz.katz_oracle_series(g, 0.4997) - inverse).max() <= tail + allowance
     with pytest.raises(katz.SeriesDivergenceError):
-        katz.katz_oracle_series(g, 0.4999, tol=1e-3)
+        katz.katz_oracle_series(g, 0.49975)
 
 
 def test_admissibility_enforced():
@@ -668,9 +671,9 @@ def test_admissible_window_scales_with_size():
     assert 1.0 / spectral_radius(GraphSpec.path(5)) > 1.0 / spectral_radius(GraphSpec.path(50)) > 0.5
 
 
-def test_series_tolerance_validation():
-    with pytest.raises(ValueError):
-        katz.katz_oracle_series(GraphSpec.path(4), 0.3, tol=0.0)
+def test_series_oracle_has_no_tolerance_parameter():
+    with pytest.raises(TypeError):
+        katz.katz_oracle_series(GraphSpec.path(4), 0.3, tol=1e-12)
 
 
 @pytest.mark.parametrize("g", [GraphSpec.path(6), GraphSpec.cycle(7)], ids=["path6", "cycle7"])

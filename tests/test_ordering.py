@@ -214,6 +214,13 @@ def test_cutoff_root_validation():
         cutoff_root(5, 1)  # span 4: the reduced form has no root here
 
 
+@pytest.mark.parametrize("n, j", [(145, 1), (149, 1), (529, 1), (533, 5)])
+def test_cutoff_root_zero_left_probe_has_no_bracket(n, j):
+    # the left probe reads exactly zero at the smallest nudge: no sign change
+    with pytest.raises(BracketError, match=r"= 0\.000e\+00, p_tilde"):
+        cutoff_root(n, j)
+
+
 def test_cutoff_table_monotone():
     roots = [r.root for r in cutoff_table(1, range(6, 13))]
     assert all(a > b for a, b in zip(roots, roots[1:]))
