@@ -112,14 +112,11 @@ def require_admissible(value: float, g: GraphSpec) -> float:
 
 
 def _admissible_alphas(alpha, g: GraphSpec) -> list:
-    """The alphas of a number or a 1-D sequence, every one checked admissible for g up front."""
+    """The alphas of a number or a 1-D sequence as floats, every one checked admissible for g up front."""
     ndim = np.asarray(alpha).ndim  # np.ndim of a Python float pays for a caught AttributeError
     if ndim > 1:
         raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
-    alphas = list(alpha) if ndim else [alpha]
-    for value in alphas:
-        require_admissible(value, g)
-    return alphas
+    return [require_admissible(value, g) for value in (alpha if ndim else [alpha])]
 
 
 def spectral_radius(g: GraphSpec) -> float:

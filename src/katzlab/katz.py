@@ -186,11 +186,10 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
 def _path_rows(alphas: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (A, n + 1) d-rows [d_0, ..., d_n] and (A, n) powers alpha^0, ..., alpha^(n-1) of an n-vertex path.
 
-    One row each per alpha, taken as checked admissible; the d-rows come
+    One row each per alpha, a float from _admissible_alphas; the d-rows come
     from :func:`d_sequence` and the powers from Python's pow, so the path
     helpers on them give the scalar entries bit for bit.
     """
-    alphas = [float(value) for value in alphas]
     d = np.array([d_sequence(n, value) for value in alphas]).reshape(len(alphas), n + 1)
     powers = np.array([[value**k for k in range(n)] for value in alphas]).reshape(len(alphas), n)
     return d, powers
@@ -199,11 +198,11 @@ def _path_rows(alphas: list, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _cycle_arcs(alphas: list, n: int) -> np.ndarray:
     """The (A, n//2 + 1) Katz entries of an n-cycle at arc lengths k = 0..n//2, one row per alpha.
 
-    The alphas are taken as checked admissible.  Each value is the
+    The alphas are floats from _admissible_alphas.  Each value is the
     :func:`katz_cycle` entry at its arc length bit for bit.
     """
     arcs = []
-    for value in map(float, alphas):
+    for value in alphas:
         seq = d_sequence(n - 1, value)
         denominator = _cycle_denominator(seq[n - 2], seq[n - 1], n, value)
         row = [_cycle_diagonal(seq[n - 2], n, value) / denominator]
@@ -233,7 +232,7 @@ def _matrices(g: GraphSpec, alpha) -> np.ndarray:
         # at i = 1..n: d_{i-2}, d_{i-1}, d_{n-i-1} and d_{n-i}
         before, head, after, tail = padded[:, :n], d[:, :n], padded[:, n - 1 :: -1], d[:, n - 1 :: -1]
         diagonal = np.arange(n)
-        stack[:, diagonal, diagonal] = _path_diagonal(before, head, after, tail, d_n, np.array(alphas, float)[:, None])
+        stack[:, diagonal, diagonal] = _path_diagonal(before, head, after, tail, d_n, np.array(alphas)[:, None])
     else:
         # each member is circulant: row 0 is the arcs mirrored (span n - k
         # reads arc k) and row i is row 0 rotated right by i, the window of
@@ -337,7 +336,7 @@ def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
 
     For a 1-D sequence of alphas, the stack of their lone calls.
     """
-    alphas = [float(value) for value in _admissible_alphas(alpha, g)]
+    alphas = _admissible_alphas(alpha, g)
     rho = spectral_radius(g)
     doublings = []
     for value in alphas:

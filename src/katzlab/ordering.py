@@ -18,6 +18,15 @@ take O(n log n) time, with no work of the size of its P = n(n-1)/2 pairs,
 and agreement compares a path's P Katz scores with the span classes in
 O(P) per alpha, with no sort of the pairs.
 
+Resistance and distance share one span order, so Katz is compared with
+distance alone.  On a path R is D bit for bit.  On a cycle R = k(n - k)/n
+rises by at least 1/n per arc k, far above the absolute TIE_TOL of an
+inversion, and by a relative step of at least 4/n**2, above the relative
+TIE_TOL of the tie classes for n < 632,456.  From there on an even cycle
+TIE_TOL merges the top two resistance classes, but the Katz arcs have
+underflowed into merged classes too, so class_structures_match is False
+either way.
+
 Also here: the gap polynomials whose sign tracks whether a distance-j pair
 can be out-ranked by a distance-(j+1) pair on a path, and bisection to one
 fixed width for the decay cut-off in (1/sqrt 5, 1/2) where that first happens.
@@ -126,7 +135,7 @@ def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
     if metric == KATZ and np.ndim(alpha):
         raise ValueError(f"alpha must be a single number here, got shape {np.shape(alpha)}")
     i, j = _pair_labels(g.n)
-    return katz_pair_entries(g, alpha, i, j) if metric == KATZ else _span_scores(g)[1][metric][j - i - 1]
+    return _katz_scores(g, alpha, i, j) if metric == KATZ else _span_scores(g)[1][metric][j - i - 1]
 
 
 def _keys(metric: str, scores: np.ndarray) -> np.ndarray:
@@ -147,8 +156,8 @@ def _best_first(metric: str, scores: np.ndarray) -> np.ndarray:
 
 def rank_pairs(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> PairRanking:
     """Pairs sorted best-first; exact score ties break (i, j) lexicographically."""
-    pairs = g.pairs()
     scores = _scores(g, metric, alpha)
+    pairs = g.pairs()
     values = scores.tolist()
     entries = tuple((pairs[ix], values[ix]) for ix in _best_first(metric, scores).tolist())
     return PairRanking(g, metric, alpha if metric == KATZ else None, entries)
@@ -172,8 +181,8 @@ def score_classes(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> l
     decay sit many orders of magnitude apart yet all below any fixed
     absolute tolerance, which would merge them spuriously.
     """
-    pairs = g.pairs()
     order, ids = _ranked_classes(metric, _scores(g, metric, alpha))
+    pairs = g.pairs()
     classes: list[set[VertexPair]] = [set() for _ in range(int(ids[-1]) + 1)]
     for ix, class_id in zip(order.tolist(), ids.tolist()):
         classes[class_id].add(pairs[ix])
@@ -188,36 +197,41 @@ def _class_of_pair(metric: str, scores: np.ndarray) -> np.ndarray:
     return by_pair
 
 
-def _katz_rows(g: GraphSpec, alphas: list, ends: np.ndarray):
+def _katz_scores(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """katz_pair_entries at one alpha; FloatingPointError if a score is NaN or inf, which no ranking can order."""
+    katz = katz_pair_entries(g, alpha, i, j)
+    if not np.isfinite(katz).all():
+        raise FloatingPointError(f"Katz scores of {g.family}({g.n}) at alpha = {alpha} are not all finite")
+    return katz
+
+
+def _katz_rows(g: GraphSpec, alphas: list):
     """The pairs that Katz is ranked on, each one's span class, and its Katz scores per alpha.
 
     Returns labels i, j, the span classes j - i - 1 and a generator of one
-    score array per alpha, each from its own katz_pair_entries call, so no
+    score array per alpha, each from its own _katz_scores call, so no
     (A, P) block is held.  On a cycle Katz is span-valued, so the pairs
-    are the n - 1 span pairs (1, ends); a path keeps all P pairs in
-    g.pairs() order.
+    are the n - 1 span pairs (1, 1 + s) of _span_scores; a path keeps all
+    P pairs in g.pairs() order.
     """
-    i, j = _pair_labels(g.n) if g.is_path else (np.ones_like(ends), ends)
-    return i, j, j - i - 1, (katz_pair_entries(g, value, i, j) for value in alphas)
+    i, j = _pair_labels(g.n) if g.is_path else (np.ones(g.n - 1, dtype=np.int64), np.arange(2, g.n + 1))
+    return i, j, j - i - 1, (_katz_scores(g, value, i, j) for value in alphas)
 
 
 def class_structures_match(g: GraphSpec, alpha):
     """True when all three metrics produce identical best-first tie classes.
 
-    For a 1-D sequence of alphas, the list of results, one per alpha.  A
-    tie-class number is a function of the score, so the resistance and
-    distance classes are found once per call on the n - 1 span pairs (see
-    _span_scores), and so are a cycle's Katz classes, with no P-sized
-    work.  A path's Katz classes take one sort of its P scores per alpha
-    and are compared with the resistance classes gathered by span.
+    For a 1-D sequence of alphas, the list of results, one per alpha.
+    Katz's classes are compared with the distance classes, best-first
+    class d - 1 at distance d, which are the resistance classes too (see
+    the module docstring).  A cycle's Katz classes are found on its n - 1
+    span pairs, with no P-sized work; a path's take one sort of its P
+    scores per alpha.
     """
     alphas = _admissible_alphas(alpha, g)
-    ends, scores = _span_scores(g)
-    reference = _class_of_pair(RESISTANCE, scores[RESISTANCE])
-    fixed_match = np.array_equal(_class_of_pair(DISTANCE, scores[DISTANCE]), reference)
-    _, _, classes, katz_rows = _katz_rows(g, alphas, ends)
-    reference = reference[classes]
-    matches = [np.array_equal(_class_of_pair(KATZ, katz), reference) and fixed_match for katz in katz_rows]
+    i, j, _, katz_rows = _katz_rows(g, alphas)
+    reference = graph_distance(g, i, j) - 1
+    matches = [np.array_equal(_class_of_pair(KATZ, katz), reference) for katz in katz_rows]
     return matches if np.ndim(alpha) else matches[0]
 
 
@@ -257,48 +271,34 @@ def agreement(g: GraphSpec, alpha):
     """Pairwise ranking agreement between the three metrics at one alpha.
 
     Exhaustive over the pairs-of-pairs of all P = n(n-1)/2 pairs; the
-    witness is the first inversion in lexicographic (pair_a, pair_b) order
-    among the disagreeing metric pairs.  Two span-valued metrics have
-    their first inversion among the n - 1 span pairs (see _span_scores),
-    at the same indices, so resistance vs distance, and on a cycle every
-    comparison, take O(n log n) time.  A path's Katz scores are compared
-    with the span classes in O(P) time and memory per alpha, with no sort
-    of the P pairs.  For a 1-D sequence of alphas, the list of reports,
-    one per alpha: the span scores and the resistance-vs-distance
-    inversion are found once per call, and only the Katz scores and their
-    one inversion, reported against both, once per alpha.  No n x n matrix.
+    witness is the first inversion in lexicographic (pair_a, pair_b) order.
+    Resistance and distance never invert each other, and R[a] > R[b] +
+    TIE_TOL exactly when D[a] > D[b] + TIE_TOL (see the module docstring),
+    so one inversion per alpha, of Katz against the span classes of
+    distance, decides the report; its witness is named (katz, resistance).
+    A cycle's comparison takes O(n log n) time on its n - 1 span pairs, a
+    path's O(P) time and memory per alpha, with no sort of the P pairs.
+    For a 1-D sequence of alphas, the list of reports, one per alpha.  No
+    n x n matrix.
     """
     alphas = _admissible_alphas(alpha, g)
-    ends, scores = _span_scores(g)
-    # resistance and distance scores are their own keys (smaller is better),
-    # and each span pair is its own class, ends - 2 = j - i - 1
-    fixed_inversion = _first_inversion(scores[RESISTANCE], ends - 2, scores[DISTANCE])
-    i, j, classes, katz_rows = _katz_rows(g, alphas, ends)
+    _, scores = _span_scores(g)
+    i, j, classes, katz_rows = _katz_rows(g, alphas)
     reports = []
     for value, katz in zip(alphas, katz_rows):
-        # R[a] > R[b] + TIE_TOL exactly when D[a] > D[b] + TIE_TOL: on a path
-        # R is D bit for bit, on a cycle R = k(n - k)/n rises with the arc k
-        # in steps of at least 1/n.  So Katz inverts both at the same pairs.
-        katz_inversion = _first_inversion(_keys(KATZ, katz), classes, scores[DISTANCE])
-        found = {
-            (KATZ, RESISTANCE): katz_inversion,
-            (KATZ, DISTANCE): katz_inversion,
-            (RESISTANCE, DISTANCE): fixed_inversion,
-        }
+        hit = _first_inversion(_keys(KATZ, katz), classes, scores[DISTANCE])
         witness = None
-        for (metric_a, metric_b), hit in found.items():
-            if witness is None and hit is not None:
-                both = list(hit)
+        if hit is not None:
+            both = list(hit)
+            witness = RankingInversion(
+                KATZ,
+                RESISTANCE,
+                *(VertexPair(int(i[ix]), int(j[ix])) for ix in both),
+                tuple(katz[both].tolist()),
                 # a span-valued score is that of the pair's span class
-                at = {m: (katz[both] if m == KATZ else scores[m][classes[both]]).tolist() for m in (metric_a, metric_b)}
-                witness = RankingInversion(
-                    metric_a,
-                    metric_b,
-                    *(VertexPair(int(i[ix]), int(j[ix])) for ix in both),
-                    tuple(at[metric_a]),
-                    tuple(at[metric_b]),
-                )
-        reports.append(AgreementReport(g, value, *(hit is None for hit in found.values()), witness))
+                tuple(scores[RESISTANCE][classes[both]].tolist()),
+            )
+        reports.append(AgreementReport(g, value, hit is None, hit is None, True, witness))
     return reports if np.ndim(alpha) else reports[0]
 
 

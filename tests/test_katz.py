@@ -311,6 +311,38 @@ def test_pair_entries_at_a_sequence_are_the_one_alpha_calls(family, n):
         katz.katz_pair_entries(g, [alphas], i, j)
 
 
+BIT_GRAPHS = [GraphSpec.path(n) for n in (*range(2, 8), 10, 57, 100, 250, 401)] + [
+    GraphSpec.cycle(n) for n in (3, 4, 5, 9, 100, 401)
+]
+BIT_ALPHAS = (1e-6, 0.02, 0.1, 0.3, 1 / math.sqrt(5), 0.46, 0.499, 0.52, 0.55)
+
+
+@pytest.mark.parametrize("g", BIT_GRAPHS, ids=lambda g: f"{g.family}{g.n}")
+def test_entries_equal_in_theory_are_equal_in_bits(g):
+    # score_classes merges scores within a relative TIE_TOL, so pairs that a
+    # symmetry of the graph maps onto each other must tie; they do so
+    # exactly, in every bit
+    n = g.n
+    i, j = (labels + 1 for labels in np.triu_indices(n, k=1))
+    for alpha in [a for a in BIT_ALPHAS if a < 1.0 / spectral_radius(g)]:
+        entries = katz.katz_pair_entries(g, alpha, i, j).view(np.int64)
+        if g.is_path:
+            # reversing the path maps pair (i, j) to (n + 1 - j, n + 1 - i)
+            mirrored = katz.katz_pair_entries(g, alpha, n + 1 - j, n + 1 - i).view(np.int64)
+            assert np.array_equal(entries, mirrored), alpha
+            matrix = katz.katz_path_matrix(n, alpha).view(np.int64)
+            assert np.array_equal(matrix, matrix.T), alpha
+            assert np.array_equal(matrix, matrix[::-1, ::-1]), alpha
+        else:
+            # every pair is the pair (1, 1 + k) of its arc k
+            arc = np.minimum(j - i, n - (j - i))
+            by_arc = katz.katz_pair_entries(g, alpha, np.ones(n // 2, dtype=np.int64), np.arange(2, n // 2 + 2))
+            assert np.array_equal(entries, by_arc.view(np.int64)[arc - 1]), alpha
+            matrix = katz.katz_cycle_matrix(n, alpha).view(np.int64)
+            assert np.array_equal(matrix[i - 1, j - 1], entries), alpha
+            assert np.array_equal(matrix[j - 1, i - 1], entries), alpha
+
+
 def test_an_inadmissible_alpha_anywhere_fails_before_a_table_is_built(monkeypatch):
     for name in ("_path_rows", "_cycle_arcs"):
         monkeypatch.setattr(katz, name, lambda *args: pytest.fail("table built"))

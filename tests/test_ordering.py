@@ -383,7 +383,7 @@ def test_resistance_and_distance_strictly_prefer_the_same_span_classes():
         assert np.array_equal(r, d), g
 
 
-GRID_ALPHAS = (0.02, 0.1, 0.3, 0.44, 0.46, 0.49)
+GRID_ALPHAS = (1e-6, 0.02, 0.1, 0.3, 0.44, 0.4472135954999579, 0.46, 0.49, 0.499)
 GRID_GRAPHS = [GraphSpec.path(n) for n in (2, 3, 4, 5, 8, 10, 13, 21, 30, 40)] + [
     GraphSpec.cycle(n) for n in (3, 4, 5, 6, 9, 14, 21, 30, 39, 40)
 ]
@@ -415,6 +415,29 @@ def test_a_sequence_of_alphas_is_the_list_of_scalar_calls(g):
     assert agreement(g, np.array(alphas)) == reports
     if g.is_path and g.n >= 10:
         assert any(report.witness is not None for report in reports)
+
+
+@pytest.mark.parametrize("g", [GraphSpec.path(12), GraphSpec.cycle(12)], ids=lambda g: f"{g.family}{g.n}")
+def test_reports_carry_the_alpha_as_a_float(g):
+    for alpha in (np.float32(0.3), np.float64(0.46), Fraction(3, 10)):
+        expected = agreement(g, float(alpha))
+        for given_alpha in (alpha, [alpha], np.array([alpha])):
+            reports = agreement(g, given_alpha)
+            assert repr(reports) == repr(expected if np.ndim(given_alpha) == 0 else [expected]), given_alpha
+
+
+def test_rankings_refuse_katz_scores_that_are_not_finite():
+    # path(1200) at 0.499 overflows 1,927 Katz scores into NaN, and a NaN
+    # compares false with everything, so it would hide inversions
+    g = GraphSpec.path(1200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (agreement, class_structures_match):
+            with pytest.raises(FloatingPointError, match=r"path\(1200\) at alpha = 0.499 "):
+                call(g, 0.499)
+            with pytest.raises(FloatingPointError, match=r"path\(1200\) at alpha = 0.499 "):
+                call(g, [0.3, 0.46, 0.499, 0.2])
+        with pytest.raises(FloatingPointError, match=r"path\(1200\) at alpha = 0.499 "):
+            rank_pairs(g, "katz", 0.499)
 
 
 def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
