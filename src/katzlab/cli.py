@@ -31,7 +31,7 @@ import numpy as np
 
 from . import katz, ordering
 from .dpoly import INV_SQRT5
-from .graphs import FAMILIES, GraphSpec, PowerIterationError, graph_distance, require_admissible, resistance
+from .graphs import FAMILIES, GraphSpec, PowerIterationError, _pair_labels, graph_distance, require_admissible, resistance
 from .linalg import SingularMatrixError
 from .verify import run_suites
 
@@ -110,9 +110,7 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
     one cell per arc.  A block is one object-array gather and one join.
     """
     n = g.n
-    i, j = np.triu_indices(n, k=1)
-    i += 1  # labels in g.pairs() order, made 1-based in place: no second copy
-    j += 1
+    i, j = _pair_labels(n)
     ends = np.arange(2, n + 1)  # the pairs (1, 1 + s) stand for every pair of span s = 1..n-1
     distance, resist = graph_distance(g, 1, ends), resistance(g, 1, ends)
     # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells

@@ -96,6 +96,19 @@ class VertexPair:
         return cls(min(i, j), max(i, j))
 
 
+def _pair_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels i < j of the n(n-1)/2 pairs of an n-vertex graph, in g.pairs() order.
+
+    Row i holds the n - i pairs (i, i + 1) .. (i, n), so the labels follow
+    from the row offsets alone, with no n x n index mask.
+    """
+    row_sizes = np.arange(n - 1, 0, -1)
+    i = np.repeat(np.arange(1, n), row_sizes)
+    # pair k of the row of i, which starts at offset s, is (i, k - s + i + 1)
+    shift = np.cumsum(row_sizes) - row_sizes - np.arange(2, n + 1)
+    return i, np.arange(i.size) - np.repeat(shift, row_sizes)
+
+
 def require_admissible(value: float, g: GraphSpec) -> float:
     """Validate 0 < value < 1/rho(A).
 

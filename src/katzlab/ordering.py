@@ -11,21 +11,22 @@ actually assert, and the tie-class comparison is exposed separately via
 :func:`score_classes` / :func:`class_structures_match` for the cycle case,
 where the classes genuinely coincide.)
 
-Resistance and distance, and Katz on a cycle, depend on a pair only
-through its span j - i.  So the rankings read them on the n - 1 pairs
-(1, 1 + s), which hold every span: a cycle's agreement and tie classes
-take O(n log n) time, with no work of the size of its P = n(n-1)/2 pairs,
-and agreement compares a path's P Katz scores with the span classes in
-O(P) per alpha, with no sort of the pairs.
+Katz on a cycle depends on a pair only through its span j - i, so the
+cycle rankings read it on the n - 1 pairs (1, 1 + s), which hold every
+span: a cycle's agreement takes O(n) time and its tie classes O(n log n),
+with no work of the size of its P = n(n-1)/2 pairs, and agreement compares
+a path's P Katz scores with their distance classes in O(P) per alpha, with
+no sort of the pairs.
 
-Resistance and distance share one span order, so Katz is compared with
-distance alone.  On a path R is D bit for bit.  On a cycle R = k(n - k)/n
-rises by at least 1/n per arc k, far above the absolute TIE_TOL of an
-inversion, and by a relative step of at least 4/n**2, above the relative
-TIE_TOL of the tie classes for n < 632,456.  From there on an even cycle
-TIE_TOL merges the top two resistance classes, but the Katz arcs have
-underflowed into merged classes too, so class_structures_match is False
-either way.
+Resistance and distance share one strict order, so Katz is ranked against
+the distance classes alone: the integers d - 1, best first, with no
+resistance table built per call.  On a path R is D bit for bit.  On a
+cycle R = k(n - k)/n rises by at least 1/n per arc k, far above the
+absolute TIE_TOL of an inversion, and by a relative step of at least
+4/n**2, above the relative TIE_TOL of the tie classes for n < 632,456.
+From there on an even cycle TIE_TOL merges the top two resistance classes,
+but the Katz arcs have underflowed into merged classes too, so
+class_structures_match is False either way.
 
 Also here: the gap polynomials whose sign tracks whether a distance-j pair
 can be out-ranked by a distance-(j+1) pair on a path, and bisection to one
@@ -41,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .dpoly import INV_SQRT5, _d_terms, _require_below_half, _require_index
-from .graphs import GraphSpec, VertexPair, _admissible_alphas, graph_distance, require_admissible, resistance
+from .graphs import GraphSpec, VertexPair, _admissible_alphas, _pair_labels, graph_distance, require_admissible, resistance
 from .katz import _cycle_numerator, _path_off_diagonal, katz_pair_entries
 
 KATZ = "katz"
@@ -102,30 +103,6 @@ class AgreementReport:
         return self.katz_vs_resistance and self.katz_vs_distance and self.resistance_vs_distance
 
 
-def _pair_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels i < j of the n(n-1)/2 pairs of an n-vertex graph, in g.pairs() order.
-
-    Row i holds the n - i pairs (i, i + 1) .. (i, n), so the labels follow
-    from the row offsets alone, with no n x n index mask.
-    """
-    row_sizes = np.arange(n - 1, 0, -1)
-    i = np.repeat(np.arange(1, n), row_sizes)
-    # pair k of the row of i, which starts at offset s, is (i, k - s + i + 1)
-    shift = np.cumsum(row_sizes) - row_sizes - np.arange(2, n + 1)
-    return i, np.arange(i.size) - np.repeat(shift, row_sizes)
-
-
-def _span_scores(g: GraphSpec) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The ends 2..n of the pairs (1, 1 + s) and their resistance and distance scores.
-
-    These n - 1 pairs come first in g.pairs() and hold every span s = j - i.
-    Resistance and distance, and Katz on a cycle, depend on a pair only
-    through its span, so pair (i, j) scores as entry j - i - 1 here.
-    """
-    ends = np.arange(2, g.n + 1)
-    return ends, {RESISTANCE: resistance(g, 1, ends), DISTANCE: graph_distance(g, 1, ends).astype(float)}
-
-
 def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
     """Scores for g.pairs() in lexicographic pair order, as a float array."""
     if metric not in METRICS:
@@ -135,7 +112,9 @@ def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
     if metric == KATZ and np.ndim(alpha):
         raise ValueError(f"alpha must be a single number here, got shape {np.shape(alpha)}")
     i, j = _pair_labels(g.n)
-    return _katz_scores(g, alpha, i, j) if metric == KATZ else _span_scores(g)[1][metric][j - i - 1]
+    if metric == KATZ:
+        return _katz_scores(g, alpha, i, j)
+    return resistance(g, i, j) if metric == RESISTANCE else graph_distance(g, i, j) + 0.0
 
 
 def _keys(metric: str, scores: np.ndarray) -> np.ndarray:
@@ -160,7 +139,7 @@ def rank_pairs(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> Pair
     pairs = g.pairs()
     values = scores.tolist()
     entries = tuple((pairs[ix], values[ix]) for ix in _best_first(metric, scores).tolist())
-    return PairRanking(g, metric, alpha if metric == KATZ else None, entries)
+    return PairRanking(g, metric, require_admissible(alpha, g) if metric == KATZ else None, entries)
 
 
 def _ranked_classes(metric: str, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,14 +168,6 @@ def score_classes(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> l
     return classes
 
 
-def _class_of_pair(metric: str, scores: np.ndarray) -> np.ndarray:
-    """Each pair's tie-class number (see score_classes), in pair order."""
-    order, ids = _ranked_classes(metric, scores)
-    by_pair = np.empty_like(ids)
-    by_pair[order] = ids
-    return by_pair
-
-
 def _katz_scores(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """katz_pair_entries at one alpha; FloatingPointError if a score is NaN or inf, which no ranking can order."""
     katz = katz_pair_entries(g, alpha, i, j)
@@ -206,16 +177,18 @@ def _katz_scores(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np
 
 
 def _katz_rows(g: GraphSpec, alphas: list):
-    """The pairs that Katz is ranked on, each one's span class, and its Katz scores per alpha.
+    """The pairs that Katz is ranked on, each one's distance class, and its Katz scores per alpha.
 
-    Returns labels i, j, the span classes j - i - 1 and a generator of one
-    score array per alpha, each from its own _katz_scores call, so no
-    (A, P) block is held.  On a cycle Katz is span-valued, so the pairs
-    are the n - 1 span pairs (1, 1 + s) of _span_scores; a path keeps all
-    P pairs in g.pairs() order.
+    Returns labels i, j, the distance classes d - 1 (integers, best first)
+    and a generator of one score array per alpha, each from its own
+    _katz_scores call, so no (A, P) block is held.  On a cycle Katz is
+    span-valued, so the pairs are the n - 1 span pairs (1, 1 + s), which
+    hold every span, at distance min(s, n - s); a path keeps all P pairs
+    in g.pairs() order, at distance j - i.
     """
     i, j = _pair_labels(g.n) if g.is_path else (np.ones(g.n - 1, dtype=np.int64), np.arange(2, g.n + 1))
-    return i, j, j - i - 1, (_katz_scores(g, value, i, j) for value in alphas)
+    classes = j - i - 1 if g.is_path else np.minimum(j - 1, g.n + 1 - j) - 1
+    return i, j, classes, (_katz_scores(g, value, i, j) for value in alphas)
 
 
 def class_structures_match(g: GraphSpec, alpha):
@@ -229,41 +202,38 @@ def class_structures_match(g: GraphSpec, alpha):
     scores per alpha.
     """
     alphas = _admissible_alphas(alpha, g)
-    i, j, _, katz_rows = _katz_rows(g, alphas)
-    reference = graph_distance(g, i, j) - 1
-    matches = [np.array_equal(_class_of_pair(KATZ, katz), reference) for katz in katz_rows]
+    _, _, classes, katz_rows = _katz_rows(g, alphas)
+    matches = []
+    for katz in katz_rows:
+        order, ids = _ranked_classes(KATZ, katz)
+        matches.append(np.array_equal(ids, classes[order]))
     return matches if np.ndim(alpha) else matches[0]
 
 
-def _first_inversion(keys_a: np.ndarray, classes: np.ndarray, class_keys_b: np.ndarray) -> Optional[tuple[int, int]]:
-    """First (a, b) in row-major order with a strictly before b under A and after under B.
+def _first_inversion(keys_a: np.ndarray, classes: np.ndarray) -> Optional[tuple[int, int]]:
+    """First (a, b) in row-major order with a strictly before b under A and b in a better distance class.
 
-    B is given per class: pair p's B key is class_keys_b[classes[p]].
-    Strictly means by more than TIE_TOL: keys_a[a] < keys_a[b] - TIE_TOL and
-    keys_b[a] > keys_b[b] + TIE_TOL.  The pairs b that B strictly prefers
-    to a fill the classes whose class_keys_b + TIE_TOL lies below
-    keys_b[a], a prefix of the classes sorted by that value; a has a
-    partner exactly when the largest keys_a - TIE_TOL over that prefix
-    exceeds keys_a[a].  So a per-class maximum, one sort of the C class
-    keys and their prefix maxima give each class's threshold, and one
-    comparison per pair finds a: O(P + C log C) time and O(P) memory.
-    Every comparison is one of the two float expressions above, and a
-    maximum does not round, so the result is exactly that of a P x P scan.
-    With classes = arange(P) each pair is its own class.
+    classes holds each pair's distance class, an integer, best first, so
+    B strictly prefers b to a exactly when classes[b] < classes[a]:
+    distances lie at least 1 apart, far above TIE_TOL, so B needs no
+    tolerance.  Strictly under A means by more than TIE_TOL: keys_a[a] <
+    keys_a[b] - TIE_TOL.  So a has a partner exactly when the largest
+    keys_a - TIE_TOL over the classes better than its own exceeds
+    keys_a[a]: a per-class maximum and its exclusive prefix maxima give
+    each class's threshold, and one comparison per pair finds a, in O(P +
+    C) time and O(P) memory.  Every comparison is the float expression
+    above, and a maximum does not round, so the result is exactly that of
+    a P x P scan.
     """
     u = keys_a - TIE_TOL
-    v = class_keys_b + TIE_TOL
-    reach = np.full(v.size, -np.inf)
+    reach = np.full(int(classes.max()) + 1, -np.inf)
     np.maximum.at(reach, classes, u)
-    by_v = np.argsort(v)
-    prefix_max = np.concatenate(([-np.inf], np.maximum.accumulate(reach[by_v])))
-    threshold = prefix_max[np.searchsorted(v[by_v], class_keys_b, side="left")]
+    threshold = np.concatenate(([-np.inf], np.maximum.accumulate(reach[:-1])))
     has_partner = threshold[classes] > keys_a
     a_ix = int(has_partner.argmax())
     if not has_partner[a_ix]:
         return None
-    partner_class = class_keys_b[classes[a_ix]] > v
-    b_ix = int(((keys_a[a_ix] < u) & partner_class[classes]).argmax())
+    b_ix = int(((keys_a[a_ix] < u) & (classes < classes[a_ix])).argmax())
     return a_ix, b_ix
 
 
@@ -273,20 +243,18 @@ def agreement(g: GraphSpec, alpha):
     Exhaustive over the pairs-of-pairs of all P = n(n-1)/2 pairs; the
     witness is the first inversion in lexicographic (pair_a, pair_b) order.
     Resistance and distance never invert each other, and R[a] > R[b] +
-    TIE_TOL exactly when D[a] > D[b] + TIE_TOL (see the module docstring),
-    so one inversion per alpha, of Katz against the span classes of
-    distance, decides the report; its witness is named (katz, resistance).
-    A cycle's comparison takes O(n log n) time on its n - 1 span pairs, a
-    path's O(P) time and memory per alpha, with no sort of the P pairs.
-    For a 1-D sequence of alphas, the list of reports, one per alpha.  No
-    n x n matrix.
+    TIE_TOL exactly when D[a] > D[b] (see the module docstring), so one
+    inversion per alpha, of Katz against the distance classes, decides the
+    report; its witness is named (katz, resistance).  A cycle's comparison
+    takes O(n) time on its n - 1 span pairs, a path's O(P) time and memory
+    per alpha, with no sort of the P pairs.  For a 1-D sequence of alphas,
+    the list of reports, one per alpha.  No n x n matrix.
     """
     alphas = _admissible_alphas(alpha, g)
-    _, scores = _span_scores(g)
     i, j, classes, katz_rows = _katz_rows(g, alphas)
     reports = []
     for value, katz in zip(alphas, katz_rows):
-        hit = _first_inversion(_keys(KATZ, katz), classes, scores[DISTANCE])
+        hit = _first_inversion(_keys(KATZ, katz), classes)
         witness = None
         if hit is not None:
             both = list(hit)
@@ -295,8 +263,7 @@ def agreement(g: GraphSpec, alpha):
                 RESISTANCE,
                 *(VertexPair(int(i[ix]), int(j[ix])) for ix in both),
                 tuple(katz[both].tolist()),
-                # a span-valued score is that of the pair's span class
-                tuple(scores[RESISTANCE][classes[both]].tolist()),
+                tuple(resistance(g, i[both], j[both]).tolist()),
             )
         reports.append(AgreementReport(g, value, hit is None, hit is None, True, witness))
     return reports if np.ndim(alpha) else reports[0]

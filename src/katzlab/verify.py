@@ -20,6 +20,7 @@ from . import dpoly, katz, ordering
 from .dpoly import INV_SQRT5
 from .graphs import (
     GraphSpec,
+    _pair_labels,
     graph_distance,
     resistance,
     resistance_oracle,
@@ -273,7 +274,7 @@ def suite_resistance_oracle(level: str) -> SuiteResult:
         start = 2 if family == "path" else 3
         for n in range(start, n_max + 1):
             g = GraphSpec(family, n)
-            i, j = (labels + 1 for labels in np.triu_indices(n, k=1))  # g.pairs() in order
+            i, j = _pair_labels(n)
             errs = np.abs(resistance(g, i, j) - resistance_oracle(g, i, j))
             res.record_all(errs, lambda f: f"{family} n={n} pair=({i[f]},{j[f]})")
     return res

@@ -325,51 +325,32 @@ def reference_classes(g, metric, alpha, tol=TIE_TOL):
 # strict comparisons sit on their boundary.
 TIE_LEVELS = [b + d for b in (-2.0, 0.0, 1.0) for d in (0.0, TIE_TOL, -TIE_TOL, 2 * TIE_TOL)]
 KEY_VALUES = st.one_of(st.sampled_from(TIE_LEVELS), st.floats(min_value=-4.0, max_value=4.0))
-KEY_PAIRS = st.integers(min_value=1, max_value=40).flatmap(
-    lambda p: st.tuples(st.lists(KEY_VALUES, min_size=p, max_size=p), st.lists(KEY_VALUES, min_size=p, max_size=p))
-)
-
-
-@given(KEY_PAIRS)
-def test_first_inversion_matches_dense_masks(keys):
-    # each pair its own class
-    keys_a, keys_b = (np.array(k) for k in keys)
-    assert ordering._first_inversion(keys_a, np.arange(keys_a.size), keys_b) == dense_first_inversion(keys_a, keys_b)
-
-
-# keys_b constant on classes: repeated class labels, class keys on the tie levels
-CLASSED_KEYS = st.integers(min_value=1, max_value=8).flatmap(
-    lambda c: st.tuples(
-        st.lists(st.sampled_from(TIE_LEVELS), min_size=c, max_size=c),
-        st.lists(st.tuples(KEY_VALUES, st.integers(min_value=0, max_value=c - 1)), min_size=1, max_size=40),
-    )
-)
+# each pair's A key and its integer distance class, classes repeating
+CLASSED_KEYS = st.lists(st.tuples(KEY_VALUES, st.integers(min_value=0, max_value=12)), min_size=1, max_size=40)
 
 
 @given(CLASSED_KEYS)
-def test_first_inversion_over_classes_matches_dense_masks(drawn):
-    class_keys_b, pairs = drawn
+def test_first_inversion_matches_dense_masks(pairs):
     keys_a = np.array([key for key, _ in pairs])
     classes = np.array([c for _, c in pairs])
-    class_keys_b = np.array(class_keys_b)
-    expected = dense_first_inversion(keys_a, class_keys_b[classes])
-    assert ordering._first_inversion(keys_a, classes, class_keys_b) == expected
+    assert ordering._first_inversion(keys_a, classes) == dense_first_inversion(keys_a, classes.astype(float))
 
 
 @pytest.mark.parametrize(
     "keys_a, keys_b, expected",
     [
         # a gap of exactly TIE_TOL under A is not a strict preference
-        ([0.0, TIE_TOL, 2.0], [1.0, 0.0, 0.0], (0, 2)),
-        # nor is one of exactly TIE_TOL under B
-        ([0.0, 1.0], [TIE_TOL, 0.0], None),
-        ([0.0, 1.0, 2.0], [1.0, 1.0 - TIE_TOL, 0.5], (0, 2)),
+        ([0.0, TIE_TOL, 2.0], [1, 0, 0], (0, 2)),
+        # so pair 0, whose one better-class pair is exactly TIE_TOL ahead, has
+        # no partner; pair 2's partner is in a better class, not its own
+        ([0.0, TIE_TOL, 1.0, 3.0, 2.0], [1, 0, 2, 2, 1], (2, 4)),
     ],
 )
 def test_first_inversion_is_strict_at_exactly_the_tolerance(keys_a, keys_b, expected):
+    # B's keys are the distance classes
     keys_a, keys_b = np.array(keys_a), np.array(keys_b)
     assert dense_first_inversion(keys_a, keys_b) == expected
-    assert ordering._first_inversion(keys_a, np.arange(keys_a.size), keys_b) == expected
+    assert ordering._first_inversion(keys_a, keys_b) == expected
 
 
 def test_resistance_and_distance_strictly_prefer_the_same_span_classes():
@@ -378,8 +359,8 @@ def test_resistance_and_distance_strictly_prefer_the_same_span_classes():
     sizes = [*range(2, 401), 1000, 2000]
     graphs = [GraphSpec.path(n) for n in sizes] + [GraphSpec.cycle(n) for n in sizes if n >= 3]
     for g in graphs:
-        _, scores = ordering._span_scores(g)
-        r, d = (scores[m][:, None] > scores[m][None, :] + TIE_TOL for m in ("resistance", "distance"))
+        ends = np.arange(2, g.n + 1)
+        r, d = (s[:, None] > s[None, :] + TIE_TOL for s in (resistance(g, 1, ends), graph_distance(g, 1, ends)))
         assert np.array_equal(r, d), g
 
 
@@ -397,6 +378,17 @@ def test_array_routes_match_reference_on_grid(g):
         assert score_classes(g, "katz", alpha) == reference
         expected = all(reference_classes(g, m, alpha) == reference for m in ("resistance", "distance"))
         assert class_structures_match(g, alpha) == expected
+
+
+@pytest.mark.parametrize("g", GRID_GRAPHS, ids=lambda g: f"{g.family}{g.n}")
+def test_single_metric_routes_are_the_per_pair_scalars(g):
+    pairs = g.pairs()
+    for metric in ("resistance", "distance"):
+        expected = reference_scores(g, metric, None)
+        assert [x.hex() for x in pair_scores(g, metric)] == [x.hex() for x in expected]
+        entries = sorted(zip(pairs, expected), key=lambda entry: (entry[1], entry[0]))
+        assert rank_pairs(g, metric).entries == tuple(entries)
+        assert score_classes(g, metric) == reference_classes(g, metric, None)
 
 
 # -- a sequence of alphas ------------------------------------------------
@@ -424,6 +416,12 @@ def test_reports_carry_the_alpha_as_a_float(g):
         for given_alpha in (alpha, [alpha], np.array([alpha])):
             reports = agreement(g, given_alpha)
             assert repr(reports) == repr(expected if np.ndim(given_alpha) == 0 else [expected]), given_alpha
+
+
+def test_rank_pairs_carries_the_alpha_as_a_float():
+    g = GraphSpec.path(5)
+    for alpha in (np.float32(0.3), Fraction(3, 10), np.array(0.3)):
+        assert repr(rank_pairs(g, "katz", alpha)) == repr(rank_pairs(g, "katz", float(alpha))), alpha
 
 
 def test_rankings_refuse_katz_scores_that_are_not_finite():
