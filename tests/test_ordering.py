@@ -325,12 +325,24 @@ def reference_classes(g, metric, alpha, tol=TIE_TOL):
 # strict comparisons sit on their boundary.
 TIE_LEVELS = [b + d for b in (-2.0, 0.0, 1.0) for d in (0.0, TIE_TOL, -TIE_TOL, 2 * TIE_TOL)]
 KEY_VALUES = st.one_of(st.sampled_from(TIE_LEVELS), st.floats(min_value=-4.0, max_value=4.0))
+# each pair its own distance class, in any order
+KEYED_PERMUTATIONS = st.integers(min_value=1, max_value=40).flatmap(
+    lambda p: st.tuples(st.lists(KEY_VALUES, min_size=p, max_size=p), st.permutations(range(p)))
+)
+
+
+@given(KEYED_PERMUTATIONS)
+def test_first_inversion_matches_dense_masks(drawn):
+    keys_a, classes = (np.array(x) for x in drawn)
+    assert ordering._first_inversion(keys_a, classes) == dense_first_inversion(keys_a, classes.astype(float))
+
+
 # each pair's A key and its integer distance class, classes repeating
 CLASSED_KEYS = st.lists(st.tuples(KEY_VALUES, st.integers(min_value=0, max_value=12)), min_size=1, max_size=40)
 
 
 @given(CLASSED_KEYS)
-def test_first_inversion_matches_dense_masks(pairs):
+def test_first_inversion_over_classes_matches_dense_masks(pairs):
     keys_a = np.array([key for key, _ in pairs])
     classes = np.array([c for _, c in pairs])
     assert ordering._first_inversion(keys_a, classes) == dense_first_inversion(keys_a, classes.astype(float))
