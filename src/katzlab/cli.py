@@ -16,8 +16,9 @@ always present, rows in a documented order.  Identical invocations produce
 byte-identical files.
 
 Exit codes: 0 success, 1 property/verification failure, 2 usage or
-validation error (including inadmissible decay values and inputs beyond
-numeric range, see NUMERIC_RANGE_ERRORS).
+validation error (including inadmissible decay values, inputs beyond
+numeric range, see NUMERIC_RANGE_ERRORS, and an output file that cannot
+be written).
 """
 
 from __future__ import annotations
@@ -81,12 +82,6 @@ def _real_table(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return [_real(x) for x in keys.view(np.float64).tolist()], inverse
 
 
-def _real_cells(values: np.ndarray) -> list[str]:
-    """[_real(x) for x in values], formatting each distinct float once."""
-    cells, inverse = _real_table(values)
-    return np.array(cells, dtype=object)[inverse].tolist()
-
-
 def _csv_text(rows: list[list[str]]) -> str:
     return "".join([",".join(row) + "\n" for row in rows])
 
@@ -115,7 +110,7 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
     distance, resist = graph_distance(g, 1, ends), resistance(g, 1, ends)
     # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells
     labels = [f"{v}," for v in range(2, n + 1)]
-    spans = [f"{d},{r}," for d, r in zip(distance.tolist(), _real_cells(resist))]
+    spans = [f"{d},{_real(r)}," for d, r in zip(distance.tolist(), resist.tolist())]
     for alpha in alphas:
         if g.is_path:
             katz_cells, katz_index = _real_table(katz.katz_pair_entries(g, alpha, i, j))
@@ -295,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except NUMERIC_RANGE_ERRORS + (ValueError,) as exc:
+    except NUMERIC_RANGE_ERRORS + (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -237,14 +237,12 @@ def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
     For a connected graph the pseudoinverse is (L + J/n)^(-1) - J/n with J
     the all-ones matrix; the resistance is then the standard quadratic form
     L+_ii + L+_jj - 2 L+_ij with i <= j.  Dense solve, so capped at n = 512.
-    For arrays of labels, checked and broadcast as in :func:`resistance`, a
-    float64 array whose entries are the scalar calls bit for bit.
+    Labels are checked and broadcast as in :func:`resistance`, and read
+    from one cached pseudoinverse: a float for two labels, a float64 array
+    when either is an array of labels.
     """
-    if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
-        _label_spans(g, i, j)
-        i, j = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-        pinv = _laplacian_pinv(g)
-        return pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j]
-    i, j = _checked_pair(g, i, j)
+    _label_spans(g, i, j)
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
     pinv = _laplacian_pinv(g)
-    return float(pinv[i - 1, i - 1] + pinv[j - 1, j - 1] - 2.0 * pinv[i - 1, j - 1])
+    r = pinv[lo, lo] + pinv[hi, hi] - 2.0 * pinv[lo, hi]
+    return r if isinstance(i, np.ndarray) or isinstance(j, np.ndarray) else float(r)

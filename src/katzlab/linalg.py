@@ -1,14 +1,18 @@
 """Dense Gaussian elimination with partial pivoting, on numpy arrays.
 
+Two entry points, the ones the dense oracles use: :func:`invert`, which
+eliminates against the identity and back-substitutes, and
+:func:`determinant`, the signed product of the pivots.
+
 Hand-rolled on purpose: the closed forms elsewhere in the package are
 determinant identities, and the oracles that check them must not share a
 factorization backend with anything cleverer.  Row operations are
 vectorized, but the algorithm is the textbook one.  Sizes are desk-scale;
 everything is capped at :data:`MAX_DENSE_N`.
 
-Every routine takes a stack of matrices, shape (..., n, n), and runs the
-same elimination on all members at once: each member picks its own pivot
-row and swaps its own rows, so every member gets exactly the arithmetic it
+Both take a stack of matrices, shape (..., n, n), and run the same
+elimination on all members at once: each member picks its own pivot row
+and swaps its own rows, so every member gets exactly the arithmetic it
 would get alone.  A plain (n, n) matrix is the stack with no leading axes.
 """
 
@@ -70,25 +74,6 @@ def _eliminate(m: np.ndarray, rhs: np.ndarray | None) -> tuple[np.ndarray, np.nd
         if rhs is not None:
             rhs[:, col + 1 :] -= factors[:, :, None] * rhs[:, col, None, :]
     return pivots, swapped
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve a x = b by elimination with partial pivoting.
-
-    a is (..., n, n); b is (..., n) for one right-hand side per member or
-    (..., n, k) for k of them, with the same leading axes as a.
-    """
-    m = _checked_square(a)
-    rhs = np.array(b, dtype=float, order="C")  # as in _checked_square: the solution takes b's layout
-    vector = rhs.ndim == m.ndim - 1
-    if vector:
-        rhs = rhs[..., None]
-    if rhs.ndim != m.ndim or rhs.shape[:-2] != m.shape[:-2]:
-        raise ValueError(f"right-hand side of shape {np.shape(b)} does not fit matrices of shape {m.shape}")
-    if rhs.shape[-2] != m.shape[-1]:
-        raise ValueError(f"right-hand side has {rhs.shape[-2]} rows, matrix has {m.shape[-1]}")
-    x = _solve(m, rhs)
-    return x[..., 0] if vector else x
 
 
 def _solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:

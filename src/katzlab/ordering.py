@@ -11,12 +11,15 @@ actually assert, and the tie-class comparison is exposed separately via
 :func:`score_classes` / :func:`class_structures_match` for the cycle case,
 where the classes genuinely coincide.)
 
-Katz on a cycle depends on a pair only through its span j - i, so the
-cycle rankings read it on the n - 1 pairs (1, 1 + s), which hold every
-span: a cycle's agreement takes O(n) time and its tie classes O(n log n),
-with no work of the size of its P = n(n-1)/2 pairs, and agreement compares
-a path's P Katz scores with their distance classes in O(P) per alpha, with
-no sort of the pairs.
+All three metrics on a cycle depend on a pair only through its arc, the
+distance of its span, so the cycle rankings read them on the n//2 arc
+pairs (1, 1 + k), k = 1..n//2, the pairs scatter reads.  A span s > n/2
+would repeat arc n - s: the same Katz bits and distance class, later in
+pair order, so it could neither be an inversion's first pair nor split a
+tie class.  A cycle's agreement takes O(n) time and its tie classes
+O(n log n), with no work of the size of its P = n(n-1)/2 pairs, and
+agreement compares a path's P Katz scores with their distance classes in
+O(P) per alpha, with no sort of the pairs.
 
 Resistance and distance share one strict order, so Katz is ranked against
 the distance classes alone: the integers d - 1, best first, with no
@@ -179,16 +182,14 @@ def _katz_scores(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np
 def _katz_rows(g: GraphSpec, alphas: list):
     """The pairs that Katz is ranked on, each one's distance class, and its Katz scores per alpha.
 
-    Returns labels i, j, the distance classes d - 1 (integers, best first)
-    and a generator of one score array per alpha, each from its own
-    _katz_scores call, so no (A, P) block is held.  On a cycle Katz is
-    span-valued, so the pairs are the n - 1 span pairs (1, 1 + s), which
-    hold every span, at distance min(s, n - s); a path keeps all P pairs
-    in g.pairs() order, at distance j - i.
+    Returns labels i, j, the distance classes j - i - 1 (integers, best
+    first) and a generator of one score array per alpha, each from its own
+    _katz_scores call, so no (A, P) block is held.  A path keeps all P
+    pairs in g.pairs() order; a cycle, whose metrics are arc-valued, keeps
+    its n//2 arc pairs (1, 1 + k), k = 1..n//2, at distance k.
     """
-    i, j = _pair_labels(g.n) if g.is_path else (np.ones(g.n - 1, dtype=np.int64), np.arange(2, g.n + 1))
-    classes = j - i - 1 if g.is_path else np.minimum(j - 1, g.n + 1 - j) - 1
-    return i, j, classes, (_katz_scores(g, value, i, j) for value in alphas)
+    i, j = _pair_labels(g.n) if g.is_path else (np.ones(g.n // 2, dtype=np.int64), np.arange(2, g.n // 2 + 2))
+    return i, j, j - i - 1, (_katz_scores(g, value, i, j) for value in alphas)
 
 
 def class_structures_match(g: GraphSpec, alpha):
@@ -197,8 +198,8 @@ def class_structures_match(g: GraphSpec, alpha):
     For a 1-D sequence of alphas, the list of results, one per alpha.
     Katz's classes are compared with the distance classes, best-first
     class d - 1 at distance d, which are the resistance classes too (see
-    the module docstring).  A cycle's Katz classes are found on its n - 1
-    span pairs, with no P-sized work; a path's take one sort of its P
+    the module docstring).  A cycle's Katz classes are found on its n//2
+    arc pairs, with no P-sized work; a path's take one sort of its P
     scores per alpha.
     """
     alphas = _admissible_alphas(alpha, g)
@@ -246,7 +247,7 @@ def agreement(g: GraphSpec, alpha):
     TIE_TOL exactly when D[a] > D[b] (see the module docstring), so one
     inversion per alpha, of Katz against the distance classes, decides the
     report; its witness is named (katz, resistance).  A cycle's comparison
-    takes O(n) time on its n - 1 span pairs, a path's O(P) time and memory
+    takes O(n) time on its n//2 arc pairs, a path's O(P) time and memory
     per alpha, with no sort of the P pairs.  For a 1-D sequence of alphas,
     the list of reports, one per alpha.  No n x n matrix.
     """

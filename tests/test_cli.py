@@ -167,15 +167,35 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf,
         elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_subnormal=True)),
     )
 )
-def test_real_cells_is_real_per_value(values):
-    assert cli._real_cells(values) == [cli._real(x) for x in values.tolist()]
+def test_real_table_is_real_per_value(values):
+    cells, inverse = cli._real_table(values)
+    assert [cells[k] for k in inverse.tolist()] == [cli._real(x) for x in values.tolist()]
 
 
-def test_real_cells_keeps_signed_zeros_and_nan_payloads_apart():
+def test_real_table_keeps_signed_zeros_and_nan_payloads_apart():
     payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
     values = np.array([0.0, -0.0, math.nan, payload_nan, -math.nan, 0.0])
-    assert cli._real_cells(values) == [cli._real(x) for x in values.tolist()]
-    assert cli._real_cells(values)[:2] == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
+    cells, inverse = cli._real_table(values)
+    assert [cells[k] for k in inverse.tolist()] == [cli._real(x) for x in values.tolist()]
+    assert len(cells) == 5
+    assert [cells[k] for k in inverse[:2].tolist()] == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
+
+
+WRITING_COMMANDS = {
+    "scatter": ["scatter", "--family", "cycle", "--n", "8"],
+    "cutoff": ["cutoff", "--j", "1", "--n-lo", "6", "--n-hi", "7"],
+    "converge": ["converge", "--family", "path", "--i", "1", "--j", "3", "--alpha", "0.3", "--n-list", "10,20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    assert run(WRITING_COMMANDS[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_scatter_rejects_inadmissible_alpha(tmp_path, capsys):

@@ -491,8 +491,8 @@ def test_a_sequence_of_alphas_holds_no_stack_of_scores_or_matrices(monkeypatch):
 
 
 def test_cycle_ranking_does_only_span_sized_work(monkeypatch):
-    # a cycle's three metrics depend on a pair only through its span, so
-    # ranking reads the n - 1 span pairs: no array of all P pairs is made
+    # a cycle's three metrics depend on a pair only through its arc, so
+    # ranking reads the n//2 arc pairs: no array of all P pairs is made
     g = GraphSpec.cycle(2000)
     alphas = [0.1, 0.3, 0.46]
     sizes = []
@@ -511,7 +511,7 @@ def test_cycle_ranking_does_only_span_sized_work(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert sizes and max(sizes) <= g.n - 1
+    assert sizes and all(size == g.n // 2 for size in sizes)
 
 
 def test_paths_agree_below_the_cutoff_root_and_invert_above_it():
