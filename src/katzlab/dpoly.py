@@ -11,7 +11,8 @@ All evaluators return IEEE doubles.  The recursion is written once, in
 ``_d_terms``: the scalar closed forms of the package read the few terms
 they need from one run of it, and the list forms (``d_sequence``,
 ``d_sequence_exact``) keep every term of such a run.  The run takes the
-arithmetic of its inputs: floats, Fractions, or for the exact Katz
+arithmetic of its inputs: floats, Fractions, float64 arrays of alphas
+(one run for a whole grid, see :func:`_at`), or for the exact Katz
 entries :class:`_OverQ`, integers over powers of alpha's denominator,
 which reduce to lowest terms once per entry instead of at every step.
 ``d_closed`` is an independent cross-check of it (see its docstring for
@@ -24,6 +25,8 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
+
+import numpy as np
 
 SQRT5 = math.sqrt(5.0)
 INV_SQRT5 = 1.0 / SQRT5
@@ -51,6 +54,34 @@ def _require_below_half(alpha) -> None:
         raise ValueError(f"alpha must lie in (0, 1/2), where every d_k is positive; got {alpha}")
 
 
+def _at(alpha, check=None) -> tuple:
+    """(x, one, power): what a closed form runs on, at a number or at every alpha of a 1-D sequence at once.
+
+    A number gives alpha itself, 1.0 and power(k) = alpha**k, so the form
+    does the operations it always did.  A 1-D sequence gives float64
+    arrays of its alphas and of ones, and power(k) the array of a**k, each
+    by Python's pow (numpy's vectorised power may round differently).
+    numpy's elementwise - and * round as Python's float operations do, so
+    element a of the form's result is its call at alpha a bit for bit.
+    check, if given, is called on alpha, or on every float of the sequence,
+    before any work; an alpha of 2 or more dimensions raises ValueError.
+    """
+    # a float is told apart first, with no array made of it
+    values = None if isinstance(alpha, float) else np.asarray(alpha)
+    if values is None or not values.ndim:
+        if check is not None:
+            check(alpha)
+        return alpha, 1.0, lambda k: alpha**k
+    if values.ndim > 1:
+        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {values.shape}")
+    x = values.astype(float)
+    floats = x.tolist()
+    if check is not None:
+        for value in floats:
+            check(value)
+    return x, np.ones(x.size), lambda k: np.array([value**k for value in floats])
+
+
 # Tuples of 0..15 turns: the run between two nearby stops iterates one of
 # these, since building a range per stop costs about as much as a short
 # run's steps; longer runs iterate a range.
@@ -61,7 +92,8 @@ def _d_terms(stops, alpha, one=1.0, seq=None) -> list:
     """The terms d_s at the indices s of stops, in order, from one run of the recursion.
 
     d_0 = d_1 = one and d_k = d_{k-1} - alpha^2 d_{k-2}, in the arithmetic
-    of alpha and one, run once up to the largest stop, two steps per turn.
+    of alpha and one (elementwise for the arrays of :func:`_at`), run once
+    up to the largest stop, two steps per turn.
     Only the latest two terms are held, so each stop must be at least the
     largest stop before it less one (the first at least 0); callers pass
     their indices in that order and unpack the terms by position.  seq, if
@@ -106,10 +138,12 @@ def d_recursive(n: int, alpha: float) -> float:
 
     Numerically benign on (0, 1/2): every intermediate stays in (0, 1] and
     both characteristic roots lie inside the unit disc, so rounding errors
-    decay instead of amplifying.
+    decay instead of amplifying.  For a 1-D sequence of A alphas, the (A,)
+    float64 array of the calls at each, bit for bit, from one run.
     """
     _require_index(n)
-    return _d_terms((n,), alpha)[0]
+    x, one, _ = _at(alpha)
+    return _d_terms((n,), x, one)[0]
 
 
 def d_sequence(n: int, alpha: float) -> list[float]:
@@ -289,25 +323,28 @@ def d_special_root5(n: int) -> float:
     return hi - lo
 
 
-def _cycle_denominator(d_before, d_last, n: int, alpha):
-    """D_n = d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2} from d_before = d_{n-2} and d_last = d_{n-1}.
+def _cycle_denominator(d_before, d_last, power, alpha):
+    """D_n = d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2} from d_before = d_{n-2}, d_last = d_{n-1} and power = alpha^n.
 
-    Integer constants keep the expression exact when the terms and alpha
-    are Fractions; on floats they round exactly as 2.0 would.
+    The caller takes the power with Python's pow.  Integer constants keep
+    the expression exact when the terms and alpha are Fractions; on floats
+    they round exactly as 2.0 would.
     """
-    return d_last - 2 * alpha**n - 2 * alpha * alpha * d_before
+    return d_last - 2 * power - 2 * alpha * alpha * d_before
 
 
 def D_cycle_denominator(n: int, alpha: float) -> float:
     """det(I - alpha * A) for the n-cycle: d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2}.
 
     Defined for n >= 3; it is the denominator of every cycle Katz entry,
-    diagonal included, at every n >= 3.
+    diagonal included, at every n >= 3.  For a 1-D sequence of alphas, the
+    array of the calls at each, bit for bit, as for :func:`d_recursive`.
     """
     _require_index(n)
     if n < 3:
         raise ValueError(f"cycle determinant needs n >= 3, got {n}")
-    return _cycle_denominator(*_d_terms((n - 2, n - 1), alpha), n, alpha)
+    x, one, power = _at(alpha)
+    return _cycle_denominator(*_d_terms((n - 2, n - 1), x, one), power(n), x)
 
 
 def D_parity_form(n: int, alpha: float) -> float:
@@ -315,17 +352,21 @@ def D_parity_form(n: int, alpha: float) -> float:
 
     Even n = 2L:  (1 - 4 alpha^2) d_{L-1}^2.
     Odd  n = 2L+1: (1 - 2 alpha) (alpha^(2L) + (1 + 2 alpha) d_L d_{L-1}).
+
+    For a 1-D sequence of alphas, the array of the calls at each, bit for
+    bit, as for :func:`d_recursive`.
     """
     _require_index(n)
     if n < 3:
         raise ValueError(f"parity form needs n >= 3, got {n}")
+    x, one, power = _at(alpha)
     if n % 2 == 0:
         ell = n // 2
-        (d,) = _d_terms((ell - 1,), alpha)
-        return (1.0 - 4.0 * alpha * alpha) * d * d
+        (d,) = _d_terms((ell - 1,), x, one)
+        return (1.0 - 4.0 * x * x) * d * d
     ell = (n - 1) // 2
-    d_before, d_ell = _d_terms((ell - 1, ell), alpha)
-    return (1.0 - 2.0 * alpha) * (alpha ** (2 * ell) + (1.0 + 2.0 * alpha) * d_ell * d_before)
+    d_before, d_ell = _d_terms((ell - 1, ell), x, one)
+    return (1.0 - 2.0 * x) * (power(2 * ell) + (1.0 + 2.0 * x) * d_ell * d_before)
 
 
 def fib_ratio(n: int) -> float:

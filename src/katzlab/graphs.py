@@ -116,7 +116,11 @@ def require_admissible(value: float, g: GraphSpec) -> float:
     forms hold but the d-polynomial bounds and the limit formulas do not;
     those routines check (0, 1/2) themselves.
     """
-    bound = 1.0 / spectral_radius(g)
+    return _admissible(value, g, 1.0 / spectral_radius(g))
+
+
+def _admissible(value: float, g: GraphSpec, bound: float) -> float:
+    """value as a float, checked to lie in (0, bound) with bound = 1/rho(A) of g."""
     if not 0.0 < value < bound:
         raise AdmissibilityError(
             f"alpha {value} is not admissible for {g.family}({g.n}): requires 0 < alpha < {bound:.6g}"
@@ -129,7 +133,8 @@ def _admissible_alphas(alpha, g: GraphSpec) -> list:
     ndim = np.asarray(alpha).ndim  # np.ndim of a Python float pays for a caught AttributeError
     if ndim > 1:
         raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
-    return [require_admissible(value, g) for value in (alpha if ndim else [alpha])]
+    bound = 1.0 / spectral_radius(g)
+    return [_admissible(value, g, bound) for value in (alpha if ndim else [alpha])]
 
 
 def spectral_radius(g: GraphSpec) -> float:

@@ -96,30 +96,35 @@ def _path_entry(seq, n: int, i: int, j: int, alpha):
     return _path_off_diagonal(alpha ** (j - i), seq[i - 1], seq[n - j], seq[n])
 
 
-def _cycle_diagonal(d_before, n: int, alpha):
-    """Numerator of the cycle's diagonal entry from d_before = d_{n-2}.
+def _cycle_diagonal(d_before, power, alpha):
+    """Numerator of the cycle's diagonal entry from d_before = d_{n-2} and power = alpha^n.
 
     The adjugate numerator d_{n-1} less the identity's share D_n, taken
     symbolically: 2 alpha^n + 2 alpha^2 d_{n-2}, so small alpha loses no
     digits to cancellation on the diagonal.
     """
-    return 2 * alpha**n + 2 * alpha * alpha * d_before
+    return 2 * power + 2 * alpha * alpha * d_before
 
 
-def _cycle_numerator(d_short, d_long, n: int, k: int, alpha):
+def _cycle_numerator(d_short, d_long, power_short, power_long):
     """Numerator alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1} of the cycle entry at arc length k >= 1.
 
     d_short = d_{k-1} and d_long = d_{n-k-1} weigh the walk families
-    around the short and the long arc.
+    around the short and the long arc, and power_short = alpha^k and
+    power_long = alpha^(n-k) the decay along each arc.  Like every power
+    of alpha here, the caller takes them with Python's pow.
     """
-    return alpha**k * d_long + alpha ** (n - k) * d_short
+    return power_short * d_long + power_long * d_short
 
 
 def _cycle_entry(seq, n: int, k: int, alpha):
     """Cycle entry at arc length k from seq = [d_0, ..., d_{n-1}]; floats or Fractions."""
-    d_before = seq[n - 2]
-    numerator = _cycle_numerator(seq[k - 1], seq[n - k - 1], n, k, alpha) if k else _cycle_diagonal(d_before, n, alpha)
-    return numerator / _cycle_denominator(d_before, seq[n - 1], n, alpha)
+    d_before, power = seq[n - 2], alpha**n
+    if k:
+        numerator = _cycle_numerator(seq[k - 1], seq[n - k - 1], alpha**k, alpha ** (n - k))
+    else:
+        numerator = _cycle_diagonal(d_before, power, alpha)
+    return numerator / _cycle_denominator(d_before, seq[n - 1], power, alpha)
 
 
 def _path_value(n: int, i: int, j: int, alpha, one):
@@ -140,13 +145,14 @@ def _path_value(n: int, i: int, j: int, alpha, one):
 
 def _cycle_value(n: int, k: int, alpha, one):
     """Cycle entry at arc length k in the arithmetic of alpha and one, from the d-terms one run stops at."""
+    power = alpha**n
     if k:
         d_short, d_long, d_before, d_last = _d_terms((k - 1, n - k - 1, n - 2, n - 1), alpha, one)
-        numerator = _cycle_numerator(d_short, d_long, n, k, alpha)
+        numerator = _cycle_numerator(d_short, d_long, alpha**k, alpha ** (n - k))
     else:
         d_before, d_last = _d_terms((n - 2, n - 1), alpha, one)
-        numerator = _cycle_diagonal(d_before, n, alpha)
-    return numerator / _cycle_denominator(d_before, d_last, n, alpha)
+        numerator = _cycle_diagonal(d_before, power, alpha)
+    return numerator / _cycle_denominator(d_before, d_last, power, alpha)
 
 
 def katz_path(n: int, i: int, j: int, alpha: float) -> float:
@@ -204,10 +210,11 @@ def _cycle_arcs(alphas: list, n: int) -> np.ndarray:
     arcs = []
     for value in alphas:
         seq = d_sequence(n - 1, value)
-        denominator = _cycle_denominator(seq[n - 2], seq[n - 1], n, value)
-        row = [_cycle_diagonal(seq[n - 2], n, value) / denominator]
+        power = value**n
+        denominator = _cycle_denominator(seq[n - 2], seq[n - 1], power, value)
+        row = [_cycle_diagonal(seq[n - 2], power, value) / denominator]
         for k in range(1, n // 2 + 1):
-            row.append(_cycle_numerator(seq[k - 1], seq[n - k - 1], n, k, value) / denominator)
+            row.append(_cycle_numerator(seq[k - 1], seq[n - k - 1], value**k, value ** (n - k)) / denominator)
         arcs.append(row)
     return np.array(arcs).reshape(len(arcs), n // 2 + 1)
 

@@ -40,12 +40,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .dpoly import INV_SQRT5, _d_terms, _require_below_half, _require_index
-from .graphs import GraphSpec, VertexPair, _admissible_alphas, _pair_labels, graph_distance, require_admissible, resistance
+from .dpoly import INV_SQRT5, _at, _d_terms, _require_below_half, _require_index
+from .graphs import (
+    GraphSpec,
+    VertexPair,
+    _admissible,
+    _admissible_alphas,
+    _pair_labels,
+    graph_distance,
+    require_admissible,
+    resistance,
+    spectral_radius,
+)
 from .katz import _cycle_numerator, _path_off_diagonal, katz_pair_entries
 
 KATZ = "katz"
@@ -284,16 +295,23 @@ def p_gap(n: int, j: int, alpha: float) -> float:
     katz(1, 1+j) - katz(m, m+j+1) with m = ceil((n-j)/2): the weakest
     distance-j pair sits at the boundary, the strongest distance-(j+1) pair
     at the center.  Positive means the distance classes stay separated.
+    For a 1-D sequence of alphas, every one checked admissible first, the
+    array of the calls at each, bit for bit, from one run of the recursion.
     """
     m = _gap_midpoint(n, j)
-    require_admissible(alpha, GraphSpec.path(n))
+    g = GraphSpec.path(n)
+    x, one, power = _at(alpha, partial(_admissible, g=g, bound=1.0 / spectral_radius(g)))
     # the entries (1, 1 + j) and (m, m + j + 1) read these terms, in index order
-    d_0, tail, head, top, d_n = _d_terms((0, n - m - j - 1, m - 1, n - j - 1, n), alpha)
-    return _path_off_diagonal(alpha**j, d_0, top, d_n) - _path_off_diagonal(alpha ** (j + 1), head, tail, d_n)
+    d_0, tail, head, top, d_n = _d_terms((0, n - m - j - 1, m - 1, n - j - 1, n), x, one)
+    return _path_off_diagonal(power(j), d_0, top, d_n) - _path_off_diagonal(power(j + 1), head, tail, d_n)
 
 
 def _p_tilde(n: int, j: int, m: int, alpha: float) -> float:
-    """p_tilde at checked n and j, with m = _gap_midpoint(n, j)."""
+    """p_tilde at checked n and j, with m = _gap_midpoint(n, j).
+
+    alpha may be an array of alphas: its product broadcasts a term that is
+    d_0 = d_1 = 1.0 to the shape of the others.
+    """
     tail, head, top = _d_terms((n - m - j - 1, m - 1, n - j - 1), alpha)
     return top - alpha * head * tail
 
@@ -303,11 +321,12 @@ def p_tilde(n: int, j: int, alpha: float) -> float:
 
     d_{n-j-1} - alpha d_{m-1} d_{n-m-j-1} with m = ceil((n-j)/2); shares the
     sign of p_gap everywhere but is a plain polynomial, which makes it the
-    bisection target for cut-off roots.
+    bisection target for cut-off roots.  For a 1-D sequence of alphas, the
+    array of the calls at each, bit for bit, as for :func:`p_gap`.
     """
     m = _gap_midpoint(n, j)
     _require_index(n - j - 1)
-    return _p_tilde(n, j, m, alpha)
+    return _p_tilde(n, j, m, _at(alpha)[0])
 
 
 class BracketError(RuntimeError):
@@ -389,13 +408,17 @@ def cycle_numerator_gap(n: int, k: int, alpha: float) -> float:
 
     alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1} - alpha^(k+1) d_{n-k-2}
     - alpha^(n-k-1) d_k; positive exactly when arc-k pairs out-rank
-    arc-(k+1) pairs under Katz.
+    arc-(k+1) pairs under Katz.  For a 1-D sequence of alphas, every one
+    checked to lie in (0, 1/2) first, the array of the calls at each, bit
+    for bit, as for :func:`p_gap`.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError(f"arc length must be an integer, got {k!r}")
     if not 1 <= k < n // 2:
         raise ValueError(f"need 1 <= k < n//2, got k = {k}, n = {n}")
-    _require_below_half(alpha)
+    x, one, power = _at(alpha, _require_below_half)
     _require_index(n - k - 1)
-    d_short, d_short_next, d_long_next, d_long = _d_terms((k - 1, k, n - k - 2, n - k - 1), alpha)
-    return _cycle_numerator(d_short, d_long, n, k, alpha) - _cycle_numerator(d_short_next, d_long_next, n, k + 1, alpha)
+    d_short, d_short_next, d_long_next, d_long = _d_terms((k - 1, k, n - k - 2, n - k - 1), x, one)
+    return _cycle_numerator(d_short, d_long, power(k), power(n - k)) - _cycle_numerator(
+        d_short_next, d_long_next, power(k + 1), power(n - k - 1)
+    )

@@ -8,7 +8,10 @@ grids and with faults injected into the functions under test.
 ``reference_limit_convergence`` is likewise the suite as it was before it
 read its exact d-terms from ``dpoly._exact_sequence``, integers over powers
 of alpha's denominator: one fully normalised ``d_sequence_exact`` list per
-alpha.
+alpha.  The gap-sign, arc-margin, parity and arc-invariance references are
+the loops of one scalar call per alpha (and per arc class) that those
+suites ran before the d/D evaluators and gap polynomials took a sequence
+of alphas.
 """
 
 import math
@@ -215,8 +218,65 @@ def reference_path_agreement_below_cutoff(level):
     return res
 
 
+def reference_cycle_parity_factorization(level):
+    res = SuiteResult("cycle determinant parity factorization", 1e-12)
+    n_max = 100 if level == "full" else 40
+    for n in range(3, n_max + 1):
+        for alpha in DPOLY_GRID:
+            err = scalar_rel_err(dpoly.D_parity_form(n, alpha), dpoly.D_cycle_denominator(n, alpha))
+            res.record(err, f"n={n} alpha={alpha}")
+    return res
+
+
+def reference_cycle_translation_invariance(level):
+    res = SuiteResult("cycle katz depends only on arc length", 1e-13)
+    alphas = (0.1, 0.3, 0.46)
+    for n in range(5, 31):
+        idx = np.arange(1, n + 1)
+        span = np.abs(np.subtract.outer(idx, idx))
+        arcs = np.minimum(span, n - span)
+        for alpha, m in zip(alphas, katz.katz_oracle_inverse(GraphSpec.cycle(n), alphas)):
+            for k in range(1, n // 2 + 1):
+                vals = m[arcs == k]
+                res.record(float(vals.max() - vals.min()) / max(1.0, float(np.abs(vals).max())), f"n={n} k={k} alpha={alpha}")
+    return res
+
+
+def reference_gap_sign_equivalence(level):
+    res = SuiteResult("gap polynomial sign equivalence", 0.0)
+    for n in range(3, 31):
+        for j in (1, 2, 3):
+            if n - j < 2:
+                continue
+            for alpha in DPOLY_PROBED:
+                gap = ordering.p_gap(n, j, alpha)
+                tilde = ordering.p_tilde(n, j, alpha)
+                ok = gap * tilde > 0.0 or (abs(gap) < 1e-12 and abs(tilde) < 1e-12)
+                res.check(ok, f"n={n} j={j} alpha={alpha}: p_gap={gap:.3e} p_tilde={tilde:.3e}")
+    return res
+
+
+def reference_cycle_numerator_gap(level):
+    res = SuiteResult("cycle arc-class separation margin", 1e-12)
+    n_max = 40 if level == "full" else 20
+    grid = [a for a in DPOLY_GRID if a < 0.5]
+    for n in range(5, n_max + 1):
+        for alpha in grid:
+            gaps = [ordering.cycle_numerator_gap(n, k, alpha) for k in range(1, n // 2)]
+            res.check(all(gap > 0.0 for gap in gaps), f"n={n} alpha={alpha}: non-positive margin")
+            res.check(
+                all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:])),
+                f"n={n} alpha={alpha}: margins not decreasing in k",
+            )
+            if n % 2 == 0:
+                ell = n // 2
+                closed = alpha ** (ell - 1) * dpoly.d_recursive(ell - 1, alpha) * (1.0 - 2.0 * alpha)
+                res.record(scalar_mixed_err(gaps[-1], closed), f"n={n} alpha={alpha}: half-arc margin form")
+    return res
+
+
 def reference_limit_convergence(level):
-    res = SuiteResult("katz entries converge to their limits", 1e-8)
+    res = SuiteResult("katz entries converge to their limits", 1e-14)
     n_list = (10, 20, 40, 80, 160, 320)
     for alpha in (0.1, 0.3, 0.45):
         exact_alpha = Fraction(alpha)
@@ -258,6 +318,10 @@ REFERENCES = {
     verify.suite_katz_shift_monotone: reference_katz_shift_monotone,
     verify.suite_cycle_agreement: reference_cycle_agreement,
     verify.suite_path_agreement_below_cutoff: reference_path_agreement_below_cutoff,
+    verify.suite_cycle_parity_factorization: reference_cycle_parity_factorization,
+    verify.suite_cycle_translation_invariance: reference_cycle_translation_invariance,
+    verify.suite_gap_sign_equivalence: reference_gap_sign_equivalence,
+    verify.suite_cycle_numerator_gap: reference_cycle_numerator_gap,
 }
 RANKING_SUITES = [verify.suite_cycle_agreement, verify.suite_path_agreement_below_cutoff]
 
@@ -372,14 +436,34 @@ def _perturbed_sequence(original):
     return perturbed
 
 
-def _shifted_at(original, n_bad, shift):
-    """A scalar evaluator f(n, alpha) that is off by shift at n = n_bad for alpha in (0.1, 0.3)."""
+def _shifted_at(original, point, shift):
+    """An evaluator f(*point, alpha) that is off by shift for alpha in (0.1, 0.3); other arguments pass through.
 
-    def shifted(n, alpha):
-        value = original(n, alpha)
-        return value + shift if n == n_bad and alpha in (0.1, 0.3) else value
+    For a sequence of alphas, the elements at 0.1 and 0.3 are off.
+    """
+
+    def shifted(*args):
+        value = original(*args)
+        *at, alpha = args
+        if tuple(at) != point:
+            return value
+        if np.ndim(alpha):
+            return np.where(np.isin(alpha, (0.1, 0.3)), value + shift, value)
+        return value + shift if alpha in (0.1, 0.3) else value
 
     return shifted
+
+
+def _skewed_oracle(original):
+    """katz_oracle_inverse whose matrices of the 9-cycle read Katz(1, 3) 1e-6 high, off the arc-2 class."""
+
+    def skewed(g, alpha):
+        matrices = original(g, alpha)
+        if g.n == 9:
+            matrices[..., 0, 2] += 1e-6
+        return matrices
+
+    return skewed
 
 
 def _asymmetric_resistance(original):
@@ -418,14 +502,38 @@ FAULTS = {
         ],
     ),
     "d_recursive": (
-        lambda mp: mp.setattr(dpoly, "d_recursive", _shifted_at(dpoly.d_recursive, 9, 1e-6)),
+        lambda mp: mp.setattr(dpoly, "d_recursive", _shifted_at(dpoly.d_recursive, (9,), 1e-6)),
         [verify.suite_d_recursion_vs_closed, verify.suite_path_determinant],
     ),
     "D_cycle_denominator": (
         lambda mp: mp.setattr(
-            dpoly, "D_cycle_denominator", _shifted_at(dpoly.D_cycle_denominator, 11, 1e-6)
+            dpoly, "D_cycle_denominator", _shifted_at(dpoly.D_cycle_denominator, (11,), 1e-6)
         ),
-        [verify.suite_cycle_determinant],
+        [verify.suite_cycle_determinant, verify.suite_cycle_parity_factorization],
+    ),
+    "D_parity_form": (
+        lambda mp: mp.setattr(dpoly, "D_parity_form", _shifted_at(dpoly.D_parity_form, (12,), 1e-6)),
+        [verify.suite_cycle_parity_factorization],
+    ),
+    # a gap of the other sign from its partner at (n, j) = (12, 2)
+    "p_gap": (
+        lambda mp: mp.setattr(ordering, "p_gap", _shifted_at(ordering.p_gap, (12, 2), -10.0)),
+        [verify.suite_gap_sign_equivalence],
+    ),
+    "p_tilde": (
+        lambda mp: mp.setattr(ordering, "p_tilde", _shifted_at(ordering.p_tilde, (12, 2), -10.0)),
+        [verify.suite_gap_sign_equivalence],
+    ),
+    # the half-arc margin of the 12-cycle moves up: both a decrease check and its closed form fail, per alpha
+    "cycle_numerator_gap": (
+        lambda mp: mp.setattr(
+            ordering, "cycle_numerator_gap", _shifted_at(ordering.cycle_numerator_gap, (12, 5), 1.0)
+        ),
+        [verify.suite_cycle_numerator_gap],
+    ),
+    "katz_oracle_inverse": (
+        lambda mp: mp.setattr(katz, "katz_oracle_inverse", _skewed_oracle(katz.katz_oracle_inverse)),
+        [verify.suite_cycle_translation_invariance],
     ),
     # the suite calls resistance by the name verify imported
     "resistance": (
