@@ -11,10 +11,10 @@ All evaluators return IEEE doubles.  The recursion is written once, in
 ``_d_terms``: the scalar closed forms of the package read the few terms
 they need from one run of it, and the list forms (``d_sequence``,
 ``d_sequence_exact``) keep every term of such a run.  The run takes the
-arithmetic of its inputs: floats, Fractions, float64 arrays of alphas
-(one run for a whole grid, see :func:`_at`), or for the exact Katz
-entries :class:`_OverQ`, integers over powers of alpha's denominator,
-which reduce to lowest terms once per entry instead of at every step.
+arithmetic of its inputs: floats, Fractions, or float64 arrays of alphas
+(one run for a whole grid, see :func:`_at`).  The exact Katz entries do
+not run it: they read the few integers q^k d_k they need, at alpha = p/q,
+from the Lucas sequence of :func:`_lucas`.
 ``d_closed`` is an independent cross-check of it (see its docstring for
 why it is accumulated exactly).
 """
@@ -163,92 +163,23 @@ def d_sequence_exact(n: int, alpha) -> list[Fraction]:
     return _d_sequence(n, Fraction(alpha), Fraction(1))
 
 
-class _OverQ:
-    """The exact rational num / q**exp, one of a family of values that share the integer q.
+def _lucas(k: int, p2: int, q: int) -> tuple[int, int]:
+    """(U_k, U_{k+1}) of the Lucas sequence U_0 = 0, U_1 = 1, U_k = q U_{k-1} - p2 U_{k-2}, by doubling.
 
-    With alpha = p/q in lowest terms, the recursion run from alpha as
-    p / q**1 and one as 1 / q**0 keeps every d_k an integer over
-    q**(2 (k//2)), since d_k is a sum of integer multiples of alpha^(2m)
-    with m <= k//2.  So +, - and * of two such values, or of one with an
-    int, and integer powers stay integers: exponents are aligned by
-    multiplying the numerator of the value with the smaller one by
-    q**(difference), which in the recursion is q**0 or q**2, and no gcd
-    is taken.  Only
-    the last step of an entry reduces: dividing two values, or
-    multiplying one by a Fraction, gives a Fraction with its one gcd.
-    Fractions reduce after every operation, and at the sizes the exact
-    routes run (d_320 at alpha = 0.46 has about 17,100 bits over its
-    power of q) one gcd costs about three products.
+    With alpha = p/q in lowest terms and p2 = p^2, q^k d_k = U_{k+1}: the
+    d-polynomials as integers, with no power of q left to divide out.
+    Reading k's bits from the top, (U_m, U_{m+1}) doubles to
+    U_2m = U_m (2 U_{m+1} - q U_m) and U_{2m+1} = U_{m+1}^2 - p2 U_m^2,
+    and a set bit steps on by the recursion (Joye and Quisquater,
+    Electronics Letters 32, 1996): O(log k) big-integer products, with
+    two terms held.
     """
-
-    __slots__ = ("num", "exp", "q")
-
-    def __init__(self, num: int, exp: int, q: int) -> None:
-        self.num = num
-        self.exp = exp
-        self.q = q
-
-    def _aligned(self, other) -> tuple[int, int, int]:
-        """(a, b, e) with self = a / q**e and other = b / q**e; other is an int or a value over the same q."""
-        if isinstance(other, int):
-            b, f = other, 0
-        else:
-            b, f = other.num, other.exp
-        e = self.exp
-        if e > f:
-            return self.num, b * self.q ** (e - f), e
-        if e < f:
-            return self.num * self.q ** (f - e), b, f
-        return self.num, b, e
-
-    def __add__(self, other) -> _OverQ:
-        a, b, e = self._aligned(other)
-        return _OverQ(a + b, e, self.q)
-
-    def __sub__(self, other) -> _OverQ:
-        a, b, e = self._aligned(other)
-        return _OverQ(a - b, e, self.q)
-
-    def __mul__(self, other):
-        if isinstance(other, _OverQ):
-            return _OverQ(self.num * other.num, self.exp + other.exp, self.q)
-        if isinstance(other, int):
-            return _OverQ(self.num * other, self.exp, self.q)
-        if isinstance(other, Fraction):
-            # Fraction's product reduces crosswise, num against the other
-            # denominator and q**exp against the other numerator: cheap
-            # gcds when this value is small (alpha^(j-i) in a path entry)
-            return Fraction(self.num, self.q**self.exp) * other
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> _OverQ:
-        return _OverQ(self.num**k, self.exp * k, self.q)
-
-    def __truediv__(self, other) -> Fraction:
-        a, b, _ = self._aligned(other)
-        return Fraction(a, b)
-
-
-def _over_q(alpha) -> tuple[_OverQ, _OverQ]:
-    """(alpha, 1) as p / q**1 and 1 / q**0, for alpha = p/q in lowest terms: what a run over powers of q starts from.
-
-    alpha may be anything Fraction accepts; a float is taken at its exact
-    binary value, so q is a power of two.
-    """
-    a = Fraction(alpha)
-    return _OverQ(a.numerator, 1, a.denominator), _OverQ(1, 0, a.denominator)
-
-
-def _exact_sequence(n: int, alpha) -> tuple[_OverQ, list[_OverQ]]:
-    """alpha and [d_0, ..., d_n] as :class:`_OverQ` values, the terms kept from one run of :func:`_d_terms`.
-
-    Each term equals the one d_sequence_exact holds at its index.
-    """
-    _require_index(n)
-    a, one = _over_q(alpha)
-    return a, _d_sequence(n, a, one)
+    u, v = 0, 1  # (U_m, U_{m+1}) at m = 0
+    for bit in bin(k)[2:]:
+        u, v = u * (2 * v - q * u), v * v - p2 * u * u
+        if bit == "1":
+            u, v = v, q * v - p2 * u
+    return u, v
 
 
 def _closed_sum(n: int, p2: int, q_powers) -> float:

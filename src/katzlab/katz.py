@@ -8,10 +8,11 @@ independent brute-force oracles (dense inverse and truncated walk series),
 and the n -> infinity limits of individual entries.
 
 Each closed form is written once and evaluated in whatever arithmetic its
-inputs carry: floats for the public entries, integers over powers of
-alpha's denominator for the exact routes (:class:`katzlab.dpoly._OverQ`,
-a Fraction once the entry divides), numpy arrays for values at many
-pairs.  A tridiagonal inverse is fixed by O(n) data (Meurant, SIAM J.
+inputs carry: floats for the public entries, numpy arrays for values at
+many pairs.  The exact routes do not run the d-recursion: with
+alpha = p/q they are the integer forms of the same entries, in the Lucas
+sequence q^k d_k = U_{k+1} (:func:`katzlab.dpoly._lucas`), one Fraction
+per entry.  A tridiagonal inverse is fixed by O(n) data (Meurant, SIAM J.
 Matrix Anal. Appl. 13, 1992): per alpha a path's d-row and row of powers
 (:func:`_path_rows`), a cycle's entries at each arc length
 (:func:`_cycle_arcs`).  The pair values and the matrices are the same
@@ -29,7 +30,7 @@ import numpy as np
 from .dpoly import (
     _cycle_denominator,
     _d_terms,
-    _over_q,
+    _lucas,
     _require_below_half,
     d_recursive,
     d_sequence,
@@ -87,15 +88,6 @@ def _path_diagonal(head_before, head, tail_before, tail, d_n, alpha):
     return alpha * alpha * (head * tail_before + head_before * tail) / d_n
 
 
-def _path_entry(seq, n: int, i: int, j: int, alpha):
-    """Path entry (i <= j) from seq = [d_0, ..., d_n]; floats or Fractions."""
-    if i == j:
-        before = seq[i - 2] if i > 1 else 0
-        after = seq[n - i - 1] if i < n else 0
-        return _path_diagonal(before, seq[i - 1], after, seq[n - i], seq[n], alpha)
-    return _path_off_diagonal(alpha ** (j - i), seq[i - 1], seq[n - j], seq[n])
-
-
 def _cycle_diagonal(d_before, power, alpha):
     """Numerator of the cycle's diagonal entry from d_before = d_{n-2} and power = alpha^n.
 
@@ -117,44 +109,6 @@ def _cycle_numerator(d_short, d_long, power_short, power_long):
     return power_short * d_long + power_long * d_short
 
 
-def _cycle_entry(seq, n: int, k: int, alpha):
-    """Cycle entry at arc length k from seq = [d_0, ..., d_{n-1}]; floats or Fractions."""
-    d_before, power = seq[n - 2], alpha**n
-    if k:
-        numerator = _cycle_numerator(seq[k - 1], seq[n - k - 1], alpha**k, alpha ** (n - k))
-    else:
-        numerator = _cycle_diagonal(d_before, power, alpha)
-    return numerator / _cycle_denominator(d_before, seq[n - 1], power, alpha)
-
-
-def _path_value(n: int, i: int, j: int, alpha, one):
-    """Path entry (i <= j) in the arithmetic of alpha and one, from the d-terms one run of the recursion stops at."""
-    if i - 1 > n - j:
-        # the mirror pair (n + 1 - j, n + 1 - i) swaps head and tail, so its
-        # products take the same factors in the other order: the same value
-        i, j = n + 1 - j, n + 1 - i
-    # head = d_{i-1} and tail = d_{n-j}, now in index order
-    if i < j:
-        head, tail, d_n = _d_terms((i - 1, n - j, n), alpha, one)
-        return _path_off_diagonal(alpha ** (j - i), head, tail, d_n)
-    # on the diagonal each also with the term one below; d_{-1} = 0
-    a, b = i - 1, n - i
-    head_before, head, tail_before, tail, d_n = _d_terms((a - 1 if a else 0, a, b - 1, b, n), alpha, one)
-    return _path_diagonal(head_before if a else 0, head, tail_before if b else 0, tail, d_n, alpha)
-
-
-def _cycle_value(n: int, k: int, alpha, one):
-    """Cycle entry at arc length k in the arithmetic of alpha and one, from the d-terms one run stops at."""
-    power = alpha**n
-    if k:
-        d_short, d_long, d_before, d_last = _d_terms((k - 1, n - k - 1, n - 2, n - 1), alpha, one)
-        numerator = _cycle_numerator(d_short, d_long, alpha**k, alpha ** (n - k))
-    else:
-        d_before, d_last = _d_terms((n - 2, n - 1), alpha, one)
-        numerator = _cycle_diagonal(d_before, power, alpha)
-    return numerator / _cycle_denominator(d_before, d_last, power, alpha)
-
-
 def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     """Closed-form Katz entry on the n-vertex path.
 
@@ -171,7 +125,18 @@ def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     g = GraphSpec.path(n)
     require_admissible(alpha, g)
     i, j = _checked_pair(g, i, j)
-    return _path_value(n, i, j, alpha, 1.0)
+    if i - 1 > n - j:
+        # the mirror pair (n + 1 - j, n + 1 - i) swaps head and tail, so its
+        # products take the same factors in the other order: the same value
+        i, j = n + 1 - j, n + 1 - i
+    # head = d_{i-1} and tail = d_{n-j}, now in index order
+    if i < j:
+        head, tail, d_n = _d_terms((i - 1, n - j, n), alpha)
+        return _path_off_diagonal(alpha ** (j - i), head, tail, d_n)
+    # on the diagonal each also with the term one below; d_{-1} = 0
+    a, b = i - 1, n - i
+    head_before, head, tail_before, tail, d_n = _d_terms((a - 1 if a else 0, a, b - 1, b, n), alpha)
+    return _path_diagonal(head_before if a else 0, head, tail_before if b else 0, tail, d_n, alpha)
 
 
 def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
@@ -186,7 +151,15 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     """
     g = GraphSpec.cycle(n)
     require_admissible(alpha, g)
-    return _cycle_value(n, graph_distance(g, i, j), alpha, 1.0)
+    k = graph_distance(g, i, j)
+    power = alpha**n
+    if k:
+        d_short, d_long, d_before, d_last = _d_terms((k - 1, n - k - 1, n - 2, n - 1), alpha)
+        numerator = _cycle_numerator(d_short, d_long, alpha**k, alpha ** (n - k))
+    else:
+        d_before, d_last = _d_terms((n - 2, n - 1), alpha)
+        numerator = _cycle_diagonal(d_before, power, alpha)
+    return numerator / _cycle_denominator(d_before, d_last, power, alpha)
 
 
 def _path_rows(alphas: list, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,34 +340,57 @@ def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
     return totals if np.ndim(alpha) else totals[0]
 
 
+def _exact_alpha(alpha) -> tuple[int, int]:
+    """(p, q) with alpha = p/q in lowest terms, after checking that alpha lies in (0, 1/2)."""
+    a = Fraction(alpha)
+    _require_below_half(a)
+    return a.numerator, a.denominator
+
+
 def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     """katz_path in exact rational arithmetic.
 
     alpha may be anything Fraction accepts and must land in (0, 1/2),
     where every d_k is positive for sure; this is the reference used to
     order consecutive convergence gaps once they drop below double
-    resolution.  The entry is katz_path's, run over integers: with
-    alpha = p/q, each d-term is an integer over a power of q
-    (:class:`katzlab.dpoly._OverQ`), and only the last division and
-    product reduce to lowest terms (README lists measured times).  Like
-    katz_path, it holds no list of terms.
+    resolution.  With alpha = p/q in lowest terms, q^k d_k = U_{k+1}, the
+    Lucas sequence of :func:`katzlab.dpoly._lucas`, and every power of q
+    cancels from katz_path's forms: the entry (i < j) is
+    q p^(j-i) U_i U_{n+1-j} / U_{n+1}, and the diagonal
+    (q U_i U_{n+1-i} - U_{n+1}) / U_{n+1}.  No d-recursion runs: each U
+    takes O(log n) big-integer products, and the entry reduces once, as
+    one Fraction (README lists measured times).
     """
     i, j = _checked_pair(GraphSpec.path(n), i, j)
-    a = Fraction(alpha)
-    _require_below_half(a)
-    return _path_value(n, i, j, *_over_q(a))
+    p, q = _exact_alpha(alpha)
+    p2 = p * p
+    head, tail, whole = (_lucas(k, p2, q)[0] for k in (i, n + 1 - j, n + 1))
+    if i == j:
+        return Fraction(q * head * tail - whole, whole)
+    return Fraction(q * p ** (j - i) * head * tail, whole)
 
 
 def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
     """katz_cycle in exact rational arithmetic, for every n >= 3, diagonal included.
 
-    alpha must land in (0, 1/2), and the entry runs over integers, as for
-    :func:`katz_path_exact`.
+    alpha must land in (0, 1/2).  As for :func:`katz_path_exact`, with
+    alpha = p/q the entries are integer forms with no power of q and no
+    d-recursion: q^n D_n = V_n - 2 p^n with V_n = U_{n+1} - p^2 U_{n-1},
+    the entry at arc length k >= 1 is q (p^k U_{n-k} + p^(n-k) U_k) over it,
+    and the diagonal (2 p^n + 2 p^2 U_{n-1}) over it.
     """
     k = graph_distance(GraphSpec.cycle(n), i, j)
-    a = Fraction(alpha)
-    _require_below_half(a)
-    return _cycle_value(n, k, *_over_q(a))
+    p, q = _exact_alpha(alpha)
+    p2 = p * p
+    before, last = _lucas(n - 1, p2, q)  # U_{n-1}, U_n
+    power = p**n
+    # V_n - 2 p^n, with U_{n+1} = q U_n - p^2 U_{n-1}
+    denominator = q * last - 2 * p2 * before - 2 * power
+    if k:
+        numerator = q * (p**k * _lucas(n - k, p2, q)[0] + p ** (n - k) * _lucas(k, p2, q)[0])
+    else:
+        numerator = 2 * power + 2 * p2 * before
+    return Fraction(numerator, denominator)
 
 
 def katz_limit_path(i: int, j: int, alpha: float) -> float:

@@ -555,14 +555,10 @@ def suite_limit_convergence(level: str) -> SuiteResult:
     res = SuiteResult("katz entries converge to their limits", 1e-14)
     n_list = (10, 20, 40, 80, 160, 320)
     for alpha in (0.1, 0.3, 0.45):
-        # one exact run per alpha serves every size: the entry bodies
-        # read only the first n + 1 of its terms, integers over powers of
-        # alpha's denominator, and reduce once per entry
-        exact_alpha, seq = dpoly._exact_sequence(n_list[-1], alpha)
         for i, j in ((1, 2), (2, 5), (3, 3)):
             limit = katz.katz_limit_path(i, j, alpha)
             res.record(abs(katz.katz_path(320, i, j, alpha) - limit), f"path ({i},{j}) alpha={alpha}")
-            exact = [katz._path_entry(seq, n, i, j, exact_alpha) for n in n_list]
+            exact = [katz.katz_path_exact(n, i, j, alpha) for n in n_list]
             res.check(
                 all(a < b for a, b in zip(exact, exact[1:])),
                 f"path ({i},{j}) alpha={alpha}: entries not strictly climbing to the limit",
@@ -573,14 +569,11 @@ def suite_limit_convergence(level: str) -> SuiteResult:
                 abs(katz.katz_cycle(320, 1, 1 + offset, alpha) - limit),
                 f"cycle offset {offset} alpha={alpha}",
             )
-            exact = [katz._cycle_entry(seq, n, offset, exact_alpha) for n in n_list]
+            exact = [katz.katz_cycle_exact(n, 1, 1 + offset, alpha) for n in n_list]
             res.check(
                 all(a > b for a, b in zip(exact, exact[1:])),
                 f"cycle offset {offset} alpha={alpha}: entries not strictly descending to the limit",
             )
-        # its 321 terms peak at 0.40-0.41 MB under tracemalloc (0.44 MB for
-        # the whole suite): free them before the next alpha builds its own
-        del seq
     return res
 
 

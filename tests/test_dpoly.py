@@ -49,65 +49,38 @@ def test_sequence_exact_accepts_floats():
 
 READER_SIZES = [0, 1, 2, 3, 10, 321]
 READER_ALPHAS = [Fraction(1, 5), Fraction(1, 2), 1e-5, 0.1, 0.3, 0.45, 0.499]
+# and two Fractions whose denominators are no power of two
+LUCAS_ALPHAS = [*READER_ALPHAS, Fraction(2, 7), Fraction(1, 10**30 + 1)]
 
 
-def as_fraction(value):
-    """The Fraction num / q**exp of an exact-run value."""
-    return Fraction(value.num, value.q**value.exp)
+def lucas_recursion(n, alpha):
+    """p^2, q and [U_0, ..., U_(n+2)] for alpha = p/q in lowest terms: U_0 = 0, U_1 = 1, U_k = q U_(k-1) - p^2 U_(k-2)."""
+    a = Fraction(alpha)
+    p2, q = a.numerator**2, a.denominator
+    u = [0, 1]
+    while len(u) < n + 3:
+        u.append(q * u[-1] - p2 * u[-2])
+    return p2, q, u
 
 
 @pytest.mark.parametrize("n", READER_SIZES)
-@pytest.mark.parametrize("alpha", READER_ALPHAS, ids=str)
+@pytest.mark.parametrize("alpha", LUCAS_ALPHAS, ids=str)
 def test_exact_terms_read_the_exact_sequence(n, alpha):
-    a, terms = dpoly._exact_sequence(n, alpha)
-    assert as_fraction(a) == Fraction(alpha)
-    got = [as_fraction(t) for t in terms]
-    want = dpoly.d_sequence_exact(n, alpha)
-    assert got == want
-    assert all(type(v) is Fraction for v in got)
+    # the exact routes read d_k as the integer q^k d_k = U_(k+1)
+    p2, q, _ = lucas_recursion(n, alpha)
+    d = dpoly.d_sequence_exact(n, alpha)
+    assert [dpoly._lucas(k + 1, p2, q)[0] for k in range(n + 1)] == [q**k * d[k] for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("n", READER_SIZES)
-@pytest.mark.parametrize("alpha", READER_ALPHAS, ids=str)
+@pytest.mark.parametrize("alpha", LUCAS_ALPHAS, ids=str)
 def test_exact_terms_scale_to_integers(n, alpha):
-    a, terms = dpoly._exact_sequence(n, alpha)
-    q = Fraction(alpha).denominator
-    assert (a.num, a.exp, a.q) == (Fraction(alpha).numerator, 1, q)
-    assert len(terms) == n + 1
-    # d_k is an integer over q**(2 (k//2)): no smaller power is ever needed
-    assert [(t.exp, t.q) for t in terms] == [(2 * (k // 2), q) for k in range(n + 1)]
-    assert all(type(t.num) is int for t in terms)
-
-
-def test_exact_terms_index_like_the_list():
-    n, alpha = 10, 0.3
-    _, terms = dpoly._exact_sequence(n, alpha)
-    want = dpoly.d_sequence_exact(n, alpha)
-    assert len(terms) == len(want) == n + 1
-    assert [as_fraction(terms[-k]) for k in range(1, n + 2)] == [want[-k] for k in range(1, n + 2)]
-    for bad in (n + 1, -(n + 2)):
-        with pytest.raises(IndexError):
-            terms[bad]
-    assert len(dpoly._exact_sequence(0, 0.3)[1]) == 1
-
-
-def test_exact_terms_validate_the_index():
-    with pytest.raises(ValueError):
-        dpoly._exact_sequence(-1, 0.3)
-    with pytest.raises(TypeError):
-        dpoly._exact_sequence(2.0, 0.3)
-
-
-def test_exact_arithmetic_stays_over_powers_of_q_until_it_divides():
-    a, one = dpoly._over_q(Fraction(2, 7))
-    three = one + 2
-    value = (three - a * a) * 5 * a**3 - 1
-    # (3 - 4/49) * 5 * 8/343 - 1 over 7**5, never reduced
-    assert (value.num, value.exp) == ((3 * 49 - 4) * 5 * 8 - 7**5, 5)
-    assert value / three == Fraction(value.num, 3 * 7**5)
-    assert type(value / three) is Fraction
-    assert a**2 * Fraction(7, 8) == Fraction(1, 14)
-    assert type(a**2 * Fraction(7, 8)) is Fraction
+    # doubling gives the pair (U_k, U_(k+1)) of the plain integer recursion
+    p2, q, u = lucas_recursion(n, alpha)
+    for k in range(n + 2):
+        pair = dpoly._lucas(k, p2, q)
+        assert pair == (u[k], u[k + 1]), k
+        assert all(type(value) is int for value in pair)
 
 
 @given(st.integers(min_value=0, max_value=80), decay)
@@ -330,9 +303,6 @@ def test_sequences_are_the_one_step_list_route(alpha):
         assert same(dpoly.d_recursive(n, alpha), list_route(n, alpha)[n]), n
     for n in (0, 1, 2, 3, 17, 120):
         assert same(dpoly.d_sequence_exact(n, alpha), list_route(n, Fraction(alpha), Fraction(1))), n
-        _, terms = dpoly._exact_sequence(n, alpha)
-        want = list_route(n, *dpoly._over_q(alpha))
-        assert [(t.num, t.exp) for t in terms] == [(t.num, t.exp) for t in want], n
 
 
 def random_stops(rng, top):

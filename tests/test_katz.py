@@ -497,21 +497,39 @@ def test_exact_cycle_entry():
 
 
 def list_route_path_exact(n, pairs, alpha):
-    """katz_path_exact at each (i, j) by the route it had before the exact-term reader.
+    """katz_path_exact at each (i, j) by the list route: katz's entry formulas on a d_sequence_exact list.
 
-    That route read a fully normalised d_sequence_exact list; kept here as
-    the test-only reference, with one list per call instead of one per pair.
+    The exact routes evaluate integer forms from the Lucas sequence; this
+    reference runs the d-recursion in Fractions and reads its terms into
+    the formulas katz_path evaluates in floats, one list per call.
     """
     a = Fraction(alpha)
     seq = dpoly.d_sequence_exact(n, a)
-    return [katz._path_entry(seq, n, i, j, a) for i, j in pairs]
+    entries = []
+    for i, j in pairs:
+        if i == j:
+            before = seq[i - 2] if i > 1 else 0
+            after = seq[n - i - 1] if i < n else 0
+            entries.append(katz._path_diagonal(before, seq[i - 1], after, seq[n - i], seq[n], a))
+        else:
+            entries.append(katz._path_off_diagonal(a ** (j - i), seq[i - 1], seq[n - j], seq[n]))
+    return entries
 
 
 def list_route_cycle_exact(n, arcs, alpha):
     """katz_cycle_exact at each arc length by the list route, as list_route_path_exact."""
     a = Fraction(alpha)
     seq = dpoly.d_sequence_exact(n - 1, a)
-    return [katz._cycle_entry(seq, n, k, a) for k in arcs]
+    d_before, power = seq[n - 2], a**n
+    denominator = dpoly._cycle_denominator(d_before, seq[n - 1], power, a)
+    entries = []
+    for k in arcs:
+        if k:
+            numerator = katz._cycle_numerator(seq[k - 1], seq[n - k - 1], a**k, a ** (n - k))
+        else:
+            numerator = katz._cycle_diagonal(d_before, power, a)
+        entries.append(numerator / denominator)
+    return entries
 
 
 # one per size in the sweeps below, cycling, so every alpha meets many sizes
@@ -575,7 +593,7 @@ def test_exact_entries_are_the_fraction_list_route(n, alpha):
 def test_exact_entries_reduce_once_not_per_step(family, i, j, monkeypatch):
     # every Fraction operation reduces by math.gcd, about 970 times for
     # one of these entries at n = 320 when the d-terms ran in Fractions;
-    # they run in integers, and only the last division and product reduce
+    # the entry is one Fraction of Lucas-sequence integers, reduced once
     calls = 0
     gcd = math.gcd
 

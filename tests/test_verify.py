@@ -5,15 +5,17 @@ before it moved to stacked eliminations and array checks, kept here as the
 test-only reference.  The array route must report the same check count, the
 same max_err and the same failure strings in the same order, on the real
 grids and with faults injected into the functions under test.
-``reference_limit_convergence`` is likewise the suite as it was before it
-read its exact d-terms from ``dpoly._exact_sequence``, integers over powers
-of alpha's denominator: one fully normalised ``d_sequence_exact`` list per
-alpha.  The gap-sign, arc-margin, parity and arc-invariance references are
+``reference_limit_convergence`` is the limit suite with its exact entries
+from the list route of ``test_katz`` (the float formulas on a fully
+normalised ``d_sequence_exact`` list), where the suite calls
+``katz_path_exact``/``katz_cycle_exact``, integer forms that run no
+d-recursion.  The gap-sign, arc-margin, parity and arc-invariance references are
 the loops of one scalar call per alpha (and per arc class) that those
 suites ran before the d/D evaluators and gap polynomials took a sequence
 of alphas.
 """
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -25,6 +27,7 @@ from katzlab import cli, dpoly, katz, ordering, verify
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import GraphSpec, graph_distance
 from katzlab.verify import DPOLY_GRID, DPOLY_PROBED, SuiteResult, katz_grid
+from test_katz import list_route_cycle_exact, list_route_path_exact
 
 
 def scalar_mixed_err(a: float, b: float) -> float:
@@ -275,27 +278,46 @@ def reference_cycle_numerator_gap(level):
     return res
 
 
+LIMIT_PAIRS = ((1, 2), (2, 5), (3, 3))
+LIMIT_OFFSETS = (1, 2, 3)
+
+
+@functools.cache
+def _list_route_at(n, alpha):
+    """The limit suite's exact path entries by pair and cycle entries by offset at one size, by the list route."""
+    return (
+        dict(zip(LIMIT_PAIRS, list_route_path_exact(n, LIMIT_PAIRS, alpha))),
+        dict(zip(LIMIT_OFFSETS, list_route_cycle_exact(n, LIMIT_OFFSETS, alpha))),
+    )
+
+
+# the exact entries of reference_limit_convergence; the limit faults patch
+# these and katz's exact routes alike
+LIST_ROUTES = {
+    "katz_path_exact": lambda n, i, j, alpha: _list_route_at(n, alpha)[0][(i, j)],
+    "katz_cycle_exact": lambda n, i, j, alpha: _list_route_at(n, alpha)[1][j - i],
+}
+
+
 def reference_limit_convergence(level):
     res = SuiteResult("katz entries converge to their limits", 1e-14)
     n_list = (10, 20, 40, 80, 160, 320)
     for alpha in (0.1, 0.3, 0.45):
-        exact_alpha = Fraction(alpha)
-        seq = dpoly.d_sequence_exact(n_list[-1], exact_alpha)
-        for i, j in ((1, 2), (2, 5), (3, 3)):
+        for i, j in LIMIT_PAIRS:
             limit = katz.katz_limit_path(i, j, alpha)
             res.record(abs(katz.katz_path(320, i, j, alpha) - limit), f"path ({i},{j}) alpha={alpha}")
-            exact = [katz._path_entry(seq, n, i, j, exact_alpha) for n in n_list]
+            exact = [LIST_ROUTES["katz_path_exact"](n, i, j, alpha) for n in n_list]
             res.check(
                 all(a < b for a, b in zip(exact, exact[1:])),
                 f"path ({i},{j}) alpha={alpha}: entries not strictly climbing to the limit",
             )
-        for offset in (1, 2, 3):
+        for offset in LIMIT_OFFSETS:
             limit = katz.katz_limit_cycle(offset, alpha)
             res.record(
                 abs(katz.katz_cycle(320, 1, 1 + offset, alpha) - limit),
                 f"cycle offset {offset} alpha={alpha}",
             )
-            exact = [katz._cycle_entry(seq, n, offset, exact_alpha) for n in n_list]
+            exact = [LIST_ROUTES["katz_cycle_exact"](n, 1, 1 + offset, alpha) for n in n_list]
             res.check(
                 all(a > b for a, b in zip(exact, exact[1:])),
                 f"cycle offset {offset} alpha={alpha}: entries not strictly descending to the limit",
@@ -566,11 +588,11 @@ def test_limit_convergence_matches_list_route(level):
 
 
 def _exact_entry_nudged_at_80(original, shift):
-    """A katz entry body whose exact (Fraction) value at n = 80 moves by shift; floats pass through."""
+    """An exact Katz entry whose value at n = 80 moves by shift."""
 
-    def nudged(seq, n, *args):
-        value = original(seq, n, *args)
-        return value + shift if n == 80 and isinstance(value, Fraction) else value
+    def nudged(n, *args):
+        value = original(n, *args)
+        return value + shift if n == 80 else value
 
     return nudged
 
@@ -579,8 +601,8 @@ def _exact_entry_nudged_at_80(original, shift):
 # (the largest, on the cycle at 0.45, is about 3e-16); the float entries
 # the suite compares with the limits are left alone
 LIMIT_FAULTS = {
-    "_path_entry": (Fraction(1, 10**12), "not strictly climbing"),
-    "_cycle_entry": (-Fraction(1, 10**12), "not strictly descending"),
+    "katz_path_exact": (Fraction(1, 10**12), "not strictly climbing"),
+    "katz_cycle_exact": (-Fraction(1, 10**12), "not strictly descending"),
 }
 
 
@@ -588,6 +610,7 @@ LIMIT_FAULTS = {
 def test_limit_convergence_fails_when_exact_order_breaks(name, monkeypatch):
     shift, message = LIMIT_FAULTS[name]
     monkeypatch.setattr(katz, name, _exact_entry_nudged_at_80(getattr(katz, name), shift))
+    monkeypatch.setitem(LIST_ROUTES, name, _exact_entry_nudged_at_80(LIST_ROUTES[name], shift))
     want = reference_limit_convergence("quick")
     got = verify.suite_limit_convergence("quick")
     # three entries at each of the three alphas, and nothing else
