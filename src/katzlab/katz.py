@@ -17,8 +17,9 @@ Matrix Anal. Appl. 13, 1992): per alpha a path's d-row and row of powers
 (:func:`_path_rows`), a cycle's entries at each arc length
 (:func:`_cycle_arcs`).  The pair values and the matrices are the same
 closed forms on those rows, so they hold the scalar entries bit for bit,
-with every power of alpha taken by Python's pow.  The cycle forms cover every n >= 3, diagonal included; only the
-oracles touch dense linear algebra.
+with every power of alpha taken by Python's pow.  The cycle forms cover
+every n >= 3, diagonal included; only the oracles touch dense linear
+algebra.
 """
 
 from __future__ import annotations

@@ -64,8 +64,12 @@ RESISTANCE = "resistance"
 DISTANCE = "distance"
 METRICS = (KATZ, RESISTANCE, DISTANCE)
 
-# Scores closer than this are one tie class; absorbs float noise in
-# theoretically-equal scores (e.g. cycle pairs on equal-length arcs).
+# Scores within this relative gap are one tie class, and a strict preference
+# needs an absolute gap above it.  Scores equal in theory, such as cycle pairs
+# on equal-length arcs, need no tolerance: they are equal bit for bit
+# (tests/test_katz.py::test_entries_equal_in_theory_are_equal_in_bits), so
+# the tolerance now acts only between scores that truly differ.  ROADMAP
+# item 14 retires it.
 TIE_TOL = 1e-11
 
 BRACKET_LO = INV_SQRT5
@@ -252,8 +256,10 @@ def _first_inversion(keys_a: np.ndarray, classes: np.ndarray) -> Optional[tuple[
 def agreement(g: GraphSpec, alpha):
     """Pairwise ranking agreement between the three metrics at one alpha.
 
-    Exhaustive over the pairs-of-pairs of all P = n(n-1)/2 pairs; the
-    witness is the first inversion in lexicographic (pair_a, pair_b) order.
+    Decides every pair-of-pairs: a path's over all P = n(n-1)/2 pairs, a
+    cycle's over its n//2 arc pairs (1, 1 + k), which stand for all P (see
+    the module docstring).  The witness is the first inversion among those
+    pairs in lexicographic (pair_a, pair_b) order.
     Resistance and distance never invert each other, and R[a] > R[b] +
     TIE_TOL exactly when D[a] > D[b] (see the module docstring), so one
     inversion per alpha, of Katz against the distance classes, decides the
