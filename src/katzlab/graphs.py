@@ -96,16 +96,20 @@ class VertexPair:
         return cls(min(i, j), max(i, j))
 
 
-def _pair_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_labels(n: int, mirror_half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Labels i < j of the n(n-1)/2 pairs of an n-vertex graph, in g.pairs() order.
 
     Row i holds the n - i pairs (i, i + 1) .. (i, n), so the labels follow
-    from the row offsets alone, with no n x n index mask.
+    from the row offsets alone, with no n x n index mask.  With mirror_half,
+    only the pairs with i + j <= n + 1, the n - 2i + 1 pairs
+    (i, i + 1) .. (i, n + 1 - i) of each row: of a pair and its mirror
+    image (n + 1 - j, n + 1 - i) on a path, the one that comes first.
     """
-    row_sizes = np.arange(n - 1, 0, -1)
-    i = np.repeat(np.arange(1, n), row_sizes)
+    row_sizes = np.arange(n - 1, 0, -2 if mirror_half else -1)
+    rows = np.arange(1, row_sizes.size + 1)
+    i = np.repeat(rows, row_sizes)
     # pair k of the row of i, which starts at offset s, is (i, k - s + i + 1)
-    shift = np.cumsum(row_sizes) - row_sizes - np.arange(2, n + 1)
+    shift = np.cumsum(row_sizes) - row_sizes - rows - 1
     return i, np.arange(i.size) - np.repeat(shift, row_sizes)
 
 

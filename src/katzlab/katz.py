@@ -388,7 +388,9 @@ def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
     # V_n - 2 p^n, with U_{n+1} = q U_n - p^2 U_{n-1}
     denominator = q * last - 2 * p2 * before - 2 * power
     if k:
-        numerator = q * (p**k * _lucas(n - k, p2, q)[0] + p ** (n - k) * _lucas(k, p2, q)[0])
+        # U_{n-k}; at arc 1 it is the denominator's U_{n-1}, with no second run
+        long_arc = before if k == 1 else _lucas(n - k, p2, q)[0]
+        numerator = q * (p**k * long_arc + p ** (n - k) * _lucas(k, p2, q)[0])
     else:
         numerator = 2 * power + 2 * p2 * before
     return Fraction(numerator, denominator)

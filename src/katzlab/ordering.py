@@ -16,10 +16,15 @@ distance of its span, so the cycle rankings read them on the n//2 arc
 pairs (1, 1 + k), k = 1..n//2, the pairs scatter reads.  A span s > n/2
 would repeat arc n - s: the same Katz bits and distance class, later in
 pair order, so it could neither be an inversion's first pair nor split a
-tie class.  A cycle's agreement takes O(n) time and its tie classes
-O(n log n), with no work of the size of its P = n(n-1)/2 pairs, and
-agreement compares a path's P Katz scores with their distance classes in
-O(P) per alpha, with no sort of the pairs.
+tie class.  A path's rankings read its pairs with i + j <= n + 1 for the
+same reason: the pair (i, j) beyond them is the mirror image of
+(n + 1 - j, n + 1 - i), which comes earlier, with the same bits and class.
+A cycle's agreement takes O(n) time and its tie classes O(n log n), with
+no work of the size of its P = n(n-1)/2 pairs, and agreement compares a
+path's Katz scores with their distance classes in O(P) per alpha, with no
+sort of the pairs.  Over a list of alphas, both take the Katz scores in
+blocks of up to BLOCK_ENTRIES, one katz_pair_entries call per block, and
+decide each block with whole-block array calls.
 
 Resistance and distance share one strict order, so Katz is ranked against
 the distance classes alone: the integers d - 1, best first, with no
@@ -57,7 +62,7 @@ from .graphs import (
     resistance,
     spectral_radius,
 )
-from .katz import _cycle_numerator, _path_off_diagonal, katz_pair_entries
+from .katz import _cycle_numerator, _path_off_diagonal, katz_pair_entries, require_matrix_size
 
 KATZ = "katz"
 RESISTANCE = "resistance"
@@ -71,6 +76,13 @@ METRICS = (KATZ, RESISTANCE, DISTANCE)
 # the tolerance now acts only between scores that truly differ.  ROADMAP
 # item 14 retires it.
 TIE_TOL = 1e-11
+
+# Most Katz scores, float64 entries, that a ranking holds per block of
+# alphas: a block takes as many alphas as fit, and always at least one.
+# Every verify graph takes its whole alpha grid in one block (at most 35
+# alphas on 225 pairs), and path(200), ranked on its 10,000 mirror-halved
+# pairs, one alpha a block.
+BLOCK_ENTRIES = 2**14
 
 BRACKET_LO = INV_SQRT5
 BRACKET_HI = 0.5
@@ -161,12 +173,17 @@ def rank_pairs(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> Pair
 
 
 def _ranked_classes(metric: str, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-first pair order and the tie-class number at each rank (see score_classes)."""
+    """Best-first pair order and the tie-class number at each rank (see score_classes).
+
+    scores is an (A, P) block, and each row is ranked as that row alone.
+    """
     order = _best_first(metric, scores)
-    ranked = scores[order]
-    prev, cur = ranked[:-1], ranked[1:]
+    ranked = scores.take(order + np.arange(0, scores.size, scores.shape[1])[:, None])
+    prev, cur = ranked[:, :-1], ranked[:, 1:]
     boundary = np.abs(cur - prev) > TIE_TOL * np.maximum(np.abs(cur), np.abs(prev))
-    return order, np.concatenate(([0], np.cumsum(boundary)))
+    ids = np.zeros(scores.shape, dtype=np.intp)
+    np.cumsum(boundary, axis=1, out=ids[:, 1:])
+    return order, ids
 
 
 def score_classes(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> list[set[VertexPair]]:
@@ -178,33 +195,51 @@ def score_classes(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> l
     decay sit many orders of magnitude apart yet all below any fixed
     absolute tolerance, which would merge them spuriously.
     """
-    order, ids = _ranked_classes(metric, _scores(g, metric, alpha))
+    order, ids = _ranked_classes(metric, _scores(g, metric, alpha)[None])
     pairs = g.pairs()
-    classes: list[set[VertexPair]] = [set() for _ in range(int(ids[-1]) + 1)]
-    for ix, class_id in zip(order.tolist(), ids.tolist()):
+    classes: list[set[VertexPair]] = [set() for _ in range(int(ids[0, -1]) + 1)]
+    for ix, class_id in zip(order[0].tolist(), ids[0].tolist()):
         classes[class_id].add(pairs[ix])
     return classes
 
 
-def _katz_scores(g: GraphSpec, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """katz_pair_entries at one alpha; FloatingPointError if a score is NaN or inf, which no ranking can order."""
+def _katz_scores(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """katz_pair_entries at alpha, a number or a list of alphas.
+
+    FloatingPointError, naming the first alpha whose scores are not all
+    finite: no ranking can order a NaN or an inf.
+    """
     katz = katz_pair_entries(g, alpha, i, j)
     if not np.isfinite(katz).all():
-        raise FloatingPointError(f"Katz scores of {g.family}({g.n}) at alpha = {alpha} are not all finite")
+        bad = alpha if katz.ndim == 1 else alpha[int(np.isfinite(katz).all(axis=1).argmin())]
+        raise FloatingPointError(f"Katz scores of {g.family}({g.n}) at alpha = {bad} are not all finite")
     return katz
 
 
 def _katz_rows(g: GraphSpec, alphas: list):
-    """The pairs that Katz is ranked on, each one's distance class, and its Katz scores per alpha.
+    """The pairs that Katz is ranked on, each one's distance class, and its Katz scores in blocks of alphas.
 
     Returns labels i, j, the distance classes j - i - 1 (integers, best
-    first) and a generator of one score array per alpha, each from its own
-    _katz_scores call, so no (A, P) block is held.  A path keeps all P
-    pairs in g.pairs() order; a cycle, whose metrics are arc-valued, keeps
-    its n//2 arc pairs (1, 1 + k), k = 1..n//2, at distance k.
+    first) and a generator of score blocks, in the order of alphas: each
+    is the (A', P') array of the next A' alphas from one katz_pair_entries
+    call, with A' P' at most BLOCK_ENTRIES unless A' = 1.
+    A path keeps, in g.pairs() order, its pairs with i + j <= n + 1.  Each
+    other pair (i, j) has its mirror image (n + 1 - j, n + 1 - i) earlier
+    in that order, with the same Katz bits and the same distance class, so
+    it can neither be the first pair of an inversion nor the first partner
+    of one, nor split a tie class.  A path's n is checked against the Katz
+    matrix cap first (MatrixSizeError), before any array of its pairs.  A
+    cycle, whose metrics are arc-valued, keeps its n//2 arc pairs
+    (1, 1 + k), k = 1..n//2, at distance k.
     """
-    i, j = _pair_labels(g.n) if g.is_path else (np.ones(g.n // 2, dtype=np.int64), np.arange(2, g.n // 2 + 2))
-    return i, j, j - i - 1, (_katz_scores(g, value, i, j) for value in alphas)
+    if g.is_path:
+        require_matrix_size(g.n)
+        i, j = _pair_labels(g.n, mirror_half=True)
+    else:
+        i, j = np.ones(g.n // 2, dtype=np.int64), np.arange(2, g.n // 2 + 2)
+    width = max(1, BLOCK_ENTRIES // i.size)
+    blocks = (_katz_scores(g, alphas[lo : lo + width], i, j) for lo in range(0, len(alphas), width))
+    return i, j, j - i - 1, blocks
 
 
 def class_structures_match(g: GraphSpec, alpha):
@@ -214,76 +249,90 @@ def class_structures_match(g: GraphSpec, alpha):
     Katz's classes are compared with the distance classes, best-first
     class d - 1 at distance d, which are the resistance classes too (see
     the module docstring).  A cycle's Katz classes are found on its n//2
-    arc pairs, with no P-sized work; a path's take one sort of its P
-    scores per alpha.
+    arc pairs, with no P-sized work; a path's on its mirror-halved pairs
+    (see _katz_rows).  Each block of alphas is ranked row by row with one
+    stable sort.
     """
     alphas = _admissible_alphas(alpha, g)
-    _, _, classes, katz_rows = _katz_rows(g, alphas)
+    _, _, classes, blocks = _katz_rows(g, alphas)
     matches = []
-    for katz in katz_rows:
+    for katz in blocks:
         order, ids = _ranked_classes(KATZ, katz)
-        matches.append(np.array_equal(ids, classes[order]))
+        matches.extend(np.equal(ids, classes[order]).all(axis=1).tolist())
     return matches if np.ndim(alpha) else matches[0]
 
 
-def _first_inversion(keys_a: np.ndarray, classes: np.ndarray) -> Optional[tuple[int, int]]:
-    """First (a, b) in row-major order with a strictly before b under A and b in a better distance class.
+def _first_inversion(keys: np.ndarray, classes: np.ndarray) -> list[Optional[tuple[int, int]]]:
+    """Per row of keys, the first (a, b) in row-major order with a strictly before b under A and b in a better class.
 
     classes holds each pair's distance class, an integer, best first, so
     B strictly prefers b to a exactly when classes[b] < classes[a]:
     distances lie at least 1 apart, far above TIE_TOL, so B needs no
-    tolerance.  Strictly under A means by more than TIE_TOL: keys_a[a] <
-    keys_a[b] - TIE_TOL.  So a has a partner exactly when the largest
-    keys_a - TIE_TOL over the classes better than its own exceeds
-    keys_a[a]: a per-class maximum and its exclusive prefix maxima give
+    tolerance.  keys is an (A', P) block, a row of keys under A per
+    alpha.  Strictly under A means by more than TIE_TOL: keys[r, a] <
+    keys[r, b] - TIE_TOL.  So a has a partner exactly when the largest
+    keys[r] - TIE_TOL over the classes better than its own exceeds
+    keys[r, a]: a per-class maximum and its exclusive prefix maxima give
     each class's threshold, and one comparison per pair finds a, in O(P +
-    C) time and O(P) memory.  Every comparison is the float expression
-    above, and a maximum does not round, so the result is exactly that of
-    a P x P scan.
+    C) time and O(P) memory per row.  One maximum.at, running maximum and
+    comparison serve the whole block, and only the rows with a hit look
+    for their b.  Every comparison is the float expression above, and a
+    maximum does not round, so each row's result is exactly that of a
+    P x P scan: (a, b), or None where no pair has a partner.
     """
-    u = keys_a - TIE_TOL
-    reach = np.full(int(classes.max()) + 1, -np.inf)
-    np.maximum.at(reach, classes, u)
-    threshold = np.concatenate(([-np.inf], np.maximum.accumulate(reach[:-1])))
-    has_partner = threshold[classes] > keys_a
-    a_ix = int(has_partner.argmax())
-    if not has_partner[a_ix]:
-        return None
-    b_ix = int(((keys_a[a_ix] < u) & (classes < classes[a_ix])).argmax())
-    return a_ix, b_ix
+    rows, count = len(keys), int(classes.max()) + 2
+    u = keys - TIE_TOL
+    # of each row's count entries, entry c + 1 takes class c's maximum;
+    # after the running maximum, entry c holds the maximum over the classes
+    # better than c, -inf for class 0
+    reach = np.full(rows * count, -np.inf)
+    # with 1-D operands: ufunc.at takes a far slower route for 2-D ones
+    np.maximum.at(reach, (np.arange(1, rows * count, count)[:, None] + classes).ravel(), u.ravel())
+    threshold = np.maximum.accumulate(reach.reshape(rows, count), axis=1)
+    has_partner = threshold.take(classes, axis=1) > keys
+    hits = []
+    for row, a_ix in enumerate(has_partner.argmax(axis=1).tolist()):
+        if not has_partner[row, a_ix]:
+            hits.append(None)
+            continue
+        b_ix = int(((keys[row, a_ix] < u[row]) & (classes < classes[a_ix])).argmax())
+        hits.append((a_ix, b_ix))
+    return hits
 
 
 def agreement(g: GraphSpec, alpha):
     """Pairwise ranking agreement between the three metrics at one alpha.
 
-    Decides every pair-of-pairs: a path's over all P = n(n-1)/2 pairs, a
-    cycle's over its n//2 arc pairs (1, 1 + k), which stand for all P (see
-    the module docstring).  The witness is the first inversion among those
-    pairs in lexicographic (pair_a, pair_b) order.
+    Decides every pair-of-pairs: a path's over its mirror-halved pairs, a
+    cycle's over its n//2 arc pairs (1, 1 + k), which stand for all P =
+    n(n-1)/2 pairs (see _katz_rows and the module docstring).  The witness
+    is the first inversion among those pairs in lexicographic (pair_a,
+    pair_b) order.
     Resistance and distance never invert each other, and R[a] > R[b] +
     TIE_TOL exactly when D[a] > D[b] (see the module docstring), so one
     inversion per alpha, of Katz against the distance classes, decides the
     report; its witness is named (katz, resistance).  A cycle's comparison
     takes O(n) time on its n//2 arc pairs, a path's O(P) time and memory
-    per alpha, with no sort of the P pairs.  For a 1-D sequence of alphas,
-    the list of reports, one per alpha.  No n x n matrix.
+    per alpha, with no sort of the pairs.  For a 1-D sequence of alphas,
+    the list of reports, one per alpha, decided a block of alphas at a
+    time (see _first_inversion).  No n x n matrix.
     """
     alphas = _admissible_alphas(alpha, g)
-    i, j, classes, katz_rows = _katz_rows(g, alphas)
+    i, j, classes, blocks = _katz_rows(g, alphas)
     reports = []
-    for value, katz in zip(alphas, katz_rows):
-        hit = _first_inversion(_keys(KATZ, katz), classes)
-        witness = None
-        if hit is not None:
-            both = list(hit)
-            witness = RankingInversion(
-                KATZ,
-                RESISTANCE,
-                *(VertexPair(int(i[ix]), int(j[ix])) for ix in both),
-                tuple(katz[both].tolist()),
-                tuple(resistance(g, i[both], j[both]).tolist()),
-            )
-        reports.append(AgreementReport(g, value, hit is None, hit is None, True, witness))
+    for katz in blocks:
+        for value, scores, hit in zip(alphas[len(reports) :], katz, _first_inversion(_keys(KATZ, katz), classes)):
+            witness = None
+            if hit is not None:
+                both = list(hit)
+                witness = RankingInversion(
+                    KATZ,
+                    RESISTANCE,
+                    *(VertexPair(int(i[ix]), int(j[ix])) for ix in both),
+                    tuple(scores[both].tolist()),
+                    tuple(resistance(g, i[both], j[both]).tolist()),
+                )
+            reports.append(AgreementReport(g, value, hit is None, hit is None, True, witness))
     return reports if np.ndim(alpha) else reports[0]
 
 

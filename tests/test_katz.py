@@ -613,6 +613,23 @@ def test_exact_entries_reduce_once_not_per_step(family, i, j, monkeypatch):
         assert [value] == list_route_cycle_exact(320, [j - i], 0.46)
 
 
+def test_exact_cycle_runs_the_doubling_once_per_index(monkeypatch):
+    # at arc 1 the numerator's U_{n-1} is the denominator's, not a second run
+    runs = []
+    lucas = katz._lucas
+
+    def recorded(k, p2, q):
+        runs.append(k)
+        return lucas(k, p2, q)
+
+    monkeypatch.setattr(katz, "_lucas", recorded)
+    for k, indices in ((0, [319]), (1, [319, 1]), (2, [319, 318, 2])):
+        runs.clear()
+        value = katz.katz_cycle_exact(320, 1, 1 + k, 0.46)
+        assert runs == indices, k
+        assert [value] == list_route_cycle_exact(320, [k], 0.46)
+
+
 # The routines proved only on (0, 1/2), where every d_k is positive.
 HALF_INTERVAL_ROUTINES = {
     "ratio_constant": lambda a: dpoly.ratio_constant(1, a),

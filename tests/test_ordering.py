@@ -1,3 +1,5 @@
+import functools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -271,21 +273,29 @@ def test_ranking_entries_are_complete():
 
 
 def dense_first_inversion(keys_a, keys_b):
-    strict_a = keys_a[:, None] < keys_a[None, :] - TIE_TOL
-    strict_b_reversed = keys_b[:, None] > keys_b[None, :] + TIE_TOL
-    violations = np.argwhere(strict_a & strict_b_reversed)
-    if violations.size == 0:
-        return None
-    return tuple(int(v) for v in violations[0])
+    # the P x P masks, 64 rows at a time, up to the first row that has a violation
+    for lo in range(0, len(keys_a), 64):
+        strict_a = keys_a[lo : lo + 64, None] < keys_a[None, :] - TIE_TOL
+        strict_b_reversed = keys_b[lo : lo + 64, None] > keys_b[None, :] + TIE_TOL
+        violations = np.argwhere(strict_a & strict_b_reversed)
+        if violations.size:
+            return lo + int(violations[0, 0]), int(violations[0, 1])
+    return None
 
 
 def reference_scores(g, metric, alpha):
     if metric == "katz":
         matrix = katz_path_matrix(g.n, alpha) if g.is_path else katz_cycle_matrix(g.n, alpha)
         return [float(matrix[p.i - 1, p.j - 1]) for p in g.pairs()]
+    return list(alpha_free_scores(g, metric))
+
+
+@functools.lru_cache(maxsize=None)
+def alpha_free_scores(g, metric):
+    # resistance and distance do not depend on alpha: one per-pair loop per graph
     if metric == "resistance":
-        return [resistance(g, p.i, p.j) for p in g.pairs()]
-    return [float(graph_distance(g, p.i, p.j)) for p in g.pairs()]
+        return tuple(resistance(g, p.i, p.j) for p in g.pairs())
+    return tuple(float(graph_distance(g, p.i, p.j)) for p in g.pairs())
 
 
 def reference_agreement(g, alpha):
@@ -334,7 +344,7 @@ KEYED_PERMUTATIONS = st.integers(min_value=1, max_value=40).flatmap(
 @given(KEYED_PERMUTATIONS)
 def test_first_inversion_matches_dense_masks(drawn):
     keys_a, classes = (np.array(x) for x in drawn)
-    assert ordering._first_inversion(keys_a, classes) == dense_first_inversion(keys_a, classes.astype(float))
+    assert ordering._first_inversion(keys_a[None], classes) == [dense_first_inversion(keys_a, classes.astype(float))]
 
 
 # each pair's A key and its integer distance class, classes repeating
@@ -345,7 +355,38 @@ CLASSED_KEYS = st.lists(st.tuples(KEY_VALUES, st.integers(min_value=0, max_value
 def test_first_inversion_over_classes_matches_dense_masks(pairs):
     keys_a = np.array([key for key, _ in pairs])
     classes = np.array([c for _, c in pairs])
-    assert ordering._first_inversion(keys_a, classes) == dense_first_inversion(keys_a, classes.astype(float))
+    assert ordering._first_inversion(keys_a[None], classes) == [dense_first_inversion(keys_a, classes.astype(float))]
+
+
+# a block: up to 8 rows of A keys, one per alpha, over one row of classes
+CLASSED_BLOCKS = st.integers(min_value=1, max_value=30).flatmap(
+    lambda p: st.tuples(
+        st.lists(st.lists(KEY_VALUES, min_size=p, max_size=p), min_size=1, max_size=8),
+        st.lists(st.integers(min_value=0, max_value=12), min_size=p, max_size=p),
+    )
+)
+
+
+@given(CLASSED_BLOCKS)
+def test_first_inversion_of_a_block_is_that_of_each_row(drawn):
+    keys, classes = (np.array(x) for x in drawn)
+    expected = [dense_first_inversion(row, classes.astype(float)) for row in keys]
+    assert ordering._first_inversion(keys, classes) == expected
+    assert [ordering._first_inversion(row[None], classes)[0] for row in keys] == expected
+
+
+@given(CLASSED_BLOCKS)
+def test_tie_classes_of_a_block_are_those_of_each_row(drawn):
+    scores = np.array(drawn[0])
+    order, ids = ordering._ranked_classes("katz", scores)
+    for row, row_order, row_ids in zip(scores, order, ids):
+        alone = ordering._ranked_classes("katz", row[None])
+        assert np.array_equal(row_order, alone[0][0]) and np.array_equal(row_ids, alone[1][0])
+        # the stable order, and a new class wherever consecutive scores differ by more than TIE_TOL
+        assert row_order.tolist() == sorted(range(len(row)), key=lambda ix: -row[ix])
+        ranked = row[row_order]
+        steps = [abs(b - a) > TIE_TOL * max(abs(a), abs(b)) for a, b in zip(ranked, ranked[1:])]
+        assert row_ids.tolist() == [sum(steps[:k]) for k in range(len(row))]
 
 
 @pytest.mark.parametrize(
@@ -362,7 +403,7 @@ def test_first_inversion_is_strict_at_exactly_the_tolerance(keys_a, keys_b, expe
     # B's keys are the distance classes
     keys_a, keys_b = np.array(keys_a), np.array(keys_b)
     assert dense_first_inversion(keys_a, keys_b) == expected
-    assert ordering._first_inversion(keys_a, keys_b) == expected
+    assert ordering._first_inversion(keys_a[None], keys_b) == [expected]
 
 
 def test_resistance_and_distance_strictly_prefer_the_same_span_classes():
@@ -473,7 +514,8 @@ def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
 
 def test_a_sequence_of_alphas_holds_no_stack_of_scores_or_matrices(monkeypatch):
     # the peak of a 40-alpha sweep is within a few P-arrays of that of two
-    # alphas: no (A, P) block, and no n x n matrix per alpha
+    # alphas: a block of alphas holds at most ordering.BLOCK_ENTRIES scores,
+    # which one alpha of path(200) fills, and no n x n matrix is built
     monkeypatch.setattr(katz, "_matrices", lambda *args: pytest.fail("matrices called"))
     for g in (GraphSpec.path(200), GraphSpec.cycle(200)):
         alphas = [0.01 * k for k in range(5, 45)]
@@ -512,6 +554,35 @@ def test_cycle_ranking_does_only_span_sized_work(monkeypatch):
         tracemalloc.stop()
     assert peak < 2**20
     assert sizes and all(size == g.n // 2 for size in sizes)
+
+
+# the two doubles nearest 1/sqrt5 on either side, and 1/sqrt5 itself
+NEAR_GOLDEN = [INV_SQRT5]
+for _ in range(2):
+    NEAR_GOLDEN = [math.nextafter(NEAR_GOLDEN[0], 0.0), *NEAR_GOLDEN, math.nextafter(NEAR_GOLDEN[-1], 1.0)]
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_mirror_halved_path_rankings_are_those_of_every_pair(n):
+    # a path is ranked on its pairs with i + j <= n + 1; the references
+    # compare every pair with every other
+    g = GraphSpec.path(n)
+    alphas = WITNESS_ALPHAS + NEAR_GOLDEN
+    assert agreement(g, alphas) == [reference_agreement(g, alpha) for alpha in alphas]
+    others = [reference_classes(g, m, None) for m in ("resistance", "distance")]
+    katz_classes = [reference_classes(g, "katz", alpha) for alpha in alphas]
+    assert class_structures_match(g, alphas) == [all(c == k for c in others) for k in katz_classes]
+
+
+def test_path_rankings_check_the_matrix_cap_before_any_pair_array(monkeypatch):
+    monkeypatch.setattr(ordering, "_pair_labels", lambda *args, **kwargs: pytest.fail("pair labels built"))
+    g = GraphSpec.path(katz.MATRIX_MAX_N + 1)
+    for call in (agreement, class_structures_match):
+        for alpha in (0.3, [0.1, 0.3]):
+            with pytest.raises(katz.MatrixSizeError, match=f"n = {g.n} exceeds"):
+                call(g, alpha)
+    # a cycle's rankings read its n//2 arc pairs, under no cap
+    assert agreement(GraphSpec.cycle(g.n), 0.3).witness is None
 
 
 def test_paths_agree_below_the_cutoff_root_and_invert_above_it():

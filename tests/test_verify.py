@@ -380,13 +380,18 @@ def test_ranking_suite_matches_per_alpha_loop_at_full(suite):
 
 
 def _swapped_entries(original, n_bad, alpha_bad):
-    """katz_pair_entries whose scores of the pairs (1, 2) and (1, 4) trade places at (n_bad, alpha_bad)."""
+    """katz_pair_entries whose scores of the pairs (1, 2) and (1, 4) trade places at (n_bad, alpha_bad).
+
+    For a sequence of alphas, in the row of alpha_bad.
+    """
 
     def swapped(g, alpha, i, j):
         scores = original(g, alpha, i, j)
-        if (g.n, alpha) == (n_bad, alpha_bad):
-            a, b = (np.flatnonzero((i == 1) & (j == k))[0] for k in (2, 4))
-            scores[a], scores[b] = scores[b], scores[a]
+        rows = zip(alpha, scores) if np.ndim(alpha) else [(alpha, scores)]
+        for value, row in rows:
+            if (g.n, value) == (n_bad, alpha_bad):
+                a, b = (np.flatnonzero((i == 1) & (j == k))[0] for k in (2, 4))
+                row[a], row[b] = row[b], row[a]
         return scores
 
     return swapped
@@ -407,6 +412,28 @@ def test_ranking_suite_matches_per_alpha_loop_under_fault(suite, level, monkeypa
     got = suite(level)
     assert want.failures and all(f"n={n_bad} alpha={alpha_bad}: " in failure for failure in want.failures)
     assert_same(got, want)
+
+
+@pytest.mark.parametrize("suite", RANKING_SUITES, ids=lambda s: s.__name__)
+def test_ranking_suite_reads_each_graph_in_one_katz_call_per_routine(suite, monkeypatch):
+    # every graph's alpha grid fits one block of ordering.BLOCK_ENTRIES
+    # scores, so each ranking routine a suite calls on a graph makes one
+    # katz_pair_entries call for the whole grid
+    calls = []
+    entries = ordering.katz_pair_entries
+
+    def counted(g, alpha, i, j):
+        calls.append((g, list(alpha)))
+        return entries(g, alpha, i, j)
+
+    monkeypatch.setattr(ordering, "katz_pair_entries", counted)
+    assert suite("quick").passed
+    if suite is verify.suite_cycle_agreement:
+        # agreement, then class_structures_match
+        expected = [(g, katz_grid(g)) for g in map(GraphSpec.cycle, range(5, 21)) for _ in range(2)]
+    else:
+        expected = [(g, [a for a in katz_grid(g) if a < INV_SQRT5]) for g in map(GraphSpec.path, range(3, 31))]
+    assert calls == expected
 
 
 def _perturbed_path_matrix(original):
