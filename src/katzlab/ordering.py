@@ -19,8 +19,8 @@ pair order, so it could neither be an inversion's first pair nor split a
 tie class.  A path's rankings read its pairs with i + j <= n + 1 for the
 same reason: the pair (i, j) beyond them is the mirror image of
 (n + 1 - j, n + 1 - i), which comes earlier, with the same bits and class.
-A cycle's agreement takes O(n) time and its tie classes O(n log n), with
-no work of the size of its P = n(n-1)/2 pairs, and agreement compares a
+A cycle's agreement and tie classes take O(n) time, with no sort and no
+work of the size of its P = n(n-1)/2 pairs, and agreement compares a
 path's Katz scores with their distance classes in O(P) per alpha, with no
 sort of the pairs.  Over a list of alphas, both take the Katz scores in
 blocks of up to BLOCK_ENTRIES, one katz_pair_entries call per block, and
@@ -220,7 +220,8 @@ def _katz_rows(g: GraphSpec, alphas: list):
     """The pairs that Katz is ranked on, each one's distance class, and its Katz scores in blocks of alphas.
 
     Returns labels i, j, the distance classes j - i - 1 (integers, best
-    first) and a generator of score blocks, in the order of alphas: each
+    first; None for a cycle, whose arc pair k alone is in class k - 1, in
+    pair order) and a generator of score blocks, in the order of alphas: each
     is the (A', P') array of the next A' alphas from one katz_pair_entries
     call, with A' P' at most BLOCK_ENTRIES unless A' = 1.
     A path keeps, in g.pairs() order, its pairs with i + j <= n + 1.  Each
@@ -235,11 +236,12 @@ def _katz_rows(g: GraphSpec, alphas: list):
     if g.is_path:
         require_matrix_size(g.n)
         i, j = _pair_labels(g.n, mirror_half=True)
+        classes = j - i - 1
     else:
-        i, j = np.ones(g.n // 2, dtype=np.int64), np.arange(2, g.n // 2 + 2)
+        i, j, classes = np.ones(g.n // 2, dtype=np.int64), np.arange(2, g.n // 2 + 2), None
     width = max(1, BLOCK_ENTRIES // i.size)
     blocks = (_katz_scores(g, alphas[lo : lo + width], i, j) for lo in range(0, len(alphas), width))
-    return i, j, j - i - 1, blocks
+    return i, j, classes, blocks
 
 
 def class_structures_match(g: GraphSpec, alpha):
@@ -249,20 +251,29 @@ def class_structures_match(g: GraphSpec, alpha):
     Katz's classes are compared with the distance classes, best-first
     class d - 1 at distance d, which are the resistance classes too (see
     the module docstring).  A cycle's Katz classes are found on its n//2
-    arc pairs, with no P-sized work; a path's on its mirror-halved pairs
-    (see _katz_rows).  Each block of alphas is ranked row by row with one
-    stable sort.
+    arc pairs, with no P-sized work and no sort: each arc is its own
+    distance class, so they match exactly when Katz falls by more than the
+    tie tolerance from each arc to the next.  A path's are found on its
+    mirror-halved pairs (see _katz_rows), each block of alphas ranked row
+    by row with one stable sort.
     """
     alphas = _admissible_alphas(alpha, g)
     _, _, classes, blocks = _katz_rows(g, alphas)
     matches = []
     for katz in blocks:
-        order, ids = _ranked_classes(KATZ, katz)
-        matches.extend(np.equal(ids, classes[order]).all(axis=1).tolist())
+        if classes is None:
+            # the stable sort would keep arc order, with a new class at every
+            # arc, exactly when each step is a boundary of _ranked_classes
+            prev, cur = katz[:, :-1], katz[:, 1:]
+            matched = prev - cur > TIE_TOL * np.maximum(np.abs(cur), np.abs(prev))
+        else:
+            order, ids = _ranked_classes(KATZ, katz)
+            matched = np.equal(ids, classes[order])
+        matches.extend(matched.all(axis=1).tolist())
     return matches if np.ndim(alpha) else matches[0]
 
 
-def _first_inversion(keys: np.ndarray, classes: np.ndarray) -> list[Optional[tuple[int, int]]]:
+def _first_inversion(keys: np.ndarray, classes: Optional[np.ndarray]) -> list[Optional[tuple[int, int]]]:
     """Per row of keys, the first (a, b) in row-major order with a strictly before b under A and b in a better class.
 
     classes holds each pair's distance class, an integer, best first, so
@@ -278,24 +289,35 @@ def _first_inversion(keys: np.ndarray, classes: np.ndarray) -> list[Optional[tup
     comparison serve the whole block, and only the rows with a hit look
     for their b.  Every comparison is the float expression above, and a
     maximum does not round, so each row's result is exactly that of a
-    P x P scan: (a, b), or None where no pair has a partner.
+    P x P scan: (a, b), or None where no pair has a partner.  classes
+    None puts pair k alone in class k, a cycle's arcs: the classes better
+    than a's are the pairs before it, and the running maximum of keys -
+    TIE_TOL alone gives each threshold, with no per-class maximum.
     """
-    rows, count = len(keys), int(classes.max()) + 2
     u = keys - TIE_TOL
-    # of each row's count entries, entry c + 1 takes class c's maximum;
-    # after the running maximum, entry c holds the maximum over the classes
-    # better than c, -inf for class 0
-    reach = np.full(rows * count, -np.inf)
-    # with 1-D operands: ufunc.at takes a far slower route for 2-D ones
-    np.maximum.at(reach, (np.arange(1, rows * count, count)[:, None] + classes).ravel(), u.ravel())
-    threshold = np.maximum.accumulate(reach.reshape(rows, count), axis=1)
-    has_partner = threshold.take(classes, axis=1) > keys
+    if classes is None:
+        threshold = np.full(keys.shape, -np.inf)
+        np.maximum.accumulate(u[:, :-1], axis=1, out=threshold[:, 1:])
+        has_partner = threshold > keys
+    else:
+        rows, count = len(keys), int(classes.max()) + 2
+        # of each row's count entries, entry c + 1 takes class c's maximum;
+        # after the running maximum, entry c holds the maximum over the
+        # classes better than c, -inf for class 0
+        reach = np.full(rows * count, -np.inf)
+        # with 1-D operands: ufunc.at takes a far slower route for 2-D ones
+        np.maximum.at(reach, (np.arange(1, rows * count, count)[:, None] + classes).ravel(), u.ravel())
+        threshold = np.maximum.accumulate(reach.reshape(rows, count), axis=1)
+        has_partner = threshold.take(classes, axis=1) > keys
     hits = []
     for row, a_ix in enumerate(has_partner.argmax(axis=1).tolist()):
         if not has_partner[row, a_ix]:
             hits.append(None)
             continue
-        b_ix = int(((keys[row, a_ix] < u[row]) & (classes < classes[a_ix])).argmax())
+        if classes is None:
+            b_ix = int((keys[row, a_ix] < u[row, :a_ix]).argmax())
+        else:
+            b_ix = int(((keys[row, a_ix] < u[row]) & (classes < classes[a_ix])).argmax())
         hits.append((a_ix, b_ix))
     return hits
 

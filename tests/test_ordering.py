@@ -376,6 +376,26 @@ def test_first_inversion_of_a_block_is_that_of_each_row(drawn):
 
 
 @given(CLASSED_BLOCKS)
+def test_first_inversion_with_one_pair_per_class_in_order(drawn):
+    # classes None, a cycle's arcs: pair k alone in class k
+    keys = np.array(drawn[0])
+    expected = [dense_first_inversion(row, np.arange(len(row), dtype=float)) for row in keys]
+    assert ordering._first_inversion(keys, None) == expected
+    assert ordering._first_inversion(keys, np.arange(keys.shape[1])) == expected
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 75, 100, 301])
+def test_cycle_class_match_is_that_of_the_ranked_classes(n):
+    # a cycle's classes match with no sort: Katz falls beyond the tie
+    # tolerance from each arc to the next
+    g = GraphSpec.cycle(n)
+    alphas = [1e-9, 0.05, 0.3, *WITNESS_ALPHAS, *NEAR_GOLDEN, 0.499, 0.4999999]
+    katz = ordering.katz_pair_entries(g, alphas, np.ones(n // 2, dtype=np.int64), np.arange(2, n // 2 + 2))
+    order, ids = ordering._ranked_classes("katz", katz)
+    assert class_structures_match(g, alphas) == np.equal(ids, order).all(axis=1).tolist()
+
+
+@given(CLASSED_BLOCKS)
 def test_tie_classes_of_a_block_are_those_of_each_row(drawn):
     scores = np.array(drawn[0])
     order, ids = ordering._ranked_classes("katz", scores)
