@@ -348,6 +348,17 @@ def _exact_alpha(alpha) -> tuple[int, int]:
     return a.numerator, a.denominator
 
 
+def _path_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
+    """katz_path_exact as its unreduced integers (numerator, denominator); the denominator U_{n+1} is positive."""
+    i, j = _checked_pair(GraphSpec.path(n), i, j)
+    p, q = _exact_alpha(alpha)
+    p2 = p * p
+    head, tail, whole = (_lucas(k, p2, q)[0] for k in (i, n + 1 - j, n + 1))
+    if i == j:
+        return q * head * tail - whole, whole
+    return q * p ** (j - i) * head * tail, whole
+
+
 def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     """katz_path in exact rational arithmetic.
 
@@ -362,13 +373,25 @@ def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     takes O(log n) big-integer products, and the entry reduces once, as
     one Fraction (README lists measured times).
     """
-    i, j = _checked_pair(GraphSpec.path(n), i, j)
+    return Fraction(*_path_exact_parts(n, i, j, alpha))
+
+
+def _cycle_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
+    """katz_cycle_exact as its unreduced integers (numerator, denominator), over V_n - 2 p^n > 0."""
+    k = graph_distance(GraphSpec.cycle(n), i, j)
     p, q = _exact_alpha(alpha)
     p2 = p * p
-    head, tail, whole = (_lucas(k, p2, q)[0] for k in (i, n + 1 - j, n + 1))
-    if i == j:
-        return Fraction(q * head * tail - whole, whole)
-    return Fraction(q * p ** (j - i) * head * tail, whole)
+    before, last = _lucas(n - 1, p2, q)  # U_{n-1}, U_n
+    power = p**n
+    # V_n - 2 p^n, with U_{n+1} = q U_n - p^2 U_{n-1}
+    denominator = q * last - 2 * p2 * before - 2 * power
+    if not k:
+        return 2 * power + 2 * p2 * before, denominator
+    # U_{n-k}; at arc 1 it is the denominator's U_{n-1}, with no second run
+    long_arc = before if k == 1 else _lucas(n - k, p2, q)[0]
+    # U_k; at the half arc k = n - k of an even cycle it is U_{n-k}
+    short_arc = long_arc if 2 * k == n else _lucas(k, p2, q)[0]
+    return q * (p**k * long_arc + p ** (n - k) * short_arc), denominator
 
 
 def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
@@ -380,20 +403,7 @@ def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
     the entry at arc length k >= 1 is q (p^k U_{n-k} + p^(n-k) U_k) over it,
     and the diagonal (2 p^n + 2 p^2 U_{n-1}) over it.
     """
-    k = graph_distance(GraphSpec.cycle(n), i, j)
-    p, q = _exact_alpha(alpha)
-    p2 = p * p
-    before, last = _lucas(n - 1, p2, q)  # U_{n-1}, U_n
-    power = p**n
-    # V_n - 2 p^n, with U_{n+1} = q U_n - p^2 U_{n-1}
-    denominator = q * last - 2 * p2 * before - 2 * power
-    if k:
-        # U_{n-k}; at arc 1 it is the denominator's U_{n-1}, with no second run
-        long_arc = before if k == 1 else _lucas(n - k, p2, q)[0]
-        numerator = q * (p**k * long_arc + p ** (n - k) * _lucas(k, p2, q)[0])
-    else:
-        numerator = 2 * power + 2 * p2 * before
-    return Fraction(numerator, denominator)
+    return Fraction(*_cycle_exact_parts(n, i, j, alpha))
 
 
 def katz_limit_path(i: int, j: int, alpha: float) -> float:

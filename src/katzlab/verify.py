@@ -322,12 +322,9 @@ def suite_katz_closed_vs_inverse(level: str) -> SuiteResult:
         for n in range(start, n_max + 1):
             g = GraphSpec(family, n)
             alphas = katz_grid(g)
-            matrices = katz.katz_path_matrix if g.is_path else katz.katz_cycle_matrix
-            # member by member, so no temporary is the size of the whole stack
-            errs = [
-                (np.abs(closed - inverse) / np.abs(inverse)).max()
-                for closed, inverse in zip(matrices(n, alphas), katz.katz_oracle_inverse(g, alphas))
-            ]
+            closed = (katz.katz_path_matrix if g.is_path else katz.katz_cycle_matrix)(n, alphas)
+            inverse = katz.katz_oracle_inverse(g, alphas)
+            errs = (np.abs(closed - inverse) / np.abs(inverse)).max(axis=(1, 2))
             res.record_all(errs, lambda f: f"{family} n={n} alpha={alphas[f]}")
     return res
 
@@ -543,7 +540,9 @@ def suite_limit_convergence(level: str) -> SuiteResult:
     to the limit strictly from below and cycles descend strictly from
     above, which is the same statement as |entry - limit| strictly
     decreasing but stays decidable after the float gaps saturate at
-    machine epsilon (already by n = 40 at these alphas).
+    machine epsilon (already by n = 40 at these alphas).  Each entry is
+    kept as its unreduced integers (numerator, denominator), with a
+    positive denominator, so a/c < b/d is decided as a d < b c, with no gcd.
 
     The float entries at n = 320 must lie within 1e-14 of their limits.
     At these alphas the true gap there is below 1e-60, so all that is left
@@ -558,9 +557,9 @@ def suite_limit_convergence(level: str) -> SuiteResult:
         for i, j in ((1, 2), (2, 5), (3, 3)):
             limit = katz.katz_limit_path(i, j, alpha)
             res.record(abs(katz.katz_path(320, i, j, alpha) - limit), f"path ({i},{j}) alpha={alpha}")
-            exact = [katz.katz_path_exact(n, i, j, alpha) for n in n_list]
+            parts = [katz._path_exact_parts(n, i, j, alpha) for n in n_list]
             res.check(
-                all(a < b for a, b in zip(exact, exact[1:])),
+                all(a * d < b * c for (a, c), (b, d) in zip(parts, parts[1:])),
                 f"path ({i},{j}) alpha={alpha}: entries not strictly climbing to the limit",
             )
         for offset in (1, 2, 3):
@@ -569,9 +568,9 @@ def suite_limit_convergence(level: str) -> SuiteResult:
                 abs(katz.katz_cycle(320, 1, 1 + offset, alpha) - limit),
                 f"cycle offset {offset} alpha={alpha}",
             )
-            exact = [katz.katz_cycle_exact(n, 1, 1 + offset, alpha) for n in n_list]
+            parts = [katz._cycle_exact_parts(n, 1, 1 + offset, alpha) for n in n_list]
             res.check(
-                all(a > b for a, b in zip(exact, exact[1:])),
+                all(a * d > b * c for (a, c), (b, d) in zip(parts, parts[1:])),
                 f"cycle offset {offset} alpha={alpha}: entries not strictly descending to the limit",
             )
     return res

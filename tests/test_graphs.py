@@ -173,12 +173,16 @@ def test_label_arrays_are_checked():
         graphs.graph_distance(g, 7, unsigned)
 
 
+# steps of the reference loop: about 1.1 (n + 1)^2 reach its tolerance on a path
+THREE_PRODUCT_CAP = 200000
+
+
 def _three_product_radius(g):
-    """spectral_radius_oracle as it was written with three products per step."""
+    """spectral_radius_oracle as it was written before repeated squaring, with three products per step."""
     shifted = g.adjacency() + 2.0 * np.eye(g.n)
     v = np.ones(g.n) / math.sqrt(g.n)
     lam = 2.0
-    for _ in range(graphs._POWER_ITERATION_CAP):
+    for _ in range(THREE_PRODUCT_CAP):
         w = shifted @ v
         v = w / math.sqrt(float(w @ w))
         lam = float(v @ (shifted @ v))
@@ -189,12 +193,30 @@ def _three_product_radius(g):
 
 
 @pytest.mark.parametrize("family", ["path", "cycle"])
-def test_spectral_radius_oracle_is_the_three_product_loop(family):
-    for n in (2, 3, 5, 10, 17, 40):
-        if family == "cycle" and n < 3:
-            continue
+def test_spectral_radius_oracle_is_near_the_three_product_loop(family):
+    # repeated squaring reaches the same Rayleigh quotient by other products
+    for n in range(2 if family == "path" else 3, 41):
         g = GraphSpec(family, n)
-        assert repr(graphs.spectral_radius_oracle(g)) == repr(_three_product_radius(g))
+        assert abs(graphs.spectral_radius_oracle(g) - _three_product_radius(g)) <= 1e-14, n
+
+
+LARGE_GRAPHS = [*map(GraphSpec.path, (100, 300, 500)), *map(GraphSpec.cycle, (3, 4, 41, 100, 301, 500))]
+
+
+@pytest.mark.parametrize("g", LARGE_GRAPHS, ids=lambda g: f"{g.family}{g.n}")
+def test_spectral_radius_oracle_converges_on_large_graphs(g):
+    # path(500) needs about 277,000 steps of the plain method, more than its
+    # old cap of 200,000, and converges here within 20 squarings
+    assert abs(graphs.spectral_radius_oracle(g) - graphs.spectral_radius(g)) <= 1e-13
+
+
+def test_power_iteration_cap_counts_squarings(monkeypatch):
+    g = GraphSpec.path(500)
+    monkeypatch.setattr(graphs, "_POWER_ITERATION_CAP", 20)
+    assert abs(graphs.spectral_radius_oracle(g) - graphs.spectral_radius(g)) <= 1e-13
+    monkeypatch.setattr(graphs, "_POWER_ITERATION_CAP", 10)
+    with pytest.raises(graphs.PowerIterationError, match=r"path\(500\).* 10 steps of repeated squaring"):
+        graphs.spectral_radius_oracle(g)
 
 
 def test_unconverged_power_iteration_raises(monkeypatch):

@@ -585,6 +585,38 @@ def test_exact_entries_are_the_fraction_list_route(n, alpha):
     assert [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
 
 
+@st.composite
+def exact_entry_pairs(draw):
+    """A family, two sizes, one pair that both have, and an alpha: the limit suite's comparisons and more."""
+    family = draw(st.sampled_from(["path", "cycle"]))
+    sizes = st.integers(min_value=2 if family == "path" else 3, max_value=80)
+    n_a, n_b = draw(sizes), draw(sizes)
+    i = draw(st.integers(min_value=1, max_value=min(n_a, n_b)))
+    j = draw(st.integers(min_value=i, max_value=min(n_a, n_b)))
+    return family, n_a, n_b, i, j, draw(exact_alphas)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(exact_entry_pairs())
+@example(("path", 80, 160, 1, 2, 0.45))
+@example(("cycle", 80, 160, 1, 3, 0.45))
+@example(("path", 40, 40, 3, 3, Fraction(1, 3)))
+def test_cross_multiplied_order_is_the_fraction_order(case):
+    # the limit suite orders exact entries by a_num b_den < b_num a_den,
+    # which is a < b only while both denominators are positive
+    family, n_a, n_b, i, j, alpha = case
+    parts, entry = {
+        "path": (katz._path_exact_parts, katz.katz_path_exact),
+        "cycle": (katz._cycle_exact_parts, katz.katz_cycle_exact),
+    }[family]
+    (a_num, a_den), (b_num, b_den) = parts(n_a, i, j, alpha), parts(n_b, i, j, alpha)
+    assert a_den > 0 and b_den > 0
+    a, b = entry(n_a, i, j, alpha), entry(n_b, i, j, alpha)
+    assert (a, b) == (Fraction(a_num, a_den), Fraction(b_num, b_den))
+    cross = a_num * b_den - b_num * a_den
+    assert (cross > 0) - (cross < 0) == (a > b) - (a < b)
+
+
 @pytest.mark.parametrize(
     "family, i, j",
     [("path", 1, 2), ("path", 160, 160), ("cycle", 1, 1), ("cycle", 1, 2)],
@@ -614,7 +646,8 @@ def test_exact_entries_reduce_once_not_per_step(family, i, j, monkeypatch):
 
 
 def test_exact_cycle_runs_the_doubling_once_per_index(monkeypatch):
-    # at arc 1 the numerator's U_{n-1} is the denominator's, not a second run
+    # at arc 1 the numerator's U_{n-1} is the denominator's, not a second
+    # run, and at the half arc U_{n-k} is U_k
     runs = []
     lucas = katz._lucas
 
@@ -623,7 +656,7 @@ def test_exact_cycle_runs_the_doubling_once_per_index(monkeypatch):
         return lucas(k, p2, q)
 
     monkeypatch.setattr(katz, "_lucas", recorded)
-    for k, indices in ((0, [319]), (1, [319, 1]), (2, [319, 318, 2])):
+    for k, indices in ((0, [319]), (1, [319, 1]), (2, [319, 318, 2]), (160, [319, 160])):
         runs.clear()
         value = katz.katz_cycle_exact(320, 1, 1 + k, 0.46)
         assert runs == indices, k

@@ -7,12 +7,12 @@ same max_err and the same failure strings in the same order, on the real
 grids and with faults injected into the functions under test.
 ``reference_limit_convergence`` is the limit suite with its exact entries
 from the list route of ``test_katz`` (the float formulas on a fully
-normalised ``d_sequence_exact`` list), where the suite calls
-``katz_path_exact``/``katz_cycle_exact``, integer forms that run no
-d-recursion.  The gap-sign, arc-margin, parity and arc-invariance references are
-the loops of one scalar call per alpha (and per arc class) that those
-suites ran before the d/D evaluators and gap polynomials took a sequence
-of alphas.
+normalised ``d_sequence_exact`` list), where the suite orders the
+unreduced integer parts of ``katz_path_exact``/``katz_cycle_exact``, which
+run no d-recursion, by cross-multiplying.  The gap-sign, arc-margin,
+parity and arc-invariance references are the loops of one scalar call per
+alpha (and per arc class) that those suites ran before the d/D evaluators
+and gap polynomials took a sequence of alphas.
 """
 
 import functools
@@ -624,19 +624,30 @@ def _exact_entry_nudged_at_80(original, shift):
     return nudged
 
 
+def _exact_parts_nudged_at_80(original, shift):
+    """Integer parts (numerator, denominator) of an exact Katz entry whose value at n = 80 moves by shift."""
+
+    def nudged(n, *args):
+        num, den = original(n, *args)
+        return (num * shift.denominator + shift.numerator * den, den * shift.denominator) if n == 80 else (num, den)
+
+    return nudged
+
+
 # 1e-12 dwarfs every exact gap between n = 80 and n = 160 at these alphas
 # (the largest, on the cycle at 0.45, is about 3e-16); the float entries
-# the suite compares with the limits are left alone
+# the suite compares with the limits are left alone.  The suite reads each
+# exact entry through the integer parts helper named here.
 LIMIT_FAULTS = {
-    "katz_path_exact": (Fraction(1, 10**12), "not strictly climbing"),
-    "katz_cycle_exact": (-Fraction(1, 10**12), "not strictly descending"),
+    "katz_path_exact": ("_path_exact_parts", Fraction(1, 10**12), "not strictly climbing"),
+    "katz_cycle_exact": ("_cycle_exact_parts", -Fraction(1, 10**12), "not strictly descending"),
 }
 
 
 @pytest.mark.parametrize("name", list(LIMIT_FAULTS))
 def test_limit_convergence_fails_when_exact_order_breaks(name, monkeypatch):
-    shift, message = LIMIT_FAULTS[name]
-    monkeypatch.setattr(katz, name, _exact_entry_nudged_at_80(getattr(katz, name), shift))
+    parts, shift, message = LIMIT_FAULTS[name]
+    monkeypatch.setattr(katz, parts, _exact_parts_nudged_at_80(getattr(katz, parts), shift))
     monkeypatch.setitem(LIST_ROUTES, name, _exact_entry_nudged_at_80(LIST_ROUTES[name], shift))
     want = reference_limit_convergence("quick")
     got = verify.suite_limit_convergence("quick")
