@@ -94,11 +94,11 @@ def _write_csv(path: str, header: list[str], blocks: Iterable[str]) -> None:
 
 
 def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
-    """The scatter rows, alpha by alpha in g.pairs() order, at most SCATTER_BLOCK_ROWS to a block.
+    """The scatter rows at checked alphas, alpha by alpha in g.pairs() order, at most SCATTER_BLOCK_ROWS to a block.
 
     A row is four cells from small per-graph tables: the "alpha,i," head,
     the "j," label, the "distance,resistance," cells of its span j - i and
-    the Katz cell with its line end, read by katz.katz_pair_entries with no
+    the Katz cell with its line end, read by katz._pair_entries with no
     n x n matrix.  A path has one Katz cell per distinct value of its pairs;
     a cycle's Katz value depends on a pair only through its arc, the
     distance of its span, so it reads the pairs (1, 1 + k), k = 1..n//2,
@@ -113,9 +113,9 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
     spans = [f"{d},{_real(r)}," for d, r in zip(distance.tolist(), resist.tolist())]
     for alpha in alphas:
         if g.is_path:
-            katz_cells, katz_index = _real_table(katz.katz_pair_entries(g, alpha, i, j))
+            katz_cells, katz_index = _real_table(katz._pair_entries(g, [alpha], i, j)[0])
         else:
-            arcs = katz.katz_pair_entries(g, alpha, np.ones(n // 2, dtype=np.int64), ends[: n // 2])
+            arcs = katz._pair_entries(g, [alpha], np.ones(n // 2, dtype=np.int64), ends[: n // 2])[0]
             katz_cells = [_real(x) for x in arcs.tolist()]
         alpha_cell = _real(alpha)
         heads = [f"{alpha_cell},{v}," for v in range(1, n)]
@@ -136,9 +136,7 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
 def cmd_scatter(args: argparse.Namespace) -> int:
     g = GraphSpec(args.family, args.n)
     katz.require_matrix_size(g.n)
-    alphas = sorted(args.alpha)
-    for alpha in alphas:
-        require_admissible(alpha, g)
+    alphas = [require_admissible(alpha, g) for alpha in sorted(args.alpha)]
     _write_csv(args.out, ["alpha", "i", "j", "distance", "resistance", "katz"], _scatter_blocks(g, alphas))
     return 0
 

@@ -37,9 +37,13 @@ GOLDEN = (SQRT5 + 1.0) / 2.0
 GOLDEN_RECIP = (SQRT5 - 1.0) / 2.0
 
 
+def _require_int(value, message: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{message}, got {value!r}")
+
+
 def _require_index(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"index must be an integer, got {n!r}")
+    _require_int(n, "index must be an integer")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
 
@@ -321,7 +325,6 @@ def ratio_constant(k: int, alpha: float) -> float:
     Negative k is allowed; the limit formulas for Katz entries use it as the
     growth factor 2/(1 + sqrt(1 - 4 alpha^2)).
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"shift must be an integer, got {k!r}")
+    _require_int(k, "shift must be an integer")
     _require_below_half(alpha)
     return ((1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0) ** k

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .dpoly import _at, _require_int
 
 PATH = "path"
 CYCLE = "cycle"
@@ -44,8 +45,7 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError(f"vertex count must be an integer, got {self.n!r}")
+        _require_int(self.n, "vertex count must be an integer")
         if self.family == PATH and self.n < 2:
             raise ValueError(f"path graphs need n >= 2, got {self.n}")
         if self.family == CYCLE and self.n < 3:
@@ -79,8 +79,7 @@ class GraphSpec:
         return [VertexPair(i, j) for i in range(1, self.n) for j in range(i + 1, self.n + 1)]
 
     def check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"vertex label must be an integer, got {v!r}")
+        _require_int(v, "vertex label must be an integer")
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
@@ -133,13 +132,12 @@ def _admissible(value: float, g: GraphSpec, bound: float) -> float:
     return float(value)
 
 
-def _admissible_alphas(alpha, g: GraphSpec) -> list:
-    """The alphas of a number or a 1-D sequence as floats, every one checked admissible for g up front."""
-    ndim = np.asarray(alpha).ndim  # np.ndim of a Python float pays for a caught AttributeError
-    if ndim > 1:
-        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {np.shape(alpha)}")
+def _admissible_alphas(alpha, g: GraphSpec) -> tuple[list, bool]:
+    """The alphas of a number or 1-D sequence as floats, each checked admissible for g, and whether it is a sequence."""
     bound = 1.0 / spectral_radius(g)
-    return [_admissible(value, g, bound) for value in (alpha if ndim else [alpha])]
+    x, ones, _ = _at(alpha, lambda value: _admissible(value, g, bound))
+    many = isinstance(ones, np.ndarray)  # _at's ones: an array for a sequence, 1.0 for a number
+    return x.tolist() if many else [float(x)], many
 
 
 def spectral_radius(g: GraphSpec) -> float:

@@ -33,7 +33,7 @@ from .dpoly import (
     _d_terms,
     _lucas,
     _require_below_half,
-    d_recursive,
+    _require_int,
     d_sequence,
     ratio_constant,
 )
@@ -199,7 +199,7 @@ def _matrices(g: GraphSpec, alpha) -> np.ndarray:
     Every alpha is checked admissible, and the stack's size against
     MATRIX_MAX_N, before it is allocated.
     """
-    alphas, n = _admissible_alphas(alpha, g), g.n
+    (alphas, many), n = _admissible_alphas(alpha, g), g.n
     require_matrix_size(n, len(alphas))
     if g.is_path:
         d, powers = _path_rows(alphas, n)
@@ -222,7 +222,7 @@ def _matrices(g: GraphSpec, alpha) -> np.ndarray:
         row = np.concatenate((half, half[:, (n - 1) // 2 : 0 : -1]), axis=1)
         windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row), axis=1), n, axis=1)
         stack = windows[:, n:0:-1].copy()
-    return stack if np.ndim(alpha) else stack[0]
+    return stack if many else stack[0]
 
 
 def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -238,18 +238,23 @@ def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.n
     """
     if not (isinstance(i, np.ndarray) and isinstance(j, np.ndarray)):
         raise TypeError(f"vertex labels must be numpy arrays, got {type(i).__name__} and {type(j).__name__}")
-    alphas, n = _admissible_alphas(alpha, g), g.n
+    (alphas, many), n = _admissible_alphas(alpha, g), g.n
     if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
         raise TypeError(f"vertex labels must be integers, got dtypes {i.dtype} and {j.dtype}")
     span = np.subtract(j, i, dtype=np.int64)
     if span.size and not (span.min() > 0 and i.min() >= 1 and j.max() <= n):
         raise ValueError(f"every pair needs labels 1 <= i < j <= {n}")
+    entries = _pair_entries(g, alphas, i, j)
+    return entries if many else entries[0]
+
+
+def _pair_entries(g: GraphSpec, alphas: list, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The (A, P) array of :func:`katz_pair_entries` at a list of checked float alphas and valid labels, unchecked."""
+    n, span = g.n, np.subtract(j, i, dtype=np.int64)
     if g.is_path:
         d, powers = _path_rows(alphas, n)
-        entries = _path_off_diagonal(powers.take(span, axis=1), d.take(i - 1, axis=1), d.take(n - j, axis=1), d[:, n:])
-    else:
-        entries = _cycle_arcs(alphas, n).take(np.minimum(span, n - span), axis=1)
-    return entries if np.asarray(alpha).ndim else entries[0]
+        return _path_off_diagonal(powers.take(span, axis=1), d.take(i - 1, axis=1), d.take(n - j, axis=1), d[:, n:])
+    return _cycle_arcs(alphas, n).take(np.minimum(span, n - span), axis=1)
 
 
 def katz_path_matrix(n: int, alpha) -> np.ndarray:
@@ -317,7 +322,7 @@ def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
 
     For a 1-D sequence of alphas, the stack of their lone calls.
     """
-    alphas = _admissible_alphas(alpha, g)
+    alphas, many = _admissible_alphas(alpha, g)
     rho = spectral_radius(g)
     doublings = []
     for value in alphas:
@@ -338,7 +343,7 @@ def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
             if step:
                 power = power @ power
             total += power @ total
-    return totals if np.ndim(alpha) else totals[0]
+    return totals if many else totals[0]
 
 
 def _exact_alpha(alpha) -> tuple[int, int]:
@@ -409,21 +414,20 @@ def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
 def katz_limit_path(i: int, j: int, alpha: float) -> float:
     """Limit of katz_path(n, i, j, alpha) as n -> infinity.
 
-    With c = 2/(1 + sqrt(1 - 4 alpha^2)): alpha^(j-i) d_{i-1} c^j for
-    i < j, and c^i d_{i-1} - 1 on the diagonal (the trailing d-ratio
-    d_{n-j}/d_n tends to c^j).  Only derived for alpha in (0, 0.5).
+    katz_path's forms at d_n = 1 with each ratio d_{n-m}/d_n at its limit c^m,
+    c = 2/(1 + sqrt(1 - 4 alpha^2)): alpha^(j-i) d_{i-1} c^j for i < j, and
+    c^i d_{i-1} - 1 on the diagonal, taken as alpha^2 (d_{i-1} c^(i+1) + d_{i-2} c^i)
+    with d_{-1} = 0, so small alpha loses no digits.  Only derived for alpha in (0, 0.5).
     """
     for label in (i, j):
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise TypeError(f"vertex labels must be integers, got {label!r}")
-    _require_below_half(alpha)
+        _require_int(label, "vertex labels must be integers")
+    c = ratio_constant(-1, alpha)  # checks 0 < alpha < 1/2
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")
-    c = ratio_constant(-1, alpha)
-    core = d_recursive(i - 1, alpha) * c**j
-    if i == j:
-        return core - 1.0
-    return alpha ** (j - i) * core
+    head_before, head = _d_terms((max(i - 2, 0), i - 1), alpha)
+    if i < j:
+        return _path_off_diagonal(alpha ** (j - i), head, c**j, 1.0)
+    return _path_diagonal(head_before if i > 1 else 0, head, c ** (i + 1), c**i, 1.0, alpha)
 
 
 def katz_limit_cycle(offset: int, alpha: float) -> float:
@@ -437,12 +441,10 @@ def katz_limit_cycle(offset: int, alpha: float) -> float:
     which collapses the separate even/odd forms into the same value.  Checked
     against large-n oracle entries (odd offsets included) in the test suite.
     """
-    if not isinstance(offset, int) or isinstance(offset, bool):
-        raise TypeError(f"offset must be an integer, got {offset!r}")
+    _require_int(offset, "offset must be an integer")
     if offset < 1:
         raise ValueError(f"offset must be >= 1, got {offset}")
-    _require_below_half(alpha)
-    c = ratio_constant(-1, alpha)
+    c = ratio_constant(-1, alpha)  # checks 0 < alpha < 1/2
     return alpha**offset * c ** (offset - 2) * (1.0 - alpha**4 * c**4) / (1.0 - 4.0 * alpha * alpha)
 
 

@@ -22,9 +22,9 @@ same reason: the pair (i, j) beyond them is the mirror image of
 A cycle's agreement and tie classes take O(n) time, with no sort and no
 work of the size of its P = n(n-1)/2 pairs, and agreement compares a
 path's Katz scores with their distance classes in O(P) per alpha, with no
-sort of the pairs.  Over a list of alphas, both take the Katz scores in
-blocks of up to BLOCK_ENTRIES, one katz_pair_entries call per block, and
-decide each block with whole-block array calls.
+sort of the pairs.  Over a list of alphas, checked once up front, both take
+the Katz scores in blocks of up to BLOCK_ENTRIES, one katz._pair_entries
+call per block, and decide each block with whole-block array calls.
 
 Resistance and distance share one strict order, so Katz is ranked against
 the distance classes alone: the integers d - 1, best first, with no
@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dpoly import INV_SQRT5, _at, _d_terms, _require_below_half, _require_index
+from .dpoly import INV_SQRT5, _at, _d_terms, _require_below_half, _require_index, _require_int
 from .graphs import (
     GraphSpec,
     VertexPair,
@@ -62,7 +62,7 @@ from .graphs import (
     resistance,
     spectral_radius,
 )
-from .katz import _cycle_numerator, _path_off_diagonal, katz_pair_entries, require_matrix_size
+from .katz import _cycle_numerator, _pair_entries, _path_off_diagonal, require_matrix_size
 
 KATZ = "katz"
 RESISTANCE = "resistance"
@@ -143,7 +143,7 @@ def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
         raise ValueError(f"alpha must be a single number here, got shape {np.shape(alpha)}")
     i, j = _pair_labels(g.n)
     if metric == KATZ:
-        return _katz_scores(g, alpha, i, j)
+        return _katz_scores(g, [require_admissible(alpha, g)], i, j)[0]
     return resistance(g, i, j) if metric == RESISTANCE else graph_distance(g, i, j) + 0.0
 
 
@@ -169,7 +169,7 @@ def rank_pairs(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> Pair
     pairs = g.pairs()
     values = scores.tolist()
     entries = tuple((pairs[ix], values[ix]) for ix in _best_first(metric, scores).tolist())
-    return PairRanking(g, metric, require_admissible(alpha, g) if metric == KATZ else None, entries)
+    return PairRanking(g, metric, float(alpha) if metric == KATZ else None, entries)
 
 
 def _ranked_classes(metric: str, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,15 +203,15 @@ def score_classes(g: GraphSpec, metric: str, alpha: Optional[float] = None) -> l
     return classes
 
 
-def _katz_scores(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """katz_pair_entries at alpha, a number or a list of alphas.
+def _katz_scores(g: GraphSpec, alphas: list, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The (A, P) Katz scores of the pairs i < j at a list of alphas already checked admissible.
 
     FloatingPointError, naming the first alpha whose scores are not all
     finite: no ranking can order a NaN or an inf.
     """
-    katz = katz_pair_entries(g, alpha, i, j)
+    katz = _pair_entries(g, alphas, i, j)
     if not np.isfinite(katz).all():
-        bad = alpha if katz.ndim == 1 else alpha[int(np.isfinite(katz).all(axis=1).argmin())]
+        bad = alphas[int(np.isfinite(katz).all(axis=1).argmin())]
         raise FloatingPointError(f"Katz scores of {g.family}({g.n}) at alpha = {bad} are not all finite")
     return katz
 
@@ -222,7 +222,7 @@ def _katz_rows(g: GraphSpec, alphas: list):
     Returns labels i, j, the distance classes j - i - 1 (integers, best
     first; None for a cycle, whose arc pair k alone is in class k - 1, in
     pair order) and a generator of score blocks, in the order of alphas: each
-    is the (A', P') array of the next A' alphas from one katz_pair_entries
+    is the (A', P') array of the next A' alphas from one _pair_entries
     call, with A' P' at most BLOCK_ENTRIES unless A' = 1.
     A path keeps, in g.pairs() order, its pairs with i + j <= n + 1.  Each
     other pair (i, j) has its mirror image (n + 1 - j, n + 1 - i) earlier
@@ -257,7 +257,7 @@ def class_structures_match(g: GraphSpec, alpha):
     mirror-halved pairs (see _katz_rows), each block of alphas ranked row
     by row with one stable sort.
     """
-    alphas = _admissible_alphas(alpha, g)
+    alphas, many = _admissible_alphas(alpha, g)
     _, _, classes, blocks = _katz_rows(g, alphas)
     matches = []
     for katz in blocks:
@@ -270,7 +270,7 @@ def class_structures_match(g: GraphSpec, alpha):
             order, ids = _ranked_classes(KATZ, katz)
             matched = np.equal(ids, classes[order])
         matches.extend(matched.all(axis=1).tolist())
-    return matches if np.ndim(alpha) else matches[0]
+    return matches if many else matches[0]
 
 
 def _first_inversion(keys: np.ndarray, classes: Optional[np.ndarray]) -> list[Optional[tuple[int, int]]]:
@@ -339,7 +339,7 @@ def agreement(g: GraphSpec, alpha):
     the list of reports, one per alpha, decided a block of alphas at a
     time (see _first_inversion).  No n x n matrix.
     """
-    alphas = _admissible_alphas(alpha, g)
+    alphas, many = _admissible_alphas(alpha, g)
     i, j, classes, blocks = _katz_rows(g, alphas)
     reports = []
     for katz in blocks:
@@ -355,7 +355,7 @@ def agreement(g: GraphSpec, alpha):
                     tuple(resistance(g, i[both], j[both]).tolist()),
                 )
             reports.append(AgreementReport(g, value, hit is None, hit is None, True, witness))
-    return reports if np.ndim(alpha) else reports[0]
+    return reports if many else reports[0]
 
 
 def _gap_midpoint(n: int, j: int) -> int:
@@ -468,7 +468,7 @@ def cutoff_root(n: int, j: int) -> CutoffResult:
         else:
             lo = hi = mid
     root = 0.5 * (lo + hi)
-    return CutoffResult(n, j, bracket_lo, bracket_hi, root, iterations, abs(p_tilde(n, j, root)))
+    return CutoffResult(n, j, bracket_lo, bracket_hi, root, iterations, abs(_p_tilde(n, j, m, root)))
 
 
 def cutoff_table(j: int, n_range) -> list[CutoffResult]:
@@ -489,8 +489,7 @@ def cycle_numerator_gap(n: int, k: int, alpha: float) -> float:
     checked to lie in (0, 1/2) first, the array of the calls at each, bit
     for bit, as for :func:`p_gap`.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"arc length must be an integer, got {k!r}")
+    _require_int(k, "arc length must be an integer")
     if not 1 <= k < n // 2:
         raise ValueError(f"need 1 <= k < n//2, got k = {k}, n = {n}")
     x, one, power = _at(alpha, _require_below_half)

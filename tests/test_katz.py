@@ -721,6 +721,16 @@ def test_limit_path_is_the_large_n_value(i, j, alpha):
     )
 
 
+@pytest.mark.parametrize("i", [1, 2, 3, 7, 20])
+@pytest.mark.parametrize("alpha", [1e-5, 1e-3, 0.1, 0.3, 0.45, 0.499])
+def test_limit_path_diagonal_keeps_its_digits_at_small_alpha(i, alpha):
+    # c^i d_{i-1} - 1 subtracts 1 from a number near 1 and lost up to 8e-8
+    # relative at alpha = 1e-5; at n = 600 the exact entry equals its limit
+    # to far below double resolution at each of these alphas
+    exact = float(katz.katz_path_exact(600, i, i, alpha))
+    assert abs(katz.katz_limit_path(i, i, alpha) - exact) <= 4e-15 * exact
+
+
 @pytest.mark.parametrize("offset", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
 def test_limit_cycle_is_the_large_n_value(offset, alpha):
@@ -886,15 +896,6 @@ def test_scalar_entries_keep_the_list_route_type(alpha):
         seq = dpoly.d_sequence(n - 1, alpha)
         for k in range(n // 2 + 1):
             assert same(katz.katz_cycle(n, 1, 1 + k, alpha), list_route_cycle(seq, n, k, alpha)), (n, k)
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_scalar_entries_hold_no_d_list():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from katzlab import dpoly, katz, ordering
+from katzlab import cli, dpoly, graphs, katz, ordering
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import AdmissibilityError, GraphSpec, VertexPair, graph_distance, resistance, spectral_radius
 from katzlab.katz import katz_cycle_matrix, katz_path_matrix
@@ -390,7 +390,7 @@ def test_cycle_class_match_is_that_of_the_ranked_classes(n):
     # tolerance from each arc to the next
     g = GraphSpec.cycle(n)
     alphas = [1e-9, 0.05, 0.3, *WITNESS_ALPHAS, *NEAR_GOLDEN, 0.499, 0.4999999]
-    katz = ordering.katz_pair_entries(g, alphas, np.ones(n // 2, dtype=np.int64), np.arange(2, n // 2 + 2))
+    katz = ordering._pair_entries(g, alphas, np.ones(n // 2, dtype=np.int64), np.arange(2, n // 2 + 2))
     order, ids = ordering._ranked_classes("katz", katz)
     assert class_structures_match(g, alphas) == np.equal(ids, order).all(axis=1).tolist()
 
@@ -521,7 +521,7 @@ def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
 
         return fail
 
-    for name in ("graph_distance", "resistance", "katz_pair_entries"):
+    for name in ("graph_distance", "resistance", "_pair_entries"):
         monkeypatch.setattr(ordering, name, record(name))
     for g, bad in ((GraphSpec.cycle(8), 0.5), (GraphSpec.path(8), 0.6), (GraphSpec.path(8), 0.0)):
         for alphas in ([bad, 0.1, 0.2], [0.1, bad, 0.2], [0.1, 0.2, bad]):
@@ -530,6 +530,31 @@ def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
             with pytest.raises(AdmissibilityError):
                 class_structures_match(g, alphas)
     assert calls == []
+
+
+@pytest.mark.parametrize("g", [GraphSpec.path(9), GraphSpec.cycle(9)], ids=["path", "cycle"])
+def test_each_alpha_is_checked_once(g, monkeypatch, tmp_path):
+    # the public routine checks its alphas; the Katz kernel under it does not
+    calls = []
+    admissible = graphs._admissible
+
+    def counted(value, *args):
+        calls.append(value)
+        return admissible(value, *args)
+
+    monkeypatch.setattr(graphs, "_admissible", counted)
+    alphas = [0.1, 0.3, 0.46]
+    for routine in (agreement, class_structures_match):
+        calls.clear()
+        routine(g, alphas)
+        assert calls == alphas, routine.__name__
+    calls.clear()
+    rank_pairs(g, "katz", 0.3)
+    assert calls == [0.3]
+    calls.clear()
+    argv = ["scatter", "--family", g.family, "--n", str(g.n), "--alpha", "0.46,0.1,0.3", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    assert calls == alphas
 
 
 def test_a_sequence_of_alphas_holds_no_stack_of_scores_or_matrices(monkeypatch):
@@ -558,13 +583,13 @@ def test_cycle_ranking_does_only_span_sized_work(monkeypatch):
     g = GraphSpec.cycle(2000)
     alphas = [0.1, 0.3, 0.46]
     sizes = []
-    entries = ordering.katz_pair_entries
+    entries = ordering._pair_entries
 
     def counted(graph, alpha, i, j):
         sizes.append(np.size(i))
         return entries(graph, alpha, i, j)
 
-    monkeypatch.setattr(ordering, "katz_pair_entries", counted)
+    monkeypatch.setattr(ordering, "_pair_entries", counted)
     tracemalloc.start()
     try:
         agreement(g, alphas)

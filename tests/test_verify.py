@@ -380,7 +380,7 @@ def test_ranking_suite_matches_per_alpha_loop_at_full(suite):
 
 
 def _swapped_entries(original, n_bad, alpha_bad):
-    """katz_pair_entries whose scores of the pairs (1, 2) and (1, 4) trade places at (n_bad, alpha_bad).
+    """_pair_entries whose scores of the pairs (1, 2) and (1, 4) trade places at (n_bad, alpha_bad).
 
     For a sequence of alphas, in the row of alpha_bad.
     """
@@ -398,8 +398,8 @@ def _swapped_entries(original, n_bad, alpha_bad):
 
 
 RANKING_FAULTS = {
-    verify.suite_cycle_agreement: ("katz_pair_entries", 8, 0.3),
-    verify.suite_path_agreement_below_cutoff: ("katz_pair_entries", 7, 0.2),
+    verify.suite_cycle_agreement: ("_pair_entries", 8, 0.3),
+    verify.suite_path_agreement_below_cutoff: ("_pair_entries", 7, 0.2),
 }
 
 
@@ -418,15 +418,15 @@ def test_ranking_suite_matches_per_alpha_loop_under_fault(suite, level, monkeypa
 def test_ranking_suite_reads_each_graph_in_one_katz_call_per_routine(suite, monkeypatch):
     # every graph's alpha grid fits one block of ordering.BLOCK_ENTRIES
     # scores, so each ranking routine a suite calls on a graph makes one
-    # katz_pair_entries call for the whole grid
+    # _pair_entries call for the whole grid
     calls = []
-    entries = ordering.katz_pair_entries
+    entries = ordering._pair_entries
 
     def counted(g, alpha, i, j):
         calls.append((g, list(alpha)))
         return entries(g, alpha, i, j)
 
-    monkeypatch.setattr(ordering, "katz_pair_entries", counted)
+    monkeypatch.setattr(ordering, "_pair_entries", counted)
     assert suite("quick").passed
     if suite is verify.suite_cycle_agreement:
         # agreement, then class_structures_match
