@@ -24,6 +24,7 @@ be written).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -32,7 +33,17 @@ import numpy as np
 
 from . import katz, ordering
 from .dpoly import INV_SQRT5
-from .graphs import FAMILIES, GraphSpec, PowerIterationError, _pair_labels, graph_distance, require_admissible, resistance
+from .graphs import (
+    FAMILIES,
+    GraphSpec,
+    PowerIterationError,
+    _pair_labels,
+    _span_distance,
+    _span_resistance,
+    graph_distance,
+    require_admissible,
+    resistance,  # not called here (scatter reads _span_resistance); kept as a name callers patch
+)
 from .linalg import SingularMatrixError
 from .verify import run_suites
 
@@ -107,7 +118,7 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
     n = g.n
     i, j = _pair_labels(n)
     ends = np.arange(2, n + 1)  # the pairs (1, 1 + s) stand for every pair of span s = 1..n-1
-    distance, resist = graph_distance(g, 1, ends), resistance(g, 1, ends)
+    distance, resist = _span_distance(g, ends - 1), _span_resistance(g, ends - 1)
     # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells
     labels = [f"{v}," for v in range(2, n + 1)]
     spans = [f"{d},{_real(r)}," for d, r in zip(distance.tolist(), resist.tolist())]
@@ -195,14 +206,16 @@ def cmd_converge(args: argparse.Namespace) -> int:
             raise ValueError(f"offset must be >= 1, got {args.offset}")
         if 1 + args.offset > min(sizes):
             raise ValueError(f"offset {args.offset} does not fit in the smallest size n={min(sizes)}")
-    for n in sizes:
-        require_admissible(args.alpha, GraphSpec(args.family, n))
+    graphs = [GraphSpec(args.family, n) for n in sizes]
+    for g in graphs:
+        require_admissible(args.alpha, g)
+    # every size is checked: the entries come from the unchecked kernels
     if args.family == "path":
         limit = katz.katz_limit_path(args.i, args.j, args.alpha)
-        exact = [katz.katz_path(n, args.i, args.j, args.alpha) for n in sizes]
+        exact = [katz._path_entry(n, args.i, args.j, args.alpha) for n in sizes]
     else:
         limit = katz.katz_limit_cycle(args.offset, args.alpha)
-        exact = [katz.katz_cycle(n, 1, 1 + args.offset, args.alpha) for n in sizes]
+        exact = [katz._cycle_entry(g.n, graph_distance(g, 1, 1 + args.offset), args.alpha) for g in graphs]
     rows = [
         [str(n), _real(value), _real(limit), _real(abs(value - limit))]
         for n, value in zip(sizes, exact)
@@ -248,18 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     scatter.add_argument(
         "--alpha",
         type=_alpha_list,
-        default=list(DEFAULT_SCATTER_ALPHAS),
+        default=DEFAULT_SCATTER_ALPHAS,
         help="comma-separated decay values (default 0.2,0.3,0.46)",
     )
     scatter.add_argument("--out", required=True, help="output CSV path")
-    scatter.set_defaults(handler=cmd_scatter)
 
     cutoff = sub.add_parser("cutoff", help="ranking cut-off roots over a size range")
     cutoff.add_argument("--j", type=int, required=True, help="pair offset of the leading gap")
     cutoff.add_argument("--n-lo", type=int, required=True)
     cutoff.add_argument("--n-hi", type=int, required=True)
     cutoff.add_argument("--out", required=True, help="output CSV path")
-    cutoff.set_defaults(handler=cmd_cutoff)
 
     converge = sub.add_parser("converge", help="one Katz entry against its large-size limit")
     converge.add_argument("--family", choices=FAMILIES, required=True)
@@ -270,24 +281,33 @@ def build_parser() -> argparse.ArgumentParser:
     converge.add_argument(
         "--n-list",
         type=_int_list,
-        default=list(DEFAULT_CONVERGE_SIZES),
+        default=DEFAULT_CONVERGE_SIZES,
         help="comma-separated strictly increasing sizes (default 10,20,40,80,160,320)",
     )
     converge.add_argument("--out", required=True, help="output CSV path")
-    converge.set_defaults(handler=cmd_converge)
 
     verify = sub.add_parser("verify", help="run the numerical property suites")
     verify.add_argument("--level", choices=("quick", "full"), default="quick")
-    verify.set_defaults(handler=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process, built by the first one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; may be called any number of times in one process.
+
+    The parser is built once, on the first call, and never holds state
+    between calls: its defaults are tuples, and the handler is looked up by
+    the subcommand's name at each call, so a replaced cmd_* takes effect.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except NUMERIC_RANGE_ERRORS + (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

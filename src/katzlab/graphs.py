@@ -191,8 +191,11 @@ def _checked_pair(g: GraphSpec, i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
 
 
-def _label_spans(g: GraphSpec, i, j) -> np.ndarray:
-    """|j - i| for an array of labels against a label or another array (they broadcast), every label checked."""
+def _label_spans(g: GraphSpec, i, j):
+    """|j - i| with every label checked: an int for two labels, an int64 array when either is an array (they broadcast)."""
+    if not (isinstance(i, np.ndarray) or isinstance(j, np.ndarray)):
+        i, j = _checked_pair(g, i, j)
+        return j - i
     for labels in (i, j):
         if not isinstance(labels, np.ndarray):
             g.check_vertex(labels)
@@ -203,19 +206,28 @@ def _label_spans(g: GraphSpec, i, j) -> np.ndarray:
     return np.abs(np.subtract(j, i, dtype=np.int64))
 
 
+def _span_distance(g: GraphSpec, span):
+    """Hop distance of g at a label span |j - i| (an int, or an int64 array of spans), unchecked."""
+    if g.is_path:
+        return span
+    return np.minimum(span, g.n - span) if isinstance(span, np.ndarray) else min(span, g.n - span)
+
+
+def _span_resistance(g: GraphSpec, span):
+    """Effective resistance of g at a label span, as :func:`_span_distance`, unchecked."""
+    k = _span_distance(g, span)
+    if g.is_path:
+        return k + 0.0  # a float, or a float64 array, of the same values
+    return k * (g.n - k) / g.n
+
+
 def graph_distance(g: GraphSpec, i: int, j: int) -> int:
     """Hop distance: j - i on paths, min(j - i, n - (j - i)) on cycles.
 
     i or j may be a numpy array of labels; the two broadcast, and the
     distances come back as an int64 array.
     """
-    if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
-        span = _label_spans(g, i, j)
-        return span if g.is_path else np.minimum(span, g.n - span)
-    i, j = _checked_pair(g, i, j)
-    if g.is_path:
-        return j - i
-    return min(j - i, g.n - (j - i))
+    return _span_distance(g, _label_spans(g, i, j))
 
 
 def resistance(g: GraphSpec, i: int, j: int) -> float:
@@ -227,10 +239,7 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
     quotient divides int64 values that are exact as doubles, so each entry
     rounds as the scalar expression does.
     """
-    k = graph_distance(g, i, j)
-    if g.is_path:
-        return k + 0.0  # a float, or a float64 array, of the same values
-    return k * (g.n - k) / g.n
+    return _span_resistance(g, _label_spans(g, i, j))
 
 
 @functools.lru_cache(maxsize=1)

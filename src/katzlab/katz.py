@@ -125,7 +125,11 @@ def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     """
     g = GraphSpec.path(n)
     require_admissible(alpha, g)
-    i, j = _checked_pair(g, i, j)
+    return _path_entry(n, *_checked_pair(g, i, j), alpha)
+
+
+def _path_entry(n: int, i: int, j: int, alpha: float) -> float:
+    """The :func:`katz_path` entry at labels 1 <= i <= j <= n and an alpha admissible for path(n), unchecked."""
     if i - 1 > n - j:
         # the mirror pair (n + 1 - j, n + 1 - i) swaps head and tail, so its
         # products take the same factors in the other order: the same value
@@ -152,7 +156,11 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     """
     g = GraphSpec.cycle(n)
     require_admissible(alpha, g)
-    k = graph_distance(g, i, j)
+    return _cycle_entry(n, graph_distance(g, i, j), alpha)
+
+
+def _cycle_entry(n: int, k: int, alpha: float) -> float:
+    """The :func:`katz_cycle` entry at arc length 0 <= k <= n//2 and an alpha admissible for cycle(n), unchecked."""
     power = alpha**n
     if k:
         d_short, d_long, d_before, d_last = _d_terms((k - 1, n - k - 1, n - 2, n - 1), alpha)

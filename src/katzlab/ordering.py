@@ -57,7 +57,9 @@ from .graphs import (
     _admissible,
     _admissible_alphas,
     _pair_labels,
-    graph_distance,
+    _span_distance,
+    _span_resistance,
+    graph_distance,  # not called here (_scores reads _span_distance); kept as a name callers patch
     require_admissible,
     resistance,
     spectral_radius,
@@ -144,7 +146,8 @@ def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
     i, j = _pair_labels(g.n)
     if metric == KATZ:
         return _katz_scores(g, [require_admissible(alpha, g)], i, j)[0]
-    return resistance(g, i, j) if metric == RESISTANCE else graph_distance(g, i, j) + 0.0
+    span = j - i  # the labels are the package's own, so unchecked
+    return _span_resistance(g, span) if metric == RESISTANCE else _span_distance(g, span) + 0.0
 
 
 def _keys(metric: str, scores: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from katzlab import cli, graphs, katz
+from katzlab import cli, graphs, katz, ordering
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import GraphSpec, graph_distance, resistance
 from katzlab.katz import katz_limit_path
@@ -396,3 +397,80 @@ def test_every_numeric_range_error_exits_2(error, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_converge", fail)
     assert run(["converge", "--family", "path", "--i", "1", "--j", "2", "--alpha", "0.3", "--out", "x.csv"]) == 2
     assert capsys.readouterr().err == "error: out of range\n"
+
+
+def converge_argv(out, family="path"):
+    where = ["--i", "2", "--j", "5"] if family == "path" else ["--offset", "2"]
+    return ["converge", "--family", family, *where, "--alpha", "0.3", "--out", str(out)]
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = converge_argv(tmp_path / "c.csv")
+    assert run(argv) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert run(argv) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_main_calls_are_independent(tmp_path, capsys, family):
+    out = tmp_path / "scatter.csv"
+    default = ["scatter", "--family", family, "--n", "9", "--out", str(out)]
+    want = reference_scatter_text(family, 9, cli.DEFAULT_SCATTER_ALPHAS).encode()
+    assert run(default[:-2] + ["--alpha", "0.1,0.2", "--out", str(out)]) == 0
+    assert run(default) == 0
+    assert out.read_bytes() == want
+    for argv, code in ((default[:-2], 2), (["--help"], 0), (["scatter", "--help"], 0)):
+        out.unlink()
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == code
+        assert run(default) == 0
+        assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_converge_checks_each_size_once(tmp_path, monkeypatch, family):
+    calls = []
+    admissible = graphs._admissible
+
+    def counted(value, g, bound):
+        calls.append(g.n)
+        return admissible(value, g, bound)
+
+    monkeypatch.setattr(graphs, "_admissible", counted)
+    out = tmp_path / "c.csv"
+    assert run(converge_argv(out, family)) == 0
+    assert calls == list(cli.DEFAULT_CONVERGE_SIZES)
+    route = katz.katz_path if family == "path" else katz.katz_cycle
+    i, j = (2, 5) if family == "path" else (1, 3)
+    cells = [line.split(",")[1] for line in read_lines(out)[1:-1]]
+    assert cells == [cli._real(route(n, i, j, 0.3)) for n in cli.DEFAULT_CONVERGE_SIZES]
+
+
+def test_scatter_and_metric_rankings_scan_no_labels_of_their_own(tmp_path, monkeypatch):
+    scans = []
+    label_spans = graphs._label_spans
+
+    def counted(g, i, j):
+        scans.append(g)
+        return label_spans(g, i, j)
+
+    monkeypatch.setattr(graphs, "_label_spans", counted)
+    for family in ("path", "cycle"):
+        g = GraphSpec(family, 12)
+        assert run(["scatter", "--family", family, "--n", "12", "--out", str(tmp_path / "s.csv")]) == 0
+        for metric in ("distance", "resistance"):
+            ordering.rank_pairs(g, metric)
+            ordering.pair_scores(g, metric)
+    assert scans == []
+    graph_distance(g, 1, np.arange(2, 13))
+    assert scans == [g]
