@@ -37,7 +37,7 @@ from .graphs import (
     FAMILIES,
     GraphSpec,
     PowerIterationError,
-    _pair_labels,
+    _pair_label_blocks,
     _span_distance,
     _span_resistance,
     graph_distance,
@@ -60,9 +60,19 @@ NUMERIC_RANGE_ERRORS = (
 DEFAULT_SCATTER_ALPHAS = (0.2, 0.3, 0.46)
 DEFAULT_CONVERGE_SIZES = (10, 20, 40, 80, 160, 320)
 
-# Rows per text block handed to _write_csv: bounds the block's text and
-# index arrays whatever n is.
-SCATTER_BLOCK_ROWS = 32768
+# Most rows per text block handed to _write_csv: bounds the block's labels,
+# index and text whatever n is.  Of the sizes measured (1024 to 32768 rows),
+# 2048 was the fastest: smaller blocks pay more per block, and from 4096 rows
+# on the C heap is trimmed and faulted back in block after block.
+SCATTER_BLOCK_ROWS = 2048
+
+# Most rows of a scatter table per alpha: the pairs of a SCATTER_MAX_N-vertex
+# graph.  A row is at most SCATTER_ROW_BYTES long (three 22-byte reals, three
+# labels of up to 4 digits, 5 commas and the line end), so one alpha writes
+# at most about 704 MB.
+SCATTER_MAX_N = 4096
+SCATTER_MAX_ROWS = SCATTER_MAX_N * (SCATTER_MAX_N - 1) // 2
+SCATTER_ROW_BYTES = 84
 
 
 def _real(x: float) -> str:
@@ -83,14 +93,45 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _real_table(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The _real cell of each distinct float in values, and per value the index of its cell.
+class _RealCells:
+    """The _real cells of a stream of float arrays, each distinct value formatted once.
 
-    Values are grouped by their bit pattern, so 0.0 and -0.0 (or two NaN
+    Values are told apart by their bit pattern, so 0.0 and -0.0 (or two NaN
     payloads) are never merged and every cell is exactly its own _real.
+    The patterns seen so far are one sorted int64 key array, with the number
+    of each one's cell in the order the cells were first made: O(R) memory
+    for R distinct values, whatever the number of values added.
     """
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return [_real(x) for x in keys.view(np.float64).tolist()], inverse
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.numbers = np.empty(0, dtype=np.intp)
+
+    def add(self, values: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """The cells of the patterns in values not seen before, numbered on from the earlier ones, and per value its cell's number.
+
+        One sort and a != mask find the distinct patterns of values; only
+        those not among the keys are formatted.
+        """
+        bits = values.view(np.int64)
+        distinct = np.sort(bits)
+        first = np.empty(distinct.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+        distinct = distinct[first]
+        if self.keys.size:
+            at = np.searchsorted(self.keys, distinct)
+            # a pattern above every key has at = keys.size, clipped to the largest key
+            fresh = self.keys.take(at, mode="clip") != distinct
+            new = distinct[fresh]
+            if new.size:
+                self.keys = np.insert(self.keys, at[fresh], new)
+                self.numbers = np.insert(self.numbers, at[fresh], np.arange(self.numbers.size, self.numbers.size + new.size))
+        else:
+            new = self.keys = distinct
+            self.numbers = np.arange(distinct.size)
+        # _real's format, written out: a call per value costs a few per cent of a small scatter
+        return [f"{x:.16e}" for x in new.view(np.float64).tolist()], self.numbers.take(np.searchsorted(self.keys, bits))
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -107,47 +148,69 @@ def _write_csv(path: str, header: list[str], blocks: Iterable[str]) -> None:
 def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
     """The scatter rows at checked alphas, alpha by alpha in g.pairs() order, at most SCATTER_BLOCK_ROWS to a block.
 
-    A row is four cells from small per-graph tables: the "alpha,i," head,
-    the "j," label, the "distance,resistance," cells of its span j - i and
-    the Katz cell with its line end, read by katz._pair_entries with no
-    n x n matrix.  A path has one Katz cell per distinct value of its pairs;
-    a cycle's Katz value depends on a pair only through its arc, the
-    distance of its span, so it reads the pairs (1, 1 + k), k = 1..n//2,
-    one cell per arc.  A block is one object-array gather and one join.
+    A row is four cells from one object table per alpha: the "alpha,i,"
+    head, the "j," label, the "distance,resistance," cells of its span
+    j - i and the Katz cell with its line end.  The Katz values come from
+    O(n) rows per alpha with no n x n matrix: a path evaluates each pair of
+    a block once (katz._path_pairs on its d-row and powers), and each
+    distinct value is formatted once per alpha (_RealCells); a cycle's value
+    depends on a pair only through its arc, so it has one cell per arc
+    length k = 1..n//2.  The labels are built block by block from the row
+    offsets, and a block is one 4-column object gather and one join.  No
+    array holds all P = n(n-1)/2 pairs: memory is O(n + block + R), with R
+    the number of distinct Katz values at one alpha.
     """
     n = g.n
-    i, j = _pair_labels(n)
-    ends = np.arange(2, n + 1)  # the pairs (1, 1 + s) stand for every pair of span s = 1..n-1
-    distance, resist = _span_distance(g, ends - 1), _span_resistance(g, ends - 1)
+    spans = np.arange(1, n)
+    distance, resist = _span_distance(g, spans), _span_resistance(g, spans)
     # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells
-    labels = [f"{v}," for v in range(2, n + 1)]
-    spans = [f"{d},{_real(r)}," for d, r in zip(distance.tolist(), resist.tolist())]
+    cells = [f"{v}," for v in range(2, n + 1)] + [f"{d},{_real(r)}," for d, r in zip(distance.tolist(), resist.tolist())]
+    katz_start = 3 * (n - 1)
+    arc_cells = distance + (katz_start - 1)  # a cycle's Katz cell per span, that of its arc
     for alpha in alphas:
-        if g.is_path:
-            katz_cells, katz_index = _real_table(katz._pair_entries(g, [alpha], i, j)[0])
-        else:
-            arcs = katz._pair_entries(g, [alpha], np.ones(n // 2, dtype=np.int64), ends[: n // 2])[0]
-            katz_cells = [_real(x) for x in arcs.tolist()]
         alpha_cell = _real(alpha)
-        heads = [f"{alpha_cell},{v}," for v in range(1, n)]
-        table = np.array(heads + labels + spans + [cell + "\n" for cell in katz_cells], dtype=object)
-        del katz_cells
-        for lo in range(0, len(i), SCATTER_BLOCK_ROWS):
-            block = slice(lo, lo + SCATTER_BLOCK_ROWS)
-            ib, jb = i[block], j[block]
-            index = np.empty((len(ib), 4), dtype=np.intp)
-            index[:, 0] = ib - 1
-            index[:, 1] = jb + (n - 3)
-            index[:, 2] = jb - ib + (2 * n - 3)
-            index[:, 3] = katz_index[block] if g.is_path else distance[jb - ib - 1] - 1
-            index[:, 3] += 3 * (n - 1)
+        if g.is_path:
+            d, powers = katz._path_rows([alpha], n)
+            katz_cells, new = _RealCells(), []
+        else:
+            new = [_real(x) for x in katz._cycle_arcs([alpha], n)[0, 1:].tolist()]
+        table = np.array([f"{alpha_cell},{v}," for v in range(1, n)] + cells + [cell + "\n" for cell in new], dtype=object)
+        size = table.size
+        for i, j in _pair_label_blocks(n, SCATTER_BLOCK_ROWS):
+            index = np.empty((i.size, 4), dtype=np.intp)
+            np.subtract(i, 1, out=index[:, 0])
+            np.add(j, n - 3, out=index[:, 1])
+            span = j - i
+            np.add(span, 2 * n - 3, out=index[:, 2])
+            if g.is_path:
+                new, numbers = katz_cells.add(katz._path_pairs(d, powers, i, j)[0])
+                np.add(numbers, katz_start, out=index[:, 3])
+                if new:
+                    if size + len(new) > table.size:
+                        # doubled, so that a table of R cells is copied O(log R) times
+                        table = np.concatenate((table, np.empty(max(table.size, len(new)), dtype=object)))
+                    table[size : size + len(new)] = [cell + "\n" for cell in new]
+                    size += len(new)
+            else:
+                np.take(arc_cells, span - 1, out=index[:, 3])
             yield "".join(table[index].ravel().tolist())
+
+
+def _require_scatter_size(g: GraphSpec) -> None:
+    """Validate that g has at most SCATTER_MAX_ROWS pairs, the rows of its table at one alpha."""
+    rows = g.n * (g.n - 1) // 2
+    if rows > SCATTER_MAX_ROWS:
+        raise ValueError(
+            f"{g.family}({g.n}) has {rows} pairs, more than SCATTER_MAX_ROWS = {SCATTER_MAX_ROWS} rows per alpha "
+            f"(n <= {SCATTER_MAX_N}; at most {SCATTER_ROW_BYTES} bytes a row, about "
+            f"{SCATTER_MAX_ROWS * SCATTER_ROW_BYTES / 1e6:.0f} MB per alpha)"
+        )
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
     g = GraphSpec(args.family, args.n)
-    katz.require_matrix_size(g.n)
-    alphas = [require_admissible(alpha, g) for alpha in sorted(args.alpha)]
+    _require_scatter_size(g)
+    alphas = katz.require_normal_denominator(g, sorted(args.alpha))
     _write_csv(args.out, ["alpha", "i", "j", "distance", "resistance", "katz"], _scatter_blocks(g, alphas))
     return 0
 
@@ -257,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scatter = sub.add_parser("scatter", help="per-pair metric table for scatter plots")
     scatter.add_argument("--family", choices=FAMILIES, required=True)
-    scatter.add_argument("--n", type=int, required=True, help=f"number of vertices (at most {katz.MATRIX_MAX_N})")
+    scatter.add_argument("--n", type=int, required=True, help=f"number of vertices (at most {SCATTER_MAX_N})")
     scatter.add_argument(
         "--alpha",
         type=_alpha_list,

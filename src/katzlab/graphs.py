@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,26 @@ def _pair_labels(n: int, mirror_half: bool = False) -> tuple[np.ndarray, np.ndar
     # pair k of the row of i, which starts at offset s, is (i, k - s + i + 1)
     shift = np.cumsum(row_sizes) - row_sizes - rows - 1
     return i, np.arange(i.size) - np.repeat(shift, row_sizes)
+
+
+def _pair_label_blocks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The labels of :func:`_pair_labels` (n) in consecutive blocks of at most size pairs, O(n + size) memory.
+
+    A block [lo, hi) of the pair order covers the rows whose offsets meet
+    it, each as many times as it has pairs in the block, as in
+    _pair_labels; only the first and last rows can be cut.
+    """
+    row_sizes = np.arange(n - 1, 0, -1)
+    ends = np.cumsum(row_sizes)
+    starts = ends - row_sizes
+    shift = starts - np.arange(2, n + 1)  # pair k of the row of i is (i, k - shift)
+    total = n * (n - 1) // 2
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
+        rows = slice(first, last + 1)
+        counts = np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo)
+        yield np.repeat(np.arange(first + 1, last + 2), counts), np.arange(lo, hi) - np.repeat(shift[rows], counts)
 
 
 def require_admissible(value: float, g: GraphSpec) -> float:

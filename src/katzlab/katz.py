@@ -24,16 +24,19 @@ algebra.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 from .dpoly import (
+    D_cycle_denominator,
     _cycle_denominator,
     _d_terms,
     _lucas,
     _require_below_half,
     _require_int,
+    d_recursive,
     d_sequence,
     ratio_constant,
 )
@@ -66,6 +69,28 @@ def require_matrix_size(n: int, count: int = 1) -> None:
             f"{what} the Katz matrix limit of MATRIX_MAX_N**2 entries, MATRIX_MAX_N = {MATRIX_MAX_N} "
             f"(float64 arrays of at most {8 * MATRIX_MAX_N**2 >> 20} MiB in all)"
         )
+
+
+def require_normal_denominator(g: GraphSpec, alpha) -> list[float]:
+    """The alphas of a number or 1-D sequence as floats, each checked admissible for g and giving a normal Katz denominator.
+
+    Every closed form of g divides by the same denominator, d_n on a path
+    and D_n on a cycle.  Below sys.float_info.min it is subnormal or zero,
+    and the float entries come out as nan or as zeros that the exact values
+    are not (ROADMAP item 1): FloatingPointError names the first such
+    alpha.  Wrong zeros where the denominator is normal, from a power of
+    alpha that underflows, are not caught here.
+    """
+    alphas, _ = _admissible_alphas(alpha, g)
+    for value in alphas:
+        denominator = d_recursive(g.n, value) if g.is_path else D_cycle_denominator(g.n, value)
+        if denominator < sys.float_info.min:
+            raise FloatingPointError(
+                f"{g.family}({g.n}) at alpha = {value!r}: the Katz denominator {'d_n' if g.is_path else 'D_n'} = "
+                f"{denominator!r} is below the smallest normal double {sys.float_info.min!r}, so its Katz cells "
+                "would be nan or wrong zeros (ROADMAP item 1)"
+            )
+    return alphas
 
 
 def _path_off_diagonal(power, head, tail, d_n):
@@ -258,11 +283,17 @@ def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.n
 
 def _pair_entries(g: GraphSpec, alphas: list, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The (A, P) array of :func:`katz_pair_entries` at a list of checked float alphas and valid labels, unchecked."""
-    n, span = g.n, np.subtract(j, i, dtype=np.int64)
+    n = g.n
     if g.is_path:
-        d, powers = _path_rows(alphas, n)
-        return _path_off_diagonal(powers.take(span, axis=1), d.take(i - 1, axis=1), d.take(n - j, axis=1), d[:, n:])
+        return _path_pairs(*_path_rows(alphas, n), i, j)
+    span = np.subtract(j, i, dtype=np.int64)
     return _cycle_arcs(alphas, n).take(np.minimum(span, n - span), axis=1)
+
+
+def _path_pairs(d: np.ndarray, powers: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The (A, P) path entries at valid labels i < j, by :func:`_path_off_diagonal` on the rows of :func:`_path_rows`."""
+    n = powers.shape[1]
+    return _path_off_diagonal(powers.take(j - i, axis=1), d.take(i - 1, axis=1), d.take(n - j, axis=1), d[:, n:])
 
 
 def katz_path_matrix(n: int, alpha) -> np.ndarray:

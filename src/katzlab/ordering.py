@@ -59,7 +59,6 @@ from .graphs import (
     _pair_labels,
     _span_distance,
     _span_resistance,
-    graph_distance,  # not called here (_scores reads _span_distance); kept as a name callers patch
     require_admissible,
     resistance,
     spectral_radius,

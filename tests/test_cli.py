@@ -1,5 +1,7 @@
 import argparse
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -138,38 +140,100 @@ def test_scatter_bytes_across_real_row_blocks(tmp_path, family):
 
 
 @pytest.mark.parametrize("family", ["path", "cycle"])
-def test_scatter_rejects_n_above_the_matrix_cap(tmp_path, capsys, family):
+def test_scatter_rejects_n_above_its_row_cap(tmp_path, capsys, family):
+    # the cap admits every n that the earlier matrix-size cap admitted
+    assert cli.SCATTER_MAX_N == katz.MATRIX_MAX_N
+    cli._require_scatter_size(GraphSpec(family, cli.SCATTER_MAX_N))
     out = tmp_path / "scatter.csv"
-    rc = run(["scatter", "--family", family, "--n", str(katz.MATRIX_MAX_N + 1), "--out", str(out)])
+    rc = run(["scatter", "--family", family, "--n", str(cli.SCATTER_MAX_N + 1), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "MATRIX_MAX_N" in err
+    assert err.startswith("error: ") and "SCATTER_MAX_ROWS" in err
     assert "Traceback" not in err
     assert not out.exists()
 
 
+# The first n at which the Katz denominator (d_n on a path, D_n on a cycle)
+# drops below the smallest normal double, per family and alpha.
+FIRST_SUBNORMAL_DENOMINATOR = [
+    ("path", 0.46, 1956), ("cycle", 0.46, 1955),
+    ("path", 0.499, 1125), ("cycle", 0.499, 1122),
+    ("path", 0.45, 2140), ("cycle", 0.45, 2138),
+]
+
+
+@pytest.mark.parametrize("family, alpha, n", FIRST_SUBNORMAL_DENOMINATOR)
+def test_scatter_refuses_an_alpha_whose_denominator_is_subnormal(tmp_path, capsys, family, alpha, n):
+    out = tmp_path / "scatter.csv"
+    argv = ["scatter", "--family", family, "--n", str(n), "--alpha", f"0.3,{alpha!r}", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{family}({n}) at alpha = {alpha!r}" in err and "item 1" in err
+    assert not out.exists()
+    # one size smaller the denominator is normal, and the alpha is accepted
+    katz.require_normal_denominator(GraphSpec(family, n - 1), [alpha])
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_scatter_refuses_no_size_at_alpha_point_three(family):
+    # d_n and D_n fall as n grows, so the largest admitted n is the last to pass
+    katz.require_normal_denominator(GraphSpec(family, cli.SCATTER_MAX_N), [0.3])
+
+
+def drained_scatter_peak(g, alpha):
+    """The tracemalloc peak, in bytes, of making every scatter block of g at one alpha."""
+    tracemalloc.start()
+    try:
+        for _ in cli._scatter_blocks(g, [alpha]):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_scatter_memory_does_not_grow_with_the_pair_count(family):
+    # four times the pairs: an array of all P pairs would about quadruple the peak
+    small, large = (drained_scatter_peak(GraphSpec(family, n), 0.3) for n in (600, 1200))
+    assert large < 2 * small
+    assert large < 6 * 2**20
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan, 1.0, 0.3]
-
-
-@given(
-    hnp.arrays(
-        np.float64,
-        st.integers(0, 40),
-        elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_subnormal=True)),
-    )
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64,
+    st.integers(0, 40),
+    elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_subnormal=True)),
 )
-def test_real_table_is_real_per_value(values):
-    cells, inverse = cli._real_table(values)
+
+
+@given(FLOAT_ARRAYS)
+def test_real_cells_are_real_per_value(values):
+    cells, inverse = cli._RealCells().add(values)
     assert [cells[k] for k in inverse.tolist()] == [cli._real(x) for x in values.tolist()]
 
 
-def test_real_table_keeps_signed_zeros_and_nan_payloads_apart():
+def test_real_cells_keep_signed_zeros_and_nan_payloads_apart():
     payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
     values = np.array([0.0, -0.0, math.nan, payload_nan, -math.nan, 0.0])
-    cells, inverse = cli._real_table(values)
+    cells, inverse = cli._RealCells().add(values)
     assert [cells[k] for k in inverse.tolist()] == [cli._real(x) for x in values.tolist()]
     assert len(cells) == 5
     assert [cells[k] for k in inverse[:2].tolist()] == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
+
+
+@given(FLOAT_ARRAYS, st.integers(0, 40))
+def test_real_cells_format_each_pattern_once_across_blocks(values, cut):
+    seen, cells, numbers = cli._RealCells(), [], []
+    for block in (values[:cut], values[cut:]):
+        new, inverse = seen.add(block)
+        cells += new
+        numbers += inverse.tolist()
+    assert [cells[k] for k in numbers] == [cli._real(x) for x in values.tolist()]
+    assert len(cells) == len(set(values.view(np.int64).tolist()))
 
 
 WRITING_COMMANDS = {

@@ -521,7 +521,7 @@ def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
 
         return fail
 
-    for name in ("graph_distance", "resistance", "_pair_entries"):
+    for name in ("_span_distance", "_span_resistance", "_pair_entries"):
         monkeypatch.setattr(ordering, name, record(name))
     for g, bad in ((GraphSpec.cycle(8), 0.5), (GraphSpec.path(8), 0.6), (GraphSpec.path(8), 0.0)):
         for alphas in ([bad, 0.1, 0.2], [0.1, bad, 0.2], [0.1, 0.2, bad]):
