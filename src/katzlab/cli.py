@@ -40,7 +40,6 @@ from .graphs import (
     _pair_label_blocks,
     _span_distance,
     _span_resistance,
-    graph_distance,
     require_admissible,
     resistance,  # not called here (scatter reads _span_resistance); kept as a name callers patch
 )
@@ -216,8 +215,6 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 
 
 def cmd_cutoff(args: argparse.Namespace) -> int:
-    if args.j < 1:
-        raise ValueError(f"j must be >= 1, got {args.j}")
     if args.n_lo > args.n_hi:
         raise ValueError(f"empty size range: n_lo={args.n_lo} > n_hi={args.n_hi}")
     if args.n_lo - args.j < 5:
@@ -258,27 +255,25 @@ def cmd_converge(args: argparse.Namespace) -> int:
     if args.family == "path":
         if args.i is None or args.j is None or args.offset is not None:
             raise ValueError("path convergence takes --i and --j (not --offset)")
-        if not 1 <= args.i <= args.j:
-            raise ValueError(f"need 1 <= i <= j, got i={args.i}, j={args.j}")
         if args.j > min(sizes):
             raise ValueError(f"vertex {args.j} does not exist in the smallest size n={min(sizes)}")
     else:
         if args.offset is None or args.i is not None or args.j is not None:
             raise ValueError("cycle convergence takes --offset (not --i/--j)")
-        if args.offset < 1:
-            raise ValueError(f"offset must be >= 1, got {args.offset}")
         if 1 + args.offset > min(sizes):
             raise ValueError(f"offset {args.offset} does not fit in the smallest size n={min(sizes)}")
     graphs = [GraphSpec(args.family, n) for n in sizes]
-    for g in graphs:
+    # each size is checked once (d_n and D_n fall as n grows: the largest is the first to leave the
+    # float range), and the limits check the labels and the offset before any entry is computed
+    for g in graphs[:-1]:
         require_admissible(args.alpha, g)
-    # every size is checked: the entries come from the unchecked kernels
+    katz.require_normal_denominator(graphs[-1], args.alpha)
     if args.family == "path":
         limit = katz.katz_limit_path(args.i, args.j, args.alpha)
         exact = [katz._path_entry(n, args.i, args.j, args.alpha) for n in sizes]
     else:
         limit = katz.katz_limit_cycle(args.offset, args.alpha)
-        exact = [katz._cycle_entry(g.n, graph_distance(g, 1, 1 + args.offset), args.alpha) for g in graphs]
+        exact = [katz._cycle_entry(g.n, _span_distance(g, args.offset), args.alpha) for g in graphs]
     rows = [
         [str(n), _real(value), _real(limit), _real(abs(value - limit))]
         for n, value in zip(sizes, exact)

@@ -160,8 +160,8 @@ def d_sequence_exact(n: int, alpha) -> list[Fraction]:
     """[d_0, ..., d_n] in exact rational arithmetic.
 
     alpha may be anything Fraction accepts (a float is used at its exact
-    binary value).  Backs the convergence-order checks, where consecutive
-    gaps shrink below double resolution.
+    binary value).  The independent list route that the tests compare the
+    float recursion, the Lucas integers and the Katz entries against.
     """
     _require_index(n)
     return _d_sequence(n, Fraction(alpha), Fraction(1))

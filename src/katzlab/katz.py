@@ -40,7 +40,7 @@ from .dpoly import (
     d_sequence,
     ratio_constant,
 )
-from .graphs import GraphSpec, _admissible_alphas, _checked_pair, graph_distance, require_admissible, spectral_radius
+from .graphs import GraphSpec, _admissible_alphas, _checked_pair, _span_distance, graph_distance, require_admissible, spectral_radius
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
@@ -286,8 +286,7 @@ def _pair_entries(g: GraphSpec, alphas: list, i: np.ndarray, j: np.ndarray) -> n
     n = g.n
     if g.is_path:
         return _path_pairs(*_path_rows(alphas, n), i, j)
-    span = np.subtract(j, i, dtype=np.int64)
-    return _cycle_arcs(alphas, n).take(np.minimum(span, n - span), axis=1)
+    return _cycle_arcs(alphas, n).take(_span_distance(g, np.subtract(j, i, dtype=np.int64)), axis=1)
 
 
 def _path_pairs(d: np.ndarray, powers: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -456,7 +455,8 @@ def katz_limit_path(i: int, j: int, alpha: float) -> float:
     katz_path's forms at d_n = 1 with each ratio d_{n-m}/d_n at its limit c^m,
     c = 2/(1 + sqrt(1 - 4 alpha^2)): alpha^(j-i) d_{i-1} c^j for i < j, and
     c^i d_{i-1} - 1 on the diagonal, taken as alpha^2 (d_{i-1} c^(i+1) + d_{i-2} c^i)
-    with d_{-1} = 0, so small alpha loses no digits.  Only derived for alpha in (0, 0.5).
+    with d_{-1} = 0, so small alpha loses no digits.  alpha must lie in (0, 1/2), the
+    limit's whole range: a path's 1/rho_n = 1/(2 cos(pi/(n+1))) falls to 1/2 as n grows.
     """
     for label in (i, j):
         _require_int(label, "vertex labels must be integers")
@@ -479,6 +479,7 @@ def katz_limit_cycle(offset: int, alpha: float) -> float:
     One expression covers both parities of q: c satisfies c = 1 + (alpha c)^2,
     which collapses the separate even/odd forms into the same value.  Checked
     against large-n oracle entries (odd offsets included) in the test suite.
+    alpha must lie in (0, 1/2), the whole admissible range: a cycle's 1/rho is 1/2.
     """
     _require_int(offset, "offset must be an integer")
     if offset < 1:

@@ -487,9 +487,9 @@ def cycle_numerator_gap(n: int, k: int, alpha: float) -> float:
 
     alpha^k d_{n-k-1} + alpha^(n-k) d_{k-1} - alpha^(k+1) d_{n-k-2}
     - alpha^(n-k-1) d_k; positive exactly when arc-k pairs out-rank
-    arc-(k+1) pairs under Katz.  For a 1-D sequence of alphas, every one
-    checked to lie in (0, 1/2) first, the array of the calls at each, bit
-    for bit, as for :func:`p_gap`.
+    arc-(k+1) pairs under Katz.  alpha lies in (0, 1/2), a cycle's whole
+    admissible range (1/rho = 1/2); for a 1-D sequence of alphas, every one
+    checked first, the array of the calls at each, bit for bit, as p_gap.
     """
     _require_int(k, "arc length must be an integer")
     if not 1 <= k < n // 2:

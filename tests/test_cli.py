@@ -429,8 +429,9 @@ def test_scatter_requires_known_family():
 
 
 def test_numeric_range_error_exits_with_usage_error(tmp_path, monkeypatch, capsys):
-    # the size limit overflows inside the limit formula; that is an input
-    # out of range (exit 2), not a verification failure (exit 1)
+    # d_1600 at 0.499 is below the smallest normal double, so the denominator
+    # gate refuses it; that is an input out of range (exit 2), not a
+    # verification failure (exit 1)
     monkeypatch.chdir(tmp_path)
     argv = ["converge", "--family", "path", "--i", "1500", "--j", "1501", "--alpha", "0.499",
             "--n-list", "1600", "--out", "x.csv"]
@@ -520,6 +521,37 @@ def test_converge_checks_each_size_once(tmp_path, monkeypatch, family):
     assert cells == [cli._real(route(n, i, j, 0.3)) for n in cli.DEFAULT_CONVERGE_SIZES]
 
 
+def reference_converge_text(family, alpha, sizes):
+    """converge's CSV at labels (1, 2) or offset 1, from the public entries and limits."""
+    route = katz.katz_path if family == "path" else katz.katz_cycle
+    limit = katz_limit_path(1, 2, alpha) if family == "path" else katz.katz_limit_cycle(1, alpha)
+    values = [route(n, 1, 2, alpha) for n in sizes]
+    rows = [[str(n), cli._real(v), cli._real(limit), cli._real(abs(v - limit))] for n, v in zip(sizes, values)]
+    rows.append(["inf", cli._real(limit), cli._real(limit), cli._real(0.0)])
+    return "n,katz_exact,limit_value,abs_gap\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("family, alpha, n", FIRST_SUBNORMAL_DENOMINATOR)
+def test_converge_refuses_a_largest_size_past_the_float_range(tmp_path, capsys, family, alpha, n):
+    out = tmp_path / "c.csv"
+    where = ["--i", "1", "--j", "2"] if family == "path" else ["--offset", "1"]
+
+    def converge(sizes):
+        argv = ["converge", "--family", family, *where, "--alpha", repr(alpha), "--n-list", ",".join(map(str, sizes))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run(argv + ["--out", str(out)])
+
+    assert converge([n - 1, n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{family}({n}) at alpha = {alpha!r}" in err and "item 1" in err
+    assert not out.exists()
+    # one size smaller every denominator is normal, and the table is written
+    assert converge([n - 2, n - 1]) == 0
+    assert out.read_text() == reference_converge_text(family, alpha, [n - 2, n - 1])
+
+
 def test_scatter_and_metric_rankings_scan_no_labels_of_their_own(tmp_path, monkeypatch):
     scans = []
     label_spans = graphs._label_spans
@@ -535,6 +567,8 @@ def test_scatter_and_metric_rankings_scan_no_labels_of_their_own(tmp_path, monke
         for metric in ("distance", "resistance"):
             ordering.rank_pairs(g, metric)
             ordering.pair_scores(g, metric)
+    # a cycle converge reads each size's arc from the span kernel
+    assert run(converge_argv(tmp_path / "c.csv", "cycle")) == 0
     assert scans == []
     graph_distance(g, 1, np.arange(2, 13))
     assert scans == [g]
