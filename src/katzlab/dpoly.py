@@ -14,7 +14,8 @@ they need from one run of it, and the list forms (``d_sequence``,
 arithmetic of its inputs: floats, Fractions, or float64 arrays of alphas
 (one run for a whole grid, see :func:`_at`).  The exact Katz entries do
 not run it: they read the few integers q^k d_k they need, at alpha = p/q,
-from the Lucas sequence of :func:`_lucas`.
+from the Lucas sequence of :func:`_lucas`, a large index added from two
+runs of about half its size by :func:`_lucas_add`.
 ``d_closed`` is an independent cross-check of it (see its docstring for
 why it is accumulated exactly).
 """
@@ -176,7 +177,8 @@ def _lucas(k: int, p2: int, q: int) -> tuple[int, int]:
     U_2m = U_m (2 U_{m+1} - q U_m) and U_{2m+1} = U_{m+1}^2 - p2 U_m^2,
     and a set bit steps on by the recursion (Joye and Quisquater,
     Electronics Letters 32, 1996): O(log k) big-integer products, with
-    two terms held.
+    two terms held.  Two runs whose indices add up to a large one give it
+    by :func:`_lucas_add`, with no run of its own.
     """
     u, v = 0, 1  # (U_m, U_{m+1}) at m = 0
     for bit in bin(k)[2:]:
@@ -184,6 +186,18 @@ def _lucas(k: int, p2: int, q: int) -> tuple[int, int]:
         if bit == "1":
             u, v = v, q * v - p2 * u
     return u, v
+
+
+def _lucas_add(first: tuple[int, int], second: tuple[int, int], p2: int) -> int:
+    """U_(r+s+1) from first = (U_r, U_(r+1)) and second = (U_s, U_(s+1)), as :func:`_lucas` returns them.
+
+    The addition law U_(a+b) = U_a U_(b+1) - p2 U_(a-1) U_b (Lucas,
+    American Journal of Mathematics 1, 1878) at a = r + 1, b = s: two runs
+    whose indices add up to r + s give the index above both, so a large
+    index costs two products of half its size instead of its own doubling.
+    """
+    (u_r, u_r1), (u_s, u_s1) = first, second
+    return u_r1 * u_s1 - p2 * u_r * u_s
 
 
 def _closed_sum(n: int, p2: int, q_powers) -> float:

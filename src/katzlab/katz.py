@@ -12,10 +12,11 @@ inputs carry: floats for the public entries, numpy arrays for values at
 many pairs.  The exact routes do not run the d-recursion: with
 alpha = p/q they are the integer forms of the same entries, in the Lucas
 sequence q^k d_k = U_{k+1} (:func:`katzlab.dpoly._lucas`), one Fraction
-per entry.  A tridiagonal inverse is fixed by O(n) data (Meurant, SIAM J.
-Matrix Anal. Appl. 13, 1992): per alpha a path's d-row and row of powers
-(:func:`_path_rows`), a cycle's entries at each arc length
-(:func:`_cycle_arcs`).  The pair values and the matrices are the same
+per entry, with the indices near n added from runs of about n/2 and less
+(:func:`katzlab.dpoly._lucas_add`).  A tridiagonal inverse is fixed by
+O(n) data (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): per alpha a
+path's d-row and row of powers (:func:`_path_rows`), a cycle's entries at
+each arc length (:func:`_cycle_arcs`).  The pair values and the matrices are the same
 closed forms on those rows, so they hold the scalar entries bit for bit,
 with every power of alpha taken by Python's pow.  The cycle forms cover
 every n >= 3, diagonal included; only the oracles touch dense linear
@@ -34,6 +35,7 @@ from .dpoly import (
     _cycle_denominator,
     _d_terms,
     _lucas,
+    _lucas_add,
     _require_below_half,
     _require_int,
     d_recursive,
@@ -392,14 +394,27 @@ def _exact_alpha(alpha) -> tuple[int, int]:
 
 
 def _path_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
-    """katz_path_exact as its unreduced integers (numerator, denominator); the denominator U_{n+1} is positive."""
+    """katz_path_exact as its unreduced integers (numerator, denominator); the denominator U_{n+1} is positive.
+
+    The forms are the same at the mirror pair (n+1-j, n+1-i), which is
+    taken when it has the smaller indices (i + j <= n + 1 after it).  Runs
+    at n - j and j (one run when 2j = n) give U_{n+1} by the addition law
+    (:func:`katzlab.dpoly._lucas_add`).  U_i is the j run's on the
+    diagonal, the n - j run's when i + j is n or n + 1, and else its own
+    run, at i < n/2.  So at most one run is above n/2, and none is at n + 1.
+    """
     i, j = _checked_pair(GraphSpec.path(n), i, j)
+    if i + j > n + 1:
+        i, j = n + 1 - j, n + 1 - i
     p, q = _exact_alpha(alpha)
     p2 = p * p
-    head, tail, whole = (_lucas(k, p2, q)[0] for k in (i, n + 1 - j, n + 1))
+    tail = _lucas(n - j, p2, q)  # U_{n-j}, U_{n+1-j}
+    far = tail if 2 * j == n else _lucas(j, p2, q)  # U_j, U_{j+1}
+    whole = _lucas_add(tail, far, p2)  # U_{n+1}
     if i == j:
-        return q * head * tail - whole, whole
-    return q * p ** (j - i) * head * tail, whole
+        return q * far[0] * tail[1] - whole, whole
+    head = tail[i + j - n] if i + j >= n else _lucas(i, p2, q)[0]  # U_i
+    return q * p ** (j - i) * head * tail[1], whole
 
 
 def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
@@ -412,29 +427,45 @@ def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     Lucas sequence of :func:`katzlab.dpoly._lucas`, and every power of q
     cancels from katz_path's forms: the entry (i < j) is
     q p^(j-i) U_i U_{n+1-j} / U_{n+1}, and the diagonal
-    (q U_i U_{n+1-i} - U_{n+1}) / U_{n+1}.  No d-recursion runs: each U
-    takes O(log n) big-integer products, and the entry reduces once, as
-    one Fraction (README lists measured times).
+    (q U_i U_{n+1-i} - U_{n+1}) / U_{n+1}.  No d-recursion runs, and no
+    doubling reaches n + 1: U_{n+1} is added from the runs at n - j and j
+    by Lucas's addition law, so at most one run of O(log n) big-integer
+    products is above n/2 (:func:`_path_exact_parts`).  The entry reduces
+    once, as one Fraction, and at large n that gcd is most of its time
+    (README lists measured times).
     """
     return Fraction(*_path_exact_parts(n, i, j, alpha))
 
 
 def _cycle_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
-    """katz_cycle_exact as its unreduced integers (numerator, denominator), over V_n - 2 p^n > 0."""
+    """katz_cycle_exact as its unreduced integers (numerator, denominator), over V_n - 2 p^n > 0.
+
+    Arcs 0 and 1 read U_{n-1} and U_n from one run at n - 1.  An arc
+    k >= 2 runs at n - k - 1 and k - 1 (one run when 2k = n), steps to
+    U_{k+1}, and takes U_{n-1} and U_n by the addition law
+    (:func:`katzlab.dpoly._lucas_add`).  p^n is p^k p^(n-k), so one power
+    of p is large.
+    """
     k = graph_distance(GraphSpec.cycle(n), i, j)
     p, q = _exact_alpha(alpha)
     p2 = p * p
-    before, last = _lucas(n - 1, p2, q)  # U_{n-1}, U_n
-    power = p**n
+    if k < 2:
+        before, last = _lucas(n - 1, p2, q)  # U_{n-1}, U_n
+        long_arc, short_arc = before, 1  # U_{n-k}, U_k at arc 1
+    else:
+        long_run = _lucas(n - k - 1, p2, q)  # U_{n-k-1}, U_{n-k}
+        short_run = long_run if 2 * k == n else _lucas(k - 1, p2, q)  # U_{k-1}, U_k
+        long_arc, short_arc = long_run[1], short_run[1]
+        step = short_arc, q * short_arc - p2 * short_run[0]  # U_k, U_{k+1}
+        before, last = _lucas_add(long_run, short_run, p2), _lucas_add(long_run, step, p2)
+    short_power = p**k
+    long_power = short_power if 2 * k == n else p ** (n - k)
+    power = short_power * long_power  # p^n
     # V_n - 2 p^n, with U_{n+1} = q U_n - p^2 U_{n-1}
     denominator = q * last - 2 * p2 * before - 2 * power
     if not k:
         return 2 * power + 2 * p2 * before, denominator
-    # U_{n-k}; at arc 1 it is the denominator's U_{n-1}, with no second run
-    long_arc = before if k == 1 else _lucas(n - k, p2, q)[0]
-    # U_k; at the half arc k = n - k of an even cycle it is U_{n-k}
-    short_arc = long_arc if 2 * k == n else _lucas(k, p2, q)[0]
-    return q * (p**k * long_arc + p ** (n - k) * short_arc), denominator
+    return q * (short_power * long_arc + long_power * short_arc), denominator
 
 
 def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
@@ -444,7 +475,10 @@ def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
     alpha = p/q the entries are integer forms with no power of q and no
     d-recursion: q^n D_n = V_n - 2 p^n with V_n = U_{n+1} - p^2 U_{n-1},
     the entry at arc length k >= 1 is q (p^k U_{n-k} + p^(n-k) U_k) over it,
-    and the diagonal (2 p^n + 2 p^2 U_{n-1}) over it.
+    and the diagonal (2 p^n + 2 p^2 U_{n-1}) over it.  Arcs 0 and 1 run
+    the doubling once, at n - 1; a longer arc adds U_{n-1} and U_n from
+    the runs at n - k - 1 and k - 1 by Lucas's addition law
+    (:func:`_cycle_exact_parts`).
     """
     return Fraction(*_cycle_exact_parts(n, i, j, alpha))
 

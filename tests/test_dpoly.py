@@ -83,6 +83,16 @@ def test_exact_terms_scale_to_integers(n, alpha):
         assert all(type(value) is int for value in pair)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(1, 7), Fraction(1, 3), 0.3, 0.499], ids=str)
+def test_addition_law_is_the_doubling_at_the_sum(alpha):
+    # U_(a+b) = U_a U_(b+1) - p^2 U_(a-1) U_b, from the runs at a - 1 and b
+    p2, q, _ = lucas_recursion(0, alpha)
+    runs = [dpoly._lucas(k, p2, q) for k in range(161)]
+    for a in range(1, 81):
+        for b in range(81):
+            assert dpoly._lucas_add(runs[a - 1], runs[b], p2) == runs[a + b][0], (a, b)
+
+
 @given(st.integers(min_value=0, max_value=80), decay)
 def test_closed_sum_matches_recursion(n, alpha):
     a = dpoly.d_closed(n, alpha)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from katzlab import dpoly, katz, ordering
-from katzlab.graphs import AdmissibilityError, GraphSpec, spectral_radius
+from katzlab.graphs import AdmissibilityError, GraphSpec, graph_distance, spectral_radius
 from katzlab.verify import katz_grid
 
 
@@ -561,6 +561,61 @@ def test_exact_routes_are_the_list_route_at_600(alpha):
     assert [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
 
 
+def three_run_path_parts(n, i, j, alpha):
+    """_path_exact_parts as it was before the addition law: one doubling each at i, n + 1 - j and n + 1."""
+    i, j = katz._checked_pair(GraphSpec.path(n), i, j)
+    p, q = katz._exact_alpha(alpha)
+    p2 = p * p
+    head, tail, whole = (dpoly._lucas(k, p2, q)[0] for k in (i, n + 1 - j, n + 1))
+    if i == j:
+        return q * head * tail - whole, whole
+    return q * p ** (j - i) * head * tail, whole
+
+
+def three_run_cycle_parts(n, i, j, alpha):
+    """_cycle_exact_parts as it was before the addition law: doublings at n - 1, n - k and k for arc k."""
+    k = graph_distance(GraphSpec.cycle(n), i, j)
+    p, q = katz._exact_alpha(alpha)
+    p2 = p * p
+    before, last = dpoly._lucas(n - 1, p2, q)
+    power = p**n
+    denominator = q * last - 2 * p2 * before - 2 * power
+    if not k:
+        return 2 * power + 2 * p2 * before, denominator
+    long_arc = before if k == 1 else dpoly._lucas(n - k, p2, q)[0]
+    short_arc = long_arc if 2 * k == n else dpoly._lucas(k, p2, q)[0]
+    return q * (p**k * long_arc + p ** (n - k) * short_arc), denominator
+
+
+PARTS_ALPHAS = [0.1, 0.3, 0.45, 0.46, 0.499, Fraction(2, 5), Fraction(1, 7), Fraction(1, 3)]
+
+
+def test_exact_parts_are_the_three_run_integers_at_every_pair():
+    # the same unreduced integers, not only the same Fractions: the limit
+    # suite cross-multiplies them; half the alphas at each size, taking
+    # turns, so every alpha meets every pair at 19 or 20 sizes
+    for n in range(2, 41):
+        for alpha in PARTS_ALPHAS[n % 2 :: 2]:
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+            got = [katz._path_exact_parts(n, i, j, alpha) for i, j in pairs]
+            assert got == [three_run_path_parts(n, i, j, alpha) for i, j in pairs], (n, alpha)
+            arcs = range(n // 2 + 1) if n >= 3 else ()
+            got = [katz._cycle_exact_parts(n, 1, 1 + k, alpha) for k in arcs]
+            assert got == [three_run_cycle_parts(n, 1, 1 + k, alpha) for k in arcs], (n, alpha)
+
+
+@pytest.mark.parametrize("n", [64, 65, 100, 101, 321, 1000])
+def test_exact_parts_are_the_three_run_integers_at_sampled_pairs(n):
+    half = n // 2
+    pairs = [(1, 1), (half, half), (n, n), (1, 2), (2, 5), (1, n), (half, half + 1), (n - 1, n)]
+    arcs = [0, 1, 2, 3, half - 1, half]
+    for alpha in PARTS_ALPHAS:
+        for i, j in pairs:
+            assert katz._path_exact_parts(n, i, j, alpha) == three_run_path_parts(n, i, j, alpha), (i, j, alpha)
+        for k in arcs:
+            assert katz._cycle_exact_parts(n, 1, 1 + k, alpha) == three_run_cycle_parts(n, 1, 1 + k, alpha), (k, alpha)
+
+
 # alpha as doubles, weighted to the far ends of (0, 1/2) and to 1/sqrt5,
 # and as Fractions whose denominators are no power of two
 exact_alphas = st.one_of(
@@ -589,7 +644,7 @@ def test_exact_entries_are_the_fraction_list_route(n, alpha):
 def exact_entry_pairs(draw):
     """A family, two sizes, one pair that both have, and an alpha: the limit suite's comparisons and more."""
     family = draw(st.sampled_from(["path", "cycle"]))
-    sizes = st.integers(min_value=2 if family == "path" else 3, max_value=80)
+    sizes = st.integers(min_value=2 if family == "path" else 3, max_value=400)
     n_a, n_b = draw(sizes), draw(sizes)
     i = draw(st.integers(min_value=1, max_value=min(n_a, n_b)))
     j = draw(st.integers(min_value=i, max_value=min(n_a, n_b)))
@@ -605,11 +660,12 @@ def test_cross_multiplied_order_is_the_fraction_order(case):
     # the limit suite orders exact entries by a_num b_den < b_num a_den,
     # which is a < b only while both denominators are positive
     family, n_a, n_b, i, j, alpha = case
-    parts, entry = {
-        "path": (katz._path_exact_parts, katz.katz_path_exact),
-        "cycle": (katz._cycle_exact_parts, katz.katz_cycle_exact),
+    parts, entry, three_run = {
+        "path": (katz._path_exact_parts, katz.katz_path_exact, three_run_path_parts),
+        "cycle": (katz._cycle_exact_parts, katz.katz_cycle_exact, three_run_cycle_parts),
     }[family]
     (a_num, a_den), (b_num, b_den) = parts(n_a, i, j, alpha), parts(n_b, i, j, alpha)
+    assert [(a_num, a_den), (b_num, b_den)] == [three_run(n_a, i, j, alpha), three_run(n_b, i, j, alpha)]
     assert a_den > 0 and b_den > 0
     a, b = entry(n_a, i, j, alpha), entry(n_b, i, j, alpha)
     assert (a, b) == (Fraction(a_num, a_den), Fraction(b_num, b_den))
@@ -645,9 +701,9 @@ def test_exact_entries_reduce_once_not_per_step(family, i, j, monkeypatch):
         assert [value] == list_route_cycle_exact(320, [j - i], 0.46)
 
 
-def test_exact_cycle_runs_the_doubling_once_per_index(monkeypatch):
-    # at arc 1 the numerator's U_{n-1} is the denominator's, not a second
-    # run, and at the half arc U_{n-k} is U_k
+@pytest.fixture
+def lucas_runs(monkeypatch):
+    """The indices katz passes to _lucas, in order, while the fixture is live."""
     runs = []
     lucas = katz._lucas
 
@@ -656,11 +712,40 @@ def test_exact_cycle_runs_the_doubling_once_per_index(monkeypatch):
         return lucas(k, p2, q)
 
     monkeypatch.setattr(katz, "_lucas", recorded)
-    for k, indices in ((0, [319]), (1, [319, 1]), (2, [319, 318, 2]), (160, [319, 160])):
-        runs.clear()
+    return runs
+
+
+def test_exact_cycle_runs_one_doubling_above_half(lucas_runs):
+    # arcs 0 and 1 read U_(n-1) and U_n from one run at n - 1; an arc
+    # k >= 2 runs at n - k - 1 and k - 1 and adds (Lucas's addition law),
+    # and at the half arc the two runs are one
+    for k, indices in ((0, [319]), (1, [319]), (2, [317, 1]), (3, [316, 2]), (160, [159])):
+        lucas_runs.clear()
         value = katz.katz_cycle_exact(320, 1, 1 + k, 0.46)
-        assert runs == indices, k
-        assert [value] == list_route_cycle_exact(320, [k], 0.46)
+        assert lucas_runs == indices, k
+        assert value == Fraction(*three_run_cycle_parts(320, 1, 1 + k, 0.46))
+
+
+def test_exact_path_runs_one_doubling_above_half(lucas_runs):
+    # runs at n - j, j and i, with no run at n + 1: U_(n+1) is added from
+    # the first two; a pair past the anti-diagonal is read as its mirror,
+    # and U_i is not run again on the diagonal or when i + j is n or n + 1
+    cases = {
+        (1, 2): [318, 2, 1],
+        (2, 5): [315, 5, 2],
+        (5, 5): [315, 5],
+        (316, 319): [315, 5, 2],
+        (319, 320): [318, 2, 1],
+        (1, 320): [0, 320],
+        (160, 160): [160],
+        (159, 161): [159, 161],
+        (160, 161): [159, 161],
+    }
+    for (i, j), indices in cases.items():
+        lucas_runs.clear()
+        value = katz.katz_path_exact(320, i, j, 0.46)
+        assert lucas_runs == indices, (i, j)
+        assert value == Fraction(*three_run_path_parts(320, i, j, 0.46))
 
 
 # The routines proved only on (0, 1/2), where every d_k is positive.
