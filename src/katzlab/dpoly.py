@@ -7,15 +7,27 @@ structure at the two probe points ``alpha = 1/2`` and ``alpha = 1/sqrt(5)``
 that the ordering module leans on.  The cycle-graph determinant ``D_n`` and
 its parity factorization live here too.
 
-All evaluators return IEEE doubles.  The recursion is written once, in
-``_d_terms``: the scalar closed forms of the package read the few terms
-they need from one run of it, and the list forms (``d_sequence``,
-``d_sequence_exact``) keep every term of such a run.  The run takes the
-arithmetic of its inputs: floats, Fractions, or float64 arrays of alphas
-(one run for a whole grid, see :func:`_at`).  The exact Katz entries do
-not run it: they read the few integers q^k d_k they need, at alpha = p/q,
-from the Lucas sequence of :func:`_lucas`, a large index added from two
-runs of about half its size by :func:`_lucas_add`.
+All evaluators return IEEE doubles.  alpha is read in one place,
+:func:`_intake`: a number of any numeric type becomes its Python float, a
+1-D sequence the list of its floats, and each float is checked once,
+before any work (finite here, admissible for the graph in ``graphs``, in
+(0, 1/2) for the limits).  A 2-D alpha, NaN and +-inf raise ValueError
+subclasses that name alpha, and a route that takes one number refuses a
+sequence (:func:`_number`).  Every float route computes from that float,
+so its value at any alpha is its value at float(alpha), bit for bit.  The
+exact routes read alpha's exact value as p/q (:func:`_exact_alpha`), a
+Fraction or Decimal exactly and anything else at its float's binary
+value, and check that value on the same interval.
+
+The recursion is written once, in ``_d_terms``: the scalar closed forms of
+the package read the few terms they need from one run of it, and the list
+forms (``d_sequence``, ``d_sequence_exact``) keep every term of such a
+run.  The run takes the arithmetic of its inputs: floats, the Fractions of
+``d_sequence_exact``, or float64 arrays of alphas (one run for a whole
+grid, see :func:`_at`).  The exact Katz entries do not run it: they read
+the few integers q^k d_k they need, at alpha = p/q, from the Lucas
+sequence of :func:`_lucas`, a large index added from two runs of about
+half its size by :func:`_lucas_add`.
 ``d_closed`` is an independent cross-check of it (see its docstring for
 why it is accumulated exactly).
 """
@@ -23,6 +35,7 @@ why it is accumulated exactly).
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
@@ -49,42 +62,85 @@ def _require_index(n: int) -> None:
         raise ValueError(f"index must be >= 0, got {n}")
 
 
-def _require_below_half(alpha) -> None:
+def _require_finite(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha}")
+
+
+def _require_below_half(alpha: float) -> None:
     """Validate 0 < alpha < 1/2, the interval on which every d_k is positive.
 
     The d-polynomial bounds and the n -> infinity limits are proved there.
-    alpha is compared as given, so a Fraction is checked exactly; NaN fails.
+    alpha is the intake's float (see :func:`_intake`); NaN fails.
     """
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), where every d_k is positive; got {alpha}")
 
 
-def _at(alpha, check=None) -> tuple:
+def _intake(alpha, check=_require_finite) -> tuple:
+    """(x, many): a number as one Python float, or a 1-D sequence as the list of its floats, and which it was.
+
+    The one reading of alpha for every route: the float of a number of any
+    numeric type (a Fraction or Decimal correctly rounded, a float32 or
+    float16 widened exactly).  check is called once on each float before
+    any work; by default it refuses NaN and +-inf, and the graphs' and the
+    half interval's checks refuse them too.  An alpha of 2 or more
+    dimensions, or one that holds no numbers, raises ValueError.
+    """
+    if type(alpha) is float:  # with no array made
+        check(alpha)
+        return alpha, False
+    values = np.asarray(alpha)
+    if values.ndim > 1 or values.dtype.kind not in "biufO":
+        raise ValueError(f"alpha must be a number or a 1-D sequence of numbers, got {values.dtype} of shape {values.shape}")
+    x = values.astype(float).tolist()
+    for value in x if values.ndim else (x,):
+        check(value)
+    return x, values.ndim == 1
+
+
+def _number(alpha, check=_require_finite) -> float:
+    """alpha as one float, read and checked as by :func:`_intake`, for the routes that take one number; a sequence raises ValueError."""
+    if type(alpha) is float:  # the intake's float path, with no tuple made
+        check(alpha)
+        return alpha
+    x, many = _intake(alpha, check)
+    if many:
+        raise ValueError(f"alpha must be a single number here, got shape ({len(x)},)")
+    return x
+
+
+def _exact_alpha(alpha, check=_require_finite) -> tuple[int, int]:
+    """(p, q) with alpha = p/q in lowest terms, its exact value checked by check.
+
+    A Fraction or Decimal is read at its exact value: its float must be
+    finite, and check compares the value itself exactly with a float
+    bound.  Anything else is read by :func:`_number` as its float, which
+    check sees before any conversion; a sequence is refused, as on the
+    float routes.
+    """
+    if not isinstance(alpha, (Fraction, Decimal)):
+        return _number(alpha, check).as_integer_ratio()
+    _number(alpha)
+    check(alpha)
+    return alpha.as_integer_ratio()
+
+
+def _at(alpha, check=_require_finite) -> tuple:
     """(x, one, power): what a closed form runs on, at a number or at every alpha of a 1-D sequence at once.
 
-    A number gives alpha itself, 1.0 and power(k) = alpha**k, so the form
-    does the operations it always did.  A 1-D sequence gives float64
-    arrays of its alphas and of ones, and power(k) the array of a**k, each
-    by Python's pow (numpy's vectorised power may round differently).
-    numpy's elementwise - and * round as Python's float operations do, so
-    element a of the form's result is its call at alpha a bit for bit.
-    check, if given, is called on alpha, or on every float of the sequence,
-    before any work; an alpha of 2 or more dimensions raises ValueError.
+    From the floats of :func:`_intake`: a number gives its float, 1.0 and
+    power(k) = x**k, so the form runs in floats.  A 1-D sequence gives
+    float64 arrays of its alphas and of ones, and power(k) the array of
+    a**k, each by Python's pow (numpy's vectorised power may round
+    differently).  numpy's elementwise - and * round as Python's float
+    operations do, so element a of the form's result is its call at alpha
+    a bit for bit.
     """
-    # a float is told apart first, with no array made of it
-    values = None if isinstance(alpha, float) else np.asarray(alpha)
-    if values is None or not values.ndim:
-        if check is not None:
-            check(alpha)
-        return alpha, 1.0, lambda k: alpha**k
-    if values.ndim > 1:
-        raise ValueError(f"alpha must be a number or a 1-D sequence, got shape {values.shape}")
-    x = values.astype(float)
-    floats = x.tolist()
-    if check is not None:
-        for value in floats:
-            check(value)
-    return x, np.ones(x.size), lambda k: np.array([value**k for value in floats])
+    x, many = _intake(alpha, check)
+    if not many:
+        return x, 1.0, x.__pow__
+    return np.array(x), np.ones(len(x)), lambda k: np.array([value**k for value in x])
 
 
 # Tuples of 0..15 turns: the run between two nearby stops iterates one of
@@ -154,18 +210,19 @@ def d_recursive(n: int, alpha: float) -> float:
 def d_sequence(n: int, alpha: float) -> list[float]:
     """[d_0, d_1, ..., d_n] via the same recursion as :func:`d_recursive`."""
     _require_index(n)
-    return _d_sequence(n, alpha, 1.0)
+    return _d_sequence(n, _number(alpha), 1.0)
 
 
 def d_sequence_exact(n: int, alpha) -> list[Fraction]:
     """[d_0, ..., d_n] in exact rational arithmetic.
 
-    alpha may be anything Fraction accepts (a float is used at its exact
-    binary value).  The independent list route that the tests compare the
-    float recursion, the Lucas integers and the Katz entries against.
+    alpha is read at its exact value by :func:`_exact_alpha` (a float at
+    its exact binary value), once its float has been checked finite.  The
+    independent list route that the tests compare the float recursion, the
+    Lucas integers and the Katz entries against.
     """
     _require_index(n)
-    return _d_sequence(n, Fraction(alpha), Fraction(1))
+    return _d_sequence(n, Fraction(*_exact_alpha(alpha)), Fraction(1))
 
 
 def _lucas(k: int, p2: int, q: int) -> tuple[int, int]:
@@ -219,8 +276,8 @@ def _closed_sum(n: int, p2: int, q_powers) -> float:
 
 
 def _squares(alpha) -> tuple[int, int]:
-    """(p^2, q^2) for alpha = p/q, the exact binary value of the double."""
-    p, q = float(alpha).as_integer_ratio()
+    """(p^2, q^2) for alpha = p/q, the exact binary value of its checked float."""
+    p, q = _number(alpha).as_integer_ratio()
     return p * p, q * q
 
 
@@ -275,9 +332,8 @@ def d_special_root5(n: int) -> float:
 def _cycle_denominator(d_before, d_last, power, alpha):
     """D_n = d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2} from d_before = d_{n-2}, d_last = d_{n-1} and power = alpha^n.
 
-    The caller takes the power with Python's pow.  Integer constants keep
-    the expression exact when the terms and alpha are Fractions; on floats
-    they round exactly as 2.0 would.
+    The caller takes the power with Python's pow.  On floats and float
+    arrays the integer constants round exactly as 2.0 would.
     """
     return d_last - 2 * power - 2 * alpha * alpha * d_before
 
@@ -340,5 +396,5 @@ def ratio_constant(k: int, alpha: float) -> float:
     growth factor 2/(1 + sqrt(1 - 4 alpha^2)).
     """
     _require_int(k, "shift must be an integer")
-    _require_below_half(alpha)
+    alpha = _number(alpha, _require_below_half)
     return ((1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0) ** k

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dpoly import _at, _require_int
+from .dpoly import _intake, _number, _require_int
 
 PATH = "path"
 CYCLE = "cycle"
@@ -134,31 +134,38 @@ def _pair_label_blocks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarr
         yield np.repeat(np.arange(first + 1, last + 2), counts), np.arange(lo, hi) - np.repeat(shift[rows], counts)
 
 
-def require_admissible(value: float, g: GraphSpec) -> float:
-    """Validate 0 < value < 1/rho(A).
+def require_admissible(value, g: GraphSpec) -> float:
+    """The float of one number value, checked to lie in 0 < value < 1/rho(A) (AdmissibilityError).
 
-    For short paths the interval stretches above 1/2, where the closed
-    forms hold but the d-polynomial bounds and the limit formulas do not;
-    those routines check (0, 1/2) themselves.
+    value is read by :func:`katzlab.dpoly._intake`: any numeric type is
+    checked, and returned, as its Python float, and a sequence raises
+    ValueError.  Every closed form of g, float or exact, holds on the
+    whole interval; the exact routes check alpha's exact value on it
+    (:func:`katzlab.dpoly._exact_alpha`).  For paths it stretches above
+    1/2, where the d-polynomial bounds and the n -> infinity limits do not
+    hold, so those check (0, 1/2) instead.
     """
-    return _admissible(value, g, 1.0 / spectral_radius(g))
+    return _number(value, _admissible_check(g))
 
 
-def _admissible(value: float, g: GraphSpec, bound: float) -> float:
-    """value as a float, checked to lie in (0, bound) with bound = 1/rho(A) of g."""
+def _admissible_check(g: GraphSpec):
+    """The check of one alpha against g's interval (0, 1/rho(A)), as the intake of :mod:`katzlab.dpoly` calls it."""
+    bound = 1.0 / spectral_radius(g)
+    return lambda value: _admissible(value, g, bound)
+
+
+def _admissible(value, g: GraphSpec, bound: float) -> None:
+    """Check that value lies in (0, bound), with bound = 1/rho(A) of g; a Fraction or Decimal compares exactly."""
     if not 0.0 < value < bound:
         raise AdmissibilityError(
             f"alpha {value} is not admissible for {g.family}({g.n}): requires 0 < alpha < {bound:.6g}"
         )
-    return float(value)
 
 
 def _admissible_alphas(alpha, g: GraphSpec) -> tuple[list, bool]:
     """The alphas of a number or 1-D sequence as floats, each checked admissible for g, and whether it is a sequence."""
-    bound = 1.0 / spectral_radius(g)
-    x, ones, _ = _at(alpha, lambda value: _admissible(value, g, bound))
-    many = isinstance(ones, np.ndarray)  # _at's ones: an array for a sequence, 1.0 for a number
-    return x.tolist() if many else [float(x)], many
+    x, many = _intake(alpha, _admissible_check(g))
+    return x if many else [x], many
 
 
 def spectral_radius(g: GraphSpec) -> float:

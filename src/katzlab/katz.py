@@ -7,10 +7,13 @@ module provides the exact closed forms in terms of the d-polynomials, two
 independent brute-force oracles (dense inverse and truncated walk series),
 and the n -> infinity limits of individual entries.
 
-Each closed form is written once and evaluated in whatever arithmetic its
-inputs carry: floats for the public entries, numpy arrays for values at
-many pairs.  The exact routes do not run the d-recursion: with
-alpha = p/q they are the integer forms of the same entries, in the Lucas
+Each closed form is written once and evaluated on the float of alpha
+that the graph's check returns (:func:`katzlab.graphs.require_admissible`,
+any numeric type read as its Python float), or on float64 arrays of those
+floats for values at many pairs.  The exact routes read alpha's exact
+value as p/q and check it on the same interval
+(:func:`katzlab.dpoly._exact_alpha`).  They do not run the d-recursion:
+they are the integer forms of the same entries, in the Lucas
 sequence q^k d_k = U_{k+1} (:func:`katzlab.dpoly._lucas`), one Fraction
 per entry, with the indices near n added from runs of about n/2 and less
 (:func:`katzlab.dpoly._lucas_add`).  A tridiagonal inverse is fixed by
@@ -34,15 +37,17 @@ from .dpoly import (
     D_cycle_denominator,
     _cycle_denominator,
     _d_terms,
+    _exact_alpha,
     _lucas,
     _lucas_add,
+    _number,
     _require_below_half,
     _require_int,
     d_recursive,
     d_sequence,
     ratio_constant,
 )
-from .graphs import GraphSpec, _admissible_alphas, _checked_pair, _span_distance, graph_distance, require_admissible, spectral_radius
+from .graphs import AdmissibilityError, GraphSpec, _admissible_alphas, _admissible_check, _checked_pair, _span_distance, graph_distance, require_admissible, spectral_radius
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
@@ -99,8 +104,7 @@ def _path_off_diagonal(power, head, tail, d_n):
     """Path entry i < j, alpha^(j-i) (d_{i-1} d_{n-j} / d_n), from head = d_{i-1} and tail = d_{n-j}.
 
     The caller passes power = alpha^(j-i), taken with Python's pow.  Like
-    :func:`_path_diagonal`, evaluated on floats, Fractions or numpy arrays
-    alike.
+    :func:`_path_diagonal`, evaluated on floats or numpy arrays alike.
     """
     return power * (head * tail / d_n)
 
@@ -151,7 +155,7 @@ def katz_path(n: int, i: int, j: int, alpha: float) -> float:
     short paths stretches above 0.5.
     """
     g = GraphSpec.path(n)
-    require_admissible(alpha, g)
+    alpha = require_admissible(alpha, g)
     return _path_entry(n, *_checked_pair(g, i, j), alpha)
 
 
@@ -182,7 +186,7 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     Like :func:`katz_path`, O(n) time and O(1) memory.
     """
     g = GraphSpec.cycle(n)
-    require_admissible(alpha, g)
+    alpha = require_admissible(alpha, g)
     return _cycle_entry(n, graph_distance(g, i, j), alpha)
 
 
@@ -266,10 +270,12 @@ def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.n
     At a number, the (P,) entries of the P pairs; at a 1-D sequence of A
     alphas, the (A, P) array whose row a is the call with alpha a alone.
     Labels that are not numpy arrays raise TypeError, and every alpha is
-    checked admissible, before any work.  Each entry is
-    :func:`katz_path` or :func:`katz_cycle` bit for bit, gathered from the
-    O(n) rows per alpha of :func:`_path_rows` or :func:`_cycle_arcs`,
-    whatever the number of pairs.
+    read as its Python float and checked admissible, before any work
+    (:func:`katzlab.graphs._admissible_alphas`), so a call at alpha is the
+    call at float(alpha) bit for bit, whatever alpha's numeric type.  Each
+    entry is :func:`katz_path` or :func:`katz_cycle` bit for bit, gathered
+    from the O(n) rows per alpha of :func:`_path_rows` or
+    :func:`_cycle_arcs`, whatever the number of pairs.
     """
     if not (isinstance(i, np.ndarray) and isinstance(j, np.ndarray)):
         raise TypeError(f"vertex labels must be numpy arrays, got {type(i).__name__} and {type(j).__name__}")
@@ -332,8 +338,8 @@ def _system(g: GraphSpec, alpha) -> np.ndarray:
 
     Every alpha must be admissible for g.
     """
-    _admissible_alphas(alpha, g)
-    system = np.asarray(alpha, dtype=float)[..., None, None] * g.adjacency()
+    alphas, many = _admissible_alphas(alpha, g)
+    system = np.array(alphas if many else alphas[0])[..., None, None] * g.adjacency()
     return np.subtract(np.eye(g.n), system, out=system)
 
 
@@ -386,13 +392,6 @@ def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
     return totals if many else totals[0]
 
 
-def _exact_alpha(alpha) -> tuple[int, int]:
-    """(p, q) with alpha = p/q in lowest terms, after checking that alpha lies in (0, 1/2)."""
-    a = Fraction(alpha)
-    _require_below_half(a)
-    return a.numerator, a.denominator
-
-
 def _path_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
     """katz_path_exact as its unreduced integers (numerator, denominator); the denominator U_{n+1} is positive.
 
@@ -402,15 +401,21 @@ def _path_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
     (:func:`katzlab.dpoly._lucas_add`).  U_i is the j run's on the
     diagonal, the n - j run's when i + j is n or n + 1, and else its own
     run, at i < n/2.  So at most one run is above n/2, and none is at n + 1.
+    An exact value below the double 1/rho_n of the check but not below
+    the true one, which lies within an ulp of it, gives U_{n+1} <= 0 and
+    raises AdmissibilityError: the next root of d_n is far above it.
     """
-    i, j = _checked_pair(GraphSpec.path(n), i, j)
+    g = GraphSpec.path(n)
+    i, j = _checked_pair(g, i, j)
     if i + j > n + 1:
         i, j = n + 1 - j, n + 1 - i
-    p, q = _exact_alpha(alpha)
+    p, q = _exact_alpha(alpha, _admissible_check(g))
     p2 = p * p
     tail = _lucas(n - j, p2, q)  # U_{n-j}, U_{n+1-j}
     far = tail if 2 * j == n else _lucas(j, p2, q)  # U_j, U_{j+1}
     whole = _lucas_add(tail, far, p2)  # U_{n+1}
+    if whole <= 0:
+        raise AdmissibilityError(f"alpha {alpha} is not admissible for path({n}): d_n(alpha) <= 0, so alpha >= 1/rho")
     if i == j:
         return q * far[0] * tail[1] - whole, whole
     head = tail[i + j - n] if i + j >= n else _lucas(i, p2, q)[0]  # U_i
@@ -420,10 +425,18 @@ def _path_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
 def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
     """katz_path in exact rational arithmetic.
 
-    alpha may be anything Fraction accepts and must land in (0, 1/2),
-    where every d_k is positive for sure; this is the reference used to
-    order consecutive convergence gaps once they drop below double
-    resolution.  With alpha = p/q in lowest terms, q^k d_k = U_{k+1}, the
+    alpha may be anywhere in path(n)'s admissible interval (0, 1/rho_n),
+    which stretches above 1/2, as for :func:`katz_path`.  Its exact value
+    is read as p/q, a Fraction or Decimal exactly and anything else at its
+    float's binary value, and checked on that interval
+    (:func:`katzlab.dpoly._exact_alpha`): a float before any conversion,
+    a Fraction or Decimal exactly, so one whose float rounds onto the bound
+    is still admitted.  Every d_k with k <= n is positive there, since
+    1/rho_k >= 1/rho_n; an exact value between the true 1/rho_n and the
+    double bound has U_{n+1} <= 0 and raises AdmissibilityError as well
+    (:func:`_path_exact_parts`).  This is the reference used to order
+    consecutive convergence gaps once they drop below double resolution.
+    With alpha = p/q in lowest terms, q^k d_k = U_{k+1}, the
     Lucas sequence of :func:`katzlab.dpoly._lucas`, and every power of q
     cancels from katz_path's forms: the entry (i < j) is
     q p^(j-i) U_i U_{n+1-j} / U_{n+1}, and the diagonal
@@ -446,8 +459,9 @@ def _cycle_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
     (:func:`katzlab.dpoly._lucas_add`).  p^n is p^k p^(n-k), so one power
     of p is large.
     """
-    k = graph_distance(GraphSpec.cycle(n), i, j)
-    p, q = _exact_alpha(alpha)
+    g = GraphSpec.cycle(n)
+    k = graph_distance(g, i, j)
+    p, q = _exact_alpha(alpha, _admissible_check(g))
     p2 = p * p
     if k < 2:
         before, last = _lucas(n - 1, p2, q)  # U_{n-1}, U_n
@@ -471,7 +485,8 @@ def _cycle_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
 def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
     """katz_cycle in exact rational arithmetic, for every n >= 3, diagonal included.
 
-    alpha must land in (0, 1/2).  As for :func:`katz_path_exact`, with
+    alpha is read as for :func:`katz_path_exact` and must be admissible
+    for cycle(n), 0 < alpha < 1/2.  As for :func:`katz_path_exact`, with
     alpha = p/q the entries are integer forms with no power of q and no
     d-recursion: q^n D_n = V_n - 2 p^n with V_n = U_{n+1} - p^2 U_{n-1},
     the entry at arc length k >= 1 is q (p^k U_{n-k} + p^(n-k) U_k) over it,
@@ -494,7 +509,8 @@ def katz_limit_path(i: int, j: int, alpha: float) -> float:
     """
     for label in (i, j):
         _require_int(label, "vertex labels must be integers")
-    c = ratio_constant(-1, alpha)  # checks 0 < alpha < 1/2
+    alpha = _number(alpha, _require_below_half)
+    c = ratio_constant(-1, alpha)
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")
     head_before, head = _d_terms((max(i - 2, 0), i - 1), alpha)
@@ -518,7 +534,8 @@ def katz_limit_cycle(offset: int, alpha: float) -> float:
     _require_int(offset, "offset must be an integer")
     if offset < 1:
         raise ValueError(f"offset must be >= 1, got {offset}")
-    c = ratio_constant(-1, alpha)  # checks 0 < alpha < 1/2
+    alpha = _number(alpha, _require_below_half)
+    c = ratio_constant(-1, alpha)
     return alpha**offset * c ** (offset - 2) * (1.0 - alpha**4 * c**4) / (1.0 - 4.0 * alpha * alpha)
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -54,14 +53,13 @@ from .dpoly import INV_SQRT5, _at, _d_terms, _require_below_half, _require_index
 from .graphs import (
     GraphSpec,
     VertexPair,
-    _admissible,
     _admissible_alphas,
+    _admissible_check,
     _pair_labels,
     _span_distance,
     _span_resistance,
     require_admissible,
     resistance,
-    spectral_radius,
 )
 from .katz import _cycle_numerator, _pair_entries, _path_off_diagonal, require_matrix_size
 
@@ -135,16 +133,21 @@ class AgreementReport:
 
 
 def _scores(g: GraphSpec, metric: str, alpha: Optional[float]) -> np.ndarray:
-    """Scores for g.pairs() in lexicographic pair order, as a float array."""
+    """Scores for g.pairs() in lexicographic pair order, as a float array.
+
+    The metric, Katz's one alpha (a sequence raises ValueError) and g's n
+    against the Katz matrix cap (MatrixSizeError) are checked before any
+    array of the P pairs is built.
+    """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == KATZ and alpha is None:
         raise ValueError("the katz metric needs an alpha value")
-    if metric == KATZ and np.ndim(alpha):
-        raise ValueError(f"alpha must be a single number here, got shape {np.shape(alpha)}")
+    alpha = require_admissible(alpha, g) if metric == KATZ else None
+    require_matrix_size(g.n)
     i, j = _pair_labels(g.n)
     if metric == KATZ:
-        return _katz_scores(g, [require_admissible(alpha, g)], i, j)[0]
+        return _katz_scores(g, [alpha], i, j)[0]
     span = j - i  # the labels are the package's own, so unchecked
     return _span_resistance(g, span) if metric == RESISTANCE else _span_distance(g, span) + 0.0
 
@@ -379,7 +382,7 @@ def p_gap(n: int, j: int, alpha: float) -> float:
     """
     m = _gap_midpoint(n, j)
     g = GraphSpec.path(n)
-    x, one, power = _at(alpha, partial(_admissible, g=g, bound=1.0 / spectral_radius(g)))
+    x, one, power = _at(alpha, _admissible_check(g))
     # the entries (1, 1 + j) and (m, m + j + 1) read these terms, in index order
     d_0, tail, head, top, d_n = _d_terms((0, n - m - j - 1, m - 1, n - j - 1, n), x, one)
     return _path_off_diagonal(power(j), d_0, top, d_n) - _path_off_diagonal(power(j + 1), head, tail, d_n)

@@ -144,6 +144,14 @@ def suite_d_splitting(level: str) -> SuiteResult:
 
 
 def suite_d_product(level: str) -> SuiteResult:
+    """d_k d_n - d_{k-1} d_{n+1} = alpha^(2k) d_{n-k} on the float d-sequence.
+
+    Tolerance: no error bound is derived.  Both sides are below 1, so
+    mixed_err is absolute, and the left side cancels two products below 1:
+    its error is a few ulp of 1 plus the d-recursion's own rounding, for
+    which no bound is stated yet (ROADMAP item 13).  The largest error
+    measured at level quick is 2.0e-16, a margin of 2.0e-4.
+    """
     res = SuiteResult("d product identity", 1e-12)
     n_max = 60 if level == "full" else 30
     n, k = _loop_grid(range(1, n_max + 1), lambda n: range(1, n + 1))
@@ -189,6 +197,16 @@ def suite_d_special_values(level: str) -> SuiteResult:
 
 
 def suite_d_ratio_limit(level: str) -> SuiteResult:
+    """d_{n+k}/d_n at n = 400 against its limit ratio_constant(k, alpha).
+
+    Tolerance: not derived from a bound.  With r1, r2 = (1 +- s)/2 and
+    s = sqrt(1 - 4 alpha^2), the ratio is r1^k (1 - (r2/r1)^(n+k+1)) /
+    (1 - (r2/r1)^(n+1)), so the truncation error is about r1^k (r2/r1)^401,
+    below 1e-160 at these alphas.  What is measured is rounding: of the two
+    recursion terms, for which no bound is stated yet (ROADMAP item 13),
+    and of c^k.  The largest error at level quick is 1.1e-16, a margin of
+    1.1e-8 against the 1e-8 kept from the first version.
+    """
     res = SuiteResult("d ratio limit constant", 1e-8)
     n = 400
     for alpha in (0.1, 0.3, 0.45):
@@ -239,7 +257,15 @@ def suite_path_determinant(level: str) -> SuiteResult:
 
 
 def suite_cycle_determinant(level: str) -> SuiteResult:
-    """The eliminated det(I - alpha A) of each cycle against D_n, both over its whole alpha grid at once."""
+    """The eliminated det(I - alpha A) of each cycle against D_n, both over its whole alpha grid at once.
+
+    Tolerance: no bound is known.  D_n has the factor 1 - 2 alpha, so both
+    routes lose relative accuracy as alpha nears 1/2: the recursion's
+    d_{n-1} - 2 alpha^n - 2 alpha^2 d_{n-2} cancels, and the elimination's
+    error relative to a small determinant grows.  Neither error is bounded
+    in the package yet (ROADMAP item 13).  The largest relative error at
+    level quick is 1.9e-15, a margin of 1.9e-4.
+    """
     res = SuiteResult("cycle determinant identity", 1e-11)
     n_max = 40 if level == "full" else 20
     for n in range(3, n_max + 1):
@@ -261,6 +287,16 @@ def suite_cycle_parity_factorization(level: str) -> SuiteResult:
 
 
 def suite_spectral_radius(level: str) -> SuiteResult:
+    """2 cos(pi/(n+1)) and 2 against the power-iteration oracle.
+
+    Tolerance: from the oracle's stopping rule.  For a symmetric matrix an
+    eigenvalue lies within the residual norm ||B v - theta v|| of the
+    Rayleigh quotient theta (Parlett, The Symmetric Eigenvalue Problem,
+    1998, ch. 4), and the oracle stops once that norm is below 1e-13;
+    the closed form adds a few ulp.  The tolerance 1e-10 is a thousand
+    times that bound.  The largest error at level quick is 2.7e-15, a
+    margin of 2.7e-5.
+    """
     res = SuiteResult("spectral radius closed form vs power iteration", 1e-10)
     for n in (2, 3, 5, 10, 17, 40):
         g = GraphSpec.path(n)
@@ -485,6 +521,13 @@ def suite_cycle_numerator_gap(level: str) -> SuiteResult:
 
     The margins run once per (n, k) over the whole grid; the checks are
     then made per alpha, in the order of the loop over alphas.
+
+    Tolerance: no bound is known.  Only the half-arc form is measured.
+    Both sides are below 1, so mixed_err is absolute, and the four-term
+    margin cancels terms of size alpha^(l-1) < 1: its error is a few ulp
+    of 1 plus the d-recursion's rounding, for which no bound is stated yet
+    (ROADMAP item 13).  The largest error at level quick is 3.1e-17, a
+    margin of 3.1e-5.
     """
     res = SuiteResult("cycle arc-class separation margin", 1e-12)
     n_max = 40 if level == "full" else 20

@@ -301,7 +301,7 @@ def same(got, want):
     return type(got) is type(want) and (got == want or (got != got and want != want))
 
 
-# one of each arithmetic the routes are called in, besides plain floats
+# two numeric types besides plain floats: every route reads alpha as float(alpha)
 TYPED_ALPHAS = [Fraction(1, 5), np.float64(0.3)]
 ROUTE_ALPHAS = [1e-5, 0.02, 0.1, 0.3, 1.0 / math.sqrt(5.0), 0.45, 0.49, 0.499, 0.5, *TYPED_ALPHAS]
 
@@ -309,8 +309,8 @@ ROUTE_ALPHAS = [1e-5, 0.02, 0.1, 0.3, 1.0 / math.sqrt(5.0), 0.45, 0.49, 0.499, 0
 @pytest.mark.parametrize("alpha", ROUTE_ALPHAS, ids=str)
 def test_sequences_are_the_one_step_list_route(alpha):
     for n in [*range(40), 250, 2000]:
-        assert same(dpoly.d_sequence(n, alpha), list_route(n, alpha)), n
-        assert same(dpoly.d_recursive(n, alpha), list_route(n, alpha)[n]), n
+        assert same(dpoly.d_sequence(n, alpha), list_route(n, float(alpha))), n
+        assert same(dpoly.d_recursive(n, alpha), list_route(n, float(alpha))[n]), n
     for n in (0, 1, 2, 3, 17, 120):
         assert same(dpoly.d_sequence_exact(n, alpha), list_route(n, Fraction(alpha), Fraction(1))), n
 
@@ -361,11 +361,12 @@ def parity_list_route(n, alpha):
 
 @pytest.mark.parametrize("alpha", ROUTE_ALPHAS, ids=str)
 def test_cycle_determinants_are_the_list_route(alpha):
+    x = float(alpha)
     for n in [*range(3, 81), 247, 250, 1000, 3000]:
-        seq = list_route(n - 1, alpha)
-        want = seq[n - 1] - 2 * alpha**n - 2 * alpha * alpha * seq[n - 2]
+        seq = list_route(n - 1, x)
+        want = seq[n - 1] - 2 * x**n - 2 * x * x * seq[n - 2]
         assert same(dpoly.D_cycle_denominator(n, alpha), want), n
-        assert same(dpoly.D_parity_form(n, alpha), parity_list_route(n, alpha)), n
+        assert same(dpoly.D_parity_form(n, alpha), parity_list_route(n, x)), n
 
 
 def test_scalar_d_routes_hold_no_list():

@@ -748,7 +748,9 @@ def test_exact_path_runs_one_doubling_above_half(lucas_runs):
         assert value == Fraction(*three_run_path_parts(320, i, j, 0.46))
 
 
-# The routines proved only on (0, 1/2), where every d_k is positive.
+# The routines proved only on (0, 1/2), where every d_k is positive, and
+# the exact entries, which check their graph's interval: a cycle's is
+# (0, 1/2) too, and path(5)'s (0, 1/rho_5) reaches 0.577.
 HALF_INTERVAL_ROUTINES = {
     "ratio_constant": lambda a: dpoly.ratio_constant(1, a),
     "katz_path_exact": lambda a: katz.katz_path_exact(5, 1, 2, a),
@@ -762,8 +764,12 @@ HALF_INTERVAL_ROUTINES = {
 @pytest.mark.parametrize("alpha", [0, 0.5, -0.1, math.nan, Fraction(1, 2)], ids=repr)
 @pytest.mark.parametrize("name", list(HALF_INTERVAL_ROUTINES))
 def test_half_interval_is_checked_by_every_routine(name, alpha):
-    # the exact routes convert alpha to a Fraction first, which refuses NaN
-    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\)|NaN"):
+    if name == "katz_path_exact" and alpha == 0.5:
+        # admissible for path(5), so the exact path entry takes it
+        assert katz.katz_path_exact(5, 1, 2, alpha) == list_route_path_exact(5, [(1, 2)], alpha)[0]
+        return
+    # the exact entries raise the graph's AdmissibilityError
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\)|is not admissible for"):
         HALF_INTERVAL_ROUTINES[name](alpha)
 
 
@@ -777,15 +783,65 @@ def test_half_interval_check_is_exact_for_fractions():
 
 
 def test_exact_evaluators_validate():
-    with pytest.raises(ValueError):
-        katz.katz_path_exact(6, 1, 2, Fraction(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(AdmissibilityError):
+        katz.katz_path_exact(6, 1, 2, Fraction(5, 9))  # past 1/rho_6 = 0.55496
+    with pytest.raises(AdmissibilityError):
         katz.katz_cycle_exact(4, 1, 2, Fraction(1, 2))
     # small cycles and the diagonal are exact too: a / (1 - 4 a^2) on C4
     assert katz.katz_cycle_exact(4, 1, 2, Fraction(1, 5)) == Fraction(5, 21)
     assert float(katz.katz_cycle_exact(7, 2, 2, Fraction(1, 5))) == pytest.approx(
         katz.katz_cycle(7, 2, 2, 0.2), rel=1e-15
     )
+
+
+def path_bound(n):
+    """The computed 1/rho_n of path(n), the upper end of its admissible interval."""
+    return 1.0 / spectral_radius(GraphSpec.path(n))
+
+
+def test_exact_path_is_the_list_route_on_its_whole_interval():
+    # 1/2, halfway to the computed 1/rho_n and the last double below it
+    for n in range(2, 41):
+        bound = path_bound(n)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        for alpha in (0.5, (0.5 + bound) / 2, math.nextafter(bound, 0.0)):
+            got = [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs]
+            assert got == list_route_path_exact(n, pairs, alpha), (n, alpha)
+
+
+def test_exact_path_denominator_is_positive_at_the_last_double_below_the_bound():
+    for n in range(2, 401):
+        assert katz._path_exact_parts(n, 1, 2, math.nextafter(path_bound(n), 0.0))[1] > 0, n
+
+
+def test_exact_routes_refuse_their_bound_and_above():
+    for n in (2, 3, 6, 7, 40, 57, 400):
+        bound = path_bound(n)
+        for alpha in (bound, math.nextafter(bound, 1.0), Fraction(bound), Fraction(bound) + Fraction(1, 10**40)):
+            with pytest.raises(AdmissibilityError):
+                katz.katz_path_exact(n, 1, 2, alpha)
+    # cycles keep (0, 1/2), compared exactly
+    for n in (3, 8, 57):
+        for alpha in (0.5, Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**40)):
+            with pytest.raises(AdmissibilityError):
+                katz.katz_cycle_exact(n, 1, 2, alpha)
+        assert katz.katz_cycle_exact(n, 1, 2, Fraction(1, 2) - Fraction(1, 10**40)) > 0
+
+
+def test_exact_path_refuses_a_fraction_past_the_true_bound():
+    # the double 1/rho_n is within an ulp of the true one, above it at about
+    # half the sizes: an exact value between the two gives U_(n+1) <= 0
+    refused = 0
+    for n in range(2, 61):
+        alpha = Fraction(path_bound(n)) - Fraction(1, 10**40)
+        try:
+            value = katz.katz_path_exact(n, 1, 2, alpha)
+        except AdmissibilityError as error:
+            assert "d_n(alpha) <= 0" in str(error)
+            refused += 1
+        else:
+            assert value > 0 and [value] == list_route_path_exact(n, [(1, 2)], alpha), n
+    assert refused > 0
 
 
 def test_limit_path_worked_values():
@@ -972,15 +1028,17 @@ def test_scalar_entries_are_the_list_route_at_sampled_pairs(n):
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 5), np.float64(0.3)], ids=repr)
 def test_scalar_entries_keep_the_list_route_type(alpha):
+    # whatever alpha's type, the entries are Python floats: the list route at float(alpha)
+    x = float(alpha)
     for n in range(2, 13):
-        seq = dpoly.d_sequence(n, alpha)
+        seq = dpoly.d_sequence(n, x)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                assert same(katz.katz_path(n, i, j, alpha), list_route_path(seq, n, i, j, alpha)), (n, i, j)
+                assert same(katz.katz_path(n, i, j, alpha), list_route_path(seq, n, i, j, x)), (n, i, j)
     for n in range(3, 13):
-        seq = dpoly.d_sequence(n - 1, alpha)
+        seq = dpoly.d_sequence(n - 1, x)
         for k in range(n // 2 + 1):
-            assert same(katz.katz_cycle(n, 1, 1 + k, alpha), list_route_cycle(seq, n, k, alpha)), (n, k)
+            assert same(katz.katz_cycle(n, 1, 1 + k, alpha), list_route_cycle(seq, n, k, x)), (n, k)
 
 
 def test_scalar_entries_hold_no_d_list():

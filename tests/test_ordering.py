@@ -630,6 +630,16 @@ def test_path_rankings_check_the_matrix_cap_before_any_pair_array(monkeypatch):
     assert agreement(GraphSpec.cycle(g.n), 0.3).witness is None
 
 
+def test_single_metric_rankings_check_the_matrix_cap_before_any_pair_array(monkeypatch):
+    monkeypatch.setattr(katz, "MATRIX_MAX_N", 50)
+    monkeypatch.setattr(ordering, "_pair_labels", lambda *args, **kwargs: pytest.fail("pair labels built"))
+    for g in (GraphSpec.path(51), GraphSpec.cycle(51)):
+        for call in (pair_scores, rank_pairs, score_classes):
+            for metric, alpha in (("distance", None), ("resistance", None), ("katz", 0.3)):
+                with pytest.raises(katz.MatrixSizeError, match="n = 51 exceeds"):
+                    call(g, metric, alpha)
+
+
 def test_paths_agree_below_the_cutoff_root_and_invert_above_it():
     # delta = root - 1/sqrt 5 shrinks geometrically in n, so the two probes
     # sit on either side of the root at the nearest Katz ties
@@ -717,13 +727,15 @@ def test_gap_polynomials_are_the_list_route_at_large_n(n):
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 5), np.float64(0.3)], ids=repr)
 def test_gap_polynomials_keep_the_list_route_type(alpha):
+    # whatever alpha's type, the gaps are Python floats: the list route at float(alpha)
+    x = float(alpha)
     for n in range(3, 20):
         for j in (1, 2):
             if n - j >= 2:
-                assert same(p_tilde(n, j, alpha), list_route_p_tilde(n, j, alpha)), (n, j)
-                assert same(p_gap(n, j, alpha), list_route_p_gap(n, j, alpha)), (n, j)
+                assert same(p_tilde(n, j, alpha), list_route_p_tilde(n, j, x)), (n, j)
+                assert same(p_gap(n, j, alpha), list_route_p_gap(n, j, x)), (n, j)
         for k in range(1, n // 2):
-            assert same(cycle_numerator_gap(n, k, alpha), list_route_cycle_gap(n, k, alpha)), (n, k)
+            assert same(cycle_numerator_gap(n, k, alpha), list_route_cycle_gap(n, k, x)), (n, k)
 
 
 def test_cutoff_root_bisects_the_list_route(monkeypatch):
