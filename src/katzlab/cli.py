@@ -217,10 +217,7 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 def cmd_cutoff(args: argparse.Namespace) -> int:
     if args.n_lo > args.n_hi:
         raise ValueError(f"empty size range: n_lo={args.n_lo} > n_hi={args.n_hi}")
-    if args.n_lo - args.j < 5:
-        raise ValueError(
-            f"n - j must be >= 5 for a bracketed root; got n_lo={args.n_lo}, j={args.j}"
-        )
+    ordering._require_bracketed(args.n_lo, args.j)
     rows: list[list[str]] = []
     roots: list[float] = []
     nan = float("nan")

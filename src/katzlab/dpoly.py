@@ -10,14 +10,18 @@ its parity factorization live here too.
 All evaluators return IEEE doubles.  alpha is read in one place,
 :func:`_intake`: a number of any numeric type becomes its Python float, a
 1-D sequence the list of its floats, and each float is checked once,
-before any work (finite here, admissible for the graph in ``graphs``, in
-(0, 1/2) for the limits).  A 2-D alpha, NaN and +-inf raise ValueError
-subclasses that name alpha, and a route that takes one number refuses a
-sequence (:func:`_number`).  Every float route computes from that float,
-so its value at any alpha is its value at float(alpha), bit for bit.  The
-exact routes read alpha's exact value as p/q (:func:`_exact_alpha`), a
-Fraction or Decimal exactly and anything else at its float's binary
-value, and check that value on the same interval.
+before any work, by the one plain check the route passes: finite by
+default, admissible for the graph by ``GraphSpec._check_alpha`` in
+``graphs``, or in (0, 1/2) by :func:`_require_below_half` for the limits
+(which share :func:`ratio_constant`'s unchecked kernel
+:func:`_ratio_power`, so that no limit checks its alpha twice).  A 2-D
+alpha, NaN and +-inf raise ValueError subclasses that name alpha, and a
+route that takes one number refuses a sequence (:func:`_number`).  Every
+float route computes from that float, so its value at any alpha is its
+value at float(alpha), bit for bit.  The exact routes read alpha's exact
+value as p/q (:func:`_exact_alpha`), a Fraction or Decimal exactly and
+anything else at its float's binary value, and check that value on the
+same interval.
 
 The recursion is written once, in ``_d_terms``: the scalar closed forms of
 the package read the few terms they need from one run of it, and the list
@@ -84,8 +88,10 @@ def _intake(alpha, check=_require_finite) -> tuple:
     numeric type (a Fraction or Decimal correctly rounded, a float32 or
     float16 widened exactly).  check is called once on each float before
     any work; by default it refuses NaN and +-inf, and the graphs' and the
-    half interval's checks refuse them too.  An alpha of 2 or more
-    dimensions, or one that holds no numbers, raises ValueError.
+    half interval's checks refuse them too.  check is a plain function or a
+    bound method of the value alone, with no closure built per call.  An
+    alpha of 2 or more dimensions, or one that holds no numbers, raises
+    ValueError.
     """
     if type(alpha) is float:  # with no array made
         check(alpha)
@@ -396,5 +402,9 @@ def ratio_constant(k: int, alpha: float) -> float:
     growth factor 2/(1 + sqrt(1 - 4 alpha^2)).
     """
     _require_int(k, "shift must be an integer")
-    alpha = _number(alpha, _require_below_half)
+    return _ratio_power(k, _number(alpha, _require_below_half))
+
+
+def _ratio_power(k: int, alpha: float) -> float:
+    """:func:`ratio_constant` at an int k and a float alpha in (0, 1/2), unchecked."""
     return ((1.0 + math.sqrt(1.0 - 4.0 * alpha * alpha)) / 2.0) ** k

@@ -4,7 +4,10 @@ Provides the three per-graph quantities everything else consumes: the
 adjacency spectral radius (which fixes the admissible decay interval),
 hop distance between vertices, and effective resistance.  Closed forms are
 paired with brute-force oracles: power iteration for the radius and a
-Laplacian-pseudoinverse solve for resistance.
+Laplacian-pseudoinverse solve for resistance.  A graph checks one alpha
+against its interval (0, 1/rho) with its method ``_check_alpha``, the
+check every admissible route hands to the alpha intake of
+:mod:`katzlab.dpoly`.
 """
 
 from __future__ import annotations
@@ -84,6 +87,18 @@ class GraphSpec:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
+    def _check_alpha(self, value) -> None:
+        """Check that value lies in (0, 1/rho(A)) (AdmissibilityError), as the intake of :mod:`katzlab.dpoly` calls it.
+
+        value is the intake's float, or on the exact routes a Fraction or
+        Decimal, which compares exactly with the float bound; NaN fails.
+        """
+        bound = 1.0 / spectral_radius(self)
+        if not 0.0 < value < bound:
+            raise AdmissibilityError(
+                f"alpha {value} is not admissible for {self.family}({self.n}): requires 0 < alpha < {bound:.6g}"
+            )
+
 
 @dataclass(frozen=True, order=True)
 class VertexPair:
@@ -138,33 +153,20 @@ def require_admissible(value, g: GraphSpec) -> float:
     """The float of one number value, checked to lie in 0 < value < 1/rho(A) (AdmissibilityError).
 
     value is read by :func:`katzlab.dpoly._intake`: any numeric type is
-    checked, and returned, as its Python float, and a sequence raises
-    ValueError.  Every closed form of g, float or exact, holds on the
-    whole interval; the exact routes check alpha's exact value on it
+    checked by :meth:`GraphSpec._check_alpha`, and returned, as its Python
+    float, and a sequence raises ValueError.  Every closed form of g, float
+    or exact, holds on the whole interval; the exact routes check alpha's
+    exact value on it with the same method
     (:func:`katzlab.dpoly._exact_alpha`).  For paths it stretches above
     1/2, where the d-polynomial bounds and the n -> infinity limits do not
     hold, so those check (0, 1/2) instead.
     """
-    return _number(value, _admissible_check(g))
-
-
-def _admissible_check(g: GraphSpec):
-    """The check of one alpha against g's interval (0, 1/rho(A)), as the intake of :mod:`katzlab.dpoly` calls it."""
-    bound = 1.0 / spectral_radius(g)
-    return lambda value: _admissible(value, g, bound)
-
-
-def _admissible(value, g: GraphSpec, bound: float) -> None:
-    """Check that value lies in (0, bound), with bound = 1/rho(A) of g; a Fraction or Decimal compares exactly."""
-    if not 0.0 < value < bound:
-        raise AdmissibilityError(
-            f"alpha {value} is not admissible for {g.family}({g.n}): requires 0 < alpha < {bound:.6g}"
-        )
+    return _number(value, g._check_alpha)
 
 
 def _admissible_alphas(alpha, g: GraphSpec) -> tuple[list, bool]:
     """The alphas of a number or 1-D sequence as floats, each checked admissible for g, and whether it is a sequence."""
-    x, many = _intake(alpha, _admissible_check(g))
+    x, many = _intake(alpha, g._check_alpha)
     return x if many else [x], many
 
 

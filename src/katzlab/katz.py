@@ -41,13 +41,13 @@ from .dpoly import (
     _lucas,
     _lucas_add,
     _number,
+    _ratio_power,
     _require_below_half,
     _require_int,
     d_recursive,
     d_sequence,
-    ratio_constant,
 )
-from .graphs import AdmissibilityError, GraphSpec, _admissible_alphas, _admissible_check, _checked_pair, _span_distance, graph_distance, require_admissible, spectral_radius
+from .graphs import AdmissibilityError, GraphSpec, _admissible_alphas, _checked_pair, _span_distance, graph_distance, require_admissible, spectral_radius
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
@@ -409,7 +409,7 @@ def _path_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
     i, j = _checked_pair(g, i, j)
     if i + j > n + 1:
         i, j = n + 1 - j, n + 1 - i
-    p, q = _exact_alpha(alpha, _admissible_check(g))
+    p, q = _exact_alpha(alpha, g._check_alpha)
     p2 = p * p
     tail = _lucas(n - j, p2, q)  # U_{n-j}, U_{n+1-j}
     far = tail if 2 * j == n else _lucas(j, p2, q)  # U_j, U_{j+1}
@@ -461,7 +461,7 @@ def _cycle_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
     """
     g = GraphSpec.cycle(n)
     k = graph_distance(g, i, j)
-    p, q = _exact_alpha(alpha, _admissible_check(g))
+    p, q = _exact_alpha(alpha, g._check_alpha)
     p2 = p * p
     if k < 2:
         before, last = _lucas(n - 1, p2, q)  # U_{n-1}, U_n
@@ -510,7 +510,7 @@ def katz_limit_path(i: int, j: int, alpha: float) -> float:
     for label in (i, j):
         _require_int(label, "vertex labels must be integers")
     alpha = _number(alpha, _require_below_half)
-    c = ratio_constant(-1, alpha)
+    c = _ratio_power(-1, alpha)
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")
     head_before, head = _d_terms((max(i - 2, 0), i - 1), alpha)
@@ -535,7 +535,7 @@ def katz_limit_cycle(offset: int, alpha: float) -> float:
     if offset < 1:
         raise ValueError(f"offset must be >= 1, got {offset}")
     alpha = _number(alpha, _require_below_half)
-    c = ratio_constant(-1, alpha)
+    c = _ratio_power(-1, alpha)
     return alpha**offset * c ** (offset - 2) * (1.0 - alpha**4 * c**4) / (1.0 - 4.0 * alpha * alpha)
 
 

@@ -54,7 +54,6 @@ from .graphs import (
     GraphSpec,
     VertexPair,
     _admissible_alphas,
-    _admissible_check,
     _pair_labels,
     _span_distance,
     _span_resistance,
@@ -382,7 +381,7 @@ def p_gap(n: int, j: int, alpha: float) -> float:
     """
     m = _gap_midpoint(n, j)
     g = GraphSpec.path(n)
-    x, one, power = _at(alpha, _admissible_check(g))
+    x, one, power = _at(alpha, g._check_alpha)
     # the entries (1, 1 + j) and (m, m + j + 1) read these terms, in index order
     d_0, tail, head, top, d_n = _d_terms((0, n - m - j - 1, m - 1, n - j - 1, n), x, one)
     return _path_off_diagonal(power(j), d_0, top, d_n) - _path_off_diagonal(power(j + 1), head, tail, d_n)
@@ -476,12 +475,17 @@ def cutoff_root(n: int, j: int) -> CutoffResult:
     return CutoffResult(n, j, bracket_lo, bracket_hi, root, iterations, abs(_p_tilde(n, j, m, root)))
 
 
+def _require_bracketed(n: int, j: int) -> None:
+    """Validate n - j >= 5, below which p_tilde(n, j, .) has no root to bracket in (1/sqrt 5, 1/2)."""
+    if n - j < 5:
+        raise ValueError(f"n - j must be >= 5 for a bracketed root; got n = {n}, j = {j}")
+
+
 def cutoff_table(j: int, n_range) -> list[CutoffResult]:
     """cutoff_root, bisected to BISECTION_WIDTH, for every n in n_range (each must satisfy n - j >= 5)."""
     ns = list(n_range)
     for n in ns:
-        if n - j < 5:
-            raise ValueError(f"cutoff_table needs n - j >= 5 for every n; n = {n}, j = {j}")
+        _require_bracketed(n, j)
     return [cutoff_root(n, j) for n in ns]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from katzlab import dpoly, katz, ordering
-from katzlab.graphs import GraphSpec, require_admissible
+from katzlab.graphs import AdmissibilityError, GraphSpec, require_admissible
 
 TYPED_ALPHAS = [
     0.3,
@@ -150,3 +150,114 @@ def test_every_routine_takes_every_numeric_type(name):
     # the exact routes read a Fraction or Decimal at its exact value, every other route at its float
     for alpha in TYPED_ALPHAS:
         ROUTINES[name](alpha)
+
+
+def recorded_checks(monkeypatch):
+    """The list that every interval check appends (interval, alpha) to: "graph" for (0, 1/rho), "half" for (0, 1/2)."""
+    calls = []
+    graph_check, half_check = GraphSpec._check_alpha, dpoly._require_below_half
+
+    def counted_graph(g, value):
+        calls.append(("graph", value))
+        return graph_check(g, value)
+
+    def counted_half(value):
+        calls.append(("half", value))
+        return half_check(value)
+
+    monkeypatch.setattr(GraphSpec, "_check_alpha", counted_graph)
+    for module in (dpoly, katz, ordering):
+        monkeypatch.setattr(module, "_require_below_half", counted_half)
+    return calls
+
+
+# the routines that check alpha for finiteness alone, and those that check it on (0, 1/2); the rest check it on (0, 1/rho)
+FINITE_ONLY = ["d_recursive", "d_sequence", "d_sequence_exact", "d_closed", "d_closed_sequence", "D_cycle_denominator", "D_parity_form", "p_tilde"]
+HALF_INTERVAL = ["ratio_constant", "katz_limit_path", "katz_limit_cycle", "cycle_numerator_gap"]
+
+
+@pytest.mark.parametrize("name", list(ROUTINES))
+def test_each_alpha_is_checked_once_against_its_interval(name, monkeypatch):
+    interval = None if name in FINITE_ONLY else "half" if name in HALF_INTERVAL else "graph"
+    sweep = [0.1, 0.3, 0.46]
+    calls = recorded_checks(monkeypatch)
+    for alpha, checked in [(0.3, [0.3])] + ([] if name in NUMBER_ONLY else [(sweep, sweep)]):
+        calls.clear()
+        ROUTINES[name](alpha)
+        assert calls == ([(interval, a) for a in checked] if interval else [])
+
+
+@pytest.mark.parametrize("name", ["katz_path_exact", "katz_cycle_exact"])
+def test_an_exact_route_checks_a_fraction_once_at_its_exact_value(name, monkeypatch):
+    calls = recorded_checks(monkeypatch)
+    ROUTINES[name](Fraction(3, 10))
+    assert calls == [("graph", Fraction(3, 10))]
+
+
+PATH_BOUND = "0.5211085581132028"  # 1/rho of path(10), the double
+PATH_MESSAGE = "alpha {} is not admissible for path(10): requires 0 < alpha < 0.521109"
+CYCLE_MESSAGE = "alpha {} is not admissible for cycle(12): requires 0 < alpha < 0.5"
+HALF_MESSAGE = "alpha must lie in (0, 1/2), where every d_k is positive; got {}"
+
+# each route with its error type, its message and the bound of its interval as the message prints it
+REFUSING_ROUTES = {
+    "katz_path": (lambda a: katz.katz_path(10, 1, 2, a), AdmissibilityError, PATH_MESSAGE, PATH_BOUND),
+    "katz_path_exact": (lambda a: katz.katz_path_exact(10, 1, 2, a), AdmissibilityError, PATH_MESSAGE, PATH_BOUND),
+    "p_gap": (lambda a: ordering.p_gap(10, 2, a), AdmissibilityError, PATH_MESSAGE, PATH_BOUND),
+    "katz_cycle": (lambda a: katz.katz_cycle(12, 1, 3, a), AdmissibilityError, CYCLE_MESSAGE, "0.5"),
+    "katz_cycle_exact": (lambda a: katz.katz_cycle_exact(12, 1, 3, a), AdmissibilityError, CYCLE_MESSAGE, "0.5"),
+    "katz_limit_path": (lambda a: katz.katz_limit_path(1, 2, a), ValueError, HALF_MESSAGE, "0.5"),
+    "katz_limit_cycle": (lambda a: katz.katz_limit_cycle(1, a), ValueError, HALF_MESSAGE, "0.5"),
+    "ratio_constant": (lambda a: dpoly.ratio_constant(1, a), ValueError, HALF_MESSAGE, "0.5"),
+    "cycle_numerator_gap": (lambda a: ordering.cycle_numerator_gap(12, 2, a), ValueError, HALF_MESSAGE, "0.5"),
+}
+
+
+def assert_refused(route, alpha, error, message):
+    with pytest.raises(error) as raised:
+        route(alpha)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("text", ["0.0", "-0.1", "bound", "nan"])
+@pytest.mark.parametrize("name", list(REFUSING_ROUTES))
+def test_an_alpha_outside_its_interval_gets_the_full_message(name, text):
+    route, error, message, bound = REFUSING_ROUTES[name]
+    text = bound if text == "bound" else text
+    assert_refused(route, float(text), error, message.format(text))
+
+
+@pytest.mark.parametrize(
+    "name, alpha, message",
+    [
+        (
+            "katz_path_exact",
+            Fraction(float(PATH_BOUND)) + Fraction(1, 10**40),
+            PATH_MESSAGE.format("42689213080633571735233999788761138916023817/81920000000000000000000000000000000000000000"),
+        ),
+        (
+            "katz_cycle_exact",
+            Fraction(1, 2) + Fraction(1, 10**40),
+            CYCLE_MESSAGE.format("5000000000000000000000000000000000000001/10000000000000000000000000000000000000000"),
+        ),
+        ("p_gap", [0.1, float(PATH_BOUND), 0.2], PATH_MESSAGE.format(PATH_BOUND)),
+        ("cycle_numerator_gap", [0.1, 0.5], HALF_MESSAGE.format("0.5")),
+    ],
+    ids=["path_exact_fraction_past_the_bound", "cycle_exact_fraction_past_the_bound", "p_gap_sequence", "cycle_gap_sequence"],
+)
+def test_a_fraction_past_the_bound_or_one_bad_member_gets_the_full_message(name, alpha, message):
+    route, error, _, _ = REFUSING_ROUTES[name]
+    assert_refused(route, alpha, error, message)
+
+
+@pytest.mark.parametrize(
+    "g, alphas, message",
+    [
+        (GraphSpec.path(10), [0.1, 0.6, 0.2], PATH_MESSAGE.format("0.6")),
+        (GraphSpec.cycle(12), [0.1, 0.2, 0.5], CYCLE_MESSAGE.format("0.5")),
+    ],
+    ids=["path", "cycle"],
+)
+def test_one_bad_member_of_agreement_alphas_gets_the_full_message(g, alphas, message):
+    assert_refused(lambda a: ordering.agreement(g, a), alphas, AdmissibilityError, message)

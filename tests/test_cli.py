@@ -505,13 +505,13 @@ def test_main_calls_are_independent(tmp_path, capsys, family):
 @pytest.mark.parametrize("family", ["path", "cycle"])
 def test_converge_checks_each_size_once(tmp_path, monkeypatch, family):
     calls = []
-    admissible = graphs._admissible
+    check = GraphSpec._check_alpha
 
-    def counted(value, g, bound):
+    def counted(g, value):
         calls.append(g.n)
-        return admissible(value, g, bound)
+        return check(g, value)
 
-    monkeypatch.setattr(graphs, "_admissible", counted)
+    monkeypatch.setattr(GraphSpec, "_check_alpha", counted)
     out = tmp_path / "c.csv"
     assert run(converge_argv(out, family)) == 0
     assert calls == list(cli.DEFAULT_CONVERGE_SIZES)

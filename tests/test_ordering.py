@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from katzlab import cli, dpoly, graphs, katz, ordering
+from katzlab import cli, dpoly, katz, ordering
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import AdmissibilityError, GraphSpec, VertexPair, graph_distance, resistance, spectral_radius
 from katzlab.katz import katz_cycle_matrix, katz_path_matrix
@@ -536,13 +536,13 @@ def test_an_inadmissible_alpha_anywhere_fails_before_any_work(monkeypatch):
 def test_each_alpha_is_checked_once(g, monkeypatch, tmp_path):
     # the public routine checks its alphas; the Katz kernel under it does not
     calls = []
-    admissible = graphs._admissible
+    check = GraphSpec._check_alpha
 
-    def counted(value, *args):
+    def counted(graph, value):
         calls.append(value)
-        return admissible(value, *args)
+        return check(graph, value)
 
-    monkeypatch.setattr(graphs, "_admissible", counted)
+    monkeypatch.setattr(GraphSpec, "_check_alpha", counted)
     alphas = [0.1, 0.3, 0.46]
     for routine in (agreement, class_structures_match):
         calls.clear()
