@@ -93,44 +93,51 @@ def _int_list(text: str) -> list[int]:
 
 
 class _RealCells:
-    """The _real cells of a stream of float arrays, each distinct value formatted once.
+    """The object table of one alpha's scatter cells: fixed cells first, then a cell per distinct Katz value.
 
-    Values are told apart by their bit pattern, so 0.0 and -0.0 (or two NaN
-    payloads) are never merged and every cell is exactly its own _real.
-    The patterns seen so far are one sorted int64 key array, with the number
-    of each one's cell in the order the cells were first made: O(R) memory
-    for R distinct values, whatever the number of values added.
+    Katz values are told apart by their bit pattern, so 0.0 and -0.0 (or
+    two NaN payloads) are never merged and every cell is exactly its own
+    _real with its line end.  The patterns seen so far are one sorted
+    int64 key array, with the table index of each one's cell: O(F + R)
+    memory for F fixed cells and R distinct values, whatever the number of
+    values added.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, fixed: list[str]) -> None:
+        self.table = np.array(fixed, dtype=object)
+        self.size = self.table.size
         self.keys = np.empty(0, dtype=np.int64)
         self.numbers = np.empty(0, dtype=np.intp)
 
-    def add(self, values: np.ndarray) -> tuple[list[str], np.ndarray]:
-        """The cells of the patterns in values not seen before, numbered on from the earlier ones, and per value its cell's number.
+    def add(self, values: np.ndarray) -> np.ndarray:
+        """Per value, the table index of its cell; the patterns not seen before are formatted once and appended.
 
         One sort and a != mask find the distinct patterns of values; only
-        those not among the keys are formatted.
+        those not among the keys are formatted.  The table doubles when
+        full, so that R cells are copied O(log R) times.
         """
         bits = values.view(np.int64)
         distinct = np.sort(bits)
         first = np.empty(distinct.size, dtype=bool)
         first[:1] = True
         np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
-        distinct = distinct[first]
+        new = distinct[first]
         if self.keys.size:
-            at = np.searchsorted(self.keys, distinct)
+            at = np.searchsorted(self.keys, new)
             # a pattern above every key has at = keys.size, clipped to the largest key
-            fresh = self.keys.take(at, mode="clip") != distinct
-            new = distinct[fresh]
-            if new.size:
-                self.keys = np.insert(self.keys, at[fresh], new)
-                self.numbers = np.insert(self.numbers, at[fresh], np.arange(self.numbers.size, self.numbers.size + new.size))
-        else:
-            new = self.keys = distinct
-            self.numbers = np.arange(distinct.size)
-        # _real's format, written out: a call per value costs a few per cent of a small scatter
-        return [f"{x:.16e}" for x in new.view(np.float64).tolist()], self.numbers.take(np.searchsorted(self.keys, bits))
+            fresh = self.keys.take(at, mode="clip") != new
+            new, at = new[fresh], at[fresh]
+        if new.size:
+            numbers = np.arange(self.size, self.size + new.size)
+            # the first patterns are the keys as they are: np.insert costs some 20 us even into nothing
+            merged = (np.insert(self.keys, at, new), np.insert(self.numbers, at, numbers)) if self.keys.size else (new, numbers)
+            self.keys, self.numbers = merged
+            if self.size + new.size > self.table.size:
+                self.table = np.concatenate((self.table, np.empty(max(self.table.size, new.size), dtype=object)))
+            # _real's format, written out: a call per value costs a few per cent of a small scatter
+            self.table[self.size : self.size + new.size] = [f"{x:.16e}\n" for x in new.view(np.float64).tolist()]
+            self.size += new.size
+        return self.numbers.take(np.searchsorted(self.keys, bits))
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -147,34 +154,33 @@ def _write_csv(path: str, header: list[str], blocks: Iterable[str]) -> None:
 def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
     """The scatter rows at checked alphas, alpha by alpha in g.pairs() order, at most SCATTER_BLOCK_ROWS to a block.
 
-    A row is four cells from one object table per alpha: the "alpha,i,"
-    head, the "j," label, the "distance,resistance," cells of its span
-    j - i and the Katz cell with its line end.  The Katz values come from
-    O(n) rows per alpha with no n x n matrix: a path evaluates each pair of
-    a block once (katz._path_pairs on its d-row and powers), and each
-    distinct value is formatted once per alpha (_RealCells); a cycle's value
-    depends on a pair only through its arc, so it has one cell per arc
-    length k = 1..n//2.  The labels are built block by block from the row
-    offsets, and a block is one 4-column object gather and one join.  No
-    array holds all P = n(n-1)/2 pairs: memory is O(n + block + R), with R
-    the number of distinct Katz values at one alpha.
+    A row is four cells from the alpha's one object table (_RealCells):
+    the "alpha,i," head, the "j," label, the "distance,resistance," cells
+    of its span j - i and the Katz cell with its line end.  The Katz values
+    come from O(n) rows per alpha with no n x n matrix.  A path evaluates
+    each pair of a block once (katz._path_pairs on its d-row and powers),
+    and the table formats each distinct value once per alpha and gives its
+    index.  A cycle's value depends on a pair only through its arc, so its
+    table holds one fixed Katz cell per arc length k = 1..n//2.  The labels
+    are built block by block from the row offsets, and a block is one
+    4-column gather and one join.  No array holds all P = n(n-1)/2 pairs:
+    memory is O(n + block + R), with R the number of distinct Katz values
+    at one alpha.
     """
     n = g.n
     spans = np.arange(1, n)
     distance, resist = _span_distance(g, spans), _span_resistance(g, spans)
     # table layout: heads (i = 1..n-1), labels (j = 2..n), spans (1..n-1), Katz cells
-    cells = [f"{v}," for v in range(2, n + 1)] + [f"{d},{_real(r)}," for d, r in zip(distance.tolist(), resist.tolist())]
-    katz_start = 3 * (n - 1)
-    arc_cells = distance + (katz_start - 1)  # a cycle's Katz cell per span, that of its arc
+    fixed = [f"{v}," for v in range(2, n + 1)] + [f"{d},{_real(r)}," for d, r in zip(distance.tolist(), resist.tolist())]
+    arc_cells = distance + (3 * (n - 1) - 1)  # a cycle's Katz cell per span, that of its arc
     for alpha in alphas:
         alpha_cell = _real(alpha)
         if g.is_path:
             d, powers = katz._path_rows([alpha], n)
-            katz_cells, new = _RealCells(), []
+            arcs = []
         else:
-            new = [_real(x) for x in katz._cycle_arcs([alpha], n)[0, 1:].tolist()]
-        table = np.array([f"{alpha_cell},{v}," for v in range(1, n)] + cells + [cell + "\n" for cell in new], dtype=object)
-        size = table.size
+            arcs = [f"{x:.16e}\n" for x in katz._cycle_arcs([alpha], n)[0, 1:].tolist()]
+        cells = _RealCells([f"{alpha_cell},{v}," for v in range(1, n)] + fixed + arcs)
         for i, j in _pair_label_blocks(n, SCATTER_BLOCK_ROWS):
             index = np.empty((i.size, 4), dtype=np.intp)
             np.subtract(i, 1, out=index[:, 0])
@@ -182,17 +188,10 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
             span = j - i
             np.add(span, 2 * n - 3, out=index[:, 2])
             if g.is_path:
-                new, numbers = katz_cells.add(katz._path_pairs(d, powers, i, j)[0])
-                np.add(numbers, katz_start, out=index[:, 3])
-                if new:
-                    if size + len(new) > table.size:
-                        # doubled, so that a table of R cells is copied O(log R) times
-                        table = np.concatenate((table, np.empty(max(table.size, len(new)), dtype=object)))
-                    table[size : size + len(new)] = [cell + "\n" for cell in new]
-                    size += len(new)
+                index[:, 3] = cells.add(katz._path_pairs(d, powers, i, j)[0])
             else:
                 np.take(arc_cells, span - 1, out=index[:, 3])
-            yield "".join(table[index].ravel().tolist())
+            yield "".join(cells.table[index].ravel().tolist())
 
 
 def _require_scatter_size(g: GraphSpec) -> None:

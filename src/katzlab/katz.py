@@ -47,7 +47,7 @@ from .dpoly import (
     d_recursive,
     d_sequence,
 )
-from .graphs import AdmissibilityError, GraphSpec, _admissible_alphas, _checked_pair, _span_distance, graph_distance, require_admissible, spectral_radius
+from .graphs import AdmissibilityError, GraphSpec, _admissible_alphas, _checked_pair, _span_distance, require_admissible, spectral_radius
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
@@ -187,7 +187,8 @@ def katz_cycle(n: int, i: int, j: int, alpha: float) -> float:
     """
     g = GraphSpec.cycle(n)
     alpha = require_admissible(alpha, g)
-    return _cycle_entry(n, graph_distance(g, i, j), alpha)
+    i, j = _checked_pair(g, i, j)
+    return _cycle_entry(n, _span_distance(g, j - i), alpha)
 
 
 def _cycle_entry(n: int, k: int, alpha: float) -> float:
@@ -460,7 +461,8 @@ def _cycle_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
     of p is large.
     """
     g = GraphSpec.cycle(n)
-    k = graph_distance(g, i, j)
+    i, j = _checked_pair(g, i, j)
+    k = _span_distance(g, j - i)
     p, q = _exact_alpha(alpha, g._check_alpha)
     p2 = p * p
     if k < 2:

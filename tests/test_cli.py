@@ -1,5 +1,6 @@
 import argparse
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -202,6 +203,21 @@ def test_scatter_memory_does_not_grow_with_the_pair_count(family):
     assert large < 6 * 2**20
 
 
+@pytest.mark.parametrize("family", ["path", "cycle"])
+@pytest.mark.parametrize("block", [None, 97])
+def test_scatter_bytes_with_katz_cells_that_underflow_and_repeat(tmp_path, monkeypatch, family, block):
+    # at alpha 0.005 thousands of Katz cells are 0.0 or subnormal, so one pattern recurs across many blocks
+    if block is not None:
+        monkeypatch.setattr(cli, "SCATTER_BLOCK_ROWS", block)
+    n = 300
+    out = tmp_path / "scatter.csv"
+    assert run(["scatter", "--family", family, "--n", str(n), "--alpha", "0.005,0.3", "--out", str(out)]) == 0
+    assert out.read_bytes() == reference_scatter_text(family, n, [0.005, 0.3]).encode()
+    small = [float(line.rsplit(",", 1)[1]) for line in read_lines(out)[1:] if line.startswith(cli._real(0.005))]
+    assert small.count(0.0) > 1000
+    assert sum(0.0 < x < sys.float_info.min for x in small) > 1000
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan, 1.0, 0.3]
 FLOAT_ARRAYS = hnp.arrays(
     np.float64,
@@ -210,30 +226,38 @@ FLOAT_ARRAYS = hnp.arrays(
 )
 
 
+def katz_cells(cells, index):
+    """The cells at table indices past the fixed ones, without their line ends."""
+    assert all(k >= 1 for k in index.tolist())
+    table = cells.table.tolist()
+    assert all(cell.endswith("\n") for cell in table[1 : cells.size])
+    return [table[k][:-1] for k in index.tolist()]
+
+
 @given(FLOAT_ARRAYS)
 def test_real_cells_are_real_per_value(values):
-    cells, inverse = cli._RealCells().add(values)
-    assert [cells[k] for k in inverse.tolist()] == [cli._real(x) for x in values.tolist()]
+    cells = cli._RealCells(["fixed,"])
+    assert katz_cells(cells, cells.add(values)) == [cli._real(x) for x in values.tolist()]
+    assert cells.table[0] == "fixed,"
 
 
 def test_real_cells_keep_signed_zeros_and_nan_payloads_apart():
     payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
     values = np.array([0.0, -0.0, math.nan, payload_nan, -math.nan, 0.0])
-    cells, inverse = cli._RealCells().add(values)
-    assert [cells[k] for k in inverse.tolist()] == [cli._real(x) for x in values.tolist()]
-    assert len(cells) == 5
-    assert [cells[k] for k in inverse[:2].tolist()] == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
+    cells = cli._RealCells(["fixed,"])
+    index = cells.add(values)
+    assert katz_cells(cells, index) == [cli._real(x) for x in values.tolist()]
+    assert cells.size == 1 + 5
+    assert katz_cells(cells, index[:2]) == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
 
 
 @given(FLOAT_ARRAYS, st.integers(0, 40))
 def test_real_cells_format_each_pattern_once_across_blocks(values, cut):
-    seen, cells, numbers = cli._RealCells(), [], []
+    cells, numbers = cli._RealCells(["fixed,"]), []
     for block in (values[:cut], values[cut:]):
-        new, inverse = seen.add(block)
-        cells += new
-        numbers += inverse.tolist()
-    assert [cells[k] for k in numbers] == [cli._real(x) for x in values.tolist()]
-    assert len(cells) == len(set(values.view(np.int64).tolist()))
+        numbers += cells.add(block).tolist()
+    assert katz_cells(cells, np.array(numbers, dtype=np.intp)) == [cli._real(x) for x in values.tolist()]
+    assert cells.size == 1 + len(set(values.view(np.int64).tolist()))
 
 
 WRITING_COMMANDS = {

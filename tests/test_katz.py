@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1076,3 +1077,15 @@ def test_scalar_entries_check_before_the_recursion(route, monkeypatch):
         route(10.0, 1, 2, 0.3)
     with pytest.raises(ValueError, match="graphs need n >="):
         route(-3, 1, 2, 0.3)
+
+
+@pytest.mark.parametrize("label", [np.array(1), np.array([1]), np.array([1, 2])], ids=repr)
+@pytest.mark.parametrize("route", [katz.katz_path, katz.katz_path_exact, katz.katz_cycle, katz.katz_cycle_exact])
+def test_scalar_routes_refuse_array_labels(route, label):
+    # the path routes' TypeError and text on both sides, and no numpy arithmetic (or warning) before it
+    for labels in ((label, 4), (4, label)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError) as info:
+                route(10, *labels, 0.3)
+        assert str(info.value) == f"vertex label must be an integer, got {label!r}"
