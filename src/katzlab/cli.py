@@ -65,14 +65,6 @@ DEFAULT_CONVERGE_SIZES = (10, 20, 40, 80, 160, 320)
 # on the C heap is trimmed and faulted back in block after block.
 SCATTER_BLOCK_ROWS = 2048
 
-# Most rows of a scatter table per alpha: the pairs of a SCATTER_MAX_N-vertex
-# graph.  A row is at most SCATTER_ROW_BYTES long (three 22-byte reals, three
-# labels of up to 4 digits, 5 commas and the line end), so one alpha writes
-# at most about 704 MB.
-SCATTER_MAX_N = 4096
-SCATTER_MAX_ROWS = SCATTER_MAX_N * (SCATTER_MAX_N - 1) // 2
-SCATTER_ROW_BYTES = 84
-
 
 def _real(x: float) -> str:
     return f"{x:.16e}"
@@ -194,20 +186,9 @@ def _scatter_blocks(g: GraphSpec, alphas: list[float]) -> Iterator[str]:
             yield "".join(cells.table[index].ravel().tolist())
 
 
-def _require_scatter_size(g: GraphSpec) -> None:
-    """Validate that g has at most SCATTER_MAX_ROWS pairs, the rows of its table at one alpha."""
-    rows = g.n * (g.n - 1) // 2
-    if rows > SCATTER_MAX_ROWS:
-        raise ValueError(
-            f"{g.family}({g.n}) has {rows} pairs, more than SCATTER_MAX_ROWS = {SCATTER_MAX_ROWS} rows per alpha "
-            f"(n <= {SCATTER_MAX_N}; at most {SCATTER_ROW_BYTES} bytes a row, about "
-            f"{SCATTER_MAX_ROWS * SCATTER_ROW_BYTES / 1e6:.0f} MB per alpha)"
-        )
-
-
 def cmd_scatter(args: argparse.Namespace) -> int:
     g = GraphSpec(args.family, args.n)
-    _require_scatter_size(g)
+    katz.require_matrix_size(g.n)
     alphas = katz.require_normal_denominator(g, sorted(args.alpha))
     _write_csv(args.out, ["alpha", "i", "j", "distance", "resistance", "katz"], _scatter_blocks(g, alphas))
     return 0
@@ -311,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scatter = sub.add_parser("scatter", help="per-pair metric table for scatter plots")
     scatter.add_argument("--family", choices=FAMILIES, required=True)
-    scatter.add_argument("--n", type=int, required=True, help=f"number of vertices (at most {SCATTER_MAX_N})")
+    scatter.add_argument("--n", type=int, required=True, help=f"number of vertices (at most {katz.MATRIX_MAX_N})")
     scatter.add_argument(
         "--alpha",
         type=_alpha_list,

@@ -25,6 +25,8 @@ from .dpoly import _intake, _number, _require_int
 PATH = "path"
 CYCLE = "cycle"
 FAMILIES = (PATH, CYCLE)
+# Each family's smallest n: a path needs one edge, a cycle three vertices.
+_SMALLEST_N = {PATH: 2, CYCLE: 3}
 
 _POWER_ITERATION_TOL = 1e-13
 # squarings of A + 2I: the last leaves v = (A + 2I)^(2^64 - 1) 1, normalised
@@ -50,10 +52,8 @@ class GraphSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         _require_int(self.n, "vertex count must be an integer")
-        if self.family == PATH and self.n < 2:
-            raise ValueError(f"path graphs need n >= 2, got {self.n}")
-        if self.family == CYCLE and self.n < 3:
-            raise ValueError(f"cycle graphs need n >= 3, got {self.n}")
+        if self.n < _SMALLEST_N[self.family]:
+            raise ValueError(f"{self.family} graphs need n >= {_SMALLEST_N[self.family]}, got {self.n}")
 
     @classmethod
     def path(cls, n: int) -> "GraphSpec":

@@ -54,9 +54,11 @@ SERIES_ITERATION_CAP = 100000
 # Bound on every entry of the walk series' tail after its last term.
 SERIES_TOL = 1e-12
 
-# Largest n of katz_path_matrix and katz_cycle_matrix: an n x n float64
-# array of at most 128 MiB.  A stack of A matrices is held to the same
-# total, A n^2 <= MATRIX_MAX_N^2.
+# Largest n of every route whose size grows with the pair count, checked by
+# require_matrix_size: katz_path_matrix and katz_cycle_matrix (an n x n
+# float64 array of at most 128 MiB; a stack of A matrices is held to the
+# same total, A n^2 <= MATRIX_MAX_N^2), the rankings of ordering that hold
+# the pairs, and the scatter command's table.
 MATRIX_MAX_N = 4096
 
 
@@ -65,16 +67,21 @@ class SeriesDivergenceError(RuntimeError):
 
 
 class MatrixSizeError(ValueError):
-    """A stack of count n x n Katz matrices would exceed MATRIX_MAX_N**2 entries."""
+    """n is above MATRIX_MAX_N, or a stack of count n x n Katz matrices would exceed MATRIX_MAX_N**2 entries."""
 
 
 def require_matrix_size(n: int, count: int = 1) -> None:
-    """Validate count n^2 <= MATRIX_MAX_N^2, before a stack of count n x n matrices is allocated."""
+    """Validate count n^2 <= MATRIX_MAX_N^2, before a route sized by the pair count builds anything.
+
+    A matrix route passes count, the number of n x n matrices it stacks;
+    the rankings and scatter pass n alone, which checks n <= MATRIX_MAX_N.
+    """
     if count * n * n > MATRIX_MAX_N**2:
         what = f"n = {n} exceeds" if count == 1 else f"{count} matrices of n = {n} exceed"
         raise MatrixSizeError(
-            f"{what} the Katz matrix limit of MATRIX_MAX_N**2 entries, MATRIX_MAX_N = {MATRIX_MAX_N} "
-            f"(float64 arrays of at most {8 * MATRIX_MAX_N**2 >> 20} MiB in all)"
+            f"{what} the size cap of the routes sized by the pair count, MATRIX_MAX_N = {MATRIX_MAX_N}: the rankings "
+            f"and scatter take n <= MATRIX_MAX_N, and a stack of Katz matrices at most MATRIX_MAX_N**2 entries in all "
+            f"({8 * MATRIX_MAX_N**2 >> 20} MiB of float64)"
         )
 
 
@@ -270,16 +277,19 @@ def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.n
 
     At a number, the (P,) entries of the P pairs; at a 1-D sequence of A
     alphas, the (A, P) array whose row a is the call with alpha a alone.
-    Labels that are not numpy arrays raise TypeError, and every alpha is
-    read as its Python float and checked admissible, before any work
-    (:func:`katzlab.graphs._admissible_alphas`), so a call at alpha is the
-    call at float(alpha) bit for bit, whatever alpha's numeric type.  Each
-    entry is :func:`katz_path` or :func:`katz_cycle` bit for bit, gathered
-    from the O(n) rows per alpha of :func:`_path_rows` or
-    :func:`_cycle_arcs`, whatever the number of pairs.
+    Labels that are not numpy arrays raise TypeError, labels that are not
+    1-D raise ValueError (two 1-D arrays broadcast, as (1,) with (P,)),
+    and every alpha is read as its Python float and checked admissible,
+    before any work (:func:`katzlab.graphs._admissible_alphas`), so a call
+    at alpha is the call at float(alpha) bit for bit, whatever alpha's
+    numeric type.  Each entry is :func:`katz_path` or :func:`katz_cycle`
+    bit for bit, gathered from the O(n) rows per alpha of
+    :func:`_path_rows` or :func:`_cycle_arcs`, whatever the number of pairs.
     """
     if not (isinstance(i, np.ndarray) and isinstance(j, np.ndarray)):
         raise TypeError(f"vertex labels must be numpy arrays, got {type(i).__name__} and {type(j).__name__}")
+    if i.ndim != 1 or j.ndim != 1:
+        raise ValueError(f"vertex labels must be 1-D arrays, got shapes {i.shape} and {j.shape}")
     (alphas, many), n = _admissible_alphas(alpha, g), g.n
     if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
         raise TypeError(f"vertex labels must be integers, got dtypes {i.dtype} and {j.dtype}")

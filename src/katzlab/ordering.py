@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dpoly import INV_SQRT5, _at, _d_terms, _require_below_half, _require_index, _require_int
+from .dpoly import INV_SQRT5, _at, _d_terms, _require_below_half, _require_int
 from .graphs import (
     GraphSpec,
     VertexPair,
@@ -363,8 +363,10 @@ def agreement(g: GraphSpec, alpha):
 
 
 def _gap_midpoint(n: int, j: int) -> int:
+    """The gap routines' m = ceil((n - j)/2), after checking j, then n (with GraphSpec's text), then n - j >= 2."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"offset j must be a positive integer, got {j!r}")
+    _require_int(n, "vertex count must be an integer")
     if n - j < 2:
         raise ValueError(f"gap polynomial needs n - j >= 2, got n = {n}, j = {j}")
     return (n - j + 1) // 2
@@ -406,7 +408,6 @@ def p_tilde(n: int, j: int, alpha: float) -> float:
     array of the calls at each, bit for bit, as for :func:`p_gap`.
     """
     m = _gap_midpoint(n, j)
-    _require_index(n - j - 1)
     return _p_tilde(n, j, m, _at(alpha)[0])
 
 
@@ -443,7 +444,6 @@ def cutoff_root(n: int, j: int) -> CutoffResult:
     |p_tilde(n, j, root)|.
     """
     m = _gap_midpoint(n, j)
-    _require_index(n - j - 1)
     hi = BRACKET_HI - 1e-12
     nudge = 1e-12
     lo = BRACKET_LO + nudge
@@ -498,11 +498,11 @@ def cycle_numerator_gap(n: int, k: int, alpha: float) -> float:
     admissible range (1/rho = 1/2); for a 1-D sequence of alphas, every one
     checked first, the array of the calls at each, bit for bit, as p_gap.
     """
+    _require_int(n, "vertex count must be an integer")
     _require_int(k, "arc length must be an integer")
     if not 1 <= k < n // 2:
         raise ValueError(f"need 1 <= k < n//2, got k = {k}, n = {n}")
     x, one, power = _at(alpha, _require_below_half)
-    _require_index(n - k - 1)
     d_short, d_short_next, d_long_next, d_long = _d_terms((k - 1, k, n - k - 2, n - k - 1), x, one)
     return _cycle_numerator(d_short, d_long, power(k), power(n - k)) - _cycle_numerator(
         d_short_next, d_long_next, power(k + 1), power(n - k - 1)

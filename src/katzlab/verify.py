@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +19,11 @@ import numpy as np
 from . import dpoly, katz, ordering
 from .dpoly import INV_SQRT5
 from .graphs import (
+    CYCLE,
+    FAMILIES,
+    PATH,
     GraphSpec,
+    _SMALLEST_N,
     _pair_labels,
     graph_distance,
     resistance,
@@ -36,6 +40,13 @@ def katz_grid(g: GraphSpec) -> list[float]:
     """The admissible part of the 0.02-step decay grid for one graph."""
     bound = 1.0 / spectral_radius(g)
     return [k / 50 for k in range(1, 50) if k / 50 < bound]
+
+
+def _sweep(n_max: int, families: tuple[str, ...] = FAMILIES) -> Iterator[GraphSpec]:
+    """Every graph of each family in turn (paths, then cycles), from the family's smallest n up to n_max."""
+    for family in families:
+        for n in range(_SMALLEST_N[family], n_max + 1):
+            yield GraphSpec(family, n)
 
 
 def mixed_err(a, b):
@@ -248,11 +259,11 @@ def suite_path_determinant(level: str) -> SuiteResult:
     """The eliminated det(I - alpha A) of each path against d_n, both over its whole alpha grid at once."""
     res = SuiteResult("path determinant identity", 1e-11)
     n_max = 40 if level == "full" else 20
-    for n in range(2, n_max + 1):
-        alphas = katz_grid(GraphSpec.path(n))
-        closed = dpoly.d_recursive(n, alphas)
-        oracle = katz.determinant_path(n, alphas)
-        res.record_all(rel_err(oracle, closed), lambda f: f"n={n} alpha={alphas[f]}")
+    for g in _sweep(n_max, (PATH,)):
+        alphas = katz_grid(g)
+        closed = dpoly.d_recursive(g.n, alphas)
+        oracle = katz.determinant_path(g.n, alphas)
+        res.record_all(rel_err(oracle, closed), lambda f: f"n={g.n} alpha={alphas[f]}")
     return res
 
 
@@ -268,11 +279,11 @@ def suite_cycle_determinant(level: str) -> SuiteResult:
     """
     res = SuiteResult("cycle determinant identity", 1e-11)
     n_max = 40 if level == "full" else 20
-    for n in range(3, n_max + 1):
-        alphas = katz_grid(GraphSpec.cycle(n))
-        closed = dpoly.D_cycle_denominator(n, alphas)
-        oracle = katz.determinant_cycle(n, alphas)
-        res.record_all(rel_err(oracle, closed), lambda f: f"n={n} alpha={alphas[f]}")
+    for g in _sweep(n_max, (CYCLE,)):
+        alphas = katz_grid(g)
+        closed = dpoly.D_cycle_denominator(g.n, alphas)
+        oracle = katz.determinant_cycle(g.n, alphas)
+        res.record_all(rel_err(oracle, closed), lambda f: f"n={g.n} alpha={alphas[f]}")
     return res
 
 
@@ -298,70 +309,59 @@ def suite_spectral_radius(level: str) -> SuiteResult:
     margin of 2.7e-5.
     """
     res = SuiteResult("spectral radius closed form vs power iteration", 1e-10)
-    for n in (2, 3, 5, 10, 17, 40):
-        g = GraphSpec.path(n)
-        res.record(abs(spectral_radius(g) - spectral_radius_oracle(g)), f"path n={n}")
-        if n >= 3:
-            g = GraphSpec.cycle(n)
-            res.record(abs(spectral_radius(g) - spectral_radius_oracle(g)), f"cycle n={n}")
+    sizes = (2, 3, 5, 10, 17, 40)
+    for g in [GraphSpec(family, n) for n in sizes for family in FAMILIES if n >= _SMALLEST_N[family]]:
+        res.record(abs(spectral_radius(g) - spectral_radius_oracle(g)), f"{g.family} n={g.n}")
     return res
 
 
 def suite_resistance_oracle(level: str) -> SuiteResult:
     res = SuiteResult("resistance closed form vs pseudoinverse oracle", 1e-10)
     n_max = 40 if level == "full" else 20
-    for family in ("path", "cycle"):
-        start = 2 if family == "path" else 3
-        for n in range(start, n_max + 1):
-            g = GraphSpec(family, n)
-            i, j = _pair_labels(n)
-            errs = np.abs(resistance(g, i, j) - resistance_oracle(g, i, j))
-            res.record_all(errs, lambda f: f"{family} n={n} pair=({i[f]},{j[f]})")
+    for g in _sweep(n_max):
+        i, j = _pair_labels(g.n)
+        errs = np.abs(resistance(g, i, j) - resistance_oracle(g, i, j))
+        res.record_all(errs, lambda f: f"{g.family} n={g.n} pair=({i[f]},{j[f]})")
     return res
 
 
 def suite_metric_axioms(level: str) -> SuiteResult:
     res = SuiteResult("metric symmetry and triangle inequality", 0.0)
-    for family in ("path", "cycle"):
-        start = 2 if family == "path" else 3
-        for n in range(start, 21):
-            g = GraphSpec(family, n)
-            labels = np.arange(1, n + 1)
-            dist = graph_distance(g, labels[:, None], labels)
-            resist = resistance(g, labels[:, None], labels)
-            upper = np.triu_indices(n, k=1)
-            # per pair i < j: distance, then resistance
-            symmetric = np.stack([dist[upper] == dist.T[upper], resist[upper] == resist.T[upper]], axis=1)
-            metric = ("distance", "resistance")
-            res.check_all(
-                symmetric,
-                lambda f: f"{family} n={n} {metric[f % 2]} symmetry "
-                f"({upper[0][f // 2] + 1},{upper[1][f // 2] + 1})",
-            )
-            # axes (i, j, via): m[i, j] <= m[i, via] + m[via, j]
-            ok_d = dist[:, :, None] <= dist[:, None, :] + dist.T[None, :, :]
-            ok_r = resist[:, :, None] <= resist[:, None, :] + resist.T[None, :, :] + 1e-12
+    for g in _sweep(20):
+        family, n = g.family, g.n
+        labels = np.arange(1, n + 1)
+        dist = graph_distance(g, labels[:, None], labels)
+        resist = resistance(g, labels[:, None], labels)
+        upper = np.triu_indices(n, k=1)
+        # per pair i < j: distance, then resistance
+        symmetric = np.stack([dist[upper] == dist.T[upper], resist[upper] == resist.T[upper]], axis=1)
+        metric = ("distance", "resistance")
+        res.check_all(
+            symmetric,
+            lambda f: f"{family} n={n} {metric[f % 2]} symmetry "
+            f"({upper[0][f // 2] + 1},{upper[1][f // 2] + 1})",
+        )
+        # axes (i, j, via): m[i, j] <= m[i, via] + m[via, j]
+        ok_d = dist[:, :, None] <= dist[:, None, :] + dist.T[None, :, :]
+        ok_r = resist[:, :, None] <= resist[:, None, :] + resist.T[None, :, :] + 1e-12
 
-            def triangle(f):
-                i, j, via = np.unravel_index(f, (n, n, n))
-                return f"{family} n={n} triangle ({i + 1},{via + 1},{j + 1})"
+        def triangle(f):
+            i, j, via = np.unravel_index(f, (n, n, n))
+            return f"{family} n={n} triangle ({i + 1},{via + 1},{j + 1})"
 
-            res.check_all(ok_d & ok_r, triangle)
+        res.check_all(ok_d & ok_r, triangle)
     return res
 
 
 def suite_katz_closed_vs_inverse(level: str) -> SuiteResult:
     res = SuiteResult("katz closed form vs inverse oracle", 1e-10)
     n_max = 40 if level == "full" else 25
-    for family in ("path", "cycle"):
-        start = 2 if family == "path" else 3
-        for n in range(start, n_max + 1):
-            g = GraphSpec(family, n)
-            alphas = katz_grid(g)
-            closed = (katz.katz_path_matrix if g.is_path else katz.katz_cycle_matrix)(n, alphas)
-            inverse = katz.katz_oracle_inverse(g, alphas)
-            errs = (np.abs(closed - inverse) / np.abs(inverse)).max(axis=(1, 2))
-            res.record_all(errs, lambda f: f"{family} n={n} alpha={alphas[f]}")
+    for g in _sweep(n_max):
+        alphas = katz_grid(g)
+        closed = (katz.katz_path_matrix if g.is_path else katz.katz_cycle_matrix)(g.n, alphas)
+        inverse = katz.katz_oracle_inverse(g, alphas)
+        errs = (np.abs(closed - inverse) / np.abs(inverse)).max(axis=(1, 2))
+        res.record_all(errs, lambda f: f"{g.family} n={g.n} alpha={alphas[f]}")
     return res
 
 
@@ -373,7 +373,7 @@ def suite_series_vs_inverse(level: str) -> SuiteResult:
     else:
         sizes = (5, 12, 25)
         grids = lambda g: [a for a in (0.1, 0.3, 0.46) if a < 1.0 / spectral_radius(g)]
-    for family in ("path", "cycle"):
+    for family in FAMILIES:
         for n in sizes:
             g = GraphSpec(family, n)
             alphas = grids(g)

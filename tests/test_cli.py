@@ -142,16 +142,63 @@ def test_scatter_bytes_across_real_row_blocks(tmp_path, family):
 
 @pytest.mark.parametrize("family", ["path", "cycle"])
 def test_scatter_rejects_n_above_its_row_cap(tmp_path, capsys, family):
-    # the cap admits every n that the earlier matrix-size cap admitted
-    assert cli.SCATTER_MAX_N == katz.MATRIX_MAX_N
-    cli._require_scatter_size(GraphSpec(family, cli.SCATTER_MAX_N))
+    # scatter's cap is the matrix cap, and it admits every n up to 4096, as the row cap did
+    assert katz.MATRIX_MAX_N == 4096
+    katz.require_matrix_size(GraphSpec(family, katz.MATRIX_MAX_N).n)
     out = tmp_path / "scatter.csv"
-    rc = run(["scatter", "--family", family, "--n", str(cli.SCATTER_MAX_N + 1), "--out", str(out)])
+    rc = run(["scatter", "--family", family, "--n", str(katz.MATRIX_MAX_N + 1), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "SCATTER_MAX_ROWS" in err
+    assert err.startswith("error: ") and "MATRIX_MAX_N" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _scatter_exit(family):
+    return lambda n, out: run(["scatter", "--family", family, "--n", str(n), "--out", str(out)])
+
+
+# Every route whose size grows with the pair count, and whether it is a command line (exit code) or a call.
+ROUTES_SIZED_BY_THE_PAIR_COUNT = {
+    "katz_path_matrix": (lambda n, out: katz.katz_path_matrix(n, 0.3), False),
+    "katz_cycle_matrix": (lambda n, out: katz.katz_cycle_matrix(n, 0.3), False),
+    "agreement": (lambda n, out: ordering.agreement(GraphSpec.path(n), 0.3), False),
+    "class_structures_match": (lambda n, out: ordering.class_structures_match(GraphSpec.path(n), 0.3), False),
+    **{
+        f"{call.__name__}[{family}]": (
+            lambda n, out, call=call, family=family: call(GraphSpec(family, n), "katz", 0.3),
+            False,
+        )
+        for call in (ordering.pair_scores, ordering.rank_pairs, ordering.score_classes)
+        for family in ("path", "cycle")
+    },
+    **{f"scatter[{family}]": (_scatter_exit(family), True) for family in ("path", "cycle")},
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTES_SIZED_BY_THE_PAIR_COUNT))
+def test_every_route_sized_by_the_pair_count_refuses_n_above_the_one_cap(monkeypatch, tmp_path, capsys, name):
+    route, exits = ROUTES_SIZED_BY_THE_PAIR_COUNT[name]
+    monkeypatch.setattr(katz, "MATRIX_MAX_N", 50)
+    with pytest.raises(katz.MatrixSizeError) as cap:
+        katz.require_matrix_size(51)
+    out = tmp_path / "scatter.csv"
+    with monkeypatch.context() as mp:
+        # nothing is built above the cap: no table of rows, no pair labels, no scatter block
+        for module, builder in ((katz, "_path_rows"), (katz, "_cycle_arcs"), (ordering, "_pair_labels"), (cli, "_scatter_blocks")):
+            mp.setattr(module, builder, lambda *args, builder=builder, **kwargs: pytest.fail(f"{builder} ran"))
+        if exits:
+            assert route(51, out) == 2
+            assert capsys.readouterr().err == f"error: {cap.value}\n"
+            assert not out.exists()
+        else:
+            with pytest.raises(katz.MatrixSizeError) as refused:
+                route(51, out)
+            assert str(refused.value) == str(cap.value)
+    # n = 50 is admitted
+    result = route(50, out)
+    if exits:
+        assert result == 0 and out.exists()
 
 
 # The first n at which the Katz denominator (d_n on a path, D_n on a cycle)
@@ -181,7 +228,7 @@ def test_scatter_refuses_an_alpha_whose_denominator_is_subnormal(tmp_path, capsy
 @pytest.mark.parametrize("family", ["path", "cycle"])
 def test_scatter_refuses_no_size_at_alpha_point_three(family):
     # d_n and D_n fall as n grows, so the largest admitted n is the last to pass
-    katz.require_normal_denominator(GraphSpec(family, cli.SCATTER_MAX_N), [0.3])
+    katz.require_normal_denominator(GraphSpec(family, katz.MATRIX_MAX_N), [0.3])
 
 
 def drained_scatter_peak(g, alpha):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -374,6 +375,30 @@ def test_pair_entries_take_one_admissible_alpha_and_pairs_i_below_j(family):
             katz.katz_pair_entries(g, alpha, [1, 2], [3, 4])
         with pytest.raises(TypeError, match="vertex labels must be numpy arrays"):
             katz.katz_pair_entries(g, alpha, i, [3, 8])
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_pair_entries_refuse_labels_that_are_not_1d(monkeypatch, family):
+    g = GraphSpec(family, 8)
+    # 0-d labels, and 2-D labels that broadcast to the pairs (1, 3), (1, 5), (2, 3) and (2, 5)
+    labels = [
+        (np.array(1), np.array(3)),
+        (np.array([[1], [2]]), np.array([[3, 5]])),
+        (np.array([1, 2]), np.array([[3], [5]])),
+    ]
+    with monkeypatch.context() as mp:
+        for name in ("_path_rows", "_cycle_arcs"):
+            mp.setattr(katz, name, lambda *args: pytest.fail("table built"))
+        for i, j in labels:
+            for alpha in (0.3, [0.3, 0.2]):
+                with pytest.raises(ValueError, match=re.escape(f"1-D arrays, got shapes {i.shape} and {j.shape}")):
+                    katz.katz_pair_entries(g, alpha, i, j)
+    # two 1-D arrays still broadcast: (1,) with (3,) is the pairs (1, 3), (1, 5) and (1, 8)
+    entry = katz.katz_path if g.is_path else katz.katz_cycle
+    rows = katz.katz_pair_entries(g, [0.3, 0.2], np.array([1]), np.array([3, 5, 8]))
+    assert rows.shape == (2, 3)
+    for row, alpha in zip(rows.tolist(), (0.3, 0.2)):
+        assert row == [entry(8, 1, j, alpha) for j in (3, 5, 8)]
 
 
 def test_series_oracle_matches_inverse():

@@ -770,7 +770,7 @@ def test_gap_routes_check_before_the_recursion(monkeypatch):
             route(4, 3, 0.3)
         with pytest.raises(ValueError, match="needs n - j >= 2"):
             route(-3, 1, 0.3)
-    with pytest.raises(TypeError, match="index must be an integer"):
+    with pytest.raises(TypeError, match="vertex count must be an integer, got 12.0"):
         p_tilde(12.0, 1, 0.3)
     with pytest.raises(TypeError, match="vertex count must be an integer"):
         p_gap(12.0, 1, 0.3)
@@ -781,13 +781,15 @@ def test_gap_routes_check_before_the_recursion(monkeypatch):
         p_gap(12, 0, 0.6)
     with pytest.raises(ValueError, match="offset j must be a positive integer"):
         cutoff_root(12, 0)
-    with pytest.raises(TypeError, match="index must be an integer"):
+    with pytest.raises(TypeError, match="vertex count must be an integer, got 12.0"):
         cutoff_root(12.0, 1)
+    with pytest.raises(TypeError, match="vertex count must be an integer, got 12.0"):
+        cutoff_table(1, [12.0])
     with pytest.raises(TypeError, match="arc length must be an integer"):
         cycle_numerator_gap(12, 2.0, 0.3)
     with pytest.raises(ValueError, match="need 1 <= k < n//2"):
         cycle_numerator_gap(12, 6, 0.3)
     with pytest.raises(ValueError, match="alpha must lie in"):
         cycle_numerator_gap(12, 2, 0.5)
-    with pytest.raises(TypeError, match="index must be an integer"):
+    with pytest.raises(TypeError, match="vertex count must be an integer, got 12.0"):
         cycle_numerator_gap(12.0, 2, 0.3)
