@@ -8,12 +8,12 @@ that the ordering module leans on.  The cycle-graph determinant ``D_n`` and
 its parity factorization live here too.
 
 All evaluators return IEEE doubles.  alpha is read in one place,
-:func:`_intake`: a number of any numeric type becomes its Python float, a
-1-D sequence the list of its floats, and each float is checked once,
-before any work, by the one plain check the route passes: finite by
-default, admissible for the graph by ``GraphSpec._check_alpha`` in
-``graphs``, or in (0, 1/2) by :func:`_require_below_half` for the limits
-(which share :func:`ratio_constant`'s unchecked kernel
+:func:`_intake`: a number of any numeric type becomes the list of its one
+Python float, a 1-D sequence the list of its floats, and each float is
+checked once, before any work, by the one plain check the route passes:
+finite by default, admissible for the graph by ``GraphSpec._check_alpha``
+in ``graphs``, or in (0, 1/2) by :func:`_require_below_half` for the
+limits (which share :func:`ratio_constant`'s unchecked kernel
 :func:`_ratio_power`, so that no limit checks its alpha twice).  A 2-D
 alpha, NaN and +-inf raise ValueError subclasses that name alpha, and a
 route that takes one number refuses a sequence (:func:`_number`).  Every
@@ -81,8 +81,8 @@ def _require_below_half(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1/2), where every d_k is positive; got {alpha}")
 
 
-def _intake(alpha, check=_require_finite) -> tuple:
-    """(x, many): a number as one Python float, or a 1-D sequence as the list of its floats, and which it was.
+def _intake(alpha, check=_require_finite) -> tuple[list, bool]:
+    """(alphas, many): the list of alpha's floats, one for a number, and whether alpha was a 1-D sequence.
 
     The one reading of alpha for every route: the float of a number of any
     numeric type (a Fraction or Decimal correctly rounded, a float32 or
@@ -95,25 +95,25 @@ def _intake(alpha, check=_require_finite) -> tuple:
     """
     if type(alpha) is float:  # with no array made
         check(alpha)
-        return alpha, False
+        return [alpha], False
     values = np.asarray(alpha)
     if values.ndim > 1 or values.dtype.kind not in "biufO":
         raise ValueError(f"alpha must be a number or a 1-D sequence of numbers, got {values.dtype} of shape {values.shape}")
-    x = values.astype(float).tolist()
-    for value in x if values.ndim else (x,):
+    x = values.astype(float).ravel().tolist()
+    for value in x:
         check(value)
     return x, values.ndim == 1
 
 
 def _number(alpha, check=_require_finite) -> float:
     """alpha as one float, read and checked as by :func:`_intake`, for the routes that take one number; a sequence raises ValueError."""
-    if type(alpha) is float:  # the intake's float path, with no tuple made
+    if type(alpha) is float:  # the intake's float path, with no list made
         check(alpha)
         return alpha
     x, many = _intake(alpha, check)
     if many:
         raise ValueError(f"alpha must be a single number here, got shape ({len(x)},)")
-    return x
+    return x[0]
 
 
 def _exact_alpha(alpha, check=_require_finite) -> tuple[int, int]:
@@ -145,7 +145,7 @@ def _at(alpha, check=_require_finite) -> tuple:
     """
     x, many = _intake(alpha, check)
     if not many:
-        return x, 1.0, x.__pow__
+        return x[0], 1.0, x[0].__pow__
     return np.array(x), np.ones(len(x)), lambda k: np.array([value**k for value in x])
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dpoly import _intake, _number, _require_int
+from .dpoly import _number, _require_int
 
 PATH = "path"
 CYCLE = "cycle"
@@ -68,7 +68,14 @@ class GraphSpec:
         return self.family == PATH
 
     def adjacency(self) -> np.ndarray:
-        """Dense adjacency matrix; vertex v maps to row/column v - 1."""
+        """Dense adjacency matrix; vertex v maps to row/column v - 1.
+
+        Every dense graph matrix of the package, the oracles' included,
+        starts here, so n is checked against the dense cap,
+        n <= linalg.MAX_DENSE_N = 512, before anything is allocated
+        (ValueError, with linalg's message).
+        """
+        linalg.require_dense_size(self.n)
         a = np.zeros((self.n, self.n))
         idx = np.arange(self.n - 1)
         a[idx, idx + 1] = 1.0
@@ -162,12 +169,6 @@ def require_admissible(value, g: GraphSpec) -> float:
     hold, so those check (0, 1/2) instead.
     """
     return _number(value, g._check_alpha)
-
-
-def _admissible_alphas(alpha, g: GraphSpec) -> tuple[list, bool]:
-    """The alphas of a number or 1-D sequence as floats, each checked admissible for g, and whether it is a sequence."""
-    x, many = _intake(alpha, g._check_alpha)
-    return x if many else [x], many
 
 
 def spectral_radius(g: GraphSpec) -> float:
@@ -292,7 +293,8 @@ def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
 
     For a connected graph the pseudoinverse is (L + J/n)^(-1) - J/n with J
     the all-ones matrix; the resistance is then the standard quadratic form
-    L+_ii + L+_jj - 2 L+_ij with i <= j.  Dense solve, so capped at n = 512.
+    L+_ii + L+_jj - 2 L+_ij with i <= j.  Dense solve, so capped at n = 512,
+    checked after the labels and before any matrix is built.
     Labels are checked and broadcast as in :func:`resistance`, and read
     from one cached pseudoinverse: a float for two labels, a float64 array
     when either is an array of labels.

@@ -38,6 +38,7 @@ from .dpoly import (
     _cycle_denominator,
     _d_terms,
     _exact_alpha,
+    _intake,
     _lucas,
     _lucas_add,
     _number,
@@ -47,7 +48,7 @@ from .dpoly import (
     d_recursive,
     d_sequence,
 )
-from .graphs import AdmissibilityError, GraphSpec, _admissible_alphas, _checked_pair, _span_distance, require_admissible, spectral_radius
+from .graphs import AdmissibilityError, GraphSpec, _checked_pair, _span_distance, require_admissible, spectral_radius
 from . import linalg
 
 SERIES_ITERATION_CAP = 100000
@@ -95,7 +96,7 @@ def require_normal_denominator(g: GraphSpec, alpha) -> list[float]:
     alpha.  Wrong zeros where the denominator is normal, from a power of
     alpha that underflows, are not caught here.
     """
-    alphas, _ = _admissible_alphas(alpha, g)
+    alphas, _ = _intake(alpha, g._check_alpha)
     for value in alphas:
         denominator = d_recursive(g.n, value) if g.is_path else D_cycle_denominator(g.n, value)
         if denominator < sys.float_info.min:
@@ -213,8 +214,9 @@ def _cycle_entry(n: int, k: int, alpha: float) -> float:
 def _path_rows(alphas: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (A, n + 1) d-rows [d_0, ..., d_n] and (A, n) powers alpha^0, ..., alpha^(n-1) of an n-vertex path.
 
-    One row each per alpha, a float from _admissible_alphas; the d-rows come
-    from :func:`d_sequence` and the powers from Python's pow, so the path
+    One row each per alpha, a checked float from the list of
+    ``_intake(alpha, g._check_alpha)``; the d-rows come from
+    :func:`d_sequence` and the powers from Python's pow, so the path
     helpers on them give the scalar entries bit for bit.
     """
     d = np.array([d_sequence(n, value) for value in alphas]).reshape(len(alphas), n + 1)
@@ -225,8 +227,9 @@ def _path_rows(alphas: list, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _cycle_arcs(alphas: list, n: int) -> np.ndarray:
     """The (A, n//2 + 1) Katz entries of an n-cycle at arc lengths k = 0..n//2, one row per alpha.
 
-    The alphas are floats from _admissible_alphas.  Each value is the
-    :func:`katz_cycle` entry at its arc length bit for bit.
+    The alphas are the checked floats of ``_intake(alpha, g._check_alpha)``.
+    Each value is the :func:`katz_cycle` entry at its arc length bit for
+    bit.
     """
     arcs = []
     for value in alphas:
@@ -246,7 +249,7 @@ def _matrices(g: GraphSpec, alpha) -> np.ndarray:
     Every alpha is checked admissible, and the stack's size against
     MATRIX_MAX_N, before it is allocated.
     """
-    (alphas, many), n = _admissible_alphas(alpha, g), g.n
+    (alphas, many), n = _intake(alpha, g._check_alpha), g.n
     require_matrix_size(n, len(alphas))
     if g.is_path:
         d, powers = _path_rows(alphas, n)
@@ -280,23 +283,26 @@ def katz_pair_entries(g: GraphSpec, alpha, i: np.ndarray, j: np.ndarray) -> np.n
     Labels that are not numpy arrays raise TypeError, labels that are not
     1-D raise ValueError (two 1-D arrays broadcast, as (1,) with (P,)),
     and every alpha is read as its Python float and checked admissible,
-    before any work (:func:`katzlab.graphs._admissible_alphas`), so a call
-    at alpha is the call at float(alpha) bit for bit, whatever alpha's
-    numeric type.  Each entry is :func:`katz_path` or :func:`katz_cycle`
-    bit for bit, gathered from the O(n) rows per alpha of
-    :func:`_path_rows` or :func:`_cycle_arcs`, whatever the number of pairs.
+    before any work (:func:`katzlab.dpoly._intake` with
+    :meth:`GraphSpec._check_alpha`), so a call at alpha is the call at
+    float(alpha) bit for bit, whatever alpha's numeric type.  Labels of
+    any integer dtype are read as int64 once checked, so a narrow dtype
+    gives the int64 call's entries.  Each entry is :func:`katz_path` or
+    :func:`katz_cycle` bit for bit, gathered from the O(n) rows per alpha
+    of :func:`_path_rows` or :func:`_cycle_arcs`, whatever the number of
+    pairs.
     """
     if not (isinstance(i, np.ndarray) and isinstance(j, np.ndarray)):
         raise TypeError(f"vertex labels must be numpy arrays, got {type(i).__name__} and {type(j).__name__}")
     if i.ndim != 1 or j.ndim != 1:
         raise ValueError(f"vertex labels must be 1-D arrays, got shapes {i.shape} and {j.shape}")
-    (alphas, many), n = _admissible_alphas(alpha, g), g.n
+    (alphas, many), n = _intake(alpha, g._check_alpha), g.n
     if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
         raise TypeError(f"vertex labels must be integers, got dtypes {i.dtype} and {j.dtype}")
     span = np.subtract(j, i, dtype=np.int64)
     if span.size and not (span.min() > 0 and i.min() >= 1 and j.max() <= n):
         raise ValueError(f"every pair needs labels 1 <= i < j <= {n}")
-    entries = _pair_entries(g, alphas, i, j)
+    entries = _pair_entries(g, alphas, i.astype(np.int64, copy=False), j.astype(np.int64, copy=False))
     return entries if many else entries[0]
 
 
@@ -349,7 +355,7 @@ def _system(g: GraphSpec, alpha) -> np.ndarray:
 
     Every alpha must be admissible for g.
     """
-    alphas, many = _admissible_alphas(alpha, g)
+    alphas, many = _intake(alpha, g._check_alpha)
     system = np.array(alphas if many else alphas[0])[..., None, None] * g.adjacency()
     return np.subtract(np.eye(g.n), system, out=system)
 
@@ -379,7 +385,7 @@ def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
 
     For a 1-D sequence of alphas, the stack of their lone calls.
     """
-    alphas, many = _admissible_alphas(alpha, g)
+    alphas, many = _intake(alpha, g._check_alpha)
     rho = spectral_radius(g)
     doublings = []
     for value in alphas:

@@ -1,14 +1,18 @@
 """Dense Gaussian elimination with partial pivoting, on numpy arrays.
 
-Two entry points, the ones the dense oracles use: :func:`invert`, which
-eliminates against the identity and back-substitutes, and
-:func:`determinant`, the signed product of the pivots.
+Two entry points, the ones the dense oracles use, each running the one
+elimination, :func:`_eliminate`, itself: :func:`invert`, which eliminates
+against the identity and back-substitutes, and :func:`determinant`, the
+signed product of the pivots.
 
 Hand-rolled on purpose: the closed forms elsewhere in the package are
 determinant identities, and the oracles that check them must not share a
 factorization backend with anything cleverer.  Row operations are
-vectorized, but the algorithm is the textbook one.  Sizes are desk-scale;
-everything is capped at :data:`MAX_DENSE_N`.
+vectorized, but the algorithm is the textbook one.  Sizes are desk-scale:
+order n is capped at :data:`MAX_DENSE_N` by :func:`require_dense_size`,
+which both entry points apply to the matrices they are handed, and which
+``GraphSpec.adjacency`` in ``graphs`` applies before any dense graph
+matrix is allocated.
 
 Both take a stack of matrices, shape (..., n, n), and run the same
 elimination on all members at once: each member picks its own pivot row
@@ -29,6 +33,12 @@ class SingularMatrixError(RuntimeError):
     """A zero pivot column turned up; the system has no unique solution."""
 
 
+def require_dense_size(n: int) -> None:
+    """Validate n <= MAX_DENSE_N, before a dense routine of order n builds anything (ValueError)."""
+    if n > MAX_DENSE_N:
+        raise ValueError(f"dense routines are capped at n = {MAX_DENSE_N}, got {n}")
+
+
 def _checked_square(a) -> np.ndarray:
     """A C-ordered float copy of a square matrix or stack, the elimination's work space.
 
@@ -38,8 +48,7 @@ def _checked_square(a) -> np.ndarray:
     m = np.array(a, dtype=float, order="C")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if m.shape[-1] > MAX_DENSE_N:
-        raise ValueError(f"dense routines are capped at n = {MAX_DENSE_N}, got {m.shape[-1]}")
+    require_dense_size(m.shape[-1])
     return m
 
 
@@ -76,12 +85,16 @@ def _eliminate(m: np.ndarray, rhs: np.ndarray | None) -> tuple[np.ndarray, np.nd
     return pivots, swapped
 
 
-def _solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x for m (..., n, n) and rhs (..., n, k), both used as work space and overwritten."""
+def invert(a) -> np.ndarray:
+    """Inverse via elimination against the identity and back-substitution, member by member for a stack."""
+    m = _checked_square(a)
     lead, n = m.shape[:-2], m.shape[-1]
-    s = math.prod(lead)
-    x = rhs.reshape(s, n, rhs.shape[-1])
-    m = m.reshape(s, n, n)
+    m = m.reshape(math.prod(lead), n, n)
+    # A C-ordered copy, not the broadcast view: the solution takes the
+    # layout of the right-hand side, and matmul only hands C-ordered member
+    # blocks to BLAS, so a view would sum the back-substitution products in
+    # another order than a lone matrix gets.
+    x = np.broadcast_to(np.eye(n), m.shape).copy()
     pivots, _ = _eliminate(m, x)
     zero_cols = np.flatnonzero((pivots == 0.0).any(axis=0))
     if zero_cols.size:
@@ -89,17 +102,7 @@ def _solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # from the bottom row up, each row of the reduced right-hand side becomes that row of x
     for row in range(n - 1, -1, -1):
         x[:, row] = (x[:, row] - (m[:, row, None, row + 1 :] @ x[:, row + 1 :])[:, 0]) / m[:, row, row, None]
-    return x.reshape(rhs.shape)
-
-
-def invert(a) -> np.ndarray:
-    """Inverse via elimination against the identity, member by member for a stack."""
-    m = _checked_square(a)
-    # A C-ordered copy, not the broadcast view: the solution takes the
-    # layout of the right-hand side, and matmul only hands C-ordered member
-    # blocks to BLAS, so a view would sum the back-substitution products in
-    # another order than a lone matrix gets.
-    return _solve(m, np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy())
+    return x.reshape(lead + (n, n))
 
 
 def determinant(a):

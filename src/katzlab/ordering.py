@@ -49,11 +49,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dpoly import INV_SQRT5, _at, _d_terms, _require_below_half, _require_int
+from .dpoly import INV_SQRT5, _at, _d_terms, _intake, _require_below_half, _require_int
 from .graphs import (
     GraphSpec,
     VertexPair,
-    _admissible_alphas,
     _pair_labels,
     _span_distance,
     _span_resistance,
@@ -261,7 +260,7 @@ def class_structures_match(g: GraphSpec, alpha):
     mirror-halved pairs (see _katz_rows), each block of alphas ranked row
     by row with one stable sort.
     """
-    alphas, many = _admissible_alphas(alpha, g)
+    alphas, many = _intake(alpha, g._check_alpha)
     _, _, classes, blocks = _katz_rows(g, alphas)
     matches = []
     for katz in blocks:
@@ -343,7 +342,7 @@ def agreement(g: GraphSpec, alpha):
     the list of reports, one per alpha, decided a block of alphas at a
     time (see _first_inversion).  No n x n matrix.
     """
-    alphas, many = _admissible_alphas(alpha, g)
+    alphas, many = _intake(alpha, g._check_alpha)
     i, j, classes, blocks = _katz_rows(g, alphas)
     reports = []
     for katz in blocks:

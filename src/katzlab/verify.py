@@ -233,7 +233,8 @@ def suite_d_vanishing_ratio(level: str) -> SuiteResult:
     n_max = 200
     alpha = np.array(DPOLY_PROBED)[:, None]
     seq = np.array([dpoly.d_sequence(n_max, a) for a in DPOLY_PROBED])
-    # repeated multiplication, as alpha^n is built by the power *= alpha loop
+    # alpha^1 .. alpha^n_max per row by repeated multiplication, the suite's
+    # own powers, independent of the Python pow the routes take them with
     power = np.cumprod(np.repeat(alpha, n_max, axis=1), axis=1)
     bound = 2.0 * alpha / (np.arange(1, n_max + 1) + 1)
     res.check_all(

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from katzlab import cli, graphs, katz, ordering
+from katzlab import cli, graphs, katz, ordering, verify
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import GraphSpec, graph_distance, resistance
 from katzlab.katz import katz_limit_path
@@ -464,6 +464,23 @@ def test_converge_usage_errors(tmp_path, argv, monkeypatch):
     assert run(argv) == 2
 
 
+def test_converge_refuses_an_offset_beyond_the_smallest_cycle(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["converge", "--family", "cycle", "--offset", "9", "--alpha", "0.3", "--n-list", "5,10", "--out", "x.csv"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: offset 9 does not fit in the smallest size n=5\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_converge_rejects_an_empty_n_list(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # argparse surfaces bad option values as a usage error
+    with pytest.raises(SystemExit) as err:
+        run(["converge", "--family", "path", "--i", "1", "--j", "2", "--alpha", "0.3", "--n-list", ",", "--out", "x.csv"])
+    assert err.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("n_list", ["10,10", "10,20,20,40", "20,10"])
 def test_converge_requires_a_strictly_increasing_n_list(n_list, tmp_path, monkeypatch, capsys):
     # a repeated size would write its row twice
@@ -482,6 +499,27 @@ def test_verify_quick_passes(capsys):
     assert len(lines) == 27
     assert all(line.startswith("PASS") for line in lines)
     assert "27/27 suites passed" in out
+
+
+def test_verify_exits_1_and_names_the_first_failure(capsys, monkeypatch):
+    # exit 1 is a verification failure and nothing else
+    def planted(name, *failures):
+        def suite(level):
+            res = verify.SuiteResult(name, 0.0)
+            res.check(True, "fine")
+            for failure in failures:
+                res.check(False, failure)
+            return res
+        return suite
+
+    suites = (planted("sound"), planted("broken", "first planted", "second planted"), planted("also broken", "later"))
+    monkeypatch.setattr(verify, "ALL_SUITES", suites)
+    assert run(["verify"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["PASS", "sound"], ["FAIL", "broken"], ["FAIL", "also"]]
+    assert lines[-1].startswith("1/3 suites passed, 6 checks, ")
+    assert captured.err == "first failure: broken: first planted\nreproduce with: katzlab verify --level quick\n"
 
 
 def test_verify_rejects_unknown_level():

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from katzlab import graphs
+from katzlab import graphs, katz, linalg
 from katzlab.graphs import AdmissibilityError, GraphSpec, VertexPair
 
 
@@ -266,3 +267,31 @@ def test_cached_pseudoinverse_is_read_only():
         pinv += 1.0
     assert graphs.resistance_oracle(g, 2, 5) == before
     assert graphs.resistance_oracle(g, np.array([2]), np.array([5]))[0] == before
+
+
+DENSE_ORACLES = {
+    "katz_oracle_inverse": lambda g: katz.katz_oracle_inverse(g, 0.3),
+    "katz_oracle_series": lambda g: katz.katz_oracle_series(g, 0.3),
+    "determinant": lambda g: (katz.determinant_path if g.is_path else katz.determinant_cycle)(g.n, 0.3),
+    "resistance_oracle": lambda g: graphs.resistance_oracle(g, 1, 2),
+    "spectral_radius_oracle": graphs.spectral_radius_oracle,
+}
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+@pytest.mark.parametrize("name", list(DENSE_ORACLES))
+def test_dense_oracles_refuse_n_above_the_dense_cap_before_building(family, name):
+    # the cap is checked where every dense graph matrix starts, before its n x n allocation
+    cap = linalg.MAX_DENSE_N
+    g = GraphSpec(family, cap + 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError) as err:
+            DENSE_ORACLES[name](g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"dense routines are capped at n = {cap}, got {cap + 1}"
+    assert peak < 1 << 20
+    assert GraphSpec(family, cap).adjacency().shape == (cap, cap)

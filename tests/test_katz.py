@@ -401,6 +401,19 @@ def test_pair_entries_refuse_labels_that_are_not_1d(monkeypatch, family):
         assert row == [entry(8, 1, j, alpha) for j in (3, 5, 8)]
 
 
+@pytest.mark.parametrize("family", ["path", "cycle"])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.uint16])
+def test_pair_entries_take_narrow_integer_labels(family, dtype):
+    # n - j on path(300) does not fit in int8 or uint8; every label does
+    g = GraphSpec(family, 300)
+    i, j = np.array([1, 1, 2, 60, 126]), np.array([2, 120, 127, 100, 127])
+    for alpha in (0.3, [0.3, 0.2]):
+        wide = katz.katz_pair_entries(g, alpha, i.astype(np.int64), j.astype(np.int64))
+        narrow = katz.katz_pair_entries(g, alpha, i.astype(dtype), j.astype(dtype))
+        assert narrow.shape == wide.shape
+        assert narrow.tobytes() == wide.tobytes()
+
+
 def test_series_oracle_matches_inverse():
     for g in (GraphSpec.path(6), GraphSpec.cycle(7)):
         a = katz.katz_oracle_series(g, 0.3)

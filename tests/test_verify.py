@@ -744,6 +744,26 @@ def test_verify_quick_lines_and_total(capsys, monkeypatch):
     assert lines[-1].startswith("27/27 suites passed, 275801 checks, ")
 
 
+def test_run_suites_rejects_an_unknown_level():
+    with pytest.raises(ValueError, match=re.escape("level must be 'quick' or 'full', got 'medium'")):
+        verify.run_suites("medium")
+
+
+def test_cutoff_roots_suite_reports_a_bracket_error_and_keeps_checking(monkeypatch):
+    cutoff_root = ordering.cutoff_root
+
+    def planted(n, j):
+        if n == 20:
+            raise ordering.BracketError("planted")
+        return cutoff_root(n, j)
+
+    monkeypatch.setattr(ordering, "cutoff_root", planted)
+    res = verify.suite_cutoff_roots("quick")
+    assert res.failures == ["n=20: planted"]
+    # n = 20 makes one failed check in place of its two, and the rest all run
+    assert res.checks == 62
+
+
 def reference_resistance_oracle(level):
     res = SuiteResult("resistance closed form vs pseudoinverse oracle", 1e-10)
     n_max = 40 if level == "full" else 20
