@@ -15,32 +15,25 @@ finite by default, admissible for the graph by ``GraphSpec._check_alpha``
 in ``graphs``, or in (0, 1/2) by :func:`_require_below_half` for the
 limits (which share :func:`ratio_constant`'s unchecked kernel
 :func:`_ratio_power`, so that no limit checks its alpha twice).  A 2-D
-alpha, NaN and +-inf raise ValueError subclasses that name alpha, and a
-route that takes one number refuses a sequence (:func:`_number`).  Every
-float route computes from that float, so its value at any alpha is its
-value at float(alpha), bit for bit.  The exact routes read alpha's exact
-value as p/q (:func:`_exact_alpha`), a Fraction or Decimal exactly and
-anything else at its float's binary value, and check that value on the
-same interval.
+alpha, NaN, +-inf and a value with no finite float raise ValueError
+subclasses that name alpha, and a route that takes one number refuses a
+sequence (:func:`_number`).  Every float route computes from that float,
+so its value at any alpha is its value at float(alpha), bit for bit.
+The exact routes, which read alpha's exact value as p/q, are in
+:mod:`katzlab.exact`; this module imports neither fractions nor decimal.
 
 The recursion is written once, in ``_d_terms``: the scalar closed forms of
 the package read the few terms they need from one run of it, and the list
-forms (``d_sequence``, ``d_sequence_exact``) keep every term of such a
-run.  The run takes the arithmetic of its inputs: floats, the Fractions of
-``d_sequence_exact``, or float64 arrays of alphas (one run for a whole
-grid, see :func:`_at`).  The exact Katz entries do not run it: they read
-the few integers q^k d_k they need, at alpha = p/q, from the Lucas
-sequence of :func:`_lucas`, a large index added from two runs of about
-half its size by :func:`_lucas_add`.
-``d_closed`` is an independent cross-check of it (see its docstring for
-why it is accumulated exactly).
+forms (``d_sequence`` here, ``katzlab.exact.d_sequence_exact``) keep every
+term of such a run.  The run takes the arithmetic of its inputs: floats,
+the Fractions of ``d_sequence_exact``, or float64 arrays of alphas (one
+run for a whole grid, see :func:`_at`).  ``d_closed`` is an independent
+cross-check of it (see its docstring for why it is accumulated exactly).
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -91,7 +84,9 @@ def _intake(alpha, check=_require_finite) -> tuple[list, bool]:
     half interval's checks refuse them too.  check is a plain function or a
     bound method of the value alone, with no closure built per call.  An
     alpha of 2 or more dimensions, or one that holds no numbers, raises
-    ValueError.
+    ValueError, and so does one with no finite float (a Fraction or int
+    past the double range, a signaling NaN), with the finiteness check's
+    message.
     """
     if type(alpha) is float:  # with no array made
         check(alpha)
@@ -99,7 +94,10 @@ def _intake(alpha, check=_require_finite) -> tuple[list, bool]:
     values = np.asarray(alpha)
     if values.ndim > 1 or values.dtype.kind not in "biufO":
         raise ValueError(f"alpha must be a number or a 1-D sequence of numbers, got {values.dtype} of shape {values.shape}")
-    x = values.astype(float).ravel().tolist()
+    try:
+        x = values.astype(float).ravel().tolist()
+    except (OverflowError, ValueError):  # past the double range, or a signaling NaN
+        raise ValueError(f"alpha must be a finite number, got {alpha}") from None
     for value in x:
         check(value)
     return x, values.ndim == 1
@@ -114,22 +112,6 @@ def _number(alpha, check=_require_finite) -> float:
     if many:
         raise ValueError(f"alpha must be a single number here, got shape ({len(x)},)")
     return x[0]
-
-
-def _exact_alpha(alpha, check=_require_finite) -> tuple[int, int]:
-    """(p, q) with alpha = p/q in lowest terms, its exact value checked by check.
-
-    A Fraction or Decimal is read at its exact value: its float must be
-    finite, and check compares the value itself exactly with a float
-    bound.  Anything else is read by :func:`_number` as its float, which
-    check sees before any conversion; a sequence is refused, as on the
-    float routes.
-    """
-    if not isinstance(alpha, (Fraction, Decimal)):
-        return _number(alpha, check).as_integer_ratio()
-    _number(alpha)
-    check(alpha)
-    return alpha.as_integer_ratio()
 
 
 def _at(alpha, check=_require_finite) -> tuple:
@@ -217,50 +199,6 @@ def d_sequence(n: int, alpha: float) -> list[float]:
     """[d_0, d_1, ..., d_n] via the same recursion as :func:`d_recursive`."""
     _require_index(n)
     return _d_sequence(n, _number(alpha), 1.0)
-
-
-def d_sequence_exact(n: int, alpha) -> list[Fraction]:
-    """[d_0, ..., d_n] in exact rational arithmetic.
-
-    alpha is read at its exact value by :func:`_exact_alpha` (a float at
-    its exact binary value), once its float has been checked finite.  The
-    independent list route that the tests compare the float recursion, the
-    Lucas integers and the Katz entries against.
-    """
-    _require_index(n)
-    return _d_sequence(n, Fraction(*_exact_alpha(alpha)), Fraction(1))
-
-
-def _lucas(k: int, p2: int, q: int) -> tuple[int, int]:
-    """(U_k, U_{k+1}) of the Lucas sequence U_0 = 0, U_1 = 1, U_k = q U_{k-1} - p2 U_{k-2}, by doubling.
-
-    With alpha = p/q in lowest terms and p2 = p^2, q^k d_k = U_{k+1}: the
-    d-polynomials as integers, with no power of q left to divide out.
-    Reading k's bits from the top, (U_m, U_{m+1}) doubles to
-    U_2m = U_m (2 U_{m+1} - q U_m) and U_{2m+1} = U_{m+1}^2 - p2 U_m^2,
-    and a set bit steps on by the recursion (Joye and Quisquater,
-    Electronics Letters 32, 1996): O(log k) big-integer products, with
-    two terms held.  Two runs whose indices add up to a large one give it
-    by :func:`_lucas_add`, with no run of its own.
-    """
-    u, v = 0, 1  # (U_m, U_{m+1}) at m = 0
-    for bit in bin(k)[2:]:
-        u, v = u * (2 * v - q * u), v * v - p2 * u * u
-        if bit == "1":
-            u, v = v, q * v - p2 * u
-    return u, v
-
-
-def _lucas_add(first: tuple[int, int], second: tuple[int, int], p2: int) -> int:
-    """U_(r+s+1) from first = (U_r, U_(r+1)) and second = (U_s, U_(s+1)), as :func:`_lucas` returns them.
-
-    The addition law U_(a+b) = U_a U_(b+1) - p2 U_(a-1) U_b (Lucas,
-    American Journal of Mathematics 1, 1878) at a = r + 1, b = s: two runs
-    whose indices add up to r + s give the index above both, so a large
-    index costs two products of half its size instead of its own doubling.
-    """
-    (u_r, u_r1), (u_s, u_s1) = first, second
-    return u_r1 * u_s1 - p2 * u_r * u_s
 
 
 def _closed_sum(n: int, p2: int, q_powers) -> float:
@@ -385,12 +323,17 @@ def fib_ratio(n: int) -> float:
 
     The golden-ratio analogue of consecutive-Fibonacci ratios; it lower-bounds
     d_n/d_{n-1} for alpha below 1/sqrt(5), and consecutive values satisfy
-    fib_ratio(n-1) * (1 - fib_ratio(n)) = 1/5.
+    fib_ratio(n-1) * (1 - fib_ratio(n)) = 1/5.  From n = 1474 on, where
+    GOLDEN^(n+1) overflows, it is its limit GOLDEN / sqrt(5), the value it
+    has reached by n = 1473.
     """
     _require_index(n)
     if n < 1:
         raise ValueError("fib_ratio needs n >= 1; the n = 0 denominator vanishes")
-    num = GOLDEN ** (n + 1) - GOLDEN_RECIP ** (n + 1)
+    try:
+        num = GOLDEN ** (n + 1) - GOLDEN_RECIP ** (n + 1)
+    except OverflowError:
+        return GOLDEN / SQRT5
     den = SQRT5 * (GOLDEN**n - GOLDEN_RECIP**n)
     return num / den
 

@@ -164,7 +164,7 @@ def require_admissible(value, g: GraphSpec) -> float:
     float, and a sequence raises ValueError.  Every closed form of g, float
     or exact, holds on the whole interval; the exact routes check alpha's
     exact value on it with the same method
-    (:func:`katzlab.dpoly._exact_alpha`).  For paths it stretches above
+    (:func:`katzlab.exact._exact_alpha`).  For paths it stretches above
     1/2, where the d-polynomial bounds and the n -> infinity limits do not
     hold, so those check (0, 1/2) instead.
     """

@@ -10,13 +10,10 @@ and the n -> infinity limits of individual entries.
 Each closed form is written once and evaluated on the float of alpha
 that the graph's check returns (:func:`katzlab.graphs.require_admissible`,
 any numeric type read as its Python float), or on float64 arrays of those
-floats for values at many pairs.  The exact routes read alpha's exact
-value as p/q and check it on the same interval
-(:func:`katzlab.dpoly._exact_alpha`).  They do not run the d-recursion:
-they are the integer forms of the same entries, in the Lucas
-sequence q^k d_k = U_{k+1} (:func:`katzlab.dpoly._lucas`), one Fraction
-per entry, with the indices near n added from runs of about n/2 and less
-(:func:`katzlab.dpoly._lucas_add`).  A tridiagonal inverse is fixed by
+floats for values at many pairs.  This module computes in floats only:
+the exact entries, the integer forms of the same entries at alpha = p/q,
+are :func:`katzlab.exact.katz_path_exact` and
+:func:`katzlab.exact.katz_cycle_exact`.  A tridiagonal inverse is fixed by
 O(n) data (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): per alpha a
 path's d-row and row of powers (:func:`_path_rows`), a cycle's entries at
 each arc length (:func:`_cycle_arcs`).  The pair values and the matrices are the same
@@ -29,7 +26,6 @@ algebra.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,10 +33,7 @@ from .dpoly import (
     D_cycle_denominator,
     _cycle_denominator,
     _d_terms,
-    _exact_alpha,
     _intake,
-    _lucas,
-    _lucas_add,
     _number,
     _ratio_power,
     _require_below_half,
@@ -48,8 +41,9 @@ from .dpoly import (
     d_recursive,
     d_sequence,
 )
-from .graphs import AdmissibilityError, GraphSpec, _checked_pair, _span_distance, require_admissible, spectral_radius
+from .graphs import GraphSpec, _checked_pair, _span_distance, require_admissible, spectral_radius
 from . import linalg
+from .exact import katz_cycle_exact  # not called here; kept as the name the ranking benchmark's cycle check reads
 
 SERIES_ITERATION_CAP = 100000
 # Bound on every entry of the walk series' tail after its last term.
@@ -407,113 +401,6 @@ def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
                 power = power @ power
             total += power @ total
     return totals if many else totals[0]
-
-
-def _path_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
-    """katz_path_exact as its unreduced integers (numerator, denominator); the denominator U_{n+1} is positive.
-
-    The forms are the same at the mirror pair (n+1-j, n+1-i), which is
-    taken when it has the smaller indices (i + j <= n + 1 after it).  Runs
-    at n - j and j (one run when 2j = n) give U_{n+1} by the addition law
-    (:func:`katzlab.dpoly._lucas_add`).  U_i is the j run's on the
-    diagonal, the n - j run's when i + j is n or n + 1, and else its own
-    run, at i < n/2.  So at most one run is above n/2, and none is at n + 1.
-    An exact value below the double 1/rho_n of the check but not below
-    the true one, which lies within an ulp of it, gives U_{n+1} <= 0 and
-    raises AdmissibilityError: the next root of d_n is far above it.
-    """
-    g = GraphSpec.path(n)
-    i, j = _checked_pair(g, i, j)
-    if i + j > n + 1:
-        i, j = n + 1 - j, n + 1 - i
-    p, q = _exact_alpha(alpha, g._check_alpha)
-    p2 = p * p
-    tail = _lucas(n - j, p2, q)  # U_{n-j}, U_{n+1-j}
-    far = tail if 2 * j == n else _lucas(j, p2, q)  # U_j, U_{j+1}
-    whole = _lucas_add(tail, far, p2)  # U_{n+1}
-    if whole <= 0:
-        raise AdmissibilityError(f"alpha {alpha} is not admissible for path({n}): d_n(alpha) <= 0, so alpha >= 1/rho")
-    if i == j:
-        return q * far[0] * tail[1] - whole, whole
-    head = tail[i + j - n] if i + j >= n else _lucas(i, p2, q)[0]  # U_i
-    return q * p ** (j - i) * head * tail[1], whole
-
-
-def katz_path_exact(n: int, i: int, j: int, alpha) -> Fraction:
-    """katz_path in exact rational arithmetic.
-
-    alpha may be anywhere in path(n)'s admissible interval (0, 1/rho_n),
-    which stretches above 1/2, as for :func:`katz_path`.  Its exact value
-    is read as p/q, a Fraction or Decimal exactly and anything else at its
-    float's binary value, and checked on that interval
-    (:func:`katzlab.dpoly._exact_alpha`): a float before any conversion,
-    a Fraction or Decimal exactly, so one whose float rounds onto the bound
-    is still admitted.  Every d_k with k <= n is positive there, since
-    1/rho_k >= 1/rho_n; an exact value between the true 1/rho_n and the
-    double bound has U_{n+1} <= 0 and raises AdmissibilityError as well
-    (:func:`_path_exact_parts`).  This is the reference used to order
-    consecutive convergence gaps once they drop below double resolution.
-    With alpha = p/q in lowest terms, q^k d_k = U_{k+1}, the
-    Lucas sequence of :func:`katzlab.dpoly._lucas`, and every power of q
-    cancels from katz_path's forms: the entry (i < j) is
-    q p^(j-i) U_i U_{n+1-j} / U_{n+1}, and the diagonal
-    (q U_i U_{n+1-i} - U_{n+1}) / U_{n+1}.  No d-recursion runs, and no
-    doubling reaches n + 1: U_{n+1} is added from the runs at n - j and j
-    by Lucas's addition law, so at most one run of O(log n) big-integer
-    products is above n/2 (:func:`_path_exact_parts`).  The entry reduces
-    once, as one Fraction, and at large n that gcd is most of its time
-    (README lists measured times).
-    """
-    return Fraction(*_path_exact_parts(n, i, j, alpha))
-
-
-def _cycle_exact_parts(n: int, i: int, j: int, alpha) -> tuple[int, int]:
-    """katz_cycle_exact as its unreduced integers (numerator, denominator), over V_n - 2 p^n > 0.
-
-    Arcs 0 and 1 read U_{n-1} and U_n from one run at n - 1.  An arc
-    k >= 2 runs at n - k - 1 and k - 1 (one run when 2k = n), steps to
-    U_{k+1}, and takes U_{n-1} and U_n by the addition law
-    (:func:`katzlab.dpoly._lucas_add`).  p^n is p^k p^(n-k), so one power
-    of p is large.
-    """
-    g = GraphSpec.cycle(n)
-    i, j = _checked_pair(g, i, j)
-    k = _span_distance(g, j - i)
-    p, q = _exact_alpha(alpha, g._check_alpha)
-    p2 = p * p
-    if k < 2:
-        before, last = _lucas(n - 1, p2, q)  # U_{n-1}, U_n
-        long_arc, short_arc = before, 1  # U_{n-k}, U_k at arc 1
-    else:
-        long_run = _lucas(n - k - 1, p2, q)  # U_{n-k-1}, U_{n-k}
-        short_run = long_run if 2 * k == n else _lucas(k - 1, p2, q)  # U_{k-1}, U_k
-        long_arc, short_arc = long_run[1], short_run[1]
-        step = short_arc, q * short_arc - p2 * short_run[0]  # U_k, U_{k+1}
-        before, last = _lucas_add(long_run, short_run, p2), _lucas_add(long_run, step, p2)
-    short_power = p**k
-    long_power = short_power if 2 * k == n else p ** (n - k)
-    power = short_power * long_power  # p^n
-    # V_n - 2 p^n, with U_{n+1} = q U_n - p^2 U_{n-1}
-    denominator = q * last - 2 * p2 * before - 2 * power
-    if not k:
-        return 2 * power + 2 * p2 * before, denominator
-    return q * (short_power * long_arc + long_power * short_arc), denominator
-
-
-def katz_cycle_exact(n: int, i: int, j: int, alpha) -> Fraction:
-    """katz_cycle in exact rational arithmetic, for every n >= 3, diagonal included.
-
-    alpha is read as for :func:`katz_path_exact` and must be admissible
-    for cycle(n), 0 < alpha < 1/2.  As for :func:`katz_path_exact`, with
-    alpha = p/q the entries are integer forms with no power of q and no
-    d-recursion: q^n D_n = V_n - 2 p^n with V_n = U_{n+1} - p^2 U_{n-1},
-    the entry at arc length k >= 1 is q (p^k U_{n-k} + p^(n-k) U_k) over it,
-    and the diagonal (2 p^n + 2 p^2 U_{n-1}) over it.  Arcs 0 and 1 run
-    the doubling once, at n - 1; a longer arc adds U_{n-1} and U_n from
-    the runs at n - k - 1 and k - 1 by Lucas's addition law
-    (:func:`_cycle_exact_parts`).
-    """
-    return Fraction(*_cycle_exact_parts(n, i, j, alpha))
 
 
 def katz_limit_path(i: int, j: int, alpha: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dpoly, katz, ordering
+from . import dpoly, exact, katz, ordering
 from .dpoly import INV_SQRT5
 from .graphs import (
     CYCLE,
@@ -585,8 +585,8 @@ def suite_limit_convergence(level: str) -> SuiteResult:
     above, which is the same statement as |entry - limit| strictly
     decreasing but stays decidable after the float gaps saturate at
     machine epsilon (already by n = 40 at these alphas).  Each entry is
-    kept as its unreduced integers (numerator, denominator), with a
-    positive denominator, so a/c < b/d is decided as a d < b c, with no gcd.
+    kept as its unreduced integer parts, which :func:`katzlab.exact._less`
+    orders with no gcd.
 
     The float entries at n = 320 must lie within 1e-14 of their limits.
     At these alphas the true gap there is below 1e-60, so all that is left
@@ -601,9 +601,9 @@ def suite_limit_convergence(level: str) -> SuiteResult:
         for i, j in ((1, 2), (2, 5), (3, 3)):
             limit = katz.katz_limit_path(i, j, alpha)
             res.record(abs(katz.katz_path(320, i, j, alpha) - limit), f"path ({i},{j}) alpha={alpha}")
-            parts = [katz._path_exact_parts(n, i, j, alpha) for n in n_list]
+            parts = [exact._path_exact_parts(n, i, j, alpha) for n in n_list]
             res.check(
-                all(a * d < b * c for (a, c), (b, d) in zip(parts, parts[1:])),
+                all(exact._less(a, b) for a, b in zip(parts, parts[1:])),
                 f"path ({i},{j}) alpha={alpha}: entries not strictly climbing to the limit",
             )
         for offset in (1, 2, 3):
@@ -612,9 +612,9 @@ def suite_limit_convergence(level: str) -> SuiteResult:
                 abs(katz.katz_cycle(320, 1, 1 + offset, alpha) - limit),
                 f"cycle offset {offset} alpha={alpha}",
             )
-            parts = [katz._cycle_exact_parts(n, 1, 1 + offset, alpha) for n in n_list]
+            parts = [exact._cycle_exact_parts(n, 1, 1 + offset, alpha) for n in n_list]
             res.check(
-                all(a * d > b * c for (a, c), (b, d) in zip(parts, parts[1:])),
+                all(exact._less(b, a) for a, b in zip(parts, parts[1:])),
                 f"cycle offset {offset} alpha={alpha}: entries not strictly descending to the limit",
             )
     return res

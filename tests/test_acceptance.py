@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from katzlab import cli, dpoly, katz, ordering
+from katzlab import cli, dpoly, exact, katz, ordering
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import GraphSpec, graph_distance, spectral_radius
 
@@ -277,7 +277,7 @@ def test_limit_convergence():
             limit = katz.katz_limit_path(i, j, alpha)
             if abs(katz.katz_path(320, i, j, alpha) - limit) > 1e-8:
                 failures.append(f"path ({i},{j}) alpha={alpha}: gap above 1e-8")
-            chain = [katz.katz_path_exact(n, i, j, frac) for n in sizes]
+            chain = [exact.katz_path_exact(n, i, j, frac) for n in sizes]
             # path entries grow strictly toward the limit, so the absolute
             # gaps strictly decrease; exact arithmetic sees it at every step
             if not all(a < b for a, b in zip(chain, chain[1:])):
@@ -286,7 +286,7 @@ def test_limit_convergence():
             limit = katz.katz_limit_cycle(offset, alpha)
             if abs(katz.katz_cycle(320, 1, 1 + offset, alpha) - limit) > 1e-8:
                 failures.append(f"cycle offset {offset} alpha={alpha}: gap above 1e-8")
-            chain = [katz.katz_cycle_exact(n, 1, 1 + offset, frac) for n in sizes]
+            chain = [exact.katz_cycle_exact(n, 1, 1 + offset, frac) for n in sizes]
             # cycle entries shrink strictly toward the limit from above
             if not all(a > b for a, b in zip(chain, chain[1:])):
                 failures.append(f"cycle offset {offset} alpha={alpha}: gaps not strictly shrinking")

@@ -3,8 +3,11 @@
 A number of any numeric type is read as its Python float, and every float
 route computes from that float: its value at alpha is its value at
 float(alpha), bit for bit, and a scalar route returns a Python float.  A
-2-D alpha, NaN and +-inf raise ValueError subclasses that name alpha, and
-a route that takes one number refuses a 1-D sequence.
+2-D alpha, NaN, +-inf and a number with no finite float raise ValueError
+subclasses that name alpha, and a route that takes one number refuses a
+1-D sequence.  The exact routes read a Fraction or finite Decimal at its
+exact value instead, so one past the double range meets the graph's check
+as itself.
 """
 
 import math
@@ -14,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from katzlab import dpoly, katz, ordering
+from katzlab import dpoly, exact, katz, ordering
 from katzlab.graphs import AdmissibilityError, GraphSpec, require_admissible
 
 TYPED_ALPHAS = [
@@ -78,7 +81,7 @@ def test_every_float_route_is_its_call_at_the_float_of_alpha(alpha, g):
 ROUTINES = {
     "d_recursive": lambda a: dpoly.d_recursive(12, a),
     "d_sequence": lambda a: dpoly.d_sequence(12, a),
-    "d_sequence_exact": lambda a: dpoly.d_sequence_exact(12, a),
+    "d_sequence_exact": lambda a: exact.d_sequence_exact(12, a),
     "d_closed": lambda a: dpoly.d_closed(12, a),
     "d_closed_sequence": lambda a: dpoly.d_closed_sequence(12, a),
     "D_cycle_denominator": lambda a: dpoly.D_cycle_denominator(12, a),
@@ -95,8 +98,8 @@ ROUTINES = {
     "katz_oracle_series": lambda a: katz.katz_oracle_series(GraphSpec.cycle(12), a),
     "determinant_path": lambda a: katz.determinant_path(12, a),
     "determinant_cycle": lambda a: katz.determinant_cycle(12, a),
-    "katz_path_exact": lambda a: katz.katz_path_exact(12, 2, 5, a),
-    "katz_cycle_exact": lambda a: katz.katz_cycle_exact(12, 2, 5, a),
+    "katz_path_exact": lambda a: exact.katz_path_exact(12, 2, 5, a),
+    "katz_cycle_exact": lambda a: exact.katz_cycle_exact(12, 2, 5, a),
     "katz_limit_path": lambda a: katz.katz_limit_path(2, 5, a),
     "katz_limit_cycle": lambda a: katz.katz_limit_cycle(3, a),
     "pair_scores": lambda a: ordering.pair_scores(GraphSpec.path(12), "katz", a),
@@ -202,10 +205,10 @@ HALF_MESSAGE = "alpha must lie in (0, 1/2), where every d_k is positive; got {}"
 # each route with its error type, its message and the bound of its interval as the message prints it
 REFUSING_ROUTES = {
     "katz_path": (lambda a: katz.katz_path(10, 1, 2, a), AdmissibilityError, PATH_MESSAGE, PATH_BOUND),
-    "katz_path_exact": (lambda a: katz.katz_path_exact(10, 1, 2, a), AdmissibilityError, PATH_MESSAGE, PATH_BOUND),
+    "katz_path_exact": (lambda a: exact.katz_path_exact(10, 1, 2, a), AdmissibilityError, PATH_MESSAGE, PATH_BOUND),
     "p_gap": (lambda a: ordering.p_gap(10, 2, a), AdmissibilityError, PATH_MESSAGE, PATH_BOUND),
     "katz_cycle": (lambda a: katz.katz_cycle(12, 1, 3, a), AdmissibilityError, CYCLE_MESSAGE, "0.5"),
-    "katz_cycle_exact": (lambda a: katz.katz_cycle_exact(12, 1, 3, a), AdmissibilityError, CYCLE_MESSAGE, "0.5"),
+    "katz_cycle_exact": (lambda a: exact.katz_cycle_exact(12, 1, 3, a), AdmissibilityError, CYCLE_MESSAGE, "0.5"),
     "katz_limit_path": (lambda a: katz.katz_limit_path(1, 2, a), ValueError, HALF_MESSAGE, "0.5"),
     "katz_limit_cycle": (lambda a: katz.katz_limit_cycle(1, a), ValueError, HALF_MESSAGE, "0.5"),
     "ratio_constant": (lambda a: dpoly.ratio_constant(1, a), ValueError, HALF_MESSAGE, "0.5"),
@@ -261,3 +264,44 @@ def test_a_fraction_past_the_bound_or_one_bad_member_gets_the_full_message(name,
 )
 def test_one_bad_member_of_agreement_alphas_gets_the_full_message(g, alphas, message):
     assert_refused(lambda a: ordering.agreement(g, a), alphas, AdmissibilityError, message)
+
+
+EXACT_ROUTES = ["d_sequence_exact", "katz_path_exact", "katz_cycle_exact"]
+# numbers with no finite float: past the double range either way, or a signaling NaN
+NO_FLOAT = {"fraction": Fraction(10**400), "int": 10**400, "negative_int": -(10**400), "signaling_nan": Decimal("sNaN")}
+
+
+# every routine with each, but the exact routes with the Fraction, which they read at its exact value
+@pytest.mark.parametrize(
+    "name, bad",
+    [(name, bad) for name in ROUTINES for bad in NO_FLOAT if not (name in EXACT_ROUTES and bad == "fraction")],
+)
+def test_a_number_with_no_finite_float_is_refused_by_name(name, bad):
+    with pytest.raises(ValueError) as raised:
+        ROUTINES[name](NO_FLOAT[bad])
+    assert str(raised.value) == f"alpha must be a finite number, got {NO_FLOAT[bad]}"
+
+
+@pytest.mark.parametrize("name", ["p_gap", "agreement"])
+def test_a_sequence_with_a_member_with_no_finite_float_is_refused_by_name(name):
+    alphas = [0.1, Fraction(10**400)]
+    with pytest.raises(ValueError) as raised:
+        ROUTINES[name](alphas)
+    assert str(raised.value) == f"alpha must be a finite number, got {alphas}"
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [Fraction(10**400), -Fraction(10**400), Decimal("1e400"), Decimal("-1e400")],
+    ids=["fraction", "negative_fraction", "decimal", "negative_decimal"],
+)
+@pytest.mark.parametrize("name", ["katz_path_exact", "katz_cycle_exact"])
+def test_an_exact_route_judges_a_value_past_the_double_range_as_itself(name, alpha):
+    route, error, message, _ = REFUSING_ROUTES[name]
+    assert_refused(route, alpha, error, message.format(alpha))
+
+
+@pytest.mark.parametrize("alpha", [Fraction(10**400), Decimal("1e400")], ids=["fraction", "decimal"])
+def test_the_exact_sequence_takes_a_value_past_the_double_range(alpha):
+    a = Fraction(alpha)
+    assert exact.d_sequence_exact(3, alpha) == [1, 1, 1 - a * a, 1 - 2 * a * a]

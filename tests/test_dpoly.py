@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from katzlab import dpoly
+from katzlab import dpoly, exact
 
 ALPHAS = [0.02, 0.1, 0.25, 0.3, 1.0 / math.sqrt(5.0), 0.45, 0.49]
 
@@ -35,14 +36,14 @@ def test_sequence_matches_scalar():
 
 
 def test_sequence_exact_types_and_values():
-    seq = dpoly.d_sequence_exact(20, Fraction(1, 2))
+    seq = exact.d_sequence_exact(20, Fraction(1, 2))
     assert all(isinstance(v, Fraction) for v in seq)
     # at alpha = 1/2 the family collapses to (n + 1) / 2^n
     assert all(seq[n] == Fraction(n + 1, 2**n) for n in range(21))
 
 
 def test_sequence_exact_accepts_floats():
-    seq = dpoly.d_sequence_exact(40, 0.3)
+    seq = exact.d_sequence_exact(40, 0.3)
     # the float recursion at 0.3 should track the exact rationals closely
     assert all(abs(float(seq[n]) - dpoly.d_recursive(n, 0.3)) < 1e-14 for n in range(41))
 
@@ -68,8 +69,8 @@ def lucas_recursion(n, alpha):
 def test_exact_terms_read_the_exact_sequence(n, alpha):
     # the exact routes read d_k as the integer q^k d_k = U_(k+1)
     p2, q, _ = lucas_recursion(n, alpha)
-    d = dpoly.d_sequence_exact(n, alpha)
-    assert [dpoly._lucas(k + 1, p2, q)[0] for k in range(n + 1)] == [q**k * d[k] for k in range(n + 1)]
+    d = exact.d_sequence_exact(n, alpha)
+    assert [exact._lucas(k + 1, p2, q)[0] for k in range(n + 1)] == [q**k * d[k] for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("n", READER_SIZES)
@@ -78,7 +79,7 @@ def test_exact_terms_scale_to_integers(n, alpha):
     # doubling gives the pair (U_k, U_(k+1)) of the plain integer recursion
     p2, q, u = lucas_recursion(n, alpha)
     for k in range(n + 2):
-        pair = dpoly._lucas(k, p2, q)
+        pair = exact._lucas(k, p2, q)
         assert pair == (u[k], u[k + 1]), k
         assert all(type(value) is int for value in pair)
 
@@ -87,10 +88,10 @@ def test_exact_terms_scale_to_integers(n, alpha):
 def test_addition_law_is_the_doubling_at_the_sum(alpha):
     # U_(a+b) = U_a U_(b+1) - p^2 U_(a-1) U_b, from the runs at a - 1 and b
     p2, q, _ = lucas_recursion(0, alpha)
-    runs = [dpoly._lucas(k, p2, q) for k in range(161)]
+    runs = [exact._lucas(k, p2, q) for k in range(161)]
     for a in range(1, 81):
         for b in range(81):
-            assert dpoly._lucas_add(runs[a - 1], runs[b], p2) == runs[a + b][0], (a, b)
+            assert exact._lucas_add(runs[a - 1], runs[b], p2) == runs[a + b][0], (a, b)
 
 
 @given(st.integers(min_value=0, max_value=80), decay)
@@ -211,6 +212,17 @@ def test_fib_ratio_identity_and_limit():
     assert dpoly.fib_ratio(200) == pytest.approx(dpoly.GOLDEN / dpoly.SQRT5, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [1474, 2000, 10**6])
+def test_fib_ratio_past_the_power_overflow_is_its_limit(n):
+    # GOLDEN ** (n + 1) overflows from n = 1474 on; by n = 1473 the ratio
+    # is already the double of GOLDEN / sqrt 5, computed here in decimal
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root5 = Decimal(5).sqrt()
+        limit = float((1 + root5) / 2 / root5)
+    assert repr(dpoly.fib_ratio(n)) == repr(dpoly.fib_ratio(1473)) == repr(limit) == "0.7236067977499789"
+
+
 def test_golden_lower_bound_below_probe():
     for alpha in (0.05, 0.2, 0.4, 0.44):
         seq = dpoly.d_sequence(100, alpha)
@@ -312,7 +324,7 @@ def test_sequences_are_the_one_step_list_route(alpha):
         assert same(dpoly.d_sequence(n, alpha), list_route(n, float(alpha))), n
         assert same(dpoly.d_recursive(n, alpha), list_route(n, float(alpha))[n]), n
     for n in (0, 1, 2, 3, 17, 120):
-        assert same(dpoly.d_sequence_exact(n, alpha), list_route(n, Fraction(alpha), Fraction(1))), n
+        assert same(exact.d_sequence_exact(n, alpha), list_route(n, Fraction(alpha), Fraction(1))), n
 
 
 def random_stops(rng, top):

@@ -1,16 +1,18 @@
+import ast
 import math
 import random
 import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from katzlab import dpoly, katz, ordering
+from katzlab import dpoly, exact, katz, ordering, verify
 from katzlab.graphs import AdmissibilityError, GraphSpec, graph_distance, spectral_radius
 from katzlab.verify import katz_grid
 
@@ -93,7 +95,7 @@ def test_large_cycle_diagonal_is_closed_form():
     # beyond the dense-routine cap: d_{n-1}/D_n - 1, against the same expression in Fractions
     n, alpha = 600, 0.3
     a = Fraction(alpha)
-    seq = dpoly.d_sequence_exact(n - 1, a)
+    seq = exact.d_sequence_exact(n - 1, a)
     want = seq[n - 1] / (seq[n - 1] - 2 * a**n - 2 * a * a * seq[n - 2]) - 1
     got = katz.katz_cycle(n, 1, 1, alpha)
     assert math.isfinite(got)
@@ -106,7 +108,7 @@ def test_cycle_diagonal_keeps_relative_accuracy_at_small_alpha(n, alpha):
     # d_{n-1}/D_n - 1 in Fractions; the float routes must not lose digits to
     # a ratio near 1 minus 1 as alpha -> 0
     a = Fraction(alpha)
-    seq = dpoly.d_sequence_exact(n - 1, a)
+    seq = exact.d_sequence_exact(n - 1, a)
     want = seq[n - 1] / (seq[n - 1] - 2 * a**n - 2 * a * a * seq[n - 2]) - 1
     diagonal = set(np.diag(katz.katz_cycle_matrix(n, alpha)).tolist())
     for got in diagonal | {katz.katz_cycle(n, 1, 1, alpha)}:
@@ -144,8 +146,8 @@ def test_path_diagonal_keeps_relative_accuracy(n, alpha):
     # alpha^2 (d_{i-1} d_{n-i-1} + d_{i-2} d_{n-i}) / d_n has no cancellation;
     # d_{i-1} d_{n-i} / d_n - 1 was 8.2e-8 relative off at (10, 3, 3, 1e-5)
     for i in sorted({1, 3, n // 2, n} & set(range(1, n + 1))):
-        exact = katz.katz_path_exact(n, i, i, alpha)
-        assert abs(Fraction(katz.katz_path(n, i, i, alpha)) - exact) <= Fraction(1e-15) * exact, i
+        want = exact.katz_path_exact(n, i, i, alpha)
+        assert abs(Fraction(katz.katz_path(n, i, i, alpha)) - want) <= Fraction(1e-15) * want, i
 
 
 def test_cycle_matrix_matches_scalar_route_off_diagonal():
@@ -523,14 +525,14 @@ def test_vertex_validation():
 
 
 def test_exact_path_entry():
-    value = katz.katz_path_exact(6, 1, 2, Fraction(1, 5))
+    value = exact.katz_path_exact(6, 1, 2, Fraction(1, 5))
     assert isinstance(value, Fraction)
     assert value == Fraction(2755, 12649)
     assert float(value) == pytest.approx(katz.katz_path(6, 1, 2, 0.2), abs=1e-15)
 
 
 def test_exact_cycle_entry():
-    value = katz.katz_cycle_exact(7, 1, 3, Fraction(1, 4))
+    value = exact.katz_cycle_exact(7, 1, 3, Fraction(1, 4))
     assert value == Fraction(6, 71)
     assert float(value) == pytest.approx(katz.katz_cycle(7, 1, 3, 0.25), abs=1e-15)
 
@@ -543,7 +545,7 @@ def list_route_path_exact(n, pairs, alpha):
     the formulas katz_path evaluates in floats, one list per call.
     """
     a = Fraction(alpha)
-    seq = dpoly.d_sequence_exact(n, a)
+    seq = exact.d_sequence_exact(n, a)
     entries = []
     for i, j in pairs:
         if i == j:
@@ -558,7 +560,7 @@ def list_route_path_exact(n, pairs, alpha):
 def list_route_cycle_exact(n, arcs, alpha):
     """katz_cycle_exact at each arc length by the list route, as list_route_path_exact."""
     a = Fraction(alpha)
-    seq = dpoly.d_sequence_exact(n - 1, a)
+    seq = exact.d_sequence_exact(n - 1, a)
     d_before, power = seq[n - 2], a**n
     denominator = dpoly._cycle_denominator(d_before, seq[n - 1], power, a)
     entries = []
@@ -579,7 +581,7 @@ def test_exact_path_is_the_list_route_at_every_pair():
     for n in range(2, 41):
         alpha = EXACT_ALPHAS[n % len(EXACT_ALPHAS)]
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-        got = [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs]
+        got = [exact.katz_path_exact(n, i, j, alpha) for i, j in pairs]
         assert got == list_route_path_exact(n, pairs, alpha), (n, alpha)
 
 
@@ -587,7 +589,7 @@ def test_exact_cycle_is_the_list_route_at_every_arc():
     for n in range(3, 41):
         alpha = EXACT_ALPHAS[n % len(EXACT_ALPHAS)]
         arcs = range(n // 2 + 1)  # the diagonal is arc 0
-        got = [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs]
+        got = [exact.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs]
         assert got == list_route_cycle_exact(n, arcs, alpha), (n, alpha)
 
 
@@ -595,17 +597,17 @@ def test_exact_cycle_is_the_list_route_at_every_arc():
 def test_exact_routes_are_the_list_route_at_600(alpha):
     n = 600
     pairs = [(1, 1), (1, 2), (1, n), (2, 599), (300, 300), (300, 301), (n, n)]
-    assert [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs] == list_route_path_exact(n, pairs, alpha)
+    assert [exact.katz_path_exact(n, i, j, alpha) for i, j in pairs] == list_route_path_exact(n, pairs, alpha)
     arcs = [0, 1, 2, 299, 300]
-    assert [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
+    assert [exact.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
 
 
 def three_run_path_parts(n, i, j, alpha):
     """_path_exact_parts as it was before the addition law: one doubling each at i, n + 1 - j and n + 1."""
     i, j = katz._checked_pair(GraphSpec.path(n), i, j)
-    p, q = katz._exact_alpha(alpha)
+    p, q = exact._exact_alpha(alpha)
     p2 = p * p
-    head, tail, whole = (dpoly._lucas(k, p2, q)[0] for k in (i, n + 1 - j, n + 1))
+    head, tail, whole = (exact._lucas(k, p2, q)[0] for k in (i, n + 1 - j, n + 1))
     if i == j:
         return q * head * tail - whole, whole
     return q * p ** (j - i) * head * tail, whole
@@ -614,15 +616,15 @@ def three_run_path_parts(n, i, j, alpha):
 def three_run_cycle_parts(n, i, j, alpha):
     """_cycle_exact_parts as it was before the addition law: doublings at n - 1, n - k and k for arc k."""
     k = graph_distance(GraphSpec.cycle(n), i, j)
-    p, q = katz._exact_alpha(alpha)
+    p, q = exact._exact_alpha(alpha)
     p2 = p * p
-    before, last = dpoly._lucas(n - 1, p2, q)
+    before, last = exact._lucas(n - 1, p2, q)
     power = p**n
     denominator = q * last - 2 * p2 * before - 2 * power
     if not k:
         return 2 * power + 2 * p2 * before, denominator
-    long_arc = before if k == 1 else dpoly._lucas(n - k, p2, q)[0]
-    short_arc = long_arc if 2 * k == n else dpoly._lucas(k, p2, q)[0]
+    long_arc = before if k == 1 else exact._lucas(n - k, p2, q)[0]
+    short_arc = long_arc if 2 * k == n else exact._lucas(k, p2, q)[0]
     return q * (p**k * long_arc + p ** (n - k) * short_arc), denominator
 
 
@@ -636,10 +638,10 @@ def test_exact_parts_are_the_three_run_integers_at_every_pair():
     for n in range(2, 41):
         for alpha in PARTS_ALPHAS[n % 2 :: 2]:
             pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-            got = [katz._path_exact_parts(n, i, j, alpha) for i, j in pairs]
+            got = [exact._path_exact_parts(n, i, j, alpha) for i, j in pairs]
             assert got == [three_run_path_parts(n, i, j, alpha) for i, j in pairs], (n, alpha)
             arcs = range(n // 2 + 1) if n >= 3 else ()
-            got = [katz._cycle_exact_parts(n, 1, 1 + k, alpha) for k in arcs]
+            got = [exact._cycle_exact_parts(n, 1, 1 + k, alpha) for k in arcs]
             assert got == [three_run_cycle_parts(n, 1, 1 + k, alpha) for k in arcs], (n, alpha)
 
 
@@ -650,9 +652,9 @@ def test_exact_parts_are_the_three_run_integers_at_sampled_pairs(n):
     arcs = [0, 1, 2, 3, half - 1, half]
     for alpha in PARTS_ALPHAS:
         for i, j in pairs:
-            assert katz._path_exact_parts(n, i, j, alpha) == three_run_path_parts(n, i, j, alpha), (i, j, alpha)
+            assert exact._path_exact_parts(n, i, j, alpha) == three_run_path_parts(n, i, j, alpha), (i, j, alpha)
         for k in arcs:
-            assert katz._cycle_exact_parts(n, 1, 1 + k, alpha) == three_run_cycle_parts(n, 1, 1 + k, alpha), (k, alpha)
+            assert exact._cycle_exact_parts(n, 1, 1 + k, alpha) == three_run_cycle_parts(n, 1, 1 + k, alpha), (k, alpha)
 
 
 # alpha as doubles, weighted to the far ends of (0, 1/2) and to 1/sqrt5,
@@ -674,9 +676,9 @@ exact_alphas = st.one_of(
 @example(60, 0.5 - 2.0**-53)
 def test_exact_entries_are_the_fraction_list_route(n, alpha):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    assert [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs] == list_route_path_exact(n, pairs, alpha)
+    assert [exact.katz_path_exact(n, i, j, alpha) for i, j in pairs] == list_route_path_exact(n, pairs, alpha)
     arcs = range(n // 2 + 1)  # the diagonal is arc 0
-    assert [katz.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
+    assert [exact.katz_cycle_exact(n, 1, 1 + k, alpha) for k in arcs] == list_route_cycle_exact(n, arcs, alpha)
 
 
 @st.composite
@@ -700,8 +702,8 @@ def test_cross_multiplied_order_is_the_fraction_order(case):
     # which is a < b only while both denominators are positive
     family, n_a, n_b, i, j, alpha = case
     parts, entry, three_run = {
-        "path": (katz._path_exact_parts, katz.katz_path_exact, three_run_path_parts),
-        "cycle": (katz._cycle_exact_parts, katz.katz_cycle_exact, three_run_cycle_parts),
+        "path": (exact._path_exact_parts, exact.katz_path_exact, three_run_path_parts),
+        "cycle": (exact._cycle_exact_parts, exact.katz_cycle_exact, three_run_cycle_parts),
     }[family]
     (a_num, a_den), (b_num, b_den) = parts(n_a, i, j, alpha), parts(n_b, i, j, alpha)
     assert [(a_num, a_den), (b_num, b_den)] == [three_run(n_a, i, j, alpha), three_run(n_b, i, j, alpha)]
@@ -710,6 +712,26 @@ def test_cross_multiplied_order_is_the_fraction_order(case):
     assert (a, b) == (Fraction(a_num, a_den), Fraction(b_num, b_den))
     cross = a_num * b_den - b_num * a_den
     assert (cross > 0) - (cross < 0) == (a > b) - (a < b)
+    assert exact._less((a_num, a_den), (b_num, b_den)) == (a < b)
+    assert exact._less((b_num, b_den), (a_num, a_den)) == (b < a)
+
+
+def imported_modules(module):
+    """The top-level names of the modules that module's source imports, relative imports as written."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    return {name.split(".")[0] for name in names}
+
+
+def test_exact_arithmetic_stays_in_its_own_module():
+    # the exact layer loads no numpy of its own, and the float kernels and
+    # verify leave Fractions and Decimals to it
+    assert "numpy" not in imported_modules(exact)
+    for module in (dpoly, katz, verify):
+        assert not {"fractions", "decimal"} & imported_modules(module), module.__name__
+    # the ranking benchmark's cycle check reads the exact entry as katz.katz_cycle_exact
+    assert katz.katz_cycle_exact is exact.katz_cycle_exact
 
 
 @pytest.mark.parametrize(
@@ -729,7 +751,7 @@ def test_exact_entries_reduce_once_not_per_step(family, i, j, monkeypatch):
         calls += 1
         return gcd(*args)
 
-    entry = katz.katz_path_exact if family == "path" else katz.katz_cycle_exact
+    entry = exact.katz_path_exact if family == "path" else exact.katz_cycle_exact
     monkeypatch.setattr(math, "gcd", counting_gcd)
     value = entry(320, i, j, 0.46)
     monkeypatch.undo()
@@ -742,15 +764,15 @@ def test_exact_entries_reduce_once_not_per_step(family, i, j, monkeypatch):
 
 @pytest.fixture
 def lucas_runs(monkeypatch):
-    """The indices katz passes to _lucas, in order, while the fixture is live."""
+    """The indices the exact entries pass to _lucas, in order, while the fixture is live."""
     runs = []
-    lucas = katz._lucas
+    lucas = exact._lucas
 
     def recorded(k, p2, q):
         runs.append(k)
         return lucas(k, p2, q)
 
-    monkeypatch.setattr(katz, "_lucas", recorded)
+    monkeypatch.setattr(exact, "_lucas", recorded)
     return runs
 
 
@@ -760,7 +782,7 @@ def test_exact_cycle_runs_one_doubling_above_half(lucas_runs):
     # and at the half arc the two runs are one
     for k, indices in ((0, [319]), (1, [319]), (2, [317, 1]), (3, [316, 2]), (160, [159])):
         lucas_runs.clear()
-        value = katz.katz_cycle_exact(320, 1, 1 + k, 0.46)
+        value = exact.katz_cycle_exact(320, 1, 1 + k, 0.46)
         assert lucas_runs == indices, k
         assert value == Fraction(*three_run_cycle_parts(320, 1, 1 + k, 0.46))
 
@@ -782,7 +804,7 @@ def test_exact_path_runs_one_doubling_above_half(lucas_runs):
     }
     for (i, j), indices in cases.items():
         lucas_runs.clear()
-        value = katz.katz_path_exact(320, i, j, 0.46)
+        value = exact.katz_path_exact(320, i, j, 0.46)
         assert lucas_runs == indices, (i, j)
         assert value == Fraction(*three_run_path_parts(320, i, j, 0.46))
 
@@ -792,8 +814,8 @@ def test_exact_path_runs_one_doubling_above_half(lucas_runs):
 # (0, 1/2) too, and path(5)'s (0, 1/rho_5) reaches 0.577.
 HALF_INTERVAL_ROUTINES = {
     "ratio_constant": lambda a: dpoly.ratio_constant(1, a),
-    "katz_path_exact": lambda a: katz.katz_path_exact(5, 1, 2, a),
-    "katz_cycle_exact": lambda a: katz.katz_cycle_exact(5, 1, 2, a),
+    "katz_path_exact": lambda a: exact.katz_path_exact(5, 1, 2, a),
+    "katz_cycle_exact": lambda a: exact.katz_cycle_exact(5, 1, 2, a),
     "katz_limit_path": lambda a: katz.katz_limit_path(1, 2, a),
     "katz_limit_cycle": lambda a: katz.katz_limit_cycle(1, a),
     "cycle_numerator_gap": lambda a: ordering.cycle_numerator_gap(8, 1, a),
@@ -805,7 +827,7 @@ HALF_INTERVAL_ROUTINES = {
 def test_half_interval_is_checked_by_every_routine(name, alpha):
     if name == "katz_path_exact" and alpha == 0.5:
         # admissible for path(5), so the exact path entry takes it
-        assert katz.katz_path_exact(5, 1, 2, alpha) == list_route_path_exact(5, [(1, 2)], alpha)[0]
+        assert exact.katz_path_exact(5, 1, 2, alpha) == list_route_path_exact(5, [(1, 2)], alpha)[0]
         return
     # the exact entries raise the graph's AdmissibilityError
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/2\)|is not admissible for"):
@@ -818,17 +840,17 @@ def test_half_interval_admits_values_just_below_half(name):
 
 
 def test_half_interval_check_is_exact_for_fractions():
-    assert katz.katz_path_exact(5, 1, 2, Fraction(1, 2) - Fraction(1, 10**30)) > 0
+    assert exact.katz_path_exact(5, 1, 2, Fraction(1, 2) - Fraction(1, 10**30)) > 0
 
 
 def test_exact_evaluators_validate():
     with pytest.raises(AdmissibilityError):
-        katz.katz_path_exact(6, 1, 2, Fraction(5, 9))  # past 1/rho_6 = 0.55496
+        exact.katz_path_exact(6, 1, 2, Fraction(5, 9))  # past 1/rho_6 = 0.55496
     with pytest.raises(AdmissibilityError):
-        katz.katz_cycle_exact(4, 1, 2, Fraction(1, 2))
+        exact.katz_cycle_exact(4, 1, 2, Fraction(1, 2))
     # small cycles and the diagonal are exact too: a / (1 - 4 a^2) on C4
-    assert katz.katz_cycle_exact(4, 1, 2, Fraction(1, 5)) == Fraction(5, 21)
-    assert float(katz.katz_cycle_exact(7, 2, 2, Fraction(1, 5))) == pytest.approx(
+    assert exact.katz_cycle_exact(4, 1, 2, Fraction(1, 5)) == Fraction(5, 21)
+    assert float(exact.katz_cycle_exact(7, 2, 2, Fraction(1, 5))) == pytest.approx(
         katz.katz_cycle(7, 2, 2, 0.2), rel=1e-15
     )
 
@@ -844,13 +866,13 @@ def test_exact_path_is_the_list_route_on_its_whole_interval():
         bound = path_bound(n)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         for alpha in (0.5, (0.5 + bound) / 2, math.nextafter(bound, 0.0)):
-            got = [katz.katz_path_exact(n, i, j, alpha) for i, j in pairs]
+            got = [exact.katz_path_exact(n, i, j, alpha) for i, j in pairs]
             assert got == list_route_path_exact(n, pairs, alpha), (n, alpha)
 
 
 def test_exact_path_denominator_is_positive_at_the_last_double_below_the_bound():
     for n in range(2, 401):
-        assert katz._path_exact_parts(n, 1, 2, math.nextafter(path_bound(n), 0.0))[1] > 0, n
+        assert exact._path_exact_parts(n, 1, 2, math.nextafter(path_bound(n), 0.0))[1] > 0, n
 
 
 def test_exact_routes_refuse_their_bound_and_above():
@@ -858,13 +880,13 @@ def test_exact_routes_refuse_their_bound_and_above():
         bound = path_bound(n)
         for alpha in (bound, math.nextafter(bound, 1.0), Fraction(bound), Fraction(bound) + Fraction(1, 10**40)):
             with pytest.raises(AdmissibilityError):
-                katz.katz_path_exact(n, 1, 2, alpha)
+                exact.katz_path_exact(n, 1, 2, alpha)
     # cycles keep (0, 1/2), compared exactly
     for n in (3, 8, 57):
         for alpha in (0.5, Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**40)):
             with pytest.raises(AdmissibilityError):
-                katz.katz_cycle_exact(n, 1, 2, alpha)
-        assert katz.katz_cycle_exact(n, 1, 2, Fraction(1, 2) - Fraction(1, 10**40)) > 0
+                exact.katz_cycle_exact(n, 1, 2, alpha)
+        assert exact.katz_cycle_exact(n, 1, 2, Fraction(1, 2) - Fraction(1, 10**40)) > 0
 
 
 def test_exact_path_refuses_a_fraction_past_the_true_bound():
@@ -874,7 +896,7 @@ def test_exact_path_refuses_a_fraction_past_the_true_bound():
     for n in range(2, 61):
         alpha = Fraction(path_bound(n)) - Fraction(1, 10**40)
         try:
-            value = katz.katz_path_exact(n, 1, 2, alpha)
+            value = exact.katz_path_exact(n, 1, 2, alpha)
         except AdmissibilityError as error:
             assert "d_n(alpha) <= 0" in str(error)
             refused += 1
@@ -907,8 +929,8 @@ def test_limit_path_diagonal_keeps_its_digits_at_small_alpha(i, alpha):
     # c^i d_{i-1} - 1 subtracts 1 from a number near 1 and lost up to 8e-8
     # relative at alpha = 1e-5; at n = 600 the exact entry equals its limit
     # to far below double resolution at each of these alphas
-    exact = float(katz.katz_path_exact(600, i, i, alpha))
-    assert abs(katz.katz_limit_path(i, i, alpha) - exact) <= 4e-15 * exact
+    want = float(exact.katz_path_exact(600, i, i, alpha))
+    assert abs(katz.katz_limit_path(i, i, alpha) - want) <= 4e-15 * want
 
 
 @pytest.mark.parametrize("offset", [1, 2, 3])
@@ -1118,7 +1140,7 @@ def test_scalar_entries_check_before_the_recursion(route, monkeypatch):
 
 
 @pytest.mark.parametrize("label", [np.array(1), np.array([1]), np.array([1, 2])], ids=repr)
-@pytest.mark.parametrize("route", [katz.katz_path, katz.katz_path_exact, katz.katz_cycle, katz.katz_cycle_exact])
+@pytest.mark.parametrize("route", [katz.katz_path, exact.katz_path_exact, katz.katz_cycle, exact.katz_cycle_exact])
 def test_scalar_routes_refuse_array_labels(route, label):
     # the path routes' TypeError and text on both sides, and no numpy arithmetic (or warning) before it
     for labels in ((label, 4), (4, label)):

@@ -9,7 +9,7 @@ grids and with faults injected into the functions under test.
 from the list route of ``test_katz`` (the float formulas on a fully
 normalised ``d_sequence_exact`` list), where the suite orders the
 unreduced integer parts of ``katz_path_exact``/``katz_cycle_exact``, which
-run no d-recursion, by cross-multiplying.  The gap-sign, arc-margin,
+run no d-recursion, with ``exact._less``.  The gap-sign, arc-margin,
 parity and arc-invariance references are the loops of one scalar call per
 alpha (and per arc class) that those suites ran before the d/D evaluators
 and gap polynomials took a sequence of alphas.
@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from katzlab import cli, dpoly, katz, ordering, verify
+from katzlab import cli, dpoly, exact, katz, ordering, verify
 from katzlab.dpoly import INV_SQRT5
 from katzlab.graphs import GraphSpec, graph_distance
 from katzlab.verify import DPOLY_GRID, DPOLY_PROBED, SuiteResult, katz_grid
@@ -292,7 +292,7 @@ def _list_route_at(n, alpha):
 
 
 # the exact entries of reference_limit_convergence; the limit faults patch
-# these and katz's exact routes alike
+# these and the parts functions of katzlab.exact alike
 LIST_ROUTES = {
     "katz_path_exact": lambda n, i, j, alpha: _list_route_at(n, alpha)[0][(i, j)],
     "katz_cycle_exact": lambda n, i, j, alpha: _list_route_at(n, alpha)[1][j - i],
@@ -647,7 +647,7 @@ LIMIT_FAULTS = {
 @pytest.mark.parametrize("name", list(LIMIT_FAULTS))
 def test_limit_convergence_fails_when_exact_order_breaks(name, monkeypatch):
     parts, shift, message = LIMIT_FAULTS[name]
-    monkeypatch.setattr(katz, parts, _exact_parts_nudged_at_80(getattr(katz, parts), shift))
+    monkeypatch.setattr(exact, parts, _exact_parts_nudged_at_80(getattr(exact, parts), shift))
     monkeypatch.setitem(LIST_ROUTES, name, _exact_entry_nudged_at_80(LIST_ROUTES[name], shift))
     want = reference_limit_convergence("quick")
     got = verify.suite_limit_convergence("quick")
