@@ -83,8 +83,9 @@ def _intake(alpha, check=_require_finite) -> tuple[list, bool]:
     any work; by default it refuses NaN and +-inf, and the graphs' and the
     half interval's checks refuse them too.  check is a plain function or a
     bound method of the value alone, with no closure built per call.  An
-    alpha of 2 or more dimensions, or one that holds no numbers, raises
-    ValueError, and so does one with no finite float (a Fraction or int
+    alpha of 2 or more dimensions, or one that holds anything but numbers
+    (None or a dict, as a whole or as a member), raises ValueError before
+    any check, and so does one with no finite float (a Fraction or int
     past the double range, a signaling NaN), with the finiteness check's
     message.
     """
@@ -92,10 +93,13 @@ def _intake(alpha, check=_require_finite) -> tuple[list, bool]:
         check(alpha)
         return [alpha], False
     values = np.asarray(alpha)
-    if values.ndim > 1 or values.dtype.kind not in "biufO":
-        raise ValueError(f"alpha must be a number or a 1-D sequence of numbers, got {values.dtype} of shape {values.shape}")
     try:
-        x = values.astype(float).ravel().tolist()
+        if values.ndim > 1 or values.dtype.kind not in "biufO":
+            raise TypeError
+        # float() rounds as numpy's cast does, but refuses None, which the cast reads as NaN
+        x = [float(value) for value in values.ravel().tolist()]
+    except TypeError:  # None, or an object with no float
+        raise ValueError(f"alpha must be a number or a 1-D sequence of numbers, got {values.dtype} of shape {values.shape}") from None
     except (OverflowError, ValueError):  # past the double range, or a signaling NaN
         raise ValueError(f"alpha must be a finite number, got {alpha}") from None
     for value in x:

@@ -277,8 +277,10 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
 def _laplacian_pinv(g: GraphSpec) -> np.ndarray:
     """(L + J/n)^(-1) - J/n for the connected graph g, one dense solve per graph.
 
-    Cached for the latest graph, since callers sweep the pairs of one graph
-    in a row; read-only, so no caller can change a later answer.
+    Cached for the latest graph: verify's suite calls resistance_oracle once
+    per graph with label arrays, but the benchmark's scatter check and the
+    tests call it pair by pair.  Read-only, so no caller can change a later
+    answer.
     """
     a = g.adjacency()
     lap = np.diag(a.sum(axis=1)) - a

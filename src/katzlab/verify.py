@@ -5,6 +5,12 @@ fixed deterministic grids and reported one line per property.  The `quick`
 level covers n <= 30-ish in a few seconds; `full` widens the sweeps to the
 sizes the acceptance tolerances are stated at (n <= 100 polynomial
 identities, n <= 40 oracle comparisons).
+
+A suite is one function under ``@_suite(name, tolerance)`` and nothing
+else: its body only records checks on the SuiteResult it is handed, and
+the decorator builds that result, refuses an unknown level, times the
+body and appends the suite to ALL_SUITES, the order `verify` runs and
+prints them in.
 """
 
 from __future__ import annotations
@@ -127,9 +133,38 @@ class SuiteResult:
             self.failures.extend(context(int(index)) for index in failed)
 
 
-def suite_d_recursion_vs_closed(level: str) -> SuiteResult:
+# every suite, in definition order, as @_suite declares them
+ALL_SUITES: list[Callable[[str], SuiteResult]] = []
+
+
+def _suite(name: str, tolerance: float):
+    """Declare body(res, level), which records its checks on res, as the suite ``suite(level) -> SuiteResult``.
+
+    The suite refuses a level other than quick and full, hands body a
+    fresh SuiteResult(name, tolerance), times body into its seconds and
+    returns it; it keeps body's name and docstring and joins ALL_SUITES.
+    """
+
+    def declare(body: Callable[[SuiteResult, str], None]) -> Callable[[str], SuiteResult]:
+        def suite(level: str) -> SuiteResult:
+            if level not in ("quick", "full"):
+                raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+            res = SuiteResult(name, tolerance)
+            started = time.perf_counter()
+            body(res, level)
+            res.seconds = time.perf_counter() - started
+            return res
+
+        suite.__name__, suite.__qualname__, suite.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        ALL_SUITES.append(suite)
+        return suite
+
+    return declare
+
+
+@_suite("d recursion matches exact closed sum", 1e-12)
+def suite_d_recursion_vs_closed(res: SuiteResult, level: str) -> None:
     """d_recursive against d_closed; the recursion runs once per n over all the alphas."""
-    res = SuiteResult("d recursion matches exact closed sum", 1e-12)
     n_max = 100 if level == "full" else 30
     sizes = range(n_max + 1)
     closed = np.array([dpoly.d_closed_sequence(n_max, alpha) for alpha in DPOLY_PROBED])
@@ -139,11 +174,10 @@ def suite_d_recursion_vs_closed(level: str) -> SuiteResult:
         mixed_err(closed, recursive),
         lambda f: f"n={f % len(sizes)} alpha={DPOLY_PROBED[f // len(sizes)]}",
     )
-    return res
 
 
-def suite_d_splitting(level: str) -> SuiteResult:
-    res = SuiteResult("d splitting identity", 1e-12)
+@_suite("d splitting identity", 1e-12)
+def suite_d_splitting(res: SuiteResult, level: str) -> None:
     n_max = 60 if level == "full" else 30
     n, k = _loop_grid(range(2, n_max + 1), lambda n: range(1, n))
     for alpha in DPOLY_PROBED:
@@ -151,10 +185,10 @@ def suite_d_splitting(level: str) -> SuiteResult:
         seq = np.array(dpoly.d_sequence(n_max, alpha))
         rhs = seq[k] * seq[n - k] - a2 * seq[k - 1] * seq[n - k - 1]
         res.record_all(mixed_err(seq[n], rhs), lambda f: f"n={n[f]} k={k[f]} alpha={alpha}")
-    return res
 
 
-def suite_d_product(level: str) -> SuiteResult:
+@_suite("d product identity", 1e-12)
+def suite_d_product(res: SuiteResult, level: str) -> None:
     """d_k d_n - d_{k-1} d_{n+1} = alpha^(2k) d_{n-k} on the float d-sequence.
 
     Tolerance: no error bound is derived.  Both sides are below 1, so
@@ -163,7 +197,6 @@ def suite_d_product(level: str) -> SuiteResult:
     which no bound is stated yet (ROADMAP item 13).  The largest error
     measured at level quick is 2.0e-16, a margin of 2.0e-4.
     """
-    res = SuiteResult("d product identity", 1e-12)
     n_max = 60 if level == "full" else 30
     n, k = _loop_grid(range(1, n_max + 1), lambda n: range(1, n + 1))
     for alpha in DPOLY_PROBED:
@@ -173,11 +206,10 @@ def suite_d_product(level: str) -> SuiteResult:
         lhs = seq[k] * seq[n] - seq[k - 1] * seq[n + 1]
         rhs = even_powers[k] * seq[n - k]
         res.record_all(mixed_err(lhs, rhs), lambda f: f"n={n[f]} k={k[f]} alpha={alpha}")
-    return res
 
 
-def suite_d_bounds(level: str) -> SuiteResult:
-    res = SuiteResult("d monotone bounds", 0.0)
+@_suite("d monotone bounds", 0.0)
+def suite_d_bounds(res: SuiteResult, level: str) -> None:
     n_max = 100
     seq = np.array([dpoly.d_sequence(n_max, alpha) for alpha in DPOLY_PROBED])
     # strict decrease starts at n = 2 (d_0 = d_1 = 1 by definition)
@@ -190,11 +222,10 @@ def suite_d_bounds(level: str) -> SuiteResult:
         return f"n={n} alpha={DPOLY_PROBED[a]}: d_prev={float(seq[a, n - 1])!r} d={float(seq[a, n])!r}"
 
     res.check_all(ok, context)
-    return res
 
 
-def suite_d_special_values(level: str) -> SuiteResult:
-    res = SuiteResult("d special values at the probe points", 1e-12)
+@_suite("d special values at the probe points", 1e-12)
+def suite_d_special_values(res: SuiteResult, level: str) -> None:
     n_max = 200 if level == "full" else 60
     half = dpoly.d_sequence(n_max, 0.5)
     root5 = dpoly.d_sequence(n_max, INV_SQRT5)
@@ -204,10 +235,10 @@ def suite_d_special_values(level: str) -> SuiteResult:
     for n in range(2, n_max + 1):
         err = abs(dpoly.fib_ratio(n - 1) * (1.0 - dpoly.fib_ratio(n)) - 0.2)
         res.record(err, f"fib identity n={n}")
-    return res
 
 
-def suite_d_ratio_limit(level: str) -> SuiteResult:
+@_suite("d ratio limit constant", 1e-8)
+def suite_d_ratio_limit(res: SuiteResult, level: str) -> None:
     """d_{n+k}/d_n at n = 400 against its limit ratio_constant(k, alpha).
 
     Tolerance: not derived from a bound.  With r1, r2 = (1 +- s)/2 and
@@ -218,18 +249,16 @@ def suite_d_ratio_limit(level: str) -> SuiteResult:
     and of c^k.  The largest error at level quick is 1.1e-16, a margin of
     1.1e-8 against the 1e-8 kept from the first version.
     """
-    res = SuiteResult("d ratio limit constant", 1e-8)
     n = 400
     for alpha in (0.1, 0.3, 0.45):
         seq = dpoly.d_sequence(n + 3, alpha)
         for k in (1, 2, 3):
             err = abs(seq[n + k] / seq[n] - dpoly.ratio_constant(k, alpha))
             res.record(err, f"k={k} alpha={alpha}")
-    return res
 
 
-def suite_d_vanishing_ratio(level: str) -> SuiteResult:
-    res = SuiteResult("d vanishing power ratio bound", 0.0)
+@_suite("d vanishing power ratio bound", 0.0)
+def suite_d_vanishing_ratio(res: SuiteResult, level: str) -> None:
     n_max = 200
     alpha = np.array(DPOLY_PROBED)[:, None]
     seq = np.array([dpoly.d_sequence(n_max, a) for a in DPOLY_PROBED])
@@ -241,11 +270,10 @@ def suite_d_vanishing_ratio(level: str) -> SuiteResult:
         power / seq[:, 1:] <= bound * (1.0 + 1e-13),
         lambda f: f"n={f % n_max + 1} alpha={DPOLY_PROBED[f // n_max]}",
     )
-    return res
 
 
-def suite_d_golden_lower_bound(level: str) -> SuiteResult:
-    res = SuiteResult("d golden-ratio lower bound", 0.0)
+@_suite("d golden-ratio lower bound", 0.0)
+def suite_d_golden_lower_bound(res: SuiteResult, level: str) -> None:
     grid = [a for a in DPOLY_GRID if a < INV_SQRT5]
     seq = np.array([dpoly.d_sequence(100, alpha) for alpha in grid])
     fib = np.array([dpoly.fib_ratio(n) for n in range(1, 101)])
@@ -253,22 +281,21 @@ def suite_d_golden_lower_bound(level: str) -> SuiteResult:
         seq[:, 1:] >= fib * seq[:, :-1] - 1e-15,
         lambda f: f"n={f % 100 + 1} alpha={grid[f // 100]}",
     )
-    return res
 
 
-def suite_path_determinant(level: str) -> SuiteResult:
+@_suite("path determinant identity", 1e-11)
+def suite_path_determinant(res: SuiteResult, level: str) -> None:
     """The eliminated det(I - alpha A) of each path against d_n, both over its whole alpha grid at once."""
-    res = SuiteResult("path determinant identity", 1e-11)
     n_max = 40 if level == "full" else 20
     for g in _sweep(n_max, (PATH,)):
         alphas = katz_grid(g)
         closed = dpoly.d_recursive(g.n, alphas)
         oracle = katz.determinant_path(g.n, alphas)
         res.record_all(rel_err(oracle, closed), lambda f: f"n={g.n} alpha={alphas[f]}")
-    return res
 
 
-def suite_cycle_determinant(level: str) -> SuiteResult:
+@_suite("cycle determinant identity", 1e-11)
+def suite_cycle_determinant(res: SuiteResult, level: str) -> None:
     """The eliminated det(I - alpha A) of each cycle against D_n, both over its whole alpha grid at once.
 
     Tolerance: no bound is known.  D_n has the factor 1 - 2 alpha, so both
@@ -278,27 +305,25 @@ def suite_cycle_determinant(level: str) -> SuiteResult:
     in the package yet (ROADMAP item 13).  The largest relative error at
     level quick is 1.9e-15, a margin of 1.9e-4.
     """
-    res = SuiteResult("cycle determinant identity", 1e-11)
     n_max = 40 if level == "full" else 20
     for g in _sweep(n_max, (CYCLE,)):
         alphas = katz_grid(g)
         closed = dpoly.D_cycle_denominator(g.n, alphas)
         oracle = katz.determinant_cycle(g.n, alphas)
         res.record_all(rel_err(oracle, closed), lambda f: f"n={g.n} alpha={alphas[f]}")
-    return res
 
 
-def suite_cycle_parity_factorization(level: str) -> SuiteResult:
+@_suite("cycle determinant parity factorization", 1e-12)
+def suite_cycle_parity_factorization(res: SuiteResult, level: str) -> None:
     """D_parity_form against D_cycle_denominator, each evaluated once per n over the whole grid."""
-    res = SuiteResult("cycle determinant parity factorization", 1e-12)
     n_max = 100 if level == "full" else 40
     for n in range(3, n_max + 1):
         err = rel_err(dpoly.D_parity_form(n, DPOLY_GRID), dpoly.D_cycle_denominator(n, DPOLY_GRID))
         res.record_all(err, lambda f: f"n={n} alpha={DPOLY_GRID[f]}")
-    return res
 
 
-def suite_spectral_radius(level: str) -> SuiteResult:
+@_suite("spectral radius closed form vs power iteration", 1e-10)
+def suite_spectral_radius(res: SuiteResult, level: str) -> None:
     """2 cos(pi/(n+1)) and 2 against the power-iteration oracle.
 
     Tolerance: from the oracle's stopping rule.  For a symmetric matrix an
@@ -309,25 +334,22 @@ def suite_spectral_radius(level: str) -> SuiteResult:
     times that bound.  The largest error at level quick is 2.7e-15, a
     margin of 2.7e-5.
     """
-    res = SuiteResult("spectral radius closed form vs power iteration", 1e-10)
     sizes = (2, 3, 5, 10, 17, 40)
     for g in [GraphSpec(family, n) for n in sizes for family in FAMILIES if n >= _SMALLEST_N[family]]:
         res.record(abs(spectral_radius(g) - spectral_radius_oracle(g)), f"{g.family} n={g.n}")
-    return res
 
 
-def suite_resistance_oracle(level: str) -> SuiteResult:
-    res = SuiteResult("resistance closed form vs pseudoinverse oracle", 1e-10)
+@_suite("resistance closed form vs pseudoinverse oracle", 1e-10)
+def suite_resistance_oracle(res: SuiteResult, level: str) -> None:
     n_max = 40 if level == "full" else 20
     for g in _sweep(n_max):
         i, j = _pair_labels(g.n)
         errs = np.abs(resistance(g, i, j) - resistance_oracle(g, i, j))
         res.record_all(errs, lambda f: f"{g.family} n={g.n} pair=({i[f]},{j[f]})")
-    return res
 
 
-def suite_metric_axioms(level: str) -> SuiteResult:
-    res = SuiteResult("metric symmetry and triangle inequality", 0.0)
+@_suite("metric symmetry and triangle inequality", 0.0)
+def suite_metric_axioms(res: SuiteResult, level: str) -> None:
     for g in _sweep(20):
         family, n = g.family, g.n
         labels = np.arange(1, n + 1)
@@ -351,11 +373,10 @@ def suite_metric_axioms(level: str) -> SuiteResult:
             return f"{family} n={n} triangle ({i + 1},{via + 1},{j + 1})"
 
         res.check_all(ok_d & ok_r, triangle)
-    return res
 
 
-def suite_katz_closed_vs_inverse(level: str) -> SuiteResult:
-    res = SuiteResult("katz closed form vs inverse oracle", 1e-10)
+@_suite("katz closed form vs inverse oracle", 1e-10)
+def suite_katz_closed_vs_inverse(res: SuiteResult, level: str) -> None:
     n_max = 40 if level == "full" else 25
     for g in _sweep(n_max):
         alphas = katz_grid(g)
@@ -363,11 +384,10 @@ def suite_katz_closed_vs_inverse(level: str) -> SuiteResult:
         inverse = katz.katz_oracle_inverse(g, alphas)
         errs = (np.abs(closed - inverse) / np.abs(inverse)).max(axis=(1, 2))
         res.record_all(errs, lambda f: f"{g.family} n={g.n} alpha={alphas[f]}")
-    return res
 
 
-def suite_series_vs_inverse(level: str) -> SuiteResult:
-    res = SuiteResult("katz series oracle vs inverse oracle", 1e-11)
+@_suite("katz series oracle vs inverse oracle", 1e-11)
+def suite_series_vs_inverse(res: SuiteResult, level: str) -> None:
     if level == "full":
         sizes = range(5, 41)
         grids = katz_grid
@@ -382,21 +402,19 @@ def suite_series_vs_inverse(level: str) -> SuiteResult:
             inverse = katz.katz_oracle_inverse(g, alphas)
             errs = np.abs(series - inverse).max(axis=(1, 2))
             res.record_all(errs, lambda f: f"{family} n={n} alpha={alphas[f]}")
-    return res
 
 
-def suite_katz_distance_monotone(level: str) -> SuiteResult:
-    res = SuiteResult("katz decreasing in path distance from an endpoint", 0.0)
+@_suite("katz decreasing in path distance from an endpoint", 0.0)
+def suite_katz_distance_monotone(res: SuiteResult, level: str) -> None:
     alphas = [a for a in DPOLY_PROBED if a < 0.5]
     for n in range(3, 31):
         # the pairs (1, 1 + s), s = 1..n-1, per alpha
         rows = katz.katz_pair_entries(GraphSpec.path(n), alphas, np.ones(n - 1, dtype=int), np.arange(2, n + 1))
         res.check_all((rows[:, :-1] > rows[:, 1:]).all(axis=1), lambda f: f"n={n} alpha={alphas[f]}")
-    return res
 
 
-def suite_katz_shift_monotone(level: str) -> SuiteResult:
-    res = SuiteResult("katz non-decreasing under centered pair shifts", 0.0)
+@_suite("katz non-decreasing under centered pair shifts", 0.0)
+def suite_katz_shift_monotone(res: SuiteResult, level: str) -> None:
     alphas = [a for a in DPOLY_PROBED if a < 0.5]
     for n in range(3, 31):
         k, i = _loop_grid(range(1, n - 1), lambda k: [i for i in range(1, n - k) if n - k - 2 * i - 1 >= 0])
@@ -410,17 +428,16 @@ def suite_katz_shift_monotone(level: str) -> SuiteResult:
 
         # per alpha, then per (k, i): the flat order of the (alpha, pair) array
         res.check_all(left <= right + 1e-13, context)
-    return res
 
 
-def suite_cycle_translation_invariance(level: str) -> SuiteResult:
+@_suite("cycle katz depends only on arc length", 1e-13)
+def suite_cycle_translation_invariance(res: SuiteResult, level: str) -> None:
     """The spread of the dense oracle's entries within each arc class, per alpha and arc length k.
 
     One gather per n reads the 2n entries (i, i + k) and (i, i - k), mod n,
     of every arc length k (at k = n/2 each entry twice); max and min do not
     round, so each spread is that of the class's entries read alone.
     """
-    res = SuiteResult("cycle katz depends only on arc length", 1e-13)
     alphas = (0.1, 0.3, 0.46)
     for n in range(5, 31):
         rows = np.tile(np.arange(n), 2)
@@ -430,11 +447,10 @@ def suite_cycle_translation_invariance(level: str) -> SuiteResult:
         vals = katz.katz_oracle_inverse(GraphSpec.cycle(n), alphas)[:, rows, cols]
         spread = (vals.max(axis=2) - vals.min(axis=2)) / np.maximum(1.0, np.abs(vals).max(axis=2))
         res.record_all(spread, lambda f: f"n={n} k={f % len(arcs) + 1} alpha={alphas[f // len(arcs)]}")
-    return res
 
 
-def suite_cycle_agreement(level: str) -> SuiteResult:
-    res = SuiteResult("cycle pair-ranking agreement across all metrics", 0.0)
+@_suite("cycle pair-ranking agreement across all metrics", 0.0)
+def suite_cycle_agreement(res: SuiteResult, level: str) -> None:
     n_max = 30 if level == "full" else 20
     for n in range(5, n_max + 1):
         g = GraphSpec.cycle(n)
@@ -444,21 +460,19 @@ def suite_cycle_agreement(level: str) -> SuiteResult:
         for alpha, report, match in zip(alphas, reports, matches):
             res.check(report.all_agree(), f"n={n} alpha={alpha}: witness={report.witness}")
             res.check(match, f"n={n} alpha={alpha}: tie classes differ")
-    return res
 
 
-def suite_path_agreement_below_cutoff(level: str) -> SuiteResult:
-    res = SuiteResult("path ranking agreement below the golden bound", 0.0)
+@_suite("path ranking agreement below the golden bound", 0.0)
+def suite_path_agreement_below_cutoff(res: SuiteResult, level: str) -> None:
     for n in range(3, 31):
         g = GraphSpec.path(n)
         alphas = [a for a in katz_grid(g) if a < INV_SQRT5]
         for alpha, report in zip(alphas, ordering.agreement(g, alphas)):
             res.check(report.all_agree(), f"n={n} alpha={alpha}: witness={report.witness}")
-    return res
 
 
-def suite_path_inversion_witness(level: str) -> SuiteResult:
-    res = SuiteResult("path ranking inversion at alpha = 0.46", 0.0)
+@_suite("path ranking inversion at alpha = 0.46", 0.0)
+def suite_path_inversion_witness(res: SuiteResult, level: str) -> None:
     report = ordering.agreement(GraphSpec.path(10), 0.46)
     res.check(not report.katz_vs_resistance, "katz vs resistance unexpectedly agreed on P_10 at 0.46")
     res.check(report.witness is not None, "no witness produced")
@@ -467,12 +481,11 @@ def suite_path_inversion_witness(level: str) -> SuiteResult:
         da = graph_distance(g, report.witness.pair_a.i, report.witness.pair_a.j)
         db = graph_distance(g, report.witness.pair_b.i, report.witness.pair_b.j)
         res.check(abs(da - db) == 1, f"witness distances {da} and {db} do not differ by 1")
-    return res
 
 
-def suite_gap_sign_equivalence(level: str) -> SuiteResult:
+@_suite("gap polynomial sign equivalence", 0.0)
+def suite_gap_sign_equivalence(res: SuiteResult, level: str) -> None:
     """p_gap and p_tilde share their sign, or both vanish; each runs once per (n, j) over DPOLY_PROBED."""
-    res = SuiteResult("gap polynomial sign equivalence", 0.0)
     for n in range(3, 31):
         for j in (1, 2, 3):
             if n - j < 2:
@@ -484,10 +497,10 @@ def suite_gap_sign_equivalence(level: str) -> SuiteResult:
                 ok,
                 lambda f: f"n={n} j={j} alpha={DPOLY_PROBED[f]}: p_gap={gap[f]:.3e} p_tilde={tilde[f]:.3e}",
             )
-    return res
 
 
-def suite_gap_probe_endpoints(level: str) -> SuiteResult:
+@_suite("gap polynomial values at the probe points", 0.0)
+def suite_gap_probe_endpoints(res: SuiteResult, level: str) -> None:
     """Signs of p_tilde at the bracket probes.
 
     The root sits delta(span) above 1/sqrt 5 with delta shrinking
@@ -495,7 +508,6 @@ def suite_gap_probe_endpoints(level: str) -> SuiteResult:
     first delta below 1e-9 at span 40, so the 1e-9-shifted probe reads
     positive through span 39 and negative from span 40 on.
     """
-    res = SuiteResult("gap polynomial values at the probe points", 0.0)
     for j in (1, 2, 3):
         for span in range(5, 51):
             n = span + j
@@ -510,10 +522,10 @@ def suite_gap_probe_endpoints(level: str) -> SuiteResult:
         res.check(all(v > 0.0 for v in values), f"j={j}: probe value not positive")
         for prev, nxt in zip(values, values[2:]):
             res.check(nxt < prev, f"j={j}: probe values not decreasing toward 0")
-    return res
 
 
-def suite_cycle_numerator_gap(level: str) -> SuiteResult:
+@_suite("cycle arc-class separation margin", 1e-12)
+def suite_cycle_numerator_gap(res: SuiteResult, level: str) -> None:
     """Arc-class margins: positive, decreasing in k, half-arc closed form.
 
     The half-arc factor is (1 - 2 alpha): expanding the four-term margin
@@ -530,7 +542,6 @@ def suite_cycle_numerator_gap(level: str) -> SuiteResult:
     (ROADMAP item 13).  The largest error at level quick is 3.1e-17, a
     margin of 3.1e-5.
     """
-    res = SuiteResult("cycle arc-class separation margin", 1e-12)
     n_max = 40 if level == "full" else 20
     grid = [a for a in DPOLY_GRID if a < 0.5]
     for n in range(5, n_max + 1):
@@ -548,17 +559,16 @@ def suite_cycle_numerator_gap(level: str) -> SuiteResult:
             res.check(decreasing[a], f"n={n} alpha={alpha}: margins not decreasing in k")
             if n % 2 == 0:
                 res.record(errs[a], f"n={n} alpha={alpha}: half-arc margin form")
-    return res
 
 
-def suite_cutoff_roots(level: str) -> SuiteResult:
+@_suite("cut-off roots: bracket, monotonicity", 0.0)
+def suite_cutoff_roots(res: SuiteResult, level: str) -> None:
     """Every root found, inside the bracket, strictly decreasing in n.
 
     Adjacent roots at the large-n tail differ by a few 1e-13, so this
     rests on cutoff_root's fixed bracket width, BISECTION_WIDTH = 1e-15: a
     coarser bisection would report spurious ties.
     """
-    res = SuiteResult("cut-off roots: bracket, monotonicity", 0.0)
     n_hi = 61 if level == "full" else 36
     roots = []
     for n in range(6, n_hi + 1):
@@ -574,10 +584,10 @@ def suite_cutoff_roots(level: str) -> SuiteResult:
         all(a > b for a, b in zip(roots, roots[1:])),
         "root sequence is not strictly decreasing",
     )
-    return res
 
 
-def suite_limit_convergence(level: str) -> SuiteResult:
+@_suite("katz entries converge to their limits", 1e-14)
+def suite_limit_convergence(res: SuiteResult, level: str) -> None:
     """Entries approach their limits, and gaps shrink strictly.
 
     The gap ordering is checked in exact rational arithmetic: paths climb
@@ -595,7 +605,6 @@ def suite_limit_convergence(level: str) -> SuiteResult:
     the suite reads 4.2e-16 (2 ulp).  A limit formula off by a relative
     1e-9 fails.
     """
-    res = SuiteResult("katz entries converge to their limits", 1e-14)
     n_list = (10, 20, 40, 80, 160, 320)
     for alpha in (0.1, 0.3, 0.45):
         for i, j in ((1, 2), (2, 5), (3, 3)):
@@ -617,48 +626,9 @@ def suite_limit_convergence(level: str) -> SuiteResult:
                 all(exact._less(b, a) for a, b in zip(parts, parts[1:])),
                 f"cycle offset {offset} alpha={alpha}: entries not strictly descending to the limit",
             )
-    return res
 
-
-ALL_SUITES = (
-    suite_d_recursion_vs_closed,
-    suite_d_splitting,
-    suite_d_product,
-    suite_d_bounds,
-    suite_d_special_values,
-    suite_d_ratio_limit,
-    suite_d_vanishing_ratio,
-    suite_d_golden_lower_bound,
-    suite_path_determinant,
-    suite_cycle_determinant,
-    suite_cycle_parity_factorization,
-    suite_spectral_radius,
-    suite_resistance_oracle,
-    suite_metric_axioms,
-    suite_katz_closed_vs_inverse,
-    suite_series_vs_inverse,
-    suite_katz_distance_monotone,
-    suite_katz_shift_monotone,
-    suite_cycle_translation_invariance,
-    suite_cycle_agreement,
-    suite_path_agreement_below_cutoff,
-    suite_path_inversion_witness,
-    suite_gap_sign_equivalence,
-    suite_gap_probe_endpoints,
-    suite_cycle_numerator_gap,
-    suite_cutoff_roots,
-    suite_limit_convergence,
-)
 
 
 def run_suites(level: str = "quick") -> list[SuiteResult]:
     """Every suite at the level, in ALL_SUITES order, each with its seconds set."""
-    if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    results = []
-    for suite in ALL_SUITES:
-        started = time.perf_counter()
-        result = suite(level)
-        result.seconds = time.perf_counter() - started
-        results.append(result)
-    return results
+    return [suite(level) for suite in ALL_SUITES]

@@ -305,3 +305,25 @@ def test_an_exact_route_judges_a_value_past_the_double_range_as_itself(name, alp
 def test_the_exact_sequence_takes_a_value_past_the_double_range(alpha):
     a = Fraction(alpha)
     assert exact.d_sequence_exact(3, alpha) == [1, 1, 1 - a * a, 1 - 2 * a * a]
+
+
+# None and objects with no float, alone or as a member; numpy's own cast reads None as NaN
+NOT_NUMBERS = {
+    "none": (None, "()"),
+    "none_member": ([None], "(1,)"),
+    "none_after_a_number": ([0.3, None], "(2,)"),
+    "object": (object(), "()"),
+    "dict": ({"alpha": 0.3}, "()"),
+    "object_after_a_number": ([0.3, object()], "(2,)"),
+}
+
+
+@pytest.mark.parametrize("bad", list(NOT_NUMBERS))
+@pytest.mark.parametrize("name", ["katz_path", "katz_path_exact", "d_recursive", "D_cycle_denominator", "agreement"])
+def test_an_alpha_that_is_not_a_number_is_refused_before_any_check(name, bad, monkeypatch):
+    alpha, shape = NOT_NUMBERS[bad]
+    calls = recorded_checks(monkeypatch)
+    assert_refused(
+        ROUTINES[name], alpha, ValueError, f"alpha must be a number or a 1-D sequence of numbers, got object of shape {shape}"
+    )
+    assert calls == []

@@ -15,10 +15,14 @@ alpha (and per arc class) that those suites ran before the d/D evaluators
 and gap polynomials took a sequence of alphas.
 """
 
+import ast
 import functools
+import inspect
+import itertools
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -873,3 +877,39 @@ def test_every_suite_keeps_its_checks_and_passes(level):
     got = [(result.name, result.checks, result.passed) for result in verify.run_suites(level)]
     assert got == [(row[0], row[column], True) for row in SUITE_CHECKS]
     assert sum(row[column] for row in SUITE_CHECKS) == {"quick": 275801, "full": 445542}[level]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_all_suites_holds_every_suite_function_once_in_source_order():
+    defined = [node.name for node in ast.parse(inspect.getsource(verify)).body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")]
+    bound = {name for name, value in vars(verify).items() if name.startswith("suite_") and callable(value)}
+    assert [suite.__name__ for suite in verify.ALL_SUITES] == defined
+    assert set(defined) == bound
+    assert len(defined) == len(SUITE_CHECKS)
+    for suite in verify.ALL_SUITES:
+        assert getattr(verify, suite.__name__) is suite
+        assert suite.__module__ == verify.__name__
+
+
+def test_a_suite_refuses_an_unknown_level_as_run_suites_does():
+    with pytest.raises(ValueError, match=re.escape("level must be 'quick' or 'full', got 'exhaustive'")):
+        verify.suite_d_ratio_limit("exhaustive")
+
+
+def test_readme_claim_table_names_only_real_suites():
+    lines = (REPO / "README.md").read_text().splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("| Claim of the abstract | `verify` suites |"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    named = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[2])]
+    assert named
+    assert set(named) <= {row[0] for row in SUITE_CHECKS}
+
+
+def test_ci_greps_the_suite_count_and_check_totals_of_suite_checks():
+    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    totals = [sum(row[column] for row in SUITE_CHECKS) for column in (1, 2)]
+    suites = str(len(SUITE_CHECKS))
+    assert re.findall(r"\^(\d+)/(\d+) suites passed, (\d+) checks,", workflow) == [(suites, suites, str(t)) for t in totals]
