@@ -84,7 +84,7 @@ def _intake(alpha, check=_require_finite) -> tuple[list, bool]:
     half interval's checks refuse them too.  check is a plain function or a
     bound method of the value alone, with no closure built per call.  An
     alpha of 2 or more dimensions, or one that holds anything but numbers
-    (None or a dict, as a whole or as a member), raises ValueError before
+    (None, a dict or a string, as a whole or as a member), raises ValueError before
     any check, and so does one with no finite float (a Fraction or int
     past the double range, a signaling NaN), with the finiteness check's
     message.
@@ -96,8 +96,12 @@ def _intake(alpha, check=_require_finite) -> tuple[list, bool]:
     try:
         if values.ndim > 1 or values.dtype.kind not in "biufO":
             raise TypeError
+        members = values.ravel().tolist()
+        # float() would parse a numeric string that an object array holds
+        if values.dtype.kind == "O" and any(isinstance(value, (str, bytes)) for value in members):
+            raise TypeError
         # float() rounds as numpy's cast does, but refuses None, which the cast reads as NaN
-        x = [float(value) for value in values.ravel().tolist()]
+        x = [float(value) for value in members]
     except TypeError:  # None, or an object with no float
         raise ValueError(f"alpha must be a number or a 1-D sequence of numbers, got {values.dtype} of shape {values.shape}") from None
     except (OverflowError, ValueError):  # past the double range, or a signaling NaN

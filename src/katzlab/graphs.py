@@ -13,8 +13,9 @@ check every admissible route hands to the alpha intake of
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,21 +274,40 @@ def resistance(g: GraphSpec, i: int, j: int) -> float:
     return _span_resistance(g, _label_spans(g, i, j))
 
 
-@functools.lru_cache(maxsize=1)
-def _laplacian_pinv(g: GraphSpec) -> np.ndarray:
-    """(L + J/n)^(-1) - J/n for the connected graph g, one dense solve per graph.
+def _shifted_laplacian(g: GraphSpec) -> np.ndarray:
+    """L + J/n, J the all-ones matrix, which is invertible for a connected graph."""
+    a = g.adjacency()
+    return np.diag(a.sum(axis=1)) - a + 1.0 / g.n
 
-    Cached for the latest graph: verify's suite calls resistance_oracle once
-    per graph with label arrays, but the benchmark's scatter check and the
-    tests call it pair by pair.  Read-only, so no caller can change a later
+
+def _laplacian_pinvs(graphs: Iterable[GraphSpec]) -> Iterator[np.ndarray]:
+    """(L + J/n)^(-1) - J/n for each connected graph in turn, from one chunked elimination.
+
+    Each L + J/n is built as the elimination reads it, so a sweep holds
+    one chunk at a time.  Read-only, so no caller can change a later
     answer.
     """
-    a = g.adjacency()
-    lap = np.diag(a.sum(axis=1)) - a
-    n = g.n
-    pinv = linalg.invert(lap + 1.0 / n) - 1.0 / n
-    pinv.flags.writeable = False
-    return pinv
+    for inverse in linalg.inverses(_shifted_laplacian(g) for g in graphs):
+        inverse -= 1.0 / inverse.shape[-1]
+        inverse.flags.writeable = False
+        yield inverse
+
+
+@functools.lru_cache(maxsize=1)
+def _laplacian_pinv(g: GraphSpec) -> np.ndarray:
+    """The one-case call of :func:`_laplacian_pinvs`, cached for the latest graph.
+
+    resistance_oracle reads it, and the benchmark's scatter check and the
+    tests call that pair by pair.
+    """
+    return next(_laplacian_pinvs([g]))
+
+
+def _pinv_resistance(pinv: np.ndarray, i, j):
+    """L+_ii + L+_jj - 2 L+_ij with i <= j, from checked labels: a float, or an array when either label is one."""
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    r = pinv[lo, lo] + pinv[hi, hi] - 2.0 * pinv[lo, hi]
+    return r if isinstance(i, np.ndarray) or isinstance(j, np.ndarray) else float(r)
 
 
 def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
@@ -302,7 +322,20 @@ def resistance_oracle(g: GraphSpec, i: int, j: int) -> float:
     when either is an array of labels.
     """
     _label_spans(g, i, j)
-    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    pinv = _laplacian_pinv(g)
-    r = pinv[lo, lo] + pinv[hi, hi] - 2.0 * pinv[lo, hi]
-    return r if isinstance(i, np.ndarray) or isinstance(j, np.ndarray) else float(r)
+    return _pinv_resistance(_laplacian_pinv(g), i, j)
+
+
+def resistance_oracles(cases: Iterable[tuple[GraphSpec, object, object]]) -> Iterator:
+    """resistance_oracle(g, i, j) for each (g, i, j) in turn, the pseudoinverses from one chunked elimination.
+
+    A case's labels are checked before its graph joins the elimination;
+    each result equals its one-case call bit for bit.
+    """
+    def checked_graphs(cases):
+        for g, i, j in cases:
+            _label_spans(g, i, j)
+            yield g
+
+    cases, ahead = itertools.tee(cases)
+    for (_, i, j), pinv in zip(cases, _laplacian_pinvs(checked_graphs(ahead))):
+        yield _pinv_resistance(pinv, i, j)

@@ -26,6 +26,7 @@ algebra.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -354,15 +355,25 @@ def _system(g: GraphSpec, alpha) -> np.ndarray:
     return np.subtract(np.eye(g.n), system, out=system)
 
 
+def katz_oracle_inverses(cases: Iterable[tuple[GraphSpec, object]]) -> Iterator[np.ndarray]:
+    """katz_oracle_inverse(g, alpha) for each (g, alpha) in turn, from one chunked elimination.
+
+    Each system is built as the elimination reads it, so a sweep over
+    many graphs holds one chunk at a time (:data:`katzlab.linalg.CHUNK_ENTRIES`);
+    each result equals its one-case call bit for bit.
+    """
+    for matrix in linalg.inverses(_system(g, alpha) for g, alpha in cases):
+        matrix -= np.eye(matrix.shape[-1])
+        yield matrix
+
+
 def katz_oracle_inverse(g: GraphSpec, alpha) -> np.ndarray:
     """Katz matrix by brute force: invert I - alpha A, subtract I.
 
-    For a 1-D sequence of alphas, the stack of their matrices from one
-    stacked elimination.
+    For a 1-D sequence of alphas, the stack of their matrices.  The
+    one-case call of :func:`katz_oracle_inverses`.
     """
-    matrix = linalg.invert(_system(g, alpha))
-    matrix -= np.eye(g.n)
-    return matrix
+    return next(katz_oracle_inverses([(g, alpha)]))
 
 
 def katz_oracle_series(g: GraphSpec, alpha) -> np.ndarray:
@@ -444,17 +455,20 @@ def katz_limit_cycle(offset: int, alpha: float) -> float:
     return alpha**offset * c ** (offset - 2) * (1.0 - alpha**4 * c**4) / (1.0 - 4.0 * alpha * alpha)
 
 
-def determinant_path(n: int, alpha):
-    """det(I - alpha A) for the path, by elimination (oracle for d_n).
+def oracle_determinants(cases: Iterable[tuple[GraphSpec, object]]) -> Iterator:
+    """det(I - alpha A) for each (g, alpha) in turn, from one chunked elimination (oracle for d_n and D_n).
 
-    A float, or an array over a 1-D sequence of admissible alphas.
+    A float per number alpha, an array per 1-D sequence of admissible
+    alphas; each system is built as the elimination reads it.
     """
-    return linalg.determinant(_system(GraphSpec.path(n), alpha))
+    return linalg.determinants(_system(g, alpha) for g, alpha in cases)
+
+
+def determinant_path(n: int, alpha):
+    """det(I - alpha A) for the path (oracle for d_n): the one-case call of :func:`oracle_determinants`."""
+    return next(oracle_determinants([(GraphSpec.path(n), alpha)]))
 
 
 def determinant_cycle(n: int, alpha):
-    """det(I - alpha A) for the cycle, by elimination (oracle for D_n).
-
-    A float, or an array over a 1-D sequence of admissible alphas.
-    """
-    return linalg.determinant(_system(GraphSpec.cycle(n), alpha))
+    """det(I - alpha A) for the cycle (oracle for D_n): the one-case call of :func:`oracle_determinants`."""
+    return next(oracle_determinants([(GraphSpec.cycle(n), alpha)]))

@@ -327,3 +327,23 @@ def test_an_alpha_that_is_not_a_number_is_refused_before_any_check(name, bad, mo
         ROUTINES[name], alpha, ValueError, f"alpha must be a number or a 1-D sequence of numbers, got object of shape {shape}"
     )
     assert calls == []
+
+
+# numeric strings beside a number that is not a float, which makes numpy build an object array;
+# a list of strings alone is a string array, refused by its dtype
+STRING_MEMBERS = {
+    "str_after_a_fraction": ([Fraction(1, 3), "0.3"], "object of shape (2,)"),
+    "bytes_after_a_fraction": ([Fraction(1, 5), b"0.3"], "object of shape (2,)"),
+    "str_after_a_decimal": ([Decimal("0.1"), "0.3"], "object of shape (2,)"),
+    "numpy_str_after_a_fraction": ([Fraction(1, 5), np.str_("0.3")], "object of shape (2,)"),
+    "str_alone": (["0.3"], "<U3 of shape (1,)"),
+}
+
+
+@pytest.mark.parametrize("bad", list(STRING_MEMBERS))
+@pytest.mark.parametrize("name", ["d_recursive", "agreement", "katz_pair_entries"])
+def test_a_numeric_string_member_is_refused_before_any_check(name, bad, monkeypatch):
+    alpha, kind = STRING_MEMBERS[bad]
+    calls = recorded_checks(monkeypatch)
+    assert_refused(ROUTINES[name], alpha, ValueError, f"alpha must be a number or a 1-D sequence of numbers, got {kind}")
+    assert calls == []

@@ -295,3 +295,18 @@ def test_dense_oracles_refuse_n_above_the_dense_cap_before_building(family, name
     assert str(err.value) == f"dense routines are capped at n = {cap}, got {cap + 1}"
     assert peak < 1 << 20
     assert GraphSpec(family, cap).adjacency().shape == (cap, cap)
+
+
+def test_resistance_oracles_are_the_one_case_calls():
+    cases = [(GraphSpec(family, n), *graphs._pair_labels(n)) for family in ("path", "cycle") for n in (3, 12, 5)]
+    cases += [(GraphSpec.cycle(6), 2, 5), (GraphSpec.path(40), np.arange(1, 41), 1)]
+    for (g, i, j), got in zip(cases, graphs.resistance_oracles(cases), strict=True):
+        want = graphs.resistance_oracle(g, i, j)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_resistance_oracles_check_each_case_before_its_graph_is_eliminated():
+    stream = graphs.resistance_oracles([(GraphSpec.cycle(6), 1, 2), (GraphSpec.cycle(6), 1, 7)])
+    with pytest.raises(ValueError, match="out of range"):
+        next(stream)

@@ -1149,3 +1149,21 @@ def test_scalar_routes_refuse_array_labels(route, label):
             with pytest.raises(TypeError) as info:
                 route(10, *labels, 0.3)
         assert str(info.value) == f"vertex label must be an integer, got {label!r}"
+
+
+def test_batched_oracles_are_their_one_case_calls():
+    # graphs of mixed size and family, alpha a number or a sequence, spread over several chunks
+    cases = [(GraphSpec.path(n), 0.3) for n in (2, 9)] + [(GraphSpec.cycle(n), [0.1, 0.46]) for n in (3, 30, 7)]
+    cases += [(GraphSpec.path(40), verify.katz_grid(GraphSpec.path(40))), (GraphSpec.cycle(5), 0.2)]
+    inverses = list(katz.katz_oracle_inverses(cases))
+    dets = list(katz.oracle_determinants(cases))
+    for (g, alpha), inverse, det in zip(cases, inverses, dets, strict=True):
+        want = katz.katz_oracle_inverse(g, alpha)
+        assert inverse.shape == want.shape and inverse.tobytes() == want.tobytes()
+        determinant = katz.determinant_path if g.is_path else katz.determinant_cycle
+        assert type(det) is type(determinant(g.n, alpha))
+        assert np.asarray(det).tobytes() == np.asarray(determinant(g.n, alpha)).tobytes()
+    # a case is checked as its chunk is read, which reads one case past the chunk before
+    stream = katz.katz_oracle_inverses([(GraphSpec.path(4), 0.3), (GraphSpec.path(4), 0.9)])
+    with pytest.raises(AdmissibilityError, match="alpha 0.9 is not admissible"):
+        next(stream)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,10 +145,16 @@ def _dominant(rng, n):
     return a + np.diag(np.abs(a).sum(axis=0) + 1.0)
 
 
+def _swapped(stack):
+    """Per member and column, whether the elimination of the stack alone exchanges rows there."""
+    [(_, _, _, _, swapped)] = linalg._reduced([stack], False)
+    # the elimination keeps its member axis last
+    return swapped.T
+
+
 def _swap_columns(stack):
-    """Per column, how many members exchange rows there, from one elimination of a copy."""
-    _, swapped = linalg._eliminate(np.array(stack, dtype=float), None)
-    return swapped.sum(axis=0)
+    """Per column, how many members exchange rows there."""
+    return _swapped(stack).sum(axis=0)
 
 
 def _assert_members_are_lone_calls(stack):
@@ -177,8 +185,93 @@ def test_stack_where_only_some_members_exchange_rows(n):
     stack = np.array([dominant[0], dominant[1][::-1], dominant[2], dominant[0][::-1]])
     counts = _swap_columns(stack)
     assert counts[0] == 2 and counts.max() <= 2
-    _, swapped = linalg._eliminate(stack.copy(), None)
+    swapped = _swapped(stack)
     assert not swapped[[0, 2]].any() and swapped[[1, 3], 0].all()
     _assert_members_are_lone_calls(stack)
     # a row reversal is floor(n/2) transpositions
     assert linalg.determinant(stack[3]) == pytest.approx((-1) ** (n // 2) * linalg.determinant(stack[0]), rel=1e-12)
+
+
+def _path_systems(n):
+    """I - alpha A of the n-path at four alphas in [1/2, 1/rho_n), where elimination exchanges rows."""
+    top = 1.0 / (2.0 * math.cos(math.pi / (n + 1)))
+    adjacency = np.eye(n, k=1) + np.eye(n, k=-1)
+    return np.array([np.eye(n) - alpha * adjacency for alpha in np.linspace(0.5, top, 4, endpoint=False)])
+
+
+def _mixed_batch():
+    """Stacks of orders 1 to 12 in turn: a lone matrix, a pivoting stack of three, and from order 3 the path systems."""
+    rng = np.random.default_rng(43)
+    batch = []
+    for n in range(1, 13):
+        batch += [rng.normal(size=(n, n)) + n * np.eye(n), _pivoting_stack(n, 3, n)]
+        if n >= 3:
+            batch.append(_path_systems(n))
+    return batch
+
+
+def _bits(value):
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("entries", [1, 150, 2000, linalg.CHUNK_ENTRIES])
+def test_a_batch_of_mixed_orders_is_its_lone_calls_bit_for_bit(entries, monkeypatch):
+    batch = _mixed_batch()
+    assert all(_swapped(stack).any() for stack in batch if stack.ndim == 3 and stack.shape[-1] >= 3)
+    want_inverses = [_bits(linalg.invert(a)) for a in batch]
+    want_dets = [_bits(linalg.determinant(a)) for a in batch]
+    # 1 entry puts every stack in a chunk of its own, the default the whole batch in one
+    want_chunks = {1: len(batch), linalg.CHUNK_ENTRIES: 1}.get(entries)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", entries)
+    chunks = len(list(linalg._chunks(batch)))
+    assert chunks == want_chunks if want_chunks else 1 < chunks < len(batch)
+    assert [_bits(inverse) for inverse in linalg.inverses(batch)] == want_inverses
+    assert [_bits(det) for det in linalg.determinants(batch)] == want_dets
+
+
+def test_a_singular_member_raises_at_its_turn_and_leaves_the_others():
+    batch = _mixed_batch()[:8]
+    singular_stack = _pivoting_stack(4, 3, 3)
+    singular_stack[1] = np.ones((3, 3))
+    batch[5:5] = [singular_stack]
+    stream = linalg.inverses(batch)
+    for a in batch[:5]:
+        assert _bits(next(stream)) == _bits(linalg.invert(a))
+    with pytest.raises(linalg.SingularMatrixError, match="zero pivot in column 1"):
+        next(stream)
+    dets = list(linalg.determinants(batch))
+    assert dets[5][1] == 0.0
+    assert _bits(np.delete(dets[5], 1)) == _bits(linalg.determinant(np.delete(singular_stack, 1, axis=0)))
+    for index, a in enumerate(batch):
+        if index != 5:
+            assert _bits(dets[index]) == _bits(linalg.determinant(a))
+
+
+def _textbook_inverse(a):
+    """Elimination against the identity with partial pivoting (the first largest |entry|), then
+    back-substitution column by column from the last, in Python floats."""
+    n = len(a)
+    m = [[float(v) for v in row] for row in a]
+    x = [[float(r == c) for c in range(n)] for r in range(n)]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        x[col], x[pivot_row] = x[pivot_row], x[col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] = m[r][c] - factor * m[col][c]
+            for c in range(n):
+                x[r][c] = x[r][c] - factor * x[col][c]
+    for col in range(n - 1, -1, -1):
+        x[col] = [v / m[col][col] for v in x[col]]
+        for r in range(col):
+            for c in range(n):
+                x[r][c] = x[r][c] - m[r][col] * x[col][c]
+    return np.array(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_invert_is_the_textbook_elimination_bit_for_bit(n):
+    for a in _pivoting_stack(500 + n, 4, n):
+        assert _bits(linalg.invert(a)) == _bits(_textbook_inverse(a))

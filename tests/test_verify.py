@@ -507,14 +507,19 @@ def _shifted_at(original, point, shift):
     return shifted
 
 
-def _skewed_oracle(original):
-    """katz_oracle_inverse whose matrices of the 9-cycle read Katz(1, 3) 1e-6 high, off the arc-2 class."""
+def _skewed_oracles(original):
+    """katz_oracle_inverses whose matrices of the 9-cycle read Katz(1, 3) 1e-6 high, off the arc-2 class.
 
-    def skewed(g, alpha):
-        matrices = original(g, alpha)
-        if g.n == 9:
-            matrices[..., 0, 2] += 1e-6
-        return matrices
+    katz_oracle_inverse is its one-case call, so patching the batched
+    entry skews both.
+    """
+
+    def skewed(cases):
+        cases, ahead = itertools.tee(cases)
+        for (g, _), matrices in zip(cases, original(ahead)):
+            if g.n == 9:
+                matrices[..., 0, 2] += 1e-6
+            yield matrices
 
     return skewed
 
@@ -585,7 +590,7 @@ FAULTS = {
         [verify.suite_cycle_numerator_gap],
     ),
     "katz_oracle_inverse": (
-        lambda mp: mp.setattr(katz, "katz_oracle_inverse", _skewed_oracle(katz.katz_oracle_inverse)),
+        lambda mp: mp.setattr(katz, "katz_oracle_inverses", _skewed_oracles(katz.katz_oracle_inverses)),
         [verify.suite_cycle_translation_invariance],
     ),
     # the suite calls resistance by the name verify imported
@@ -814,25 +819,42 @@ def test_array_oracle_suite_matches_per_call_loop(suite, reference, level):
     assert_same(got, want)
 
 
+def _asymmetric_value(g, i, j, value):
+    """value, the resistance oracle at (g, i, j), with the pairs (1, 3) of the 5-path and (2, 4) of the 7-cycle 1e-6 high."""
+    bad = {("path", 5): (1, 3), ("cycle", 7): (2, 4)}.get((g.family, g.n))
+    if bad is None:
+        return value
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[(i == bad[0]) & (j == bad[1])] += 1e-6
+        return value
+    return value + 1e-6 if (i, j) == bad else value
+
+
 def _asymmetric_oracle(original):
-    """resistance_oracle that reads the pairs (1, 3) of the 5-path and (2, 4) of the 7-cycle 1e-6 high."""
+    """resistance_oracle with the fault of _asymmetric_value."""
 
     def asymmetric(g, i, j):
-        value = original(g, i, j)
-        bad = {("path", 5): (1, 3), ("cycle", 7): (2, 4)}.get((g.family, g.n))
-        if bad is None:
-            return value
-        if isinstance(value, np.ndarray):
-            value = value.copy()
-            value[(i == bad[0]) & (j == bad[1])] += 1e-6
-            return value
-        return value + 1e-6 if (i, j) == bad else value
+        return _asymmetric_value(g, i, j, original(g, i, j))
+
+    return asymmetric
+
+
+def _asymmetric_oracles(original):
+    """resistance_oracles with the fault of _asymmetric_value on each case."""
+
+    def asymmetric(cases):
+        cases, ahead = itertools.tee(cases)
+        for (g, i, j), value in zip(cases, original(ahead)):
+            yield _asymmetric_value(g, i, j, value)
 
     return asymmetric
 
 
 def test_resistance_oracle_suite_matches_per_call_loop_under_fault(monkeypatch):
+    # the per-pair reference reads the one-pair oracle, the suite the batched one
     monkeypatch.setattr(verify, "resistance_oracle", _asymmetric_oracle(verify.resistance_oracle))
+    monkeypatch.setattr(verify, "resistance_oracles", _asymmetric_oracles(verify.resistance_oracles))
     want = reference_resistance_oracle("quick")
     got = verify.suite_resistance_oracle("quick")
     assert [failure.split(":")[0] for failure in want.failures] == ["path n=5 pair=(1,3)", "cycle n=7 pair=(2,4)"]

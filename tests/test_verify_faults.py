@@ -10,7 +10,7 @@ what it claims to check.
 import pytest
 
 from katzlab import katz, verify
-from test_verify import _skewed_oracle
+from test_verify import _skewed_oracles
 
 
 def _scaled(original, factor):
@@ -34,7 +34,7 @@ FAULTS = {
     ),
     # the inverse oracle of the 9-cycle reads Katz(1, 3) 1e-6 high, off the arc-2 class
     "non-circulant katz_oracle_inverse": (
-        katz, "katz_oracle_inverse", _skewed_oracle, verify.suite_cycle_translation_invariance, 663,
+        katz, "katz_oracle_inverses", _skewed_oracles, verify.suite_cycle_translation_invariance, 663,
         tuple(f"n=9 k=2 alpha={a}:" for a in (0.1, 0.3, 0.46)),
     ),
 }
